@@ -29,8 +29,6 @@ from .jets import (
     jet_det,
     jet_jacobian,
     jet_log,
-    jet_matrix_inverse,
-    jet_mul,
     jet_partial,
     jet_pow,
     jet_reciprocal,
@@ -38,7 +36,6 @@ from .jets import (
     multi_indices,
 )
 from .maps import (
-    BallAutomorphism,
     CompositionMap,
     MapSpec,
     MoebiusMap,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
-from .maps import BallAutomorphism, CompositionMap, MapSpec, map_eval
+from .maps import CompositionMap, MapSpec, map_dim, map_eval
 from .schwarzian import SchwarzianTensor, schwarzian_of
 
 DEFAULT_STARTS = 16
@@ -217,7 +217,7 @@ def schwarzian_norm_sup(
     """
     if not 0.0 <= r_max < 1.0:
         raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
-    n = _map_dim(m)
+    n = map_dim(m)
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, max(int(shells), 1))
     best = NormEstimate(value=-1.0, arg_v=None, arg_z=None, starts=starts, converged=True, r_max=r_max)
@@ -255,7 +255,7 @@ def schwarzian_norm_sup(
     return best
 
 
-def invariance_residual(m: MapSpec, sigma: BallAutomorphism, z, starts: int = DEFAULT_STARTS, seed: int = 0) -> float:
+def invariance_residual(m: MapSpec, sigma: MapSpec, z, starts: int = DEFAULT_STARTS, seed: int = 0) -> float:
     """| ||S(F o sigma)(z)|| - ||S F(sigma(z))|| |, zero in exact arithmetic."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     composed = CompositionMap((m, sigma))
@@ -263,8 +263,3 @@ def invariance_residual(m: MapSpec, sigma: BallAutomorphism, z, starts: int = DE
     rhs = schwarzian_norm_at(m, map_eval(sigma, z), starts=starts, seed=seed).value
     return abs(lhs - rhs)
 
-
-def _map_dim(m: MapSpec) -> int:
-    from .maps import map_dim
-
-    return map_dim(m)

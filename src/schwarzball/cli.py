@@ -26,24 +26,31 @@ import numpy as np
 
 from . import __version__
 from .errors import MapSpecError, SchwarzballError
-from .bergman import invariance_residual, schwarzian_norm_at, schwarzian_norm_sup
+from .bergman import (
+    bergman_norm,
+    invariance_residual,
+    schwarzian_norm_at,
+    schwarzian_norm_sup,
+)
 from .family import (
     NormalizedJet,
     grad_jacobian,
     koebe_map,
     koebe_transform,
     norm_order_functional,
+    normalize_map,
     trace_order_functional,
 )
 from .maps import (
-    BallAutomorphism,
     CompositionMap,
     MapSpec,
     MoebiusMap,
     PolyMap,
     automorphism_from_center,
     automorphism_validate,
+    compose_maps,
     identity_map,
+    map_dim,
     map_eval,
     map_jet_at,
     moebius_pole_at_e1,
@@ -184,13 +191,15 @@ def map_from_payload(payload: dict) -> MapSpec:
         except SchwarzballError as exc:
             raise MapSpecError(str(exc)) from exc
     if kind == "automorphism":
+        # load-time alias for the Moebius grid [[D, C], [B, A]]
         try:
-            a = np.array([[_complex_from_payload(v) for v in row] for row in payload["A"]])
-            b = np.array([_complex_from_payload(v) for v in payload["B"]])
-            c = np.array([_complex_from_payload(v) for v in payload["C"]])
-            d = _complex_from_payload(payload["D"])
-            sigma = BallAutomorphism(a, b, c, d)
-        except (KeyError, TypeError, SchwarzballError) as exc:
+            grid = np.zeros((n + 1, n + 1), dtype=complex)
+            grid[0, 0] = _complex_from_payload(payload["D"])
+            grid[0, 1:] = [_complex_from_payload(v) for v in payload["C"]]
+            grid[1:, 0] = [_complex_from_payload(v) for v in payload["B"]]
+            grid[1:, 1:] = [[_complex_from_payload(v) for v in row] for row in payload["A"]]
+            sigma = MoebiusMap(grid)
+        except (KeyError, TypeError, ValueError) as exc:
             raise MapSpecError(f"bad automorphism payload: {exc}") from exc
         rep = automorphism_validate(sigma, samples=50)
         if rep.max_residual > 1e-8:
@@ -224,14 +233,6 @@ def map_to_payload(m: MapSpec, label: str | None = None) -> dict:
         payload = {
             "kind": "moebius", "n": m.n,
             "a": [[_complex_to_payload(v) for v in row] for row in m.a],
-        }
-    elif isinstance(m, BallAutomorphism):
-        payload = {
-            "kind": "automorphism", "n": m.n,
-            "A": [[_complex_to_payload(v) for v in row] for row in m.A],
-            "B": [_complex_to_payload(v) for v in m.B],
-            "C": [_complex_to_payload(v) for v in m.C],
-            "D": _complex_to_payload(m.D),
         }
     elif isinstance(m, CompositionMap):
         payload = {"kind": "compose", "n": m.n, "maps": [map_to_payload(p) for p in m.maps]}
@@ -277,8 +278,6 @@ def suite_chainrule(n: int = 2, seed: int = 0, pairs: int = 50) -> list[dict]:
     worst_sk = 0.0
     worst_s0 = 0.0
     worst_moebius_post = 0.0
-    from .maps import compose_maps
-
     for _ in range(pairs):
         f = random_normalized_polymap(n, rng, scale=0.08)
         g = random_normalized_polymap(n, rng, scale=0.08)
@@ -320,8 +319,6 @@ def suite_invariance(n: int = 2, seed: int = 0, triples: int = 50) -> list[dict]
         # isometry of the metric under the same automorphism
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         dsig = map_jet_at(sigma, z, 1).linear_matrix()
-        from .bergman import bergman_norm
-
         lhs = bergman_norm(map_eval(sigma, z), dsig @ v)
         rhs = bergman_norm(z, v)
         worst_iso = max(worst_iso, abs(lhs - rhs) / max(rhs, 1e-30))
@@ -581,8 +578,6 @@ def _parse_point(text: str, n: int) -> np.ndarray:
 def cmd_analyze(args) -> int:
     started = time.time()
     m = load_map_file(args.map_file)
-    from .maps import map_dim
-
     n = map_dim(m)
     zeta = _parse_point(args.zeta, n) if args.zeta else np.zeros(n, dtype=complex)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
@@ -607,8 +602,6 @@ def cmd_analyze(args) -> int:
                 results.append(check("norm_sup_lower_bound", sup.value, None, True))
                 results.append(check("norm_sup_arg_z", sup.arg_z, None, True))
         elif op == "order":
-            from .family import normalize_map
-
             normalized, was = normalize_map(m)
             g = NormalizedJet(map_jet_at(normalized, np.zeros(n, dtype=complex), args.degree))
             results.append(check("order_trace", trace_order_functional(g), None, True))

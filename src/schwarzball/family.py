@@ -26,6 +26,7 @@ from .maps import (
     MapSpec,
     affine_map,
     automorphism_from_center,
+    map_dim,
     map_eval,
     map_jet_at,
 )
@@ -117,28 +118,7 @@ def koebe_map(m: MapSpec, zeta) -> MapSpec:
 def grad_jacobian(g: NormalizedJet | JetVector) -> np.ndarray:
     """grad(JG)(0) read off the degree-1 part of the Jacobian determinant jet."""
     jv = g.jets if isinstance(g, NormalizedJet) else g
-    det_jet = jet_det(jet_jacobian(jv))
-    n = jv.n
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        key = [0] * n
-        key[i] = 1
-        out[i] = det_jet.derivative_value(tuple(key))
-    return out
-
-
-def _trace_coefficient_vector(g: NormalizedJet) -> np.ndarray:
-    """c_i = sum_j d^2 g_j / dz_i dz_j (0)."""
-    jv = g.jets
-    n = jv.n
-    c = np.zeros(n, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            key = [0] * n
-            key[i] += 1
-            key[j] += 1
-            c[i] += jv[j].derivative_value(tuple(key))
-    return c
+    return jet_det(jet_jacobian(jv)).derivatives(1)
 
 
 def trace_order_functional(g: NormalizedJet) -> float:
@@ -148,33 +128,16 @@ def trace_order_functional(g: NormalizedJet) -> float:
     c_i = sum_j d^2 g_j/dz_i dz_j(0); for normalized maps this vector is
     grad(JG)(0), and both routes are computed and required to agree.
     """
-    c = _trace_coefficient_vector(g)
+    c = np.einsum("jij->i", g.jets.derivatives(2))
     grad = grad_jacobian(g)
     if abs(np.linalg.norm(c) - np.linalg.norm(grad)) > 1e-10:
         raise NormalizationError("trace supremum form disagrees with grad(JG)(0)")
     return 0.5 * float(np.linalg.norm(c))
 
 
-def second_derivative_matrices(g: NormalizedJet) -> np.ndarray:
-    """H[l, i, j] = d^2 g_l / dz_i dz_j (0)."""
-    jv = g.jets
-    n = jv.n
-    h = np.zeros((n, n, n), dtype=complex)
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                key = [0] * n
-                key[i] += 1
-                key[j] += 1
-                v = jv[l].derivative_value(tuple(key))
-                h[l, i, j] = v
-                h[l, j, i] = v
-    return h
-
-
 def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> float:
     """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms (sphere optimizer)."""
-    h = second_derivative_matrices(g)
+    h = g.jets.derivatives(2)
     eye = np.eye(g.n, dtype=complex)
     value, _, _ = max_quadratic_image_norm(h, eye, eye, starts=starts, seed=seed)
     return 0.5 * value
@@ -209,7 +172,7 @@ class MembershipResult:
 
 def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
     """Return (affine-postcomposed normalization of m, whether m already was)."""
-    n = _dim(m)
+    n = map_dim(m)
     origin = np.zeros(n, dtype=complex)
     jv = map_jet_at(m, origin, 1)
     w0 = jv.constants()
@@ -253,8 +216,3 @@ def membership_check(
         was_normalized=already,
     )
 
-
-def _dim(m: MapSpec) -> int:
-    from .maps import map_dim
-
-    return map_dim(m)

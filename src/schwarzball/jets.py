@@ -4,9 +4,10 @@ A jet of degree ``d`` in ``n`` variables stores the coefficients of a Taylor
 expansion about some center for every monomial of total degree at most ``d``.
 All arithmetic here is exact modulo that truncation: sums, Cauchy products,
 formal partial derivatives, composition, principal-branch log/pow, and
-determinants/inverses of small jet matrices.  Jets are the differentiation
-backbone for every derivative appearing elsewhere in the package; no numerical
-differencing is used anywhere.
+determinants of small jet matrices.  Jets are the differentiation backbone for
+every derivative appearing elsewhere in the package: derivative arrays at the
+center are read through :meth:`Jet.derivatives` and
+:meth:`JetVector.derivatives`, and no numerical differencing is used anywhere.
 
 Multi-indices are plain tuples of non-negative ints (``exponents``); their
 total degree is ``sum(exponents)``.  Coefficient tables are dicts keyed by
@@ -17,6 +18,8 @@ no public operation mutates its inputs.
 from __future__ import annotations
 
 import cmath
+import itertools
+import math
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +28,6 @@ from .errors import (
     BranchCutError,
     CompositionCenterError,
     DimensionError,
-    SingularDifferentialError,
     VanishingDenominatorError,
 )
 
@@ -116,11 +118,23 @@ class Jet:
     def derivative_value(self, key: Sequence[int]) -> complex:
         """Value of the partial derivative multi-index ``key`` at the center."""
         key = tuple(key)
-        fact = 1
-        for e in key:
-            for m in range(2, e + 1):
-                fact *= m
-        return self.coeffs.get(key, 0j) * fact
+        return self.coeffs.get(key, 0j) * math.prod(math.factorial(e) for e in key)
+
+    def derivatives(self, order: int) -> np.ndarray:
+        """Array of every order-``order`` partial derivative at the center.
+
+        Entry ``[i_1, ..., i_k]`` is d^k / dz_{i_1} ... dz_{i_k} at the center,
+        factorials included, so the array is symmetric in its indices.
+        """
+        out = np.zeros((self.n,) * order, dtype=complex)
+        for key, val in self.coeffs.items():
+            if sum(key) != order:
+                continue
+            val = val * math.prod(math.factorial(e) for e in key)
+            index = tuple(i for i, e in enumerate(key) for _ in range(e))
+            for perm in set(itertools.permutations(index)):
+                out[perm] = val
+        return out
 
     def evaluate(self, h: Sequence[complex]) -> complex:
         """Evaluate the truncated polynomial at offset ``h`` from the center."""
@@ -224,13 +238,6 @@ def _mul(a: Jet, b: Jet) -> Jet:
     res.n, res.d, res.coeffs = a.n, a.d, out
     return res
 
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product of two jets sharing (n, d)."""
-    if not isinstance(a, Jet) or not isinstance(b, Jet):
-        raise DimensionError("jet_mul expects two jets")
-    a._check_same_shape(b)
-    return _mul(a, b)
 
 
 def jet_partial(a: Jet, i: int) -> Jet:
@@ -414,15 +421,13 @@ class JetVector:
     def constants(self) -> np.ndarray:
         return np.array([j.constant_term for j in self.jets], dtype=complex)
 
+    def derivatives(self, order: int) -> np.ndarray:
+        """Stacked :meth:`Jet.derivatives` of the components; axis 0 is the component."""
+        return np.stack([j.derivatives(order) for j in self.jets])
+
     def linear_matrix(self) -> np.ndarray:
         """Matrix L with L[i, j] = d(component_i)/d(z_j) at the center."""
-        n = self.n
-        out = np.zeros((len(self.jets), n), dtype=complex)
-        for i, j in enumerate(self.jets):
-            for k in range(n):
-                key = tuple(1 if m == k else 0 for m in range(n))
-                out[i, k] = j.coeff(key)
-        return out
+        return self.derivatives(1)
 
     def shifted(self, delta: Sequence[complex]) -> "JetVector":
         """Add ``delta[i]`` to the constant term of component ``i``."""
@@ -466,12 +471,6 @@ class JetMatrix:
                     raise DimensionError("jet matrix entries do not share (n, d)")
         self.rows = rows
 
-    @classmethod
-    def identity(cls, size: int, n: int, d: int) -> "JetMatrix":
-        one = Jet.constant(n, d, 1.0)
-        zero = Jet.zero(n, d)
-        return cls([[one if i == j else zero for j in range(size)] for i in range(size)])
-
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.rows[0]))
@@ -487,51 +486,6 @@ class JetMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> Jet:
         i, j = ij
         return self.rows[i][j]
-
-    def constants(self) -> np.ndarray:
-        r, c = self.shape
-        out = np.zeros((r, c), dtype=complex)
-        for i in range(r):
-            for j in range(c):
-                out[i, j] = self.rows[i][j].constant_term
-        return out
-
-    def matmul(self, other: "JetMatrix") -> "JetMatrix":
-        r, k = self.shape
-        k2, c = other.shape
-        if k != k2:
-            raise DimensionError("jet matrix product shape mismatch")
-        zero = Jet.zero(self.n, self.d)
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(c):
-                acc = zero
-                for m in range(k):
-                    acc = acc + _mul(self.rows[i][m], other.rows[m][j])
-                row.append(acc)
-            out.append(row)
-        return JetMatrix(out)
-
-    def scaled_left(self, num: np.ndarray) -> "JetMatrix":
-        """Numeric matrix times jet matrix."""
-        num = np.asarray(num, dtype=complex)
-        r, k = num.shape
-        k2, c = self.shape
-        if k != k2:
-            raise DimensionError("numeric/jet product shape mismatch")
-        zero = Jet.zero(self.n, self.d)
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(c):
-                acc = zero
-                for m in range(k):
-                    if num[i, m] != 0:
-                        acc = acc + self.rows[m][j] * num[i, m]
-                row.append(acc)
-            out.append(row)
-        return JetMatrix(out)
 
 
 def jet_jacobian(jv: JetVector) -> JetMatrix:
@@ -566,48 +520,6 @@ def jet_det(matrix: JetMatrix) -> Jet:
         return acc
 
     return minor(0, tuple(range(cols)))
-
-
-def jet_matrix_inverse(matrix: JetMatrix) -> JetMatrix:
-    """Inverse of a square jet matrix with invertible constant part.
-
-    Splits M = M0 + N with N of valuation >= 1 and sums the finite Neumann
-    series (I - M0^{-1} N + ...) M0^{-1}, exact to the truncation degree.
-    """
-    rows, cols = matrix.shape
-    if rows != cols:
-        raise DimensionError("inverse of a non-square jet matrix")
-    n, d = matrix.n, matrix.d
-    m0 = matrix.constants()
-    det = np.linalg.det(m0)
-    if abs(det) < 1e-12:
-        raise SingularDifferentialError(
-            f"jet matrix constant part is singular (|det| = {abs(det):.3e})"
-        )
-    m0_inv = np.linalg.inv(m0)
-    zero_key = (0,) * n
-    stripped = []
-    for r in matrix.rows:
-        row = []
-        for j in r:
-            table = dict(j.coeffs)
-            table.pop(zero_key, None)
-            nj = Jet.__new__(Jet)
-            nj.n, nj.d, nj.coeffs = j.n, j.d, table
-            row.append(nj)
-        stripped.append(row)
-    k_mat = JetMatrix(stripped).scaled_left(-m0_inv)  # -M0^{-1} N, valuation >= 1
-    acc = JetMatrix.identity(rows, n, d)
-    power = k_mat
-    for step in range(1, d + 1):
-        acc_rows = []
-        for i in range(rows):
-            acc_rows.append([acc.rows[i][j] + power.rows[i][j] for j in range(cols)])
-        acc = JetMatrix(acc_rows)
-        if step < d:
-            power = power.matmul(k_mat)
-    id_num = JetMatrix.identity(rows, n, d)
-    return acc.matmul(id_num.scaled_left(m0_inv))
 
 
 def max_coeff_diff(a: Jet, b: Jet) -> float:

@@ -1,11 +1,12 @@
 """Exact map classes on the unit ball and their jet expansions.
 
-Four kinds of locally biholomorphic maps are supported: polynomial maps,
-Moebius transformations (ratios of affine forms), automorphisms of the unit
-ball in block form (Az + B)/(Cz + D), and composition chains of the above.
-Every map can be expanded into an exact Taylor jet about any admissible
-center; rational denominators are expanded by a truncated geometric series,
-so no numerical differentiation is involved.
+Three kinds of locally biholomorphic maps are supported: polynomial maps,
+Moebius transformations (ratios of affine forms), and composition chains of
+the above.  Automorphisms of the unit ball, (Az + B)/(Cz + D) in block form,
+are the Moebius maps with grid [[D, C], [B, A]]; :func:`automorphism_validate`
+reads the blocks back from the grid.  Every map can be expanded into an exact
+Taylor jet about any admissible center; rational denominators are expanded by
+a truncated geometric series, so no numerical differentiation is involved.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     SingularDifferentialError,
     VanishingDenominatorError,
 )
-from .jets import Jet, JetVector, jet_compose, jet_reciprocal
+from .jets import Jet, JetVector, jet_compose, jet_reciprocal, multi_indices
 
 SINGULAR_TOL = 1e-12
 
@@ -74,34 +75,6 @@ class MoebiusMap:
         self.n = a.shape[0] - 1
 
 
-@dataclass
-class BallAutomorphism:
-    """Ball automorphism sigma(z) = (Az + B)/(Cz + D) in block form.
-
-    A is n x n, B is n x 1, C is 1 x n, D is a scalar.  Validity of the three
-    block identities is reported by :func:`automorphism_validate`, not
-    enforced here, so deliberately broken instances can be inspected.
-    """
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: complex
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=complex)
-        self.B = np.asarray(self.B, dtype=complex).reshape(-1)
-        self.C = np.asarray(self.C, dtype=complex).reshape(-1)
-        self.D = complex(self.D)
-        n = self.A.shape[0]
-        if self.A.shape != (n, n) or self.B.shape != (n,) or self.C.shape != (n,):
-            raise DimensionError("inconsistent automorphism block shapes")
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-
 class CompositionMap:
     """Composition chain ``maps[0] o maps[1] o ... o maps[-1]``.
 
@@ -120,11 +93,11 @@ class CompositionMap:
         self.n = n
 
 
-MapSpec = Union[PolyMap, MoebiusMap, BallAutomorphism, CompositionMap]
+MapSpec = Union[PolyMap, MoebiusMap, CompositionMap]
 
 
 def map_dim(m: MapSpec) -> int:
-    if isinstance(m, (PolyMap, MoebiusMap, BallAutomorphism, CompositionMap)):
+    if isinstance(m, (PolyMap, MoebiusMap, CompositionMap)):
         return m.n
     raise DimensionError(f"not a map spec: {type(m).__name__}")
 
@@ -157,11 +130,12 @@ def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> P
     return PolyMap(n, comps)
 
 
-def unitary_automorphism(u: np.ndarray) -> BallAutomorphism:
+def unitary_automorphism(u: np.ndarray) -> MoebiusMap:
     """Automorphism z -> Uz for unitary U."""
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    return BallAutomorphism(u, np.zeros(n), np.zeros(n), 1.0)
+    a = np.eye(u.shape[0] + 1, dtype=complex)
+    a[1:, 1:] = u
+    return MoebiusMap(a)
 
 
 def moebius_pole_at_e1(n: int) -> MoebiusMap:
@@ -199,11 +173,6 @@ def map_eval(m: MapSpec, z: Sequence[complex]) -> np.ndarray:
         if abs(l[0]) < 1e-14:
             raise VanishingDenominatorError("Moebius denominator vanishes at the point")
         return l[1:] / l[0]
-    if isinstance(m, BallAutomorphism):
-        den = complex(m.C @ z) + m.D
-        if abs(den) < 1e-14:
-            raise VanishingDenominatorError("automorphism denominator vanishes at the point")
-        return (m.A @ z + m.B) / den
     if isinstance(m, CompositionMap):
         w = z
         for part in reversed(m.maps):
@@ -288,12 +257,6 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
         return _check_locally_biholomorphic(
             _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)
         )
-    if isinstance(m, BallAutomorphism):
-        num0 = m.A @ zeta + m.B
-        den0 = complex(m.C @ zeta) + m.D
-        return _check_locally_biholomorphic(
-            _rational_jet(num0, m.A, den0, m.C, d)
-        )
     if isinstance(m, CompositionMap):
         jv = map_jet_at(m.maps[-1], zeta, d)
         for part in m.maps[-2::-1]:
@@ -327,23 +290,21 @@ def _unitary_with_first_column(w: np.ndarray) -> np.ndarray:
     return u
 
 
-def _axis_automorphism(n: int, zeta1: complex) -> BallAutomorphism:
+def _axis_automorphism(n: int, zeta1: complex) -> MoebiusMap:
     """Automorphism moving the origin to (zeta1, 0, ..., 0), |zeta1| < 1.
 
     Block-normalized so the three block identities hold exactly: the plain
     moving-the-origin form is rescaled by 1/sqrt(1 - |zeta1|^2).
     """
     s = np.sqrt(1.0 - abs(zeta1) ** 2)
-    a = np.eye(n, dtype=complex)
-    a[0, 0] = 1.0 / s
-    b = np.zeros(n, dtype=complex)
-    b[0] = zeta1 / s
-    c = np.zeros(n, dtype=complex)
-    c[0] = np.conj(zeta1) / s
-    return BallAutomorphism(a, b, c, 1.0 / s)
+    a = np.eye(n + 1, dtype=complex)
+    a[0, 0] = a[1, 1] = 1.0 / s
+    a[1, 0] = zeta1 / s
+    a[0, 1] = np.conj(zeta1) / s
+    return MoebiusMap(a)
 
 
-def automorphism_from_center(zeta: Sequence[complex]) -> BallAutomorphism:
+def automorphism_from_center(zeta: Sequence[complex]) -> MoebiusMap:
     """Ball automorphism with sigma(0) = zeta and Id + O(|zeta|^2) differential.
 
     For an axis-aligned center the explicit one-parameter automorphism is
@@ -356,13 +317,11 @@ def automorphism_from_center(zeta: Sequence[complex]) -> BallAutomorphism:
     if r >= 1.0:
         raise OutsideDomainError(f"center must lie in the open unit ball (|zeta| = {r:.6f})")
     if r == 0.0:
-        return BallAutomorphism(np.eye(n), np.zeros(n), np.zeros(n), 1.0)
+        return MoebiusMap(np.eye(n + 1, dtype=complex))
     if np.all(zeta[1:] == 0):
         return _axis_automorphism(n, zeta[0])
-    u = _unitary_with_first_column(zeta / r)
-    ax = _axis_automorphism(n, r)
-    uh = u.conj().T
-    return BallAutomorphism(u @ ax.A @ uh, u @ ax.B, ax.C @ uh, ax.D)
+    q = unitary_automorphism(_unitary_with_first_column(zeta / r)).a
+    return MoebiusMap(q @ _axis_automorphism(n, r).a @ q.conj().T)
 
 
 @dataclass
@@ -375,10 +334,13 @@ class AutomorphismReport:
     ball_ok: bool
 
 
-def automorphism_validate(sigma: BallAutomorphism, samples: int = 200, seed: int = 0) -> AutomorphismReport:
-    """Report block-identity residuals and sample that sigma maps the ball into itself."""
-    a, b, c, dd = sigma.A, sigma.B, sigma.C, sigma.D
+def automorphism_validate(sigma: MoebiusMap, samples: int = 200, seed: int = 0) -> AutomorphismReport:
+    """Report block-identity residuals and sample that sigma maps the ball into itself.
+
+    The blocks of (Az + B)/(Cz + D) are read from the grid [[D, C], [B, A]].
+    """
     n = sigma.n
+    dd, c, b, a = sigma.a[0, 0], sigma.a[0, 1:], sigma.a[1:, 0], sigma.a[1:, 1:]
     r1 = float(np.max(np.abs(a.T @ a.conj() - np.outer(c, c.conj()) - np.eye(n))))
     r2 = float(abs(abs(dd) ** 2 - complex(b @ b.conj()) - 1.0))
     r3 = float(np.max(np.abs(a.T @ b.conj() - c * np.conj(dd))))
@@ -439,14 +401,9 @@ def random_normalized_polymap(
     comps = []
     for i in range(n):
         table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
-        for key in _monomials(n, 2, degree):
+        for key in (k for k in multi_indices(n, degree) if sum(k) >= 2):
             c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
             table[key] = c
         comps.append(table)
     return PolyMap(n, comps)
 
-
-def _monomials(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    from .jets import multi_indices
-
-    return [k for k in multi_indices(n, hi) if lo <= sum(k) <= hi]

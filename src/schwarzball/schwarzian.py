@@ -10,11 +10,20 @@ u_0 = (JF)^{-1/(n+1)} solves the associated second-order linear system
 
     d^2 u / dz_i dz_j = sum_k S^k_ij d_k u + S^0_ij u.
 
-S^0 is therefore computed as (d^2_ij u_0 - sum_k S^k_ij d_k u_0) / u_0; the
-solution property is the anchor every consumer of S^0 relies on, and
-``pde_residual`` re-derives both sides through an independent jet route as a
-regression guard.  Tensors vanish exactly on Moebius maps and obey the
-composition rule implemented in :func:`chain_rule_transform`.
+Both are computed from the derivative arrays DF, D^2F and D^3F at the point.
+The log-derivatives of JF come from Jacobi's formula,
+
+    d_i log JF  = tr(DF^{-1} d_i DF),
+    d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
+
+and with g = grad log JF, H = Hess log JF and p = -1/(n+1) the solution
+property gives S^0 = p^2 g g^T + p H - sum_k S^k (p g)_k.  No power or
+logarithm of JF is taken, so the tensors are defined wherever DF is
+invertible, whatever the phase of JF.  ``pde_residual`` re-derives both
+sides of the linear system through an independent jet route (a jet power of
+the Jacobian determinant) as a regression guard.  Tensors vanish exactly on
+Moebius maps and obey the composition rule implemented in
+:func:`chain_rule_transform`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,6 @@ import numpy as np
 
 from .errors import (
     BasePointMismatchError,
-    BranchCutError,
     DimensionError,
     SingularDifferentialError,
 )
@@ -61,50 +69,6 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _second_derivatives(jv: JetVector) -> np.ndarray:
-    """H[l, i, j] = d^2 f_l / dz_i dz_j at the center."""
-    n = jv.n
-    h = np.zeros((n, n, n), dtype=complex)
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                key = [0] * n
-                key[i] += 1
-                key[j] += 1
-                v = jv[l].derivative_value(tuple(key))
-                h[l, i, j] = v
-                h[l, j, i] = v
-    return h
-
-
-def _principal_power(c: complex, p: float) -> complex:
-    if c == 0:
-        raise BranchCutError("Jacobian vanishes at the base point")
-    if c.imag == 0 and c.real < 0:
-        raise BranchCutError(f"Jacobian {c} lies on the cut (-inf, 0]")
-    return cmath.exp(p * cmath.log(c))
-
-
-def _jacobian_jet_data(jv: JetVector):
-    """Jacobian determinant jet plus its value/gradient/Hessian at the center."""
-    n = jv.n
-    jf_jet = jet_det(jet_jacobian(jv))
-    jf0 = jf_jet.constant_term
-    grad = np.zeros(n, dtype=complex)
-    hess = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        key = [0] * n
-        key[i] = 1
-        grad[i] = jf_jet.derivative_value(tuple(key))
-        for j in range(i, n):
-            key2 = [0] * n
-            key2[i] += 1
-            key2[j] += 1
-            hess[i, j] = jf_jet.derivative_value(tuple(key2))
-            hess[j, i] = hess[i, j]
-    return jf_jet, jf0, grad, hess
-
-
 def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     """Schwarzian tensor from the jet of F at a point.
 
@@ -125,32 +89,26 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
         raise DimensionError(f"jet degree {jv.d} < {MIN_JET_DEGREE} cannot carry third derivatives")
     z = np.zeros(n, dtype=complex) if z is None else np.asarray(z, dtype=complex).reshape(-1)
 
-    dmat = jv.linear_matrix()
-    det = np.linalg.det(dmat)
-    if abs(det) < 1e-12:
+    dmat = jv.derivatives(1)
+    if abs(np.linalg.det(dmat)) < 1e-12:
         raise SingularDifferentialError("differential singular at the base point")
     dinv = np.linalg.inv(dmat)
-    hess_f = _second_derivatives(jv)
+    d2f = jv.derivatives(2)  # d2f[l, i, j] = d^2 f_l / dz_i dz_j
+    d3f = jv.derivatives(3)
 
-    _, jf0, grad_jf, hess_jf = _jacobian_jet_data(jv)
-    if jf0 == 0 or (jf0.imag == 0 and jf0.real < 0):
-        raise BranchCutError(f"Jacobian {jf0} is zero or on the cut (-inf, 0]")
-    glog = grad_jf / jf0
+    # m[i] = DF^{-1} d_i DF; Jacobi's formula gives the log-derivatives of JF
+    m = np.einsum("kl,lij->ikj", dinv, d2f)
+    glog = np.einsum("ikk->i", m)
+    hlog = np.einsum("kl,lijk->ij", dinv, d3f) - np.einsum("jab,iba->ij", m, m)
 
-    sk = np.einsum("lij,kl->kij", hess_f, dinv)
-    for k in range(n):
-        sk[k, k, :] -= glog / (n + 1)
-        sk[k, :, k] -= glog / (n + 1)
-    sk = _symmetrize(sk)
-
-    # u0 = JF^{-1/(n+1)} derivative values by the power chain rule
     p = -1.0 / (n + 1)
-    u0 = _principal_power(jf0, p)
-    du0 = p * u0 / jf0 * grad_jf
-    d2u0 = p * (p - 1) * u0 / jf0**2 * np.outer(grad_jf, grad_jf) + p * u0 / jf0 * hess_jf
-    s0 = (d2u0 - np.einsum("kij,k->ij", sk, du0)) / u0
-    s0 = _symmetrize(s0)
-    return SchwarzianTensor(z=z, Sk=sk, S0=s0)
+    sk = np.swapaxes(m, 0, 1)
+    for k in range(n):
+        sk[k, k, :] += p * glog
+        sk[k, :, k] += p * glog
+    sk = _symmetrize(sk)
+    s0 = p * p * np.outer(glog, glog) + p * hlog - np.einsum("kij,k->ij", sk, p * glog)
+    return SchwarzianTensor(z=z, Sk=sk, S0=_symmetrize(s0))
 
 
 def schwarzian_of(m: MapSpec, z, degree: int = MIN_JET_DEGREE) -> SchwarzianTensor:
@@ -177,31 +135,20 @@ def pde_residual(jv: JetVector, z=None) -> float:
     """Residual of the u_0 solution property, evaluated through jet powers.
 
     Both sides of d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 are
-    recomputed from scratch: the tensor by the value route of
+    recomputed from scratch: the tensor by the derivative-array route of
     :func:`schwarzian_at`, the u_0 derivatives from ``jet_pow`` applied to the
     Jacobian-determinant jet.  Nonzero output means the two differentiation
     routes disagree.
     """
     t = schwarzian_at(jv, z=z)
-    n = jv.n
-    jf_jet, _, _, _ = _jacobian_jet_data(jv)
-    u0_jet = jet_pow(jf_jet, -1.0 / (n + 1))
-    u0 = u0_jet.constant_term
-    du0 = np.zeros(n, dtype=complex)
-    for k in range(n):
-        key = [0] * n
-        key[k] = 1
-        du0[k] = u0_jet.derivative_value(tuple(key))
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            key = [0] * n
-            key[i] += 1
-            key[j] += 1
-            lhs = u0_jet.derivative_value(tuple(key))
-            rhs = sum(t.Sk[k, i, j] * du0[k] for k in range(n)) + t.S0[i, j] * u0
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    p = -1.0 / (jv.n + 1)
+    jf_jet = jet_det(jet_jacobian(jv))
+    jf0 = jf_jet.constant_term
+    # (JF / JF(z))^p has constant term 1, off the cut; the scalar JF(z)^p
+    # restores the scale of u_0 on any branch
+    u0_jet = jet_pow(jf_jet * (1.0 / jf0), p) * cmath.exp(p * cmath.log(jf0))
+    rhs = np.einsum("kij,k->ij", t.Sk, u0_jet.derivatives(1)) + t.S0 * u0_jet.constant_term
+    return float(np.max(np.abs(u0_jet.derivatives(2) - rhs)))
 
 
 def chain_rule_transform(

@@ -27,16 +27,22 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import DimensionError, InfeasibleSearchError, NormalizationError
+from .errors import (
+    DimensionError,
+    InfeasibleSearchError,
+    NormalizationError,
+    SchwarzballError,
+)
 from .bergman import NormEstimate, schwarzian_norm_sup
 from .family import grad_jacobian, koebe_transform
-from .jets import JetVector
+from .jets import JetVector, jet_det, jet_jacobian, jet_log, multi_indices
 from .maps import (
     CompositionMap,
     MapSpec,
     MoebiusMap,
     PolyMap,
     affine_map,
+    map_dim,
     map_jet_at,
     _unitary_with_first_column,
 )
@@ -84,7 +90,7 @@ class BoundReport:
 
 
 def _normalized_jet_at_origin(m: MapSpec, degree: int) -> JetVector:
-    n = _dim(m)
+    n = map_dim(m)
     jv = map_jet_at(m, np.zeros(n, dtype=complex), degree)
     if np.max(np.abs(jv.constants())) > NORMALIZED_TOL or np.max(
         np.abs(jv.linear_matrix() - np.eye(n))
@@ -112,18 +118,7 @@ def lemma31_check(m: MapSpec, degree: int = 3) -> float:
     jet, bypassing the Schwarzian tensors entirely.
     """
     jv = _normalized_jet_at_origin(m, degree)
-    n = jv.n
-    from .jets import jet_det, jet_jacobian, jet_log
-
-    log_jf = jet_log(jet_det(jet_jacobian(jv)))
-    hess = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            key = [0] * n
-            key[i] += 1
-            key[j] += 1
-            hess[i, j] = log_jf.derivative_value(tuple(key))
-            hess[j, i] = hess[i, j]
+    hess = jet_log(jet_det(jet_jacobian(jv))).derivatives(2)
     rep = matrix_A(m, degree=degree)
     return float(np.max(np.abs(hess - rep.A)))
 
@@ -311,8 +306,6 @@ def moebius_subfamily(n: int) -> SubfamilyConfig:
 
 def cubic_subfamily(n: int, box: float = 0.5) -> SubfamilyConfig:
     """Normalized polynomial maps with quadratic coefficients in a box."""
-    from .jets import multi_indices
-
     monomials = [k for k in multi_indices(n, 2) if sum(k) == 2]
     per_comp = len(monomials)
     dim = 2 * n * per_comp
@@ -375,7 +368,7 @@ def extremal_search(
         try:
             mp = config.build(x)
             jv = _normalized_jet_at_origin(mp, 2)
-        except Exception:
+        except SchwarzballError:
             return 1e6
         order2 = float(np.linalg.norm(grad_jacobian(jv)))
         est = norm_est(mp).value
@@ -417,8 +410,3 @@ def extremal_search(
         label=config.label,
     )
 
-
-def _dim(m: MapSpec) -> int:
-    from .maps import map_dim
-
-    return map_dim(m)

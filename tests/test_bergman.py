@@ -187,6 +187,12 @@ def test_invariance_residual_unitary():
     assert invariance_residual(shear(0.4), sigma, [0.2, -0.1 + 0.2j]) <= 1e-9
 
 
+def test_norm_and_invariance_through_unitary_with_jacobian_on_the_cut():
+    sigma = unitary_automorphism(np.diag([1j, 1j]))  # J sigma = -1 everywhere
+    assert schwarzian_norm_sup(sigma).value == 0
+    assert invariance_residual(shear(0.4), sigma, [0.2, -0.1 + 0.2j]) <= 1e-9
+
+
 def test_invariance_residual_random_suite():
     rng = np.random.default_rng(13)
     from schwarzball.maps import random_normalized_polymap

@@ -142,6 +142,23 @@ def test_load_rejects_bad_automorphism():
         map_from_payload(payload)
 
 
+def test_automorphism_kind_is_a_moebius_alias(tmp_path):
+    # diag(i, i): the Jacobian is -1, on the principal branch cut
+    i, o = {"re": 0.0, "im": 1.0}, {"re": 0.0, "im": 0.0}
+    payload = {"kind": "automorphism", "n": 2, "A": [[i, o], [o, i]], "B": [o, o],
+               "C": [o, o], "D": {"re": 1.0, "im": 0.0}}
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(payload))
+    code, rep = run_json(tmp_path, ["analyze", str(path), "--ops", "schwarzian,norm",
+                                    "--zeta", "0.3,-0.2+0.1j"])
+    assert code == 0 and rep["passed"] is True
+    again = map_to_payload(map_from_payload(payload))
+    assert again["kind"] == "moebius"
+    assert again["a"] == [[payload["D"]] + payload["C"]] + [
+        [b] + row for b, row in zip(payload["B"], payload["A"])
+    ]
+
+
 def test_round_trip_complex_payload_precision():
     vals = [0.1 + 0.2j, -1 / 3 + 1e-17j, 2**-40 - 7j]
     m = PolyMap(2, [{(1, 0): 1.0, (2, 0): vals[0], (0, 2): vals[1]}, {(0, 1): vals[2]}])

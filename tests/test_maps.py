@@ -12,7 +12,6 @@ from schwarzball.errors import (
 )
 from schwarzball.jets import jet_det, jet_jacobian, max_coeff_diff
 from schwarzball.maps import (
-    BallAutomorphism,
     CompositionMap,
     MoebiusMap,
     PolyMap,
@@ -93,9 +92,7 @@ def test_moebius_denominator_guard():
 
 def test_automorphism_center_zero_is_identity():
     sigma = automorphism_from_center([0.0, 0.0])
-    assert np.max(np.abs(sigma.A - np.eye(2))) == 0
-    assert np.max(np.abs(sigma.B)) == 0 and np.max(np.abs(sigma.C)) == 0
-    assert sigma.D == 1.0
+    assert np.max(np.abs(sigma.a - np.eye(3))) == 0
 
 
 def test_automorphism_axis_values():
@@ -126,7 +123,9 @@ def test_automorphism_block_identities_and_ball():
 
 def test_automorphism_validate_detects_broken_blocks():
     sigma = automorphism_from_center([0.5, 0.0])
-    broken = BallAutomorphism(sigma.A, sigma.B + 0.1, sigma.C, sigma.D)
+    grid = sigma.a.copy()
+    grid[1:, 0] += 0.1  # the B block of [[D, C], [B, A]]
+    broken = MoebiusMap(grid)
     rep = automorphism_validate(broken, samples=4)
     assert rep.identity_residuals[1] > 1e-2
 

@@ -9,13 +9,17 @@ from schwarzball.errors import (
     SingularDifferentialError,
 )
 from schwarzball.maps import (
+    CompositionMap,
+    MoebiusMap,
     PolyMap,
+    affine_map,
     compose_maps,
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
     random_normalized_polymap,
+    unitary_automorphism,
 )
 from schwarzball.schwarzian import (
     canonical_residual,
@@ -202,3 +206,88 @@ def test_singular_differential_guard():
     broken = JetVector([jv[0] * 0.0, jv[1]])
     with pytest.raises(SingularDifferentialError):
         schwarzian_at(broken)
+
+
+# -- Jacobians on the cut (-inf, 0] ------------------------------------------------
+
+# JF = -1 everywhere for both; the tensors depend only on log-derivatives of JF
+ROTATION = unitary_automorphism(np.diag([1j, 1j]))
+REFLECTION = affine_map(np.diag([-1.0, 1.0]))
+
+
+def test_tensor_defined_where_jacobian_is_negative_real():
+    z = np.array([0.3, -0.2 + 0.1j])
+    assert schwarzian_of(ROTATION, z).max_abs() <= 1e-14
+    assert schwarzian_of(REFLECTION, np.zeros(2)).max_abs() <= 1e-14
+    # affine postcomposition leaves a nonzero tensor unchanged
+    flipped = schwarzian_of(CompositionMap((REFLECTION, shear_a(0.4))), z)
+    plain = schwarzian_of(shear_a(0.4), z)
+    assert max(np.max(np.abs(flipped.Sk - plain.Sk)), np.max(np.abs(flipped.S0 - plain.S0))) <= 1e-12
+
+
+def test_pde_residual_where_jacobian_is_negative_real():
+    assert pde_residual(map_jet_at(REFLECTION, np.zeros(2), 3)) <= 1e-12
+    z = np.array([0.1j, 0.25])
+    flipped = CompositionMap((REFLECTION, shear_a(0.4)))
+    assert pde_residual(map_jet_at(flipped, z, 3), z=z) <= 1e-12
+
+
+# -- symbolic oracle ------------------------------------------------------------------
+
+
+def _symbolic_tensor(components, variables, point):
+    """S^k_ij and S^0_ij from the module docstring's definitions, by sympy.
+
+    S^0 is read off the linear system solved by u_0 = JF^(-1/(n+1)); ``point``
+    must keep JF off the cut so sympy's principal power is smooth there.
+    Derivatives are symbolic; they are evaluated at ``point`` with 30 digits.
+    """
+    import mpmath
+    import sympy as sp
+
+    n = len(variables)
+    jac = sp.Matrix(components).jacobian(variables)
+    jf = jac.det()
+    u0 = sp.exp(sp.Rational(-1, n + 1) * sp.log(jf))
+    du0 = [sp.diff(u0, a) for a in variables]
+    exprs = [
+        jac.tolist(),
+        [[[sp.diff(f, a, b) for b in variables] for a in variables] for f in components],
+        [sp.diff(jf, a) / jf for a in variables],
+        u0,
+        du0,
+        [[sp.diff(d, b) for b in variables] for d in du0],
+    ]
+    with mpmath.workdps(30):
+        values = sp.lambdify(variables, exprs, "mpmath")(*(mpmath.mpc(c) for c in point))
+        df, d2f, glog, u0, du0, d2u0 = (
+            np.array(v, dtype=complex) if isinstance(v, list) else complex(v) for v in values
+        )
+    dinv = np.linalg.inv(df)
+    sk = np.einsum("lij,kl->kij", d2f, dinv)
+    for k in range(n):
+        sk[k, k, :] -= glog / (n + 1)
+        sk[k, :, k] -= glog / (n + 1)
+    s0 = (d2u0 - np.einsum("kij,k->ij", sk, du0)) / u0
+    return sk, s0
+
+
+def test_tensors_match_symbolic_definition():
+    sp = pytest.importorskip("sympy")
+    z1, z2 = sp.symbols("z1 z2")
+    point = (0.2 + 0.1j, -0.15 + 0.05j)
+    cubic = {
+        0: {(1, 0): 1, (2, 0): 0.3, (1, 1): -0.2j, (0, 3): 0.25, (2, 1): 0.1 + 0.1j},
+        1: {(0, 1): 1, (0, 2): -0.4, (1, 0): 0.1j, (3, 0): 0.2 - 0.3j, (1, 2): 0.15},
+    }
+    poly = PolyMap(2, [cubic[0], cubic[1]])
+    poly_sym = [sum(sp.nsimplify(c) * z1**e1 * z2**e2 for (e1, e2), c in cubic[l].items())
+                for l in range(2)]
+    grid = np.array([[1, 0.2 - 0.1j, 0.1j], [0.1, 1.1, 0.2], [-0.2j, 0.3, 0.9]])
+    rows = [sp.nsimplify(g[0]) + sp.nsimplify(g[1]) * z1 + sp.nsimplify(g[2]) * z2 for g in grid]
+    moebius_sym = [rows[1] / rows[0], rows[2] / rows[0]]
+    for m, sym in ((poly, poly_sym), (MoebiusMap(grid), moebius_sym)):
+        sk, s0 = _symbolic_tensor(sym, (z1, z2), point)
+        t = schwarzian_of(m, np.array(point))
+        assert np.max(np.abs(t.Sk - sk)) <= 1e-12
+        assert np.max(np.abs(t.S0 - s0)) <= 1e-12

@@ -219,3 +219,31 @@ def test_search_budget_exhaustion_reported():
     res = extremal_search(moebius_subfamily(2), alpha=0.0, budget=30, seed=0, restarts=1)
     assert isinstance(res.converged, bool)
     assert res.evaluations >= 10
+
+
+def _subfamily_failing_off_x0(error):
+    """Moebius subfamily whose build raises ``error`` away from the start point."""
+    base = moebius_subfamily(2)
+
+    def build(x):
+        if not np.array_equal(x, base.x0):
+            raise error("build failed")
+        return base.build(x)
+
+    return SubfamilyConfig(n=2, dim=base.dim, build=build, x0=base.x0)
+
+
+SMALL_SEARCH = dict(alpha=0.0, budget=12, restarts=1, probe_shells=2, probe_angular=2,
+                    probe_starts=2)
+
+
+def test_search_propagates_programming_errors_in_build():
+    with pytest.raises(TypeError):
+        extremal_search(_subfamily_failing_off_x0(TypeError), **SMALL_SEARCH)
+
+
+def test_search_penalizes_package_errors_in_build():
+    cfg = _subfamily_failing_off_x0(NormalizationError)
+    res = extremal_search(cfg, **SMALL_SEARCH)
+    assert np.array_equal(res.params, cfg.x0)
+    assert res.evaluations >= 10
