@@ -59,6 +59,7 @@ from .maps import (
     random_normalized_polymap,
 )
 from .schwarzian import (
+    MIN_JET_DEGREE,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
@@ -162,7 +163,7 @@ def map_from_payload(payload: dict) -> MapSpec:
         raise MapSpecError("map payload needs an integer field 'n'")
     if kind == "poly":
         comps = payload.get("components")
-        if not isinstance(comps, list) or len(comps) != n:
+        if not isinstance(comps, list) or len(comps) != n or not all(isinstance(c, list) for c in comps):
             raise MapSpecError("poly payload needs n component lists")
         tables = []
         for comp in comps:
@@ -170,7 +171,10 @@ def map_from_payload(payload: dict) -> MapSpec:
             for mono in comp:
                 if not isinstance(mono, dict) or "exps" not in mono:
                     raise MapSpecError("poly monomial needs an 'exps' list")
-                exps = tuple(int(e) for e in mono["exps"])
+                try:
+                    exps = tuple(int(e) for e in mono["exps"])
+                except (TypeError, ValueError) as exc:
+                    raise MapSpecError(f"bad exponent list {mono['exps']!r}") from exc
                 if len(exps) != n or any(e < 0 for e in exps):
                     raise MapSpecError(f"bad exponent list {mono['exps']!r}")
                 table[exps] = table.get(exps, 0j) + _complex_from_payload(mono)
@@ -188,7 +192,7 @@ def map_from_payload(payload: dict) -> MapSpec:
                 [[_complex_from_payload(v) for v in row] for row in grid], dtype=complex
             )
             return MoebiusMap(a)
-        except SchwarzballError as exc:
+        except (SchwarzballError, TypeError, ValueError) as exc:
             raise MapSpecError(str(exc)) from exc
     if kind == "automorphism":
         # load-time alias for the Moebius grid [[D, C], [B, A]]
@@ -511,12 +515,13 @@ def cmd_verify(args) -> int:
 
 def _parse_range(text: str, kind) -> tuple:
     parts = text.split(":")
-    if len(parts) == 1:
-        v = kind(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        return (kind(parts[0]), kind(parts[1]))
-    raise argparse.ArgumentTypeError(f"bad range {text!r}, expected LO:HI or a single value")
+    try:
+        lo, hi = kind(parts[0]), kind(parts[-1])
+    except ValueError as exc:
+        raise MapSpecError(f"bad range {text!r}: {exc}") from exc
+    if len(parts) > 2 or lo > hi:
+        raise MapSpecError(f"bad range {text!r}, expected LO:HI with LO <= HI or a single value")
+    return (lo, hi)
 
 
 def cmd_bounds(args) -> int:
@@ -525,6 +530,8 @@ def cmd_bounds(args) -> int:
     a_lo, a_hi = _parse_range(args.alpha, float)
     if n_lo < 2:
         raise MapSpecError("bounds require n >= 2")
+    if a_lo < 0:
+        raise MapSpecError("bounds require alpha >= 0")
     if args.step <= 0:
         raise MapSpecError("step must be positive")
     rows = []
@@ -587,7 +594,7 @@ def cmd_analyze(args) -> int:
     results = []
     for op in ops:
         if op == "schwarzian":
-            jv = map_jet_at(m, zeta, args.degree)
+            jv = map_jet_at(m, zeta, MIN_JET_DEGREE)
             t = schwarzian_at(jv, z=zeta)
             results.append(check("schwarzian_Sk", t.Sk, None, True))
             results.append(check("schwarzian_S0", t.S0, None, True))
@@ -603,13 +610,13 @@ def cmd_analyze(args) -> int:
                 results.append(check("norm_sup_arg_z", sup.arg_z, None, True))
         elif op == "order":
             normalized, was = normalize_map(m)
-            g = NormalizedJet(map_jet_at(normalized, np.zeros(n, dtype=complex), args.degree))
+            g = NormalizedJet(map_jet_at(normalized, np.zeros(n, dtype=complex), 2))
             results.append(check("order_trace", trace_order_functional(g), None, True))
             results.append(check("order_norm", norm_order_functional(g, seed=args.seed), None, True))
             results.append(check("order_grad_jf", grad_jacobian(g), None, True))
             results.append(check("order_was_normalized", was, None, True))
         elif op == "koebe":
-            g = koebe_transform(m, zeta, d=args.degree)
+            g = koebe_transform(m, zeta, d=2)
             results.append(check("koebe_grad_jf", grad_jacobian(g), None, True))
             results.append(
                 residual_check(
@@ -622,18 +629,17 @@ def cmd_analyze(args) -> int:
                 )
             )
         elif op == "extremal":
-            rep = matrix_A(m, degree=args.degree)
+            rep = matrix_A(m)
             results.append(check("extremal_Lambda", rep.Lam, None, True))
             results.append(check("extremal_A", rep.A, None, True))
             results.append(check("extremal_residual", rep.extremal_residual, None, True))
-            dec = decoupled_residuals(m, degree=args.degree)
+            dec = decoupled_residuals(m)
             results.append(check("extremal_lambda_aligned", dec.lam, None, True))
             results.append(check("extremal_quadratic_residual", dec.quadratic_residual, None, True))
             results.append(check("extremal_off_residuals", dec.off_residuals, None, True))
     report = build_report(
         "analyze",
-        {"map_file": args.map_file, "ops": args.ops, "zeta": args.zeta,
-         "degree": args.degree, "r_max": args.r_max},
+        {"map_file": args.map_file, "ops": args.ops, "zeta": args.zeta, "r_max": args.r_max},
         args.seed, results, started,
     )
     emit(json.dumps(report, indent=2) + "\n", args.out)
@@ -704,7 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("map_file")
     p_analyze.add_argument("--ops", default="schwarzian", help=f"comma list from {ANALYZE_OPS}")
     p_analyze.add_argument("--zeta", default=None, help="comma-separated complex point")
-    p_analyze.add_argument("--degree", type=int, default=4)
     p_analyze.add_argument("--r-max", type=float, default=None)
     p_analyze.add_argument("--seed", type=int, default=0)
     p_analyze.add_argument("--out", default=None)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError
 from .bergman import NormEstimate, max_quadratic_image_norm, schwarzian_norm_sup
-from .jets import JetVector, jet_compose, jet_det, jet_jacobian
+from .jets import JetVector, jet_det, jet_jacobian
 from .maps import (
     CompositionMap,
     MapSpec,
@@ -78,29 +78,9 @@ class OrderFunctionals:
 
 
 def koebe_transform(m: MapSpec, zeta, d: int = 4) -> NormalizedJet:
-    """Normalized jet of the Koebe transform of the map at center ``zeta``."""
+    """Normalized jet at the origin, to degree ``d``, of :func:`koebe_map`."""
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    sigma = automorphism_from_center(zeta)
-    j_sigma = map_jet_at(sigma, np.zeros(len(zeta), dtype=complex), d)
-    ds0 = j_sigma.linear_matrix()
-    # expand F at the automorphism's own image of 0 (equal to zeta up to
-    # rounding) so the composition recenters exactly
-    sigma0 = j_sigma.constants()
-    j_f = map_jet_at(m, sigma0, d)
-    dfz = j_f.linear_matrix()
-    w0 = j_f.constants()
-    centered_sigma = j_sigma.shifted(-sigma0)
-    composed = [jet_compose(j_f[l], centered_sigma.jets) for l in range(len(j_f))]
-    composed = JetVector(composed).shifted(-w0)
-    mat = np.linalg.inv(dfz @ ds0)
-    out = []
-    for i in range(len(composed)):
-        acc = composed[0] * mat[i, 0]
-        for j in range(1, len(composed)):
-            if mat[i, j] != 0:
-                acc = acc + composed[j] * mat[i, j]
-        out.append(acc)
-    return NormalizedJet(JetVector(out))
+    return NormalizedJet(map_jet_at(koebe_map(m, zeta), np.zeros(len(zeta), dtype=complex), d))
 
 
 def koebe_map(m: MapSpec, zeta) -> MapSpec:

@@ -4,9 +4,14 @@ Three kinds of locally biholomorphic maps are supported: polynomial maps,
 Moebius transformations (ratios of affine forms), and composition chains of
 the above.  Automorphisms of the unit ball, (Az + B)/(Cz + D) in block form,
 are the Moebius maps with grid [[D, C], [B, A]]; :func:`automorphism_validate`
-reads the blocks back from the grid.  Every map can be expanded into an exact
-Taylor jet about any admissible center; rational denominators are expanded by
-a truncated geometric series, so no numerical differentiation is involved.
+reads the blocks back from the grid.  The automorphism moving the origin to
+zeta, with s = sqrt(1 - |zeta|^2), is the single closed form
+
+    [[1, zeta^H], [zeta, s Id + zeta zeta^H / (1 + s)]] / s.
+
+Every map can be expanded into an exact Taylor jet about any admissible
+center; rational denominators are expanded by a truncated geometric series,
+so no numerical differentiation is involved.
 """
 
 from __future__ import annotations
@@ -290,38 +295,25 @@ def _unitary_with_first_column(w: np.ndarray) -> np.ndarray:
     return u
 
 
-def _axis_automorphism(n: int, zeta1: complex) -> MoebiusMap:
-    """Automorphism moving the origin to (zeta1, 0, ..., 0), |zeta1| < 1.
-
-    Block-normalized so the three block identities hold exactly: the plain
-    moving-the-origin form is rescaled by 1/sqrt(1 - |zeta1|^2).
-    """
-    s = np.sqrt(1.0 - abs(zeta1) ** 2)
-    a = np.eye(n + 1, dtype=complex)
-    a[0, 0] = a[1, 1] = 1.0 / s
-    a[1, 0] = zeta1 / s
-    a[0, 1] = np.conj(zeta1) / s
-    return MoebiusMap(a)
-
-
 def automorphism_from_center(zeta: Sequence[complex]) -> MoebiusMap:
     """Ball automorphism with sigma(0) = zeta and Id + O(|zeta|^2) differential.
 
-    For an axis-aligned center the explicit one-parameter automorphism is
-    used directly; a general center is handled by conjugating with a unitary
-    that sends |zeta| e_1 to zeta.
+    With s = sqrt(1 - |zeta|^2) the grid is
+    [[1, zeta^H], [zeta, s Id + zeta zeta^H / (1 + s)]] / s, block-normalized
+    so the three block identities hold; at zeta = 0 it is exactly the identity.
     """
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     n = len(zeta)
     r = float(np.linalg.norm(zeta))
     if r >= 1.0:
         raise OutsideDomainError(f"center must lie in the open unit ball (|zeta| = {r:.6f})")
-    if r == 0.0:
-        return MoebiusMap(np.eye(n + 1, dtype=complex))
-    if np.all(zeta[1:] == 0):
-        return _axis_automorphism(n, zeta[0])
-    q = unitary_automorphism(_unitary_with_first_column(zeta / r)).a
-    return MoebiusMap(q @ _axis_automorphism(n, r).a @ q.conj().T)
+    s = np.sqrt(1.0 - r * r)
+    a = np.empty((n + 1, n + 1), dtype=complex)
+    a[0, 0] = 1.0
+    a[0, 1:] = np.conj(zeta)
+    a[1:, 0] = zeta
+    a[1:, 1:] = s * np.eye(n) + np.outer(zeta, np.conj(zeta)) / (1.0 + s)
+    return MoebiusMap(a / s)
 
 
 @dataclass

@@ -111,10 +111,10 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     return SchwarzianTensor(z=z, Sk=sk, S0=_symmetrize(s0))
 
 
-def schwarzian_of(m: MapSpec, z, degree: int = MIN_JET_DEGREE) -> SchwarzianTensor:
+def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
     """Convenience wrapper: expand the map at ``z`` and build its tensor."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    return schwarzian_at(map_jet_at(m, z, degree), z=z)
+    return schwarzian_at(map_jet_at(m, z, MIN_JET_DEGREE), z=z)
 
 
 def schwarzian_apply(t: SchwarzianTensor, v) -> np.ndarray:

@@ -34,8 +34,8 @@ from .errors import (
     SchwarzballError,
 )
 from .bergman import NormEstimate, schwarzian_norm_sup
-from .family import grad_jacobian, koebe_transform
-from .jets import JetVector, jet_det, jet_jacobian, jet_log, multi_indices
+from .family import NormalizedJet, grad_jacobian, koebe_transform
+from .jets import jet_det, jet_jacobian, jet_log, multi_indices
 from .maps import (
     CompositionMap,
     MapSpec,
@@ -46,9 +46,7 @@ from .maps import (
     map_jet_at,
     _unitary_with_first_column,
 )
-from .schwarzian import schwarzian_at
-
-NORMALIZED_TOL = 1e-9
+from .schwarzian import MIN_JET_DEGREE, schwarzian_at
 
 
 @dataclass(frozen=True)
@@ -89,19 +87,9 @@ class BoundReport:
                 raise DimensionError("bound values must be non-negative")
 
 
-def _normalized_jet_at_origin(m: MapSpec, degree: int) -> JetVector:
-    n = map_dim(m)
-    jv = map_jet_at(m, np.zeros(n, dtype=complex), degree)
-    if np.max(np.abs(jv.constants())) > NORMALIZED_TOL or np.max(
-        np.abs(jv.linear_matrix() - np.eye(n))
-    ) > NORMALIZED_TOL:
-        raise NormalizationError("map is not normalized (F(0) = 0, DF(0) = Id required)")
-    return jv
-
-
-def matrix_A(m: MapSpec, degree: int = 3) -> VariationReport:
+def matrix_A(m: MapSpec) -> VariationReport:
     """Assemble the first-variation matrix and the extremality residual."""
-    jv = _normalized_jet_at_origin(m, degree)
+    jv = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)).jets
     n = jv.n
     t = schwarzian_at(jv)
     lam = grad_jacobian(jv)
@@ -111,15 +99,15 @@ def matrix_A(m: MapSpec, degree: int = 3) -> VariationReport:
     return VariationReport(Lam=lam, B=b, B0=t.S0.copy(), A=a, extremal_residual=residual)
 
 
-def lemma31_check(m: MapSpec, degree: int = 3) -> float:
+def lemma31_check(m: MapSpec) -> float:
     """Max-norm gap between A and the directly differentiated phi = grad(JF)/JF.
 
     The direct route takes the Hessian of log JF at 0 from the determinant
     jet, bypassing the Schwarzian tensors entirely.
     """
-    jv = _normalized_jet_at_origin(m, degree)
+    jv = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)).jets
     hess = jet_log(jet_det(jet_jacobian(jv))).derivatives(2)
-    rep = matrix_A(m, degree=degree)
+    rep = matrix_A(m)
     return float(np.max(np.abs(hess - rep.A)))
 
 
@@ -139,7 +127,6 @@ def variation_expansion_check(
     scales: Sequence[float] = (1e-1, 5e-2, 2.5e-2),
     directions: int = 3,
     seed: int = 0,
-    degree: int = 3,
     ratio_bound: float = 4.0,
 ) -> ExpansionReport:
     """Check grad(JG)(0) = Lambda + A zeta - (n+1) conj(zeta) + O(|zeta|^2).
@@ -150,7 +137,7 @@ def variation_expansion_check(
     vanishing remainders (Moebius-flat cases) pass by convention.
     """
     scales = tuple(float(s) for s in scales)
-    rep = matrix_A(m, degree=degree)
+    rep = matrix_A(m)
     n = len(rep.Lam)
     rng = np.random.default_rng(seed)
     errors = np.zeros((directions, len(scales)))
@@ -161,7 +148,7 @@ def variation_expansion_check(
         u /= np.linalg.norm(u)
         for si, s in enumerate(scales):
             zeta = s * u
-            g = grad_jacobian(koebe_transform(m, zeta, d=degree))
+            g = grad_jacobian(koebe_transform(m, zeta, d=2))
             predicted = rep.Lam + rep.A @ zeta - (n + 1) * np.conj(zeta)
             errors[di, si] = float(np.linalg.norm(g - predicted))
         q = errors[di] / np.array(scales) ** 2
@@ -189,16 +176,16 @@ class DecoupledReport:
     rotated: bool
 
 
-def decoupled_residuals(m: MapSpec, degree: int = 3) -> DecoupledReport:
+def decoupled_residuals(m: MapSpec) -> DecoupledReport:
     """Rotate Lambda to (lambda, 0, ..., 0), lambda >= 0, and evaluate the
     decoupled extremality equations
 
         lambda^2 + (n+1) S^1_11 lambda - (n+1)^2 S^0_11 - (n+1)^2 = 0,
         S^1_1j lambda - (n+1) S^0_1j = 0   (j >= 2).
     """
-    jv = _normalized_jet_at_origin(m, degree)
-    n = jv.n
-    lam_vec = grad_jacobian(jv)
+    n = map_dim(m)
+    origin = np.zeros(n, dtype=complex)
+    lam_vec = grad_jacobian(NormalizedJet(map_jet_at(m, origin, MIN_JET_DEGREE)))
     lam = float(np.linalg.norm(lam_vec))
     rotated = False
     target = m
@@ -208,7 +195,7 @@ def decoupled_residuals(m: MapSpec, degree: int = 3) -> DecoupledReport:
         q = np.conj(u0)
         target = CompositionMap((affine_map(q.conj().T), m, affine_map(q)))
         rotated = True
-    jv_rot = _normalized_jet_at_origin(target, degree)
+    jv_rot = NormalizedJet(map_jet_at(target, origin, MIN_JET_DEGREE)).jets
     lam_rot = grad_jacobian(jv_rot)
     if abs(lam_rot[0] - lam) > 1e-9 * (1 + lam) or np.max(np.abs(lam_rot[1:])) > 1e-9 * (1 + lam):
         raise NormalizationError("rotation failed to align the Jacobian gradient")
@@ -349,10 +336,11 @@ def extremal_search(
         raise InfeasibleSearchError("subfamily parameterization is empty")
     if alpha < 0:
         raise DimensionError("alpha must be non-negative")
+    origin = np.zeros(config.n, dtype=complex)
     try:
-        _normalized_jet_at_origin(config.build(np.asarray(config.x0, dtype=float)), 2)
-    except Exception as exc:
-        raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}")
+        NormalizedJet(map_jet_at(config.build(np.asarray(config.x0, dtype=float)), origin, 2))
+    except SchwarzballError as exc:
+        raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}") from exc
 
     evaluations = 0
 
@@ -367,10 +355,10 @@ def extremal_search(
         evaluations += 1
         try:
             mp = config.build(x)
-            jv = _normalized_jet_at_origin(mp, 2)
+            g = NormalizedJet(map_jet_at(mp, origin, 2))
         except SchwarzballError:
             return 1e6
-        order2 = float(np.linalg.norm(grad_jacobian(jv)))
+        order2 = float(np.linalg.norm(grad_jacobian(g)))
         est = norm_est(mp).value
         return -order2 + penalty_weight * max(0.0, est - alpha) ** 2
 
@@ -390,10 +378,9 @@ def extremal_search(
     best_fun, best_x, success = candidates[0]
     best_x = np.array(best_x)
     best_map = config.build(best_x)
-    jv = _normalized_jet_at_origin(best_map, 3)
-    achieved = 0.5 * float(np.linalg.norm(grad_jacobian(jv)))
-    est = norm_est(best_map)
     rep = matrix_A(best_map)
+    achieved = 0.5 * float(np.linalg.norm(rep.Lam))
+    est = norm_est(best_map)
     bounds = bounds_report(config.n, alpha)
     return SearchResult(
         achieved_order=achieved,

@@ -104,6 +104,13 @@ def test_exit_code_parse_error(tmp_path):
     path2 = tmp_path / "badkind.json"
     path2.write_text(json.dumps({"kind": "mystery", "n": 2}))
     assert main(["analyze", str(path2)]) == 2
+    ragged = dict(MOEBIUS_FILE, a=[MOEBIUS_FILE["a"][0], MOEBIUS_FILE["a"][1][:2], MOEBIUS_FILE["a"][2]])
+    bad_exps = [[{"exps": ["x", 0], "re": 1.0}], [{"exps": 5, "re": 1.0}], 5]
+    payloads = [ragged] + [dict(SHEAR_FILE, components=[c, SHEAR_FILE["components"][1]]) for c in bad_exps]
+    for k, payload in enumerate(payloads):
+        path3 = tmp_path / f"malformed{k}.json"
+        path3.write_text(json.dumps(payload))
+        assert main(["analyze", str(path3)]) == 2
 
 
 # -- map-spec round trips ------------------------------------------------------------
@@ -199,6 +206,8 @@ def test_bounds_grid_rows_satisfy_inequality(tmp_path):
 
 def test_bounds_rejects_small_n(tmp_path):
     assert main(["bounds", "--n", "1", "--alpha", "0"]) == 2
+    for n, alpha in (("2:3:4", "0"), ("abc", "0"), ("2", "x"), ("2", "-1"), ("3:2", "0"), ("2", "1:0")):
+        assert main(["bounds", "--n", n, "--alpha", alpha]) == 2
 
 
 def test_bounds_json_format(tmp_path):

@@ -1,0 +1,104 @@
+"""Property tests on drawn inputs: Moebius vanishing, the chain rule, and
+norm invariance under ball automorphisms at arbitrary centers.
+
+Arrays are drawn at the largest dimension (n = 3) and cut down to the drawn
+n, so explicit examples can pin the extreme inputs.
+"""
+
+import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from schwarzball.bergman import invariance_residual
+from schwarzball.jets import multi_indices
+from schwarzball.maps import (
+    MoebiusMap,
+    PolyMap,
+    automorphism_from_center,
+    compose_maps,
+    map_jet_at,
+)
+from schwarzball.schwarzian import chain_rule_transform, schwarzian_at, schwarzian_of
+
+dims = st.integers(min_value=2, max_value=3)
+CUBIC_TERMS = 16  # monomials of degree 2 and 3 in three variables
+
+
+def complex_arrays(shape, bound):
+    """Complex arrays with real and imaginary parts in [-bound, bound]."""
+    size = int(np.prod(shape))
+    part = st.floats(min_value=-bound, max_value=bound)
+    return st.lists(part, min_size=2 * size, max_size=2 * size).map(
+        lambda xs: (np.array(xs[:size]) + 1j * np.array(xs[size:])).reshape(shape)
+    )
+
+
+cubic_coeffs = complex_arrays((3, CUBIC_TERMS), 0.1)
+vectors = complex_arrays((3,), 1.0)
+
+
+def normalized_cubic(coeffs, n):
+    """z + degree 2 and 3 terms taken from the rows of ``coeffs``."""
+    keys = [k for k in multi_indices(n, 3) if sum(k) >= 2]
+    comps = []
+    for i in range(n):
+        table = {tuple(int(k == i) for k in range(n)): 1.0}
+        table.update(zip(keys, coeffs[i]))
+        comps.append(table)
+    return PolyMap(n, comps)
+
+
+def ball_point(v, n, r_max):
+    """The first n entries of v, shrunk onto |z| <= r_max if longer."""
+    v = v[:n]
+    norm = np.linalg.norm(v)
+    return v * (r_max / norm) if norm > r_max else v
+
+
+@settings(max_examples=40)
+@given(n=dims, perturbation=complex_arrays((4, 4), 0.25), point=vectors)
+def test_moebius_tensors_vanish_on_drawn_grids(n, perturbation, point):
+    grid = np.eye(n + 1) + perturbation[: n + 1, : n + 1]
+    assume(np.linalg.svd(grid, compute_uv=False)[-1] >= 0.2)
+    t = schwarzian_of(MoebiusMap(grid), ball_point(point, n, 0.5))
+    assert t.max_abs() <= 1e-9
+
+
+@settings(max_examples=30)
+@given(n=dims, f_coeffs=cubic_coeffs, g_coeffs=cubic_coeffs, point=vectors)
+def test_chain_rule_on_drawn_cubic_pairs(n, f_coeffs, g_coeffs, point):
+    f, g = normalized_cubic(f_coeffs, n), normalized_cubic(g_coeffs, n)
+    z = ball_point(point, n, 0.3)
+    jf = map_jet_at(f, z, 3)
+    w = jf.constants()
+    jg = map_jet_at(g, w, 3)
+    transformed = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
+    direct = schwarzian_at(compose_maps(g, f, z, 3), z=z)
+    assert np.max(np.abs(transformed.Sk - direct.Sk)) <= 1e-9
+    assert np.max(np.abs(transformed.S0 - direct.S0)) <= 1e-9
+
+
+EXTREME = dict(direction=np.ones(3, dtype=complex), coeffs=np.full((3, CUBIC_TERMS), 0.1 - 0.1j),
+               point=np.array([0.5, -0.5j, 0.3]))
+
+
+@settings(max_examples=12)
+@given(
+    n=dims,
+    radius=st.floats(min_value=0.0, max_value=0.95),
+    off_axis=st.sampled_from([0.0, 1e-12, 1e-6, 1.0]),
+    direction=vectors,
+    coeffs=cubic_coeffs,
+    point=vectors,
+)
+@example(n=3, radius=0.95, off_axis=1e-12, **EXTREME)
+@example(n=2, radius=0.95, off_axis=1.0, **EXTREME)
+def test_norm_invariance_through_automorphisms_at_any_center(
+    n, radius, off_axis, direction, coeffs, point
+):
+    u = direction[:n].copy()
+    u[0] += 2.0  # keeps |u_0| > 1/2, so u never vanishes
+    u[1:] *= off_axis
+    sigma = automorphism_from_center(radius * u / np.linalg.norm(u))
+    z = ball_point(point, n, 0.5)
+    assert invariance_residual(normalized_cubic(coeffs, n), sigma, z) <= 1e-6

@@ -213,6 +213,9 @@ def test_search_empty_config_rejected():
     cfg = SubfamilyConfig(n=2, dim=0, build=lambda x: identity_map(2), x0=np.zeros(0))
     with pytest.raises(InfeasibleSearchError):
         extremal_search(cfg, alpha=0.0)
+    with pytest.raises(InfeasibleSearchError) as info:
+        extremal_search(_subfamily_failing(NormalizationError, at_x0=True), alpha=0.0)
+    assert isinstance(info.value.__cause__, NormalizationError)
 
 
 def test_search_budget_exhaustion_reported():
@@ -221,12 +224,13 @@ def test_search_budget_exhaustion_reported():
     assert res.evaluations >= 10
 
 
-def _subfamily_failing_off_x0(error):
-    """Moebius subfamily whose build raises ``error`` away from the start point."""
+def _subfamily_failing(error, at_x0=False):
+    """Moebius subfamily whose build raises ``error`` away from the start point,
+    and at it too with ``at_x0``."""
     base = moebius_subfamily(2)
 
     def build(x):
-        if not np.array_equal(x, base.x0):
+        if at_x0 or not np.array_equal(x, base.x0):
             raise error("build failed")
         return base.build(x)
 
@@ -238,12 +242,13 @@ SMALL_SEARCH = dict(alpha=0.0, budget=12, restarts=1, probe_shells=2, probe_angu
 
 
 def test_search_propagates_programming_errors_in_build():
-    with pytest.raises(TypeError):
-        extremal_search(_subfamily_failing_off_x0(TypeError), **SMALL_SEARCH)
+    for at_x0 in (False, True):
+        with pytest.raises(TypeError):
+            extremal_search(_subfamily_failing(TypeError, at_x0), **SMALL_SEARCH)
 
 
 def test_search_penalizes_package_errors_in_build():
-    cfg = _subfamily_failing_off_x0(NormalizationError)
+    cfg = _subfamily_failing(NormalizationError)
     res = extremal_search(cfg, **SMALL_SEARCH)
     assert np.array_equal(res.params, cfg.x0)
     assert res.evaluations >= 10
