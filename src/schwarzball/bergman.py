@@ -12,9 +12,15 @@ operator output both measured at the same base point the pointwise norm
 
 Suprema are estimated by deterministic multistart projected gradient ascent
 on the sphere obtained from a Cholesky factorization of the constraint form.
-Reported values are lower bounds of the true suprema; ``converged`` records
-whether every retained start terminated by step size rather than by the
-iteration cap.
+One kernel runs every start of every problem as a row of one array, so
+``schwarzian_norm_sup`` solves its whole probe grid in one call and each
+refine round in one more.  Each tensor is divided by its Frobenius norm
+before the ascent, so the steps and the stopping tests are scale-free; the
+one absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise
+and its starts stop at once.  Reported values are lower bounds of the true
+suprema; ``converged`` records whether every retained start terminated by
+step size rather than by the iteration cap, and ``points`` and
+``iterations`` count the probed base points and accepted ascent steps.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .schwarzian import SchwarzianTensor, schwarzian_of
 DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 500
 STEP_FLOOR = 1e-12
+# Frobenius norm below which S is rounding noise (Moebius maps give about
+# 1e-15): its starts stop at their first iterate
+ZERO_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,8 @@ class NormEstimate:
     starts: int
     converged: bool
     r_max: float | None = None
+    points: int = 1  # probed base points
+    iterations: int = 0  # accepted ascent steps, summed over starts and points
 
 
 def metric_at(z, n: int | None = None) -> MetricTensor:
@@ -85,13 +96,121 @@ def bergman_norm(z, v) -> float:
 
 
 def _realified_form(m: np.ndarray) -> np.ndarray:
-    """Symmetric real 2n x 2n matrix Q with x^T Q x = sum_ij m_ij v_i conj(v_j)."""
+    """Symmetric real 2n x 2n matrices Q with x^T Q x = sum_ij m_ij v_i conj(v_j).
+
+    Works on one n x n matrix or on a stack of them.
+    """
     re, im = np.real(m), np.imag(m)
-    return np.block([[re, im], [-im, re]])
+    return np.concatenate(
+        [np.concatenate([re, im], axis=-1), np.concatenate([-im, re], axis=-1)], axis=-2
+    )
 
 
-def _complex_from_real(x: np.ndarray, n: int) -> np.ndarray:
-    return x[:n] + 1j * x[n:]
+def _value_and_grad(x, chol_inv_t, chol_inv, s_flat, g_out):
+    """Squared image norm and its gradient at each row of x (rows, 2n)."""
+    rows, n = s_flat.shape[0], s_flat.shape[1]
+    ab = (chol_inv_t @ x[:, :, None])[:, :, 0]
+    v = ab[:, :n] + 1j * ab[:, n:]
+    u = s_flat @ (v[:, :, None] * v[:, None, :]).reshape(rows, n * n, 1)
+    eta = g_out @ np.conj(u)
+    val2 = np.real(np.sum(u * eta, axis=(1, 2)))
+    w = 2.0 * ((np.swapaxes(eta, 1, 2) @ s_flat).reshape(rows, n, n) @ v[:, :, None])[:, :, 0]
+    grad_ab = np.concatenate([2.0 * np.real(w), -2.0 * np.imag(w)], axis=1)
+    return val2, (chol_inv @ grad_ab[:, :, None])[:, :, 0]
+
+
+def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
+    """Multistart projected ascent for a stack of problems, in one array.
+
+    ``s`` is (problems, n, n, n) and the forms (problems, n, n).  Every row of
+    the (problems x starts, 2n) iterate is one start of one problem; all rows
+    share the starts drawn from ``default_rng(seed)`` and run the same
+    arithmetic under a per-row mask, so a problem's result does not depend
+    on the batch it is solved in.  Each S is divided by its Frobenius norm
+    c before the ascent and the value multiplied back (the value is
+    homogeneous of degree one in S), so steps and stopping tests do not
+    depend on the scale of S.  The one absolute floor is ZERO_NORM: an S
+    below it stops at its first iterate.
+
+    Returns per-problem arrays (value, maximizing v, converged, accepted
+    steps summed over starts).
+    """
+    s = np.asarray(s, dtype=complex)
+    problems, n = s.shape[0], s.shape[-1]
+    k = max(int(starts), 1)
+    scale = np.linalg.norm(s.reshape(problems, -1), axis=1)
+    zero = np.repeat(scale < ZERO_NORM, k)
+    scale[scale == 0.0] = 1.0
+    chol = np.linalg.cholesky(_realified_form(np.asarray(form_in, dtype=complex)))
+    chol_inv = np.linalg.inv(chol)
+    mats = [
+        np.repeat(a, k, axis=0)
+        for a in (
+            np.ascontiguousarray(np.swapaxes(chol_inv, 1, 2)),
+            chol_inv,
+            (s / scale[:, None, None, None]).reshape(problems, n, n * n),
+            np.asarray(form_out, dtype=complex),
+        )
+    ]
+
+    x0 = np.random.default_rng(seed).standard_normal((k, 2 * n))
+    x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
+    x = np.tile(x0, (problems, 1))
+    val2, grad = _value_and_grad(x, *mats)
+    rows = len(x)
+    prev_x = np.zeros_like(x)
+    prev_tangent = np.zeros_like(x)
+    has_prev = np.zeros(rows, dtype=bool)
+    active = ~zero
+    converged = zero.copy()
+    steps = np.zeros(rows, dtype=int)
+    for _ in range(max_iter):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        xa, ga = x[idx], grad[idx]
+        tangent = ga - np.sum(ga * xa, axis=1, keepdims=True) * xa
+        tnorm = np.linalg.norm(tangent, axis=1)
+        flat = tnorm < 1e-14 * np.maximum(1.0, val2[idx])
+        # Barzilai-Borwein trial step, halved under the Armijo test
+        t = np.ones(idx.size)
+        sx = xa - prev_x[idx]
+        sy = np.sum(sx * (prev_tangent[idx] - tangent), axis=1)
+        bb = has_prev[idx] & (sy > 1e-30)
+        t[bb] = np.minimum(np.maximum(np.sum(sx[bb] * sx[bb], axis=1) / sy[bb], 1e-10), 1e6)
+        accepted = np.zeros(idx.size, dtype=bool)
+        moved = np.zeros(idx.size)
+        trying = ~flat
+        while True:
+            trying &= t * tnorm >= STEP_FLOOR
+            j = np.flatnonzero(trying)
+            if j.size == 0:
+                break
+            cand = xa[j] + t[j, None] * tangent[j]
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            rj = idx[j]
+            cand_val2, cand_grad = _value_and_grad(cand, *(a[rj] for a in mats))
+            ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * tnorm[j] ** 2
+            jo, ro = j[ok], rj[ok]
+            moved[jo] = np.linalg.norm(cand[ok] - xa[jo], axis=1)
+            prev_x[ro], prev_tangent[ro], has_prev[ro] = xa[jo], tangent[jo], True
+            x[ro], val2[ro], grad[ro] = cand[ok], cand_val2[ok], cand_grad[ok]
+            accepted[jo] = True
+            trying[jo] = False
+            t[trying] *= 0.5
+        steps[idx[accepted]] += 1
+        done = idx[flat | ~accepted | (moved < STEP_FLOOR)]
+        converged[done] = True
+        active[done] = False
+
+    best = np.arange(problems) * k + np.argmax(val2.reshape(problems, k), axis=1)
+    ab = (mats[0][best] @ x[best][:, :, None])[:, :, 0]
+    return (
+        np.sqrt(np.maximum(val2[best], 0.0)) * scale,
+        ab[:, :n] + 1j * ab[:, n:],
+        converged.reshape(problems, k).all(axis=1),
+        steps.reshape(problems, k).sum(axis=1),
+    )
 
 
 def max_quadratic_image_norm(
@@ -108,74 +227,25 @@ def max_quadratic_image_norm(
     Euclidean sphere image of the constraint ellipsoid.  Deterministic for a
     fixed seed.  Returns (value, maximizing v, converged flag).
     """
-    s_list = np.asarray(s_list, dtype=complex)
-    n = s_list.shape[-1]
-    q_in = _realified_form(np.asarray(form_in, dtype=complex))
-    chol = np.linalg.cholesky(q_in)
-    chol_inv_t = np.linalg.inv(chol.T)
-    g_out = np.asarray(form_out, dtype=complex)
-    s_flat = s_list.reshape(n, n * n)
-
-    def value_sq_and_grad(x: np.ndarray):
-        ab = chol_inv_t @ x
-        v = ab[:n] + 1j * ab[n:]
-        u = s_flat @ np.outer(v, v).ravel()
-        eta = g_out @ np.conj(u)
-        val2 = float(np.real(u @ eta))
-        w = 2.0 * ((eta @ s_flat).reshape(n, n) @ v)
-        grad_ab = np.concatenate([2.0 * np.real(w), -2.0 * np.imag(w)])
-        return val2, chol_inv_t.T @ grad_ab
-
-    rng = np.random.default_rng(seed)
-    best_val = -1.0
-    best_v = np.zeros(n, dtype=complex)
-    all_converged = True
-    for _ in range(max(int(starts), 1)):
-        x = rng.standard_normal(2 * n)
-        x /= np.linalg.norm(x)
-        val2, grad = value_sq_and_grad(x)
-        prev_x = None
-        prev_tangent = None
-        converged = False
-        for _ in range(max_iter):
-            tangent = grad - np.dot(grad, x) * x
-            tnorm = float(np.linalg.norm(tangent))
-            if tnorm < 1e-14 * max(1.0, val2):
-                converged = True
-                break
-            # Barzilai-Borwein trial step, halved under the Armijo test
-            t = 1.0
-            if prev_x is not None:
-                s = x - prev_x
-                y = prev_tangent - tangent
-                sy = float(np.dot(s, y))
-                if sy > 1e-30:
-                    t = min(max(float(np.dot(s, s)) / sy, 1e-10), 1e6)
-            moved = 0.0
-            accepted = False
-            while t * tnorm >= STEP_FLOOR:
-                cand = x + t * tangent
-                cand /= np.linalg.norm(cand)
-                cand_val2, cand_grad = value_sq_and_grad(cand)
-                if cand_val2 >= val2 + 1e-4 * t * tnorm * tnorm:
-                    moved = float(np.linalg.norm(cand - x))
-                    prev_x, prev_tangent = x, tangent
-                    x, val2, grad = cand, cand_val2, cand_grad
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted or moved < STEP_FLOOR:
-                converged = True
-                break
-        all_converged = all_converged and converged
-        if val2 > best_val:
-            best_val = val2
-            ab_best = chol_inv_t @ x
-            best_v = ab_best[:n] + 1j * ab_best[n:]
-    return float(np.sqrt(max(best_val, 0.0))), best_v, all_converged
+    value, v, converged, _ = _ascend(
+        np.asarray(s_list, dtype=complex)[None],
+        np.asarray(form_in, dtype=complex)[None],
+        np.asarray(form_out, dtype=complex)[None],
+        starts, seed, max_iter,
+    )
+    return float(value[0]), v[0], bool(converged[0])
 
 
 # -- Schwarzian norms ---------------------------------------------------------
+
+
+def _norms_at(m: MapSpec, points, starts: int, seed: int, max_iter: int, tensors=None):
+    """Pointwise norms at a list of points, solved in one ascent."""
+    if tensors is None:
+        tensors = [schwarzian_of(m, z) for z in points]
+    g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
+    s = np.array([t.Sk for t in tensors])
+    return _ascend(s, g, g, starts, seed, max_iter)
 
 
 def schwarzian_norm_at(
@@ -192,12 +262,13 @@ def schwarzian_norm_at(
     metric at ``z``.  ``tensor`` may be supplied to skip re-expansion.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    t = schwarzian_of(m, z) if tensor is None else tensor
-    g = metric_at(z, n=t.n).g
-    value, v, converged = max_quadratic_image_norm(
-        t.Sk, g, g, starts=starts, seed=seed, max_iter=max_iter
+    value, v, converged, iterations = _norms_at(
+        m, [z], starts, seed, max_iter, tensors=None if tensor is None else [tensor]
     )
-    return NormEstimate(value=value, arg_v=v, arg_z=z, starts=starts, converged=converged)
+    return NormEstimate(
+        value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
+        converged=bool(converged[0]), iterations=int(iterations[0]),
+    )
 
 
 def schwarzian_norm_sup(
@@ -213,43 +284,53 @@ def schwarzian_norm_sup(
 
     Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
     deterministic direction samples per shell, followed by ``refine`` rounds
-    of shrinking local perturbation around the incumbent.
+    of 16 points of shrinking local perturbation around the incumbent, the
+    first point in probe order with the largest value.  The grid is solved
+    in one ascent, and so is each refine round.
     """
     if not 0.0 <= r_max < 1.0:
         raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
     n = map_dim(m)
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, max(int(shells), 1))
-    best = NormEstimate(value=-1.0, arg_v=None, arg_z=None, starts=starts, converged=True, r_max=r_max)
+    best = NormEstimate(
+        value=-1.0, arg_v=None, arg_z=None, starts=starts, converged=True, r_max=r_max,
+        points=0,
+    )
 
-    def consider(z: np.ndarray):
-        nonlocal best
-        est = schwarzian_norm_at(m, z, starts=starts, seed=seed)
-        if est.value > best.value:
-            best = NormEstimate(
-                value=est.value, arg_v=est.arg_v, arg_z=z, starts=starts,
-                converged=est.converged, r_max=r_max,
-            )
+    def gaussian_steps(count: int) -> list[np.ndarray]:
+        draws = rng.standard_normal((count, 2, n))
+        return [d[0] + 1j * d[1] for d in draws]
 
+    def consider(points: list[np.ndarray]):
+        values, vs, converged, iterations = _norms_at(m, points, starts, seed, DEFAULT_MAX_ITER)
+        best.points += len(points)
+        best.iterations += int(np.sum(iterations))
+        i = int(np.argmax(values))
+        if values[i] > best.value:
+            best.value, best.arg_v, best.arg_z = float(values[i]), vs[i], points[i]
+            best.converged = bool(converged[i])
+
+    grid = []
     for radius in radii:
         if radius == 0.0:
-            consider(np.zeros(n, dtype=complex))
+            grid.append(np.zeros(n, dtype=complex))
             continue
-        for _ in range(max(int(angular), 1)):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            consider(radius * v)
+        grid.extend(radius * (v / np.linalg.norm(v)) for v in gaussian_steps(max(int(angular), 1)))
+    consider(grid)
 
     spacing = r_max / max(len(radii) - 1, 1) if r_max > 0 else 0.1
     rho = 0.5 * spacing
     for _ in range(max(int(refine), 0)):
         center = best.arg_z if best.arg_z is not None else np.zeros(n, dtype=complex)
-        for _ in range(16):
-            z = center + rho * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
+        round_points = []
+        for step in gaussian_steps(16):
+            z = center + rho * step / np.sqrt(2 * n)
             norm_z = float(np.linalg.norm(z))
             if norm_z > r_max:
                 z = z * (r_max / norm_z)
-            consider(z)
+            round_points.append(z)
+        consider(round_points)
         rho *= 0.4
     best.value = max(best.value, 0.0)
     return best

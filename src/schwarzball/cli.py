@@ -579,7 +579,10 @@ def _parse_point(text: str, n: int) -> np.ndarray:
         raise MapSpecError(f"cannot parse point {text!r}: {exc}") from exc
     if len(vals) != n:
         raise MapSpecError(f"point {text!r} has {len(vals)} entries, expected {n}")
-    return np.array(vals, dtype=complex)
+    point = np.array(vals, dtype=complex)
+    if float(np.sum(np.abs(point) ** 2)) >= 1.0:
+        raise MapSpecError(f"point {text!r} is not inside the unit ball")
+    return point
 
 
 def cmd_analyze(args) -> int:

@@ -387,13 +387,12 @@ def random_normalized_polymap(
     n: int,
     rng: np.random.Generator,
     scale: float = 0.1,
-    degree: int = 3,
 ) -> PolyMap:
-    """Random polynomial map with F(0) = 0, DF(0) = Id and small higher terms."""
+    """Random cubic map with F(0) = 0, DF(0) = Id and small higher terms."""
     comps = []
     for i in range(n):
         table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
-        for key in (k for k in multi_indices(n, degree) if sum(k) >= 2):
+        for key in (k for k in multi_indices(n, 3) if sum(k) >= 2):
             c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
             table[key] = c
         comps.append(table)

@@ -111,6 +111,10 @@ def test_exit_code_parse_error(tmp_path):
         path3 = tmp_path / f"malformed{k}.json"
         path3.write_text(json.dumps(payload))
         assert main(["analyze", str(path3)]) == 2
+    shear_path = tmp_path / "shear.json"
+    shear_path.write_text(json.dumps(SHEAR_FILE))
+    for zeta in ("2,0", "0.8,0.7"):  # outside the ball: rejected before any op runs
+        assert main(["analyze", str(shear_path), "--zeta", zeta, "--ops", "schwarzian,norm"]) == 2
 
 
 # -- map-spec round trips ------------------------------------------------------------
