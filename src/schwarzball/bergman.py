@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
 from .maps import CompositionMap, MapSpec, map_dim, map_eval
-from .schwarzian import SchwarzianTensor, schwarzian_of
+from .schwarzian import schwarzian_of
 
 DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 500
@@ -239,10 +239,9 @@ def max_quadratic_image_norm(
 # -- Schwarzian norms ---------------------------------------------------------
 
 
-def _norms_at(m: MapSpec, points, starts: int, seed: int, max_iter: int, tensors=None):
+def _norms_at(m: MapSpec, points, starts: int, seed: int, max_iter: int):
     """Pointwise norms at a list of points, solved in one ascent."""
-    if tensors is None:
-        tensors = [schwarzian_of(m, z) for z in points]
+    tensors = [schwarzian_of(m, z) for z in points]
     g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
     s = np.array([t.Sk for t in tensors])
     return _ascend(s, g, g, starts, seed, max_iter)
@@ -254,17 +253,14 @@ def schwarzian_norm_at(
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
-    tensor: SchwarzianTensor | None = None,
 ) -> NormEstimate:
     """Pointwise invariant Schwarzian norm ||S F(z)||.
 
     Input direction and operator output are both measured with the Bergman
-    metric at ``z``.  ``tensor`` may be supplied to skip re-expansion.
+    metric at ``z``.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    value, v, converged, iterations = _norms_at(
-        m, [z], starts, seed, max_iter, tensors=None if tensor is None else [tensor]
-    )
+    value, v, converged, iterations = _norms_at(m, [z], starts, seed, max_iter)
     return NormEstimate(
         value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
         converged=bool(converged[0]), iterations=int(iterations[0]),

@@ -13,6 +13,15 @@ Multi-indices are plain tuples of non-negative ints (``exponents``); their
 total degree is ``sum(exponents)``.  Coefficient tables are dicts keyed by
 such tuples with exact zeros dropped.  Values are immutable by convention:
 no public operation mutates its inputs.
+
+Products visit only the pairs of terms whose degrees add up to at most
+``d``, and a composition builds each inner monomial once per call and
+shares it across every outer component.  Two module caches, keyed on
+exponent tuples and filled lazily as keys appear, hold the exponent sum of
+each pair of keys met in a product and, per ``(key, order)``, the factorial
+weight and flat array positions :meth:`Jet.derivatives` writes to.  Neither
+changes an accumulation order, so results do not depend on what the caches
+hold.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +42,12 @@ from .errors import (
 )
 
 MAX_VARS = 8
+
+# key -> {other key -> key + other}, for the pairs of keys products have met
+_KEY_SUMS: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+# order -> {key -> (factorial weight, flat positions of every ordering of the
+# key's index list) when sum(key) == order, else None}
+_DERIVATIVE_SLOTS: dict[int, dict[tuple[int, ...], tuple[int, list[int]] | None]] = {}
 
 
 def multi_indices(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
@@ -91,6 +107,13 @@ class Jet:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _from_table(cls, n: int, d: int, table: dict[tuple[int, ...], complex]) -> "Jet":
+        """Wrap a table that is already valid (in-degree keys, no exact zeros)."""
+        out = cls.__new__(cls)
+        out.n, out.d, out.coeffs = n, d, table
+        return out
+
+    @classmethod
     def zero(cls, n: int, d: int) -> "Jet":
         return cls(n, d)
 
@@ -126,15 +149,7 @@ class Jet:
         Entry ``[i_1, ..., i_k]`` is d^k / dz_{i_1} ... dz_{i_k} at the center,
         factorials included, so the array is symmetric in its indices.
         """
-        out = np.zeros((self.n,) * order, dtype=complex)
-        for key, val in self.coeffs.items():
-            if sum(key) != order:
-                continue
-            val = val * math.prod(math.factorial(e) for e in key)
-            index = tuple(i for i, e in enumerate(key) for _ in range(e))
-            for perm in set(itertools.permutations(index)):
-                out[perm] = val
-        return out
+        return _derivative_arrays((self,), order)[0]
 
     def evaluate(self, h: Sequence[complex]) -> complex:
         """Evaluate the truncated polynomial at offset ``h`` from the center."""
@@ -176,18 +191,13 @@ class Jet:
                     table.pop(key, None)
                 else:
                     table[key] = s
-            out = Jet.__new__(Jet)
-            out.n, out.d, out.coeffs = self.n, self.d, table
-            return out
+            return Jet._from_table(self.n, self.d, table)
         return self + Jet.constant(self.n, self.d, complex(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Jet.__new__(Jet)
-        out.n, out.d = self.n, self.d
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
+        return Jet._from_table(self.n, self.d, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, Jet):
@@ -202,10 +212,8 @@ class Jet:
             self._check_same_shape(other)
             return _mul(self, other)
         c = complex(other)
-        out = Jet.__new__(Jet)
-        out.n, out.d = self.n, self.d
-        out.coeffs = {} if c == 0 else {k: v * c for k, v in self.coeffs.items()}
-        return out
+        table = {} if c == 0 else {k: v * c for k, v in self.coeffs.items()}
+        return Jet._from_table(self.n, self.d, table)
 
     __rmul__ = __mul__
 
@@ -219,25 +227,64 @@ class Jet:
         return f"Jet(n={self.n}, d={self.d}, {dict(terms)!r})"
 
 
+def _derivative_slot(key: tuple[int, ...], order: int) -> tuple[int, list[int]] | None:
+    if sum(key) != order:
+        return None
+    n = len(key)
+    index = tuple(i for i, e in enumerate(key) for _ in range(e))
+    positions = [
+        sum(i * n ** (order - 1 - j) for j, i in enumerate(perm))
+        for perm in sorted(set(itertools.permutations(index)))
+    ]
+    return math.prod(math.factorial(e) for e in key), positions
+
+
+def _derivative_arrays(jets: Sequence[Jet], order: int) -> np.ndarray:
+    """Stacked :meth:`Jet.derivatives` of jets sharing n, written in one assignment."""
+    n, size = jets[0].n, jets[0].n**order
+    slots = _DERIVATIVE_SLOTS.setdefault(order, {})
+    positions: list[int] = []
+    values: list[complex] = []
+    for row, jet in enumerate(jets):
+        base = row * size
+        for key, val in jet.coeffs.items():
+            slot = slots.get(key, False)
+            if slot is False:
+                slot = slots[key] = _derivative_slot(key, order)
+            if slot is None:
+                continue
+            weight, flat = slot
+            val = val * weight
+            for p in flat:
+                positions.append(base + p)
+                values.append(val)
+    out = np.zeros(len(jets) * size, dtype=complex)
+    out[positions] = values
+    return out.reshape((len(jets),) + (n,) * order)
+
+
 def _mul(a: Jet, b: Jet) -> Jet:
     d = a.d
+    # fits[t]: b's terms of total degree <= t, in b's order
+    fits: list[list[tuple[tuple[int, ...], complex]]] = [[] for _ in range(d + 1)]
+    for kb, vb in b.coeffs.items():
+        for t in range(sum(kb), d + 1):
+            fits[t].append((kb, vb))
     out: dict[tuple[int, ...], complex] = {}
-    b_items = [(kb, sum(kb), vb) for kb, vb in b.coeffs.items()]
     for ka, va in a.coeffs.items():
-        ta = sum(ka)
-        for kb, tb, vb in b_items:
-            if ta + tb > d:
-                continue
-            key = tuple(x + y for x, y in zip(ka, kb))
+        sums = _KEY_SUMS.get(ka)
+        if sums is None:
+            sums = _KEY_SUMS[ka] = {}
+        for kb, vb in fits[d - sum(ka)]:
+            key = sums.get(kb)
+            if key is None:
+                key = sums[kb] = tuple(map(operator.add, ka, kb))
             s = out.get(key, 0j) + va * vb
             if s == 0:
                 out.pop(key, None)
             else:
                 out[key] = s
-    res = Jet.__new__(Jet)
-    res.n, res.d, res.coeffs = a.n, a.d, out
-    return res
-
+    return Jet._from_table(a.n, a.d, out)
 
 
 def jet_partial(a: Jet, i: int) -> Jet:
@@ -258,17 +305,21 @@ def jet_partial(a: Jet, i: int) -> Jet:
     return Jet(a.n, max(a.d - 1, 0), table)
 
 
-def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
+def jet_compose(outer: "Jet | JetVector", inner: Sequence[Jet]) -> "Jet | JetVector":
     """Compose ``outer`` (a jet in m variables) with m inner jets.
 
-    Every inner jet must share (n, d) with the others, match ``outer.d``,
-    and have a zero constant term (recenter first otherwise).
+    ``outer`` may also be a :class:`JetVector` of such jets; every component
+    is then composed with the same inner jets, which build each monomial
+    once, and the result is a :class:`JetVector`.  Every inner jet must share
+    (n, d) with the others, match ``outer.d``, and have a zero constant term
+    (recenter first otherwise).
     """
+    single = isinstance(outer, Jet)
+    outers = (outer,) if single else outer.jets
     inner = list(inner)
-    if len(inner) != outer.n:
-        raise DimensionError(
-            f"outer jet has {outer.n} variables but {len(inner)} inner jets given"
-        )
+    m, outer_d = outers[0].n, outers[0].d
+    if len(inner) != m:
+        raise DimensionError(f"outer jet has {m} variables but {len(inner)} inner jets given")
     if not inner:
         raise DimensionError("composition needs at least one inner jet")
     n, d = inner[0].n, inner[0].d
@@ -277,43 +328,55 @@ def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
             raise DimensionError("inner jets do not share (n, d)")
         if g.constant_term != 0:
             raise CompositionCenterError("inner jet has nonzero constant term")
-    if outer.d != d:
-        raise DimensionError(
-            f"outer degree {outer.d} does not match inner degree {d}"
-        )
+    if outer_d != d:
+        raise DimensionError(f"outer degree {outer_d} does not match inner degree {d}")
     one = Jet.constant(n, d, 1.0)
-    powers: list[list[Jet]] = []
-    for g in inner:
-        row = [one]
-        for _ in range(d):
-            row.append(_mul(row[-1], g))
-        powers.append(row)
-    acc: dict[tuple[int, ...], complex] = {}
-    for key, c in outer.coeffs.items():
-        if sum(key) > d:
-            continue  # inner jets have valuation >= 1, term lands beyond degree d
-        term: Jet | None = None
+    powers: list[list[Jet]] = [[one] for _ in inner]
+    # monomials keyed by exponent prefix: the product of powers[k][key[k]]
+    # over the nonzero entries of the prefix, multiplied left to right
+    monomials: dict[tuple[int, ...], Jet] = {}
+
+    def monomial(key: tuple[int, ...]) -> Jet | None:
+        term = monomials.get(key)
+        if term is not None:
+            return term
         for k, e in enumerate(key):
             if e == 0:
                 continue
-            term = powers[k][e] if term is None else _mul(term, powers[k][e])
-        if term is None:
-            acc_key = (0,) * n
-            s = acc.get(acc_key, 0j) + c
-            if s == 0:
-                acc.pop(acc_key, None)
-            else:
-                acc[acc_key] = s
-            continue
-        for tk, tv in term.coeffs.items():
-            s = acc.get(tk, 0j) + c * tv
-            if s == 0:
-                acc.pop(tk, None)
-            else:
-                acc[tk] = s
-    res = Jet.__new__(Jet)
-    res.n, res.d, res.coeffs = n, d, acc
-    return res
+            prefix = key[: k + 1]
+            hit = monomials.get(prefix)
+            if hit is None:
+                row = powers[k]
+                while len(row) <= e:
+                    row.append(_mul(row[-1], inner[k]))
+                hit = row[e] if term is None else _mul(term, row[e])
+                monomials[prefix] = hit
+            term = hit
+        if term is not None:
+            monomials[key] = term
+        return term
+
+    zero_key = (0,) * n
+    results = []
+    for f in outers:
+        acc: dict[tuple[int, ...], complex] = {}
+        for key, c in f.coeffs.items():
+            term = monomial(key)
+            if term is None:
+                s = acc.get(zero_key, 0j) + c
+                if s == 0:
+                    acc.pop(zero_key, None)
+                else:
+                    acc[zero_key] = s
+                continue
+            for tk, tv in term.coeffs.items():
+                s = acc.get(tk, 0j) + c * tv
+                if s == 0:
+                    acc.pop(tk, None)
+                else:
+                    acc[tk] = s
+        results.append(Jet._from_table(n, d, acc))
+    return results[0] if single else JetVector(results)
 
 
 def _check_off_cut(c: complex, what: str) -> complex:
@@ -331,9 +394,7 @@ def _unit_deviation(a: Jet) -> Jet:
     u = a * (1.0 / c)
     table = dict(u.coeffs)
     table.pop((0,) * a.n, None)
-    res = Jet.__new__(Jet)
-    res.n, res.d, res.coeffs = a.n, a.d, table
-    return res
+    return Jet._from_table(a.n, a.d, table)
 
 
 def jet_log(a: Jet) -> Jet:
@@ -423,7 +484,7 @@ class JetVector:
 
     def derivatives(self, order: int) -> np.ndarray:
         """Stacked :meth:`Jet.derivatives` of the components; axis 0 is the component."""
-        return np.stack([j.derivatives(order) for j in self.jets])
+        return _derivative_arrays(self.jets, order)
 
     def linear_matrix(self) -> np.ndarray:
         """Matrix L with L[i, j] = d(component_i)/d(z_j) at the center."""
@@ -443,9 +504,7 @@ class JetVector:
                 table.pop(zero_key, None)
             else:
                 table[zero_key] = c
-            nj = Jet.__new__(Jet)
-            nj.n, nj.d, nj.coeffs = j.n, j.d, table
-            out.append(nj)
+            out.append(Jet._from_table(j.n, j.d, table))
         return JetVector(out)
 
     def truncate(self, d: int) -> "JetVector":

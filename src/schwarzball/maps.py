@@ -11,7 +11,13 @@ zeta, with s = sqrt(1 - |zeta|^2), is the single closed form
 
 Every map can be expanded into an exact Taylor jet about any admissible
 center; rational denominators are expanded by a truncated geometric series,
-so no numerical differentiation is involved.
+so no numerical differentiation is involved.  A polynomial map is recentered
+by building each monomial (zeta + h)^e it uses once, as a smaller monomial
+times one factor zeta_k + h_k, and summing coefficient times monomial over
+the components, which share the monomials.  A composition step composes all
+outer components with the inner jet in one :func:`jet_compose` call.  Every
+expansion checks that DF is nonsingular relative to its own scale
+(:func:`check_nonsingular`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
 )
 from .jets import Jet, JetVector, jet_compose, jet_reciprocal, multi_indices
 
-SINGULAR_TOL = 1e-12
+SINGULAR_TOL = 1e-12  # on sigma_min(DF) / sigma_max(DF)
 
 
 class PolyMap:
@@ -211,12 +217,25 @@ def _rational_jet(num_const, num_lin, den_const, den_lin, d: int) -> JetVector:
     return JetVector(comps)
 
 
-def _check_locally_biholomorphic(jv: JetVector) -> JetVector:
-    det = np.linalg.det(jv.linear_matrix())
-    if abs(det) < SINGULAR_TOL:
+def check_nonsingular(df: np.ndarray, what: str) -> None:
+    """Raise unless sigma_min(DF) > SINGULAR_TOL * sigma_max(DF).
+
+    The test is relative, so a map and its scalings c F pass or fail
+    together, as their Schwarzian tensors agree.
+    """
+    try:
+        sv = np.linalg.svd(df, compute_uv=False)
+    except np.linalg.LinAlgError:  # NaN entries; infinite ones give NaN values
+        sv = np.full(2, np.nan)
+    if not sv[-1] > SINGULAR_TOL * sv[0]:
+        ratio = sv[-1] / sv[0] if sv[0] != 0 else 0.0
         raise SingularDifferentialError(
-            f"map differential singular at the center (|det DF| = {abs(det):.3e})"
+            f"{what}: differential singular (sigma_min / sigma_max = {ratio:.3e})"
         )
+
+
+def _check_locally_biholomorphic(jv: JetVector) -> JetVector:
+    check_nonsingular(jv.linear_matrix(), "map at the expansion center")
     return jv
 
 
@@ -232,29 +251,31 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
     if len(zeta) != n:
         raise DimensionError("center dimension does not match map dimension")
     if isinstance(m, PolyMap):
-        # exact recentering through cached powers of (zeta_k + h_k)
-        max_exp = [0] * n
-        for comp in m.components:
-            for key in comp:
-                for k, e in enumerate(key):
-                    max_exp[k] = max(max_exp[k], e)
-        powers = []
-        for k in range(n):
-            row = [Jet.constant(n, d, 1.0)]
-            var = Jet.variable(n, d, k, center=zeta[k])
-            for _ in range(max_exp[k]):
-                row.append(row[-1] * var)
-            powers.append(row)
+        # exact recentering: each monomial (zeta + h)^e in use is built once,
+        # as a smaller monomial times one factor zeta_k + h_k, and shared by
+        # every component
+        factors = [Jet.variable(n, d, k, center=zeta[k]) for k in range(n)]
+        monomials = {(0,) * n: Jet.constant(n, d, 1.0)}
+
+        def monomial(key: tuple[int, ...]) -> Jet:
+            hit = monomials.get(key)
+            if hit is None:
+                k = max(i for i, e in enumerate(key) if e)
+                hit = monomial(key[:k] + (key[k] - 1,) + key[k + 1:]) * factors[k]
+                monomials[key] = hit
+            return hit
+
         comps = []
         for comp in m.components:
-            acc = Jet.zero(n, d)
+            acc: dict[tuple[int, ...], complex] = {}
             for key, val in comp.items():
-                term = Jet.constant(n, d, val)
-                for k, e in enumerate(key):
-                    if e:
-                        term = term * powers[k][e]
-                acc = acc + term
-            comps.append(acc)
+                for tk, tv in monomial(key).coeffs.items():
+                    s = acc.get(tk, 0j) + val * tv
+                    if s == 0:
+                        acc.pop(tk, None)
+                    else:
+                        acc[tk] = s
+            comps.append(Jet._from_table(n, d, acc))
         return _check_locally_biholomorphic(JetVector(comps))
     if isinstance(m, MoebiusMap):
         zh = np.concatenate(([1.0], zeta))
@@ -273,8 +294,7 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
 def _compose_jet_step(outer: MapSpec, inner_jet: JetVector, d: int) -> JetVector:
     w = inner_jet.constants()
     outer_jet = map_jet_at(outer, w, d)
-    centered = inner_jet.shifted(-w)
-    return JetVector([jet_compose(outer_jet[i], centered.jets) for i in range(len(outer_jet))])
+    return jet_compose(outer_jet, inner_jet.shifted(-w).jets)
 
 
 def compose_maps(outer: MapSpec, inner: MapSpec, center: Sequence[complex], d: int) -> JetVector:

@@ -33,13 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasePointMismatchError,
-    DimensionError,
-    SingularDifferentialError,
-)
+from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
-from .maps import MapSpec, map_jet_at
+from .maps import MapSpec, check_nonsingular, map_jet_at
 
 MIN_JET_DEGREE = 3
 
@@ -90,8 +86,7 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     z = np.zeros(n, dtype=complex) if z is None else np.asarray(z, dtype=complex).reshape(-1)
 
     dmat = jv.derivatives(1)
-    if abs(np.linalg.det(dmat)) < 1e-12:
-        raise SingularDifferentialError("differential singular at the base point")
+    check_nonsingular(dmat, "map at the base point")
     dinv = np.linalg.inv(dmat)
     d2f = jv.derivatives(2)  # d2f[l, i, j] = d^2 f_l / dz_i dz_j
     d3f = jv.derivatives(3)
@@ -176,13 +171,11 @@ def chain_rule_transform(
             "outer tensor base point does not equal F(z) from the inner jet"
         )
     df = jet_f.linear_matrix()
-    if abs(np.linalg.det(df)) < 1e-12:
-        raise SingularDifferentialError("DF(z) singular in chain rule")
+    check_nonsingular(df, "inner map in the chain rule")
     dfinv = np.linalg.inv(df)
     pulled = np.einsum("li,rlm,mj->rij", df, t_g.Sk, df)
     sk = t_f.Sk + np.einsum("kr,rij->kij", dfinv, pulled)
     sk = _symmetrize(sk)
-    centered = jet_f.shifted(-w)
-    composed = JetVector([jet_compose(jet_g[l], centered.jets) for l in range(n)])
+    composed = jet_compose(jet_g, jet_f.shifted(-w).jets)
     s0 = schwarzian_at(composed, z=t_f.z).S0
     return SchwarzianTensor(z=t_f.z, Sk=sk, S0=s0)

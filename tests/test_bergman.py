@@ -32,6 +32,19 @@ def shear(a):
     return PolyMap(2, [{(1, 0): 1, (0, 2): a}, {(0, 1): 1}])
 
 
+def test_norm_at_scaled_map_equals_unscaled():
+    # a map scaled by 1e-5 has |det DF| = 1e-15 but the tensors of the map itself
+    z = [0.1, 0.2, 0.0]
+
+    def scaled_shear(c):
+        return PolyMap(3, [{(1, 0, 0): c, (0, 2, 0): c / 2}, {(0, 1, 0): c}, {(0, 0, 1): c}])
+
+    base = schwarzian_norm_at(scaled_shear(1.0), z)
+    est = schwarzian_norm_at(scaled_shear(1e-5), z)
+    assert base.value > 0.1
+    assert abs(est.value - base.value) <= 1e-12 * base.value
+
+
 def test_metric_at_origin():
     for n in (2, 3, 4):
         g = metric_at(np.zeros(n)).g

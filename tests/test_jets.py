@@ -1,7 +1,8 @@
 """Jet arithmetic: ring axioms, series identities, and error contracts."""
 
+import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from schwarzball.errors import (
 from schwarzball.jets import (
     Jet,
     JetMatrix,
+    JetVector,
     jet_compose,
     jet_det,
     jet_log,
@@ -210,6 +212,136 @@ def test_det_triangular():
         [Jet(2, 2), Jet(2, 2, {(0, 0): 1})],
     ])
     assert max_coeff_diff(jet_det(m), Jet(2, 2, {(0, 0): 1, (1, 0): 1})) == 0
+
+
+# -- exactness against the reference loops ----------------------------------------
+#
+# The engine skips out-of-degree pairs, shares monomials across composed
+# components and caches key sums and derivative positions; none of this may
+# change a single bit or the order of a coefficient table.  The loops below
+# are the straightforward versions it replaced.
+
+
+def _reference_mul(a, b):
+    out = {}
+    b_items = [(kb, sum(kb), vb) for kb, vb in b.coeffs.items()]
+    for ka, va in a.coeffs.items():
+        ta = sum(ka)
+        for kb, tb, vb in b_items:
+            if ta + tb > a.d:
+                continue
+            key = tuple(x + y for x, y in zip(ka, kb))
+            s = out.get(key, 0j) + va * vb
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def _reference_compose(outer, inner):
+    n, d = inner[0].n, inner[0].d
+    one = Jet.constant(n, d, 1.0)
+    powers = []
+    for g in inner:
+        row = [one]
+        for _ in range(d):
+            row.append(Jet(n, d, _reference_mul(row[-1], g)))
+        powers.append(row)
+    acc = {}
+    for key, c in outer.coeffs.items():
+        term = None
+        for k, e in enumerate(key):
+            if e:
+                term = powers[k][e] if term is None else Jet(n, d, _reference_mul(term, powers[k][e]))
+        if term is None:
+            contributions = [((0,) * n, c)]
+        else:
+            contributions = [(tk, c * tv) for tk, tv in term.coeffs.items()]
+        for tk, x in contributions:
+            s = acc.get(tk, 0j) + x
+            if s == 0:
+                acc.pop(tk, None)
+            else:
+                acc[tk] = s
+    return acc
+
+
+def _reference_derivatives(a, order):
+    out = np.zeros((a.n,) * order, dtype=complex)
+    for key, val in a.coeffs.items():
+        if sum(key) != order:
+            continue
+        val = val * math.prod(math.factorial(e) for e in key)
+        index = tuple(i for i, e in enumerate(key) for _ in range(e))
+        for perm in set(permutations(index)):
+            out[perm] = val
+    return out
+
+
+def _sparse_jet(n, d, rng):
+    """Random jet with about half its terms, in shuffled key order."""
+    keys = list(multi_indices(n, d))
+    rng.shuffle(keys)
+    table = {}
+    for key in keys[: max(1, len(keys) // 2)]:
+        table[key] = complex(rng.standard_normal(), rng.standard_normal())
+    return Jet(n, d, table)
+
+
+def _assert_same_table(got, want):
+    # equal values and the same key order, which later products iterate in
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_mul_matches_reference_loop_exactly(n):
+    rng = np.random.default_rng(10 + n)
+    for d in range(5):
+        dense = [random_jet(n, d, rng) for _ in range(2)]
+        sparse = [_sparse_jet(n, d, rng) for _ in range(2)]
+        for a, b in [dense, sparse, (dense[0], sparse[0]), (sparse[1], dense[1])]:
+            _assert_same_table((a * b).coeffs, _reference_mul(a, b))
+
+
+def test_mul_drops_exact_cancellation_like_reference():
+    # (1 + z1)(1 - z1) = 1 - z1^2: the z1 terms cancel to an exact zero
+    a = Jet(2, 3, {(0, 0): 1.0, (1, 0): 1.0, (0, 1): 0.5})
+    b = Jet(2, 3, {(0, 0): 1.0, (1, 0): -1.0, (0, 1): -0.5})
+    prod = a * b
+    assert (1, 0) not in prod.coeffs and (0, 1) not in prod.coeffs
+    _assert_same_table(prod.coeffs, _reference_mul(a, b))
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_shared_composition_matches_per_component_reference_exactly(n):
+    rng = np.random.default_rng(20 + n)
+    d = 3
+    inner = []
+    for _ in range(n):
+        g = random_jet(n, d, rng, scale=0.1)
+        inner.append(g - g.constant_term)
+    outer = JetVector(random_jet(n, d, rng) for _ in range(n))
+    composed = jet_compose(outer, inner)
+    assert isinstance(composed, JetVector) and len(composed) == n
+    for f, got in zip(outer, composed):
+        want = _reference_compose(f, inner)
+        _assert_same_table(got.coeffs, want)
+        _assert_same_table(jet_compose(f, inner).coeffs, want)
+
+
+def test_derivatives_match_permutation_loop_exactly():
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 3, 5):
+        for a in (random_jet(n, 4, rng), _sparse_jet(n, 3, rng)):
+            for order in range(4):
+                got = a.derivatives(order)
+                assert got.shape == (n,) * order
+                assert np.array_equal(got, _reference_derivatives(a, order))
+        jv = JetVector(random_jet(n, 3, rng) for _ in range(n))
+        for order in range(4):
+            want = np.stack([_reference_derivatives(j, order) for j in jv])
+            assert np.array_equal(jv.derivatives(order), want)
 
 
 # -- misc -------------------------------------------------------------------------

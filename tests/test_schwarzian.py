@@ -208,6 +208,30 @@ def test_singular_differential_guard():
         schwarzian_at(broken)
 
 
+def scaled_shear(c):
+    """c times the shear (z1 + z2^2 / 2, z2, z3); DF has determinant c^3 at 0."""
+    return PolyMap(3, [{(1, 0, 0): c, (0, 2, 0): c / 2}, {(0, 1, 0): c}, {(0, 0, 1): c}])
+
+
+def test_singularity_test_is_scale_free():
+    # S(cF) = S(F): scaling a map changes |det DF| by c^n but not its tensors
+    z = np.array([0.1, 0.2, 0.0])
+    base = schwarzian_of(scaled_shear(1.0), z)
+    for c in (1e-5, 1e-9, 1e5):
+        t = schwarzian_of(scaled_shear(c), z)
+        gap = max(np.max(np.abs(t.Sk - base.Sk)), np.max(np.abs(t.S0 - base.S0)))
+        assert gap <= 1e-12 * base.max_abs()
+    # the chain rule reads DF from the scaled inner jet
+    jf = map_jet_at(scaled_shear(1e-5), z, 3)
+    w = jf.constants()
+    g = random_moebius(3, np.random.default_rng(8))
+    jg = map_jet_at(g, w, 3)
+    t = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
+    direct = schwarzian_at(compose_maps(g, scaled_shear(1e-5), z, 3), z=z)
+    assert np.max(np.abs(t.Sk - direct.Sk)) <= 1e-9
+    assert np.max(np.abs(t.S0 - direct.S0)) <= 1e-9
+
+
 # -- Jacobians on the cut (-inf, 0] ------------------------------------------------
 
 # JF = -1 everywhere for both; the tensors depend only on log-derivatives of JF
