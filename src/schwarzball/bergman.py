@@ -10,17 +10,27 @@ operator output both measured at the same base point the pointwise norm
 ||S F(z)|| = sup_{||v||=1} ||S F(z)(v)|| satisfies the invariance identity
 ||S(F o sigma)(z)|| = ||S F(sigma(z))|| exactly.
 
-Suprema are estimated by deterministic multistart projected gradient ascent
-on the sphere obtained from a Cholesky factorization of the constraint form.
-One kernel runs every start of every problem as a row of one array, so
-``schwarzian_norm_sup`` solves its whole probe grid in one call and each
-refine round in one more.  Each tensor is divided by its Frobenius norm
-before the ascent, so the steps and the stopping tests are scale-free; the
-one absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise
-and its starts stop at once.  Reported values are lower bounds of the true
-suprema; ``converged`` records whether every retained start terminated by
-step size rather than by the iteration cap, and ``points`` and
-``iterations`` count the probed base points and accepted ascent steps.
+Pointwise norms are maxima of a quadratic-map image norm over an ellipsoid.
+At n = 2 they are computed exactly: through the Hopf map the squared norm is
+a quadratic on the 2-sphere, and its maximum is a trust-region problem
+solved in closed form (one 3 x 3 eigenproblem and a monotone Newton
+iteration per point, batched over points).  At n >= 3 they are estimated by
+deterministic multistart projected gradient ascent on the sphere obtained
+from a Cholesky factorization of the constraint form, and reported values
+are lower bounds.  One kernel runs every start of every problem as a row of
+one array, so ``schwarzian_norm_sup`` solves its whole probe grid in one call
+and each refine round in one more.  Each tensor is divided by its Frobenius
+norm first, so both routes are scale-free; the one absolute floor is
+``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
+stop at once, the exact route skips its Newton steps).  Every value is
+attained at the reported direction.  ``upper`` is a certified upper end of
+the pointwise norm at every n: the largest singular value of the tensor
+restricted to symmetric tensors, in orthonormal coordinates for both forms.
+``converged`` records whether every retained start terminated by step size
+rather than by the iteration cap (always true at n = 2), and ``points`` and
+``iterations`` count the probed base points and accepted ascent steps (none
+at n = 2).  A sup over the ball stays a searched lower bound at every n: its
+base points are probed, not bracketed.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ STEP_FLOOR = 1e-12
 # Frobenius norm below which S is rounding noise (Moebius maps give about
 # 1e-15): its starts stop at their first iterate
 ZERO_NORM = 1e-12
+# safety cap on the monotone Newton iteration of the exact n = 2 route, which
+# converges quadratically in a handful of steps
+NEWTON_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -55,7 +68,11 @@ class MetricTensor:
 
 @dataclass
 class NormEstimate:
-    """Searched lower bound of a supremum plus the witnessing data."""
+    """Estimate of a supremum plus the witnessing data.
+
+    ``value`` is attained at (``arg_z``, ``arg_v``).  ``upper`` bounds the
+    pointwise norm at ``arg_z`` from above, whatever the search did.
+    """
 
     value: float
     arg_v: np.ndarray | None
@@ -65,6 +82,7 @@ class NormEstimate:
     r_max: float | None = None
     points: int = 1  # probed base points
     iterations: int = 0  # accepted ascent steps, summed over starts and points
+    upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
 
 def metric_at(z, n: int | None = None) -> MetricTensor:
@@ -213,6 +231,152 @@ def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
     )
 
 
+def _pullback(s, form_in):
+    """S in coordinates orthonormal for the input form, with the change of variables.
+
+    Both forms read q(v) = sum_ij g_ij v_i conj(v_j) = v^H conj(g) v, so with
+    conj(form_in) = L L^H and M = L^{-H} the direction v = M w has
+    q_in(v) = |w|^2.  Returns R^l = M^T S^l M, (problems, n, n, n), and M.
+    """
+    chol = np.linalg.cholesky(np.conj(form_in))
+    m = np.conj(np.swapaxes(np.linalg.inv(chol), 1, 2))
+    return np.swapaxes(m, 1, 2)[:, None] @ s @ m[:, None], m
+
+
+def _sym_upper(s, form_in, form_out):
+    """Certified upper end of each pointwise norm, at any n.
+
+    With R from :func:`_pullback`, u(v) = R(w, w) = U m(w), where the columns
+    of U are R_ii and sqrt(2) R_ij (i < j) and m(w) = (w_i^2, sqrt(2) w_i w_j)
+    is a unit vector for unit w.  So sqrt(q_out(u)) <= sigma_max(U) in the
+    output form, the square root of the top eigenvalue of U^H conj(form_out) U:
+    the restriction of S to symmetric tensors.  The bound holds up to the
+    rounding of one eigvalsh, a few units of 1e-16 relative.
+    """
+    r, _ = _pullback(s, form_in)
+    n = r.shape[-1]
+    i, j = np.triu_indices(n)
+    sym = r[:, :, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
+    h = np.conj(np.swapaxes(sym, 1, 2)) @ np.conj(form_out) @ sym
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0))
+
+
+def _hopf_quadratic(h):
+    """(A, b) with m^H H m = p^T A p + b^T p + c0 for unit w, c0 = tr(H) / 4.
+
+    ``h`` is a stack of 3 x 3 Hermitian H, m = (w1^2, w1 w2, w2^2) and p the
+    Hopf image (|w1|^2 - |w2|^2, 2 Re w1 conj(w2), 2 Im w1 conj(w2)).
+    """
+    h00, h11, h22 = np.real(h[:, 0, 0]), np.real(h[:, 1, 1]), np.real(h[:, 2, 2])
+    h01, h02, h12 = h[:, 0, 1], h[:, 0, 2], h[:, 1, 2]
+    a = np.empty((len(h), 3, 3))
+    a[:, 0, 0] = (h00 - h11 + h22) / 4.0
+    a[:, 0, 1] = a[:, 1, 0] = np.real(h01 - h12) / 4.0
+    a[:, 0, 2] = a[:, 2, 0] = np.imag(h01 - h12) / 4.0
+    a[:, 1, 1] = np.real(h02) / 2.0
+    a[:, 2, 2] = -a[:, 1, 1]
+    a[:, 1, 2] = a[:, 2, 1] = np.imag(h02) / 2.0
+    b = np.stack([h00 - h22, np.real(h01 + h12), np.imag(h01 + h12)], axis=1) / 2.0
+    return a, b
+
+
+def _hopf_norms(s, form_in, form_out):
+    """Exact pointwise norms at n = 2 for a stack of problems, in closed form.
+
+    With R from :func:`_pullback`, R(w, w) = t m(w) for m = (w1^2, w1 w2, w2^2)
+    and t_l = (R^l_00, 2 R^l_01, R^l_11), so f(w) = q_out(R(w, w)) = m^H H m
+    with H = t^H conj(form_out) t, 3 x 3 Hermitian.  Through the Hopf image
+    p of the unit sphere, f = p^T A p + b^T p + c0 on the 2-sphere
+    (:func:`_hopf_quadratic`; the constant c0 moves no maximizer).  The
+    maximum of a quadratic over a sphere is a trust-region problem with a
+    known global solution (Gander, Golub & von Matt 1989; More & Sorensen
+    1983): in the eigenbasis A = Q diag(lam) Q^T and with beta = Q^T b / 2,
+    p_i = beta_i / (delta + lam_max - lam_i), where delta >= 0 solves
+    1 / |p(delta)| = 1.  That function is concave and
+    increasing, so Newton's method started below the root rises monotonically
+    and quadratically to it; each row stops when it no longer moves.  When the
+    root would lie below delta = 0 (the hard case), delta = 0 and the top
+    eigenvector fills p up to the sphere.  p goes back to w and v = M w, and
+    the value is sqrt(q_out(S(v, v))) at that v, so it is attained.
+
+    S is divided by its Frobenius norm first, as in :func:`_ascend`, and rows
+    below ZERO_NORM skip Newton.  Returns the same per-problem arrays as
+    :func:`_ascend`, with every row converged and no ascent steps.
+    """
+    s = np.asarray(s, dtype=complex)
+    problems = s.shape[0]
+    scale = np.linalg.norm(s.reshape(problems, -1), axis=1)
+    zero = scale < ZERO_NORM
+    scale[scale == 0.0] = 1.0
+    s = s / scale[:, None, None, None]
+    r, change = _pullback(s, form_in)
+    t = np.stack([r[:, :, 0, 0], 2.0 * r[:, :, 0, 1], r[:, :, 1, 1]], axis=-1)
+    a, b = _hopf_quadratic(np.conj(np.swapaxes(t, 1, 2)) @ np.conj(form_out) @ t)
+
+    lam, q = np.linalg.eigh(a)
+    beta = np.einsum("pji,pj->pi", q, b) / 2.0
+    gap = lam[:, -1:] - lam  # >= 0, zero for the top eigenvalue
+    nonzero = beta != 0.0
+
+    def secular(delta, rows):
+        """beta_i / (delta + gap_i) and sum beta_i^2 / (delta + gap_i)^3 at each row."""
+        den = delta[:, None] + gap[rows]
+        ratio = np.divide(beta[rows], den, out=np.zeros_like(den), where=nonzero[rows])
+        curve = np.divide(ratio**2, den, out=np.zeros_like(den), where=nonzero[rows])
+        return ratio, np.sum(curve, axis=1)
+
+    # |p(delta)| >= 1 at delta = max_i (|beta_i| - gap_i): a start below the root
+    delta = np.maximum(np.max(np.abs(beta) - gap, axis=1), 0.0)
+    ratio, _ = secular(delta, slice(None))
+    norm2 = np.sum(ratio**2, axis=1)
+    hard = (delta == 0.0) & (norm2 < 1.0)
+    active = ~(hard | zero)
+    for _ in range(NEWTON_MAX_ITER):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        ratio, curve = secular(delta[idx], idx)
+        norm2 = np.sum(ratio**2, axis=1)
+        step = norm2 * (np.sqrt(norm2) - 1.0) / curve
+        moved = step > 0.0
+        delta[idx[moved]] += step[moved]
+        active[idx[~moved]] = False
+
+    ratio, _ = secular(delta, slice(None))
+    ratio[hard, -1] = np.sqrt(1.0 - np.sum(ratio[hard] ** 2, axis=1))
+    p = np.einsum("pij,pj->pi", q, ratio)
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+
+    # back through the Hopf map, dividing by the larger of |w1| and |w2|
+    c = (p[:, 1] + 1j * p[:, 2]) / 2.0  # w1 conj(w2)
+    north = p[:, 0] >= 0.0
+    w = np.empty((problems, 2), dtype=complex)
+    w1 = np.sqrt((1.0 + p[north, 0]) / 2.0)
+    w[north, 0], w[north, 1] = w1, np.conj(c[north]) / w1
+    w2 = np.sqrt((1.0 - p[~north, 0]) / 2.0)
+    w[~north, 0], w[~north, 1] = c[~north] / w2, w2
+    v = (change @ w[:, :, None])[:, :, 0]
+    u = s.reshape(problems, -1, 4) @ (v[:, :, None] * v[:, None, :]).reshape(problems, 4, 1)
+    val2 = np.real(np.sum(u[:, :, 0] * (form_out @ np.conj(u))[:, :, 0], axis=1))
+    return (
+        np.sqrt(np.maximum(val2, 0.0)) * scale,
+        v,
+        np.ones(problems, dtype=bool),
+        np.zeros(problems, dtype=int),
+    )
+
+
+def _quad_norms(s, form_in, form_out, starts: int, seed: int, max_iter: int):
+    """Pointwise norms of a stack of problems: exact at n = 2, searched at n >= 3.
+
+    Returns per-problem arrays (value, maximizing v, converged, ascent steps);
+    at n = 2 the starts, the seed and the iteration cap have no effect.
+    """
+    if np.shape(s)[-1] == 2:
+        return _hopf_norms(s, form_in, form_out)
+    return _ascend(s, form_in, form_out, starts, seed, max_iter)
+
+
 def max_quadratic_image_norm(
     s_list: np.ndarray,
     form_in: np.ndarray,
@@ -223,11 +387,14 @@ def max_quadratic_image_norm(
 ) -> tuple[float, np.ndarray, bool]:
     """sup of sqrt(q_out(u(v))) over q_in(v) = 1, u_k = v^t S^k v.
 
-    Multistart projected gradient ascent with Armijo backtracking on the
-    Euclidean sphere image of the constraint ellipsoid.  Deterministic for a
-    fixed seed.  Returns (value, maximizing v, converged flag).
+    Exact at n = 2 (a trust-region problem on the 2-sphere, see
+    :func:`_hopf_norms`), where ``starts``, ``seed`` and ``max_iter`` have no
+    effect.  At n >= 3, multistart projected gradient ascent with Armijo
+    backtracking on the Euclidean sphere image of the constraint ellipsoid,
+    deterministic for a fixed seed.  Returns (value, maximizing v, converged
+    flag).
     """
-    value, v, converged, _ = _ascend(
+    value, v, converged, _ = _quad_norms(
         np.asarray(s_list, dtype=complex)[None],
         np.asarray(form_in, dtype=complex)[None],
         np.asarray(form_out, dtype=complex)[None],
@@ -240,11 +407,15 @@ def max_quadratic_image_norm(
 
 
 def _norms_at(m: MapSpec, points, starts: int, seed: int, max_iter: int):
-    """Pointwise norms at a list of points, solved in one ascent."""
+    """Pointwise norms at a list of points, solved in one batched call.
+
+    Returns per-point arrays (value, maximizing v, converged, ascent steps,
+    upper end).
+    """
     tensors = [schwarzian_of(m, z) for z in points]
     g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
     s = np.array([t.Sk for t in tensors])
-    return _ascend(s, g, g, starts, seed, max_iter)
+    return (*_quad_norms(s, g, g, starts, seed, max_iter), _sym_upper(s, g, g))
 
 
 def schwarzian_norm_at(
@@ -257,13 +428,14 @@ def schwarzian_norm_at(
     """Pointwise invariant Schwarzian norm ||S F(z)||.
 
     Input direction and operator output are both measured with the Bergman
-    metric at ``z``.
+    metric at ``z``.  Exact at n = 2, where ``starts``, ``seed`` and
+    ``max_iter`` have no effect; a searched lower bound at n >= 3.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    value, v, converged, iterations = _norms_at(m, [z], starts, seed, max_iter)
+    value, v, converged, iterations, upper = _norms_at(m, [z], starts, seed, max_iter)
     return NormEstimate(
         value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
-        converged=bool(converged[0]), iterations=int(iterations[0]),
+        converged=bool(converged[0]), iterations=int(iterations[0]), upper=float(upper[0]),
     )
 
 
@@ -282,7 +454,9 @@ def schwarzian_norm_sup(
     deterministic direction samples per shell, followed by ``refine`` rounds
     of 16 points of shrinking local perturbation around the incumbent, the
     first point in probe order with the largest value.  The grid is solved
-    in one ascent, and so is each refine round.
+    in one batched call, and so is each refine round.  Pointwise values are
+    exact at n = 2 (``starts`` has no effect there) and searched at n >= 3;
+    ``upper`` is the upper end at the incumbent ``arg_z``.
     """
     if not 0.0 <= r_max < 1.0:
         raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
@@ -299,13 +473,15 @@ def schwarzian_norm_sup(
         return [d[0] + 1j * d[1] for d in draws]
 
     def consider(points: list[np.ndarray]):
-        values, vs, converged, iterations = _norms_at(m, points, starts, seed, DEFAULT_MAX_ITER)
+        values, vs, converged, iterations, upper = _norms_at(
+            m, points, starts, seed, DEFAULT_MAX_ITER
+        )
         best.points += len(points)
         best.iterations += int(np.sum(iterations))
         i = int(np.argmax(values))
         if values[i] > best.value:
             best.value, best.arg_v, best.arg_z = float(values[i]), vs[i], points[i]
-            best.converged = bool(converged[i])
+            best.converged, best.upper = bool(converged[i]), float(upper[i])
 
     grid = []
     for radius in radii:

@@ -606,6 +606,7 @@ def cmd_analyze(args) -> int:
         elif op == "norm":
             est = schwarzian_norm_at(m, zeta, seed=args.seed)
             results.append(check("norm_at_point", est.value, None, True))
+            results.append(check("norm_at_point_upper", est.upper, None, True))
             results.append(check("norm_at_point_converged", est.converged, None, bool(est.converged)))
             if args.r_max is not None:
                 sup = schwarzian_norm_sup(m, r_max=args.r_max, seed=args.seed)

@@ -116,7 +116,11 @@ def trace_order_functional(g: NormalizedJet) -> float:
 
 
 def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> float:
-    """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms (sphere optimizer)."""
+    """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms.
+
+    Exact at n = 2, where ``starts`` and ``seed`` have no effect; a searched
+    lower bound at n >= 3 (see :func:`max_quadratic_image_norm`).
+    """
     h = g.jets.derivatives(2)
     eye = np.eye(g.n, dtype=complex)
     value, _, _ = max_quadratic_image_norm(h, eye, eye, starts=starts, seed=seed)

@@ -17,7 +17,9 @@ times one factor zeta_k + h_k, and summing coefficient times monomial over
 the components, which share the monomials.  A composition step composes all
 outer components with the inner jet in one :func:`jet_compose` call.  Every
 expansion checks that DF is nonsingular relative to its own scale
-(:func:`check_nonsingular`).
+(:func:`check_nonsingular`) and returns a :class:`MapJet`, which records
+that the test passed.  Moebius grids are tested the same way: a grid and
+its scalar multiples are one map.
 """
 
 from __future__ import annotations
@@ -79,8 +81,7 @@ class MoebiusMap:
         a = np.asarray(a, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 2:
             raise DimensionError("Moebius grid must be square of size n+1 >= 2")
-        sv = np.linalg.svd(a, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        if not _sigma_ratio(a) > SINGULAR_TOL:
             raise MapSpecError("Moebius coefficient grid is singular")
         self.a = a
         self.n = a.shape[0] - 1
@@ -217,29 +218,45 @@ def _rational_jet(num_const, num_lin, den_const, den_lin, d: int) -> JetVector:
     return JetVector(comps)
 
 
+def _sigma_ratio(a: np.ndarray) -> float:
+    """sigma_min / sigma_max of ``a``: 0 for a zero matrix, NaN for NaN or infinite entries."""
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:  # NaN entries; infinite ones give NaN values
+        return float("nan")
+    return float(sv[-1] / sv[0]) if sv[0] != 0 else 0.0
+
+
 def check_nonsingular(df: np.ndarray, what: str) -> None:
     """Raise unless sigma_min(DF) > SINGULAR_TOL * sigma_max(DF).
 
     The test is relative, so a map and its scalings c F pass or fail
     together, as their Schwarzian tensors agree.
     """
-    try:
-        sv = np.linalg.svd(df, compute_uv=False)
-    except np.linalg.LinAlgError:  # NaN entries; infinite ones give NaN values
-        sv = np.full(2, np.nan)
-    if not sv[-1] > SINGULAR_TOL * sv[0]:
-        ratio = sv[-1] / sv[0] if sv[0] != 0 else 0.0
+    ratio = _sigma_ratio(df)
+    if not ratio > SINGULAR_TOL:
         raise SingularDifferentialError(
             f"{what}: differential singular (sigma_min / sigma_max = {ratio:.3e})"
         )
 
 
-def _check_locally_biholomorphic(jv: JetVector) -> JetVector:
+class MapJet(JetVector):
+    """Jet of a map about a center where DF has passed :func:`check_nonsingular`.
+
+    :func:`map_jet_at` returns it, so consumers that need DF^{-1} (such as
+    ``schwarzian_at``) need not test DF again.  Jets derived from it are
+    plain :class:`JetVector` objects.
+    """
+
+    __slots__ = ()
+
+
+def _check_locally_biholomorphic(jv: JetVector) -> MapJet:
     check_nonsingular(jv.linear_matrix(), "map at the expansion center")
-    return jv
+    return MapJet(jv.jets)
 
 
-def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
+def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> MapJet:
     """Exact Taylor jet of the map about ``zeta`` to degree ``d``.
 
     Component ``i`` of the result is the jet of ``m_i(zeta + h)`` in the

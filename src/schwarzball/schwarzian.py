@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
-from .maps import MapSpec, check_nonsingular, map_jet_at
+from .maps import MapJet, MapSpec, check_nonsingular, map_jet_at
 
 MIN_JET_DEGREE = 3
 
@@ -72,7 +72,8 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     ----------
     jv : JetVector
         Jet of the map about the base point, degree >= 3, with nonsingular
-        linear part.
+        linear part.  DF is tested unless ``jv`` is a :class:`MapJet`, whose
+        DF :func:`map_jet_at` has tested.
     z : array_like, optional
         Base point recorded on the tensor (defaults to the origin).
     """
@@ -86,7 +87,8 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     z = np.zeros(n, dtype=complex) if z is None else np.asarray(z, dtype=complex).reshape(-1)
 
     dmat = jv.derivatives(1)
-    check_nonsingular(dmat, "map at the base point")
+    if not isinstance(jv, MapJet):  # map_jet_at has tested DF already
+        check_nonsingular(dmat, "map at the base point")
     dinv = np.linalg.inv(dmat)
     d2f = jv.derivatives(2)  # d2f[l, i, j] = d^2 f_l / dz_i dz_j
     d3f = jv.derivatives(3)
@@ -107,7 +109,10 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
 
 
 def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
-    """Convenience wrapper: expand the map at ``z`` and build its tensor."""
+    """Convenience wrapper: expand the map at ``z`` and build its tensor.
+
+    DF is tested once, by :func:`map_jet_at`.
+    """
     z = np.asarray(z, dtype=complex).reshape(-1)
     return schwarzian_at(map_jet_at(m, z, MIN_JET_DEGREE), z=z)
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from schwarzball.bergman import (
+    _ascend,
+    _hopf_quadratic,
     _realified_form,
+    _sym_upper,
     _value_and_grad,
     bergman_norm,
     invariance_residual,
@@ -28,8 +31,12 @@ from schwarzball.maps import (
 from schwarzball.schwarzian import schwarzian_apply, schwarzian_of
 
 
-def shear(a):
-    return PolyMap(2, [{(1, 0): 1, (0, 2): a}, {(0, 1): 1}])
+def shear(a, n=2):
+    """(z1 + a z2^2, z2, ..., zn): its norm at the origin is 2a / sqrt(n + 1)."""
+    e = np.eye(n, dtype=int)
+    comps = [{tuple(e[k]): 1} for k in range(n)]
+    comps[0][tuple(2 * e[1])] = a
+    return PolyMap(n, comps)
 
 
 def test_norm_at_scaled_map_equals_unscaled():
@@ -140,12 +147,16 @@ def test_norm_at_identity_and_moebius():
 
 
 def test_norm_at_shear_closed_form():
-    # small a: near-Moebius, where a step that is not scale-free stalls
-    for a in (0.5, 1e-2, 1e-3, 1e-4):
-        est = schwarzian_norm_at(shear(a), np.zeros(2))
-        assert abs(est.value - 2 * a / np.sqrt(3)) <= 1e-10 * 2 * a / np.sqrt(3)
-        assert est.converged
-        assert est.points == 1 and est.iterations > 0
+    # small a: near-Moebius, where a step that is not scale-free stalls; the
+    # value is exact at n = 2 (no ascent steps) and searched at n = 3
+    for n in (2, 3):
+        for a in (0.5, 1e-2, 1e-3, 1e-4):
+            est = schwarzian_norm_at(shear(a, n), np.zeros(n))
+            expected = 2 * a / np.sqrt(n + 1)
+            assert abs(est.value - expected) <= 1e-10 * expected
+            assert est.converged
+            assert est.points == 1
+            assert est.iterations == 0 if n == 2 else est.iterations > 0
 
 
 def _scalar_loop(s_list, form_in, form_out, starts=16, seed=0, max_iter=500):
@@ -213,9 +224,9 @@ def test_kernel_matches_scalar_reference_loop():
             g = metric_at(random_ball_point(n, rng, 0.8)).g
             ref, ref_converged = _scalar_loop(s, g, g)
             assert ref_converged
-            value, _, converged = max_quadratic_image_norm(s, g, g)
-            assert converged
-            assert abs(value - ref) <= 1e-12 * ref
+            value, _, converged, _ = _ascend(s[None], g[None], g[None], 16, 0, 500)
+            assert converged[0]
+            assert abs(value[0] - ref) <= 1e-12 * ref
 
 
 def test_max_quadratic_image_norm_scale_equivariant():
@@ -305,15 +316,20 @@ def test_norm_sup_is_the_max_over_its_replayed_probe_points():
 
 
 def test_norm_sup_run_counters():
-    # the probe settings of extremal_search's inner norm estimate
-    m = random_normalized_polymap(2, np.random.default_rng(2), scale=1e-3)
-    probe = dict(r_max=0.85, shells=4, angular=10, starts=6, refine=1, seed=5)
-    est = schwarzian_norm_sup(m, **probe)
-    again = schwarzian_norm_sup(m, **probe)
-    assert est.points == 47
-    assert est.converged
-    assert est.iterations > 0
-    assert (again.points, again.iterations, again.value) == (est.points, est.iterations, est.value)
+    # the probe settings of extremal_search's inner norm estimate; exact
+    # pointwise values at n = 2 take no ascent steps
+    for n in (2, 3):
+        m = random_normalized_polymap(n, np.random.default_rng(2), scale=1e-3)
+        probe = dict(r_max=0.85, shells=4, angular=10, starts=6, refine=1, seed=5)
+        est = schwarzian_norm_sup(m, **probe)
+        again = schwarzian_norm_sup(m, **probe)
+        assert est.points == 47
+        assert est.converged
+        assert est.iterations == 0 if n == 2 else est.iterations > 0
+        assert est.value <= est.upper
+        assert (again.points, again.iterations, again.value, again.upper) == (
+            est.points, est.iterations, est.value, est.upper
+        )
 
 
 def test_norm_sup_radius_guard():
@@ -348,3 +364,117 @@ def test_invariance_residual_random_suite():
         z = random_ball_point(2, rng, 0.5)
         worst = max(worst, invariance_residual(f, sigma, z))
     assert worst <= 1e-6
+
+
+# -- the exact route at n = 2 ----------------------------------------------------
+
+
+def _symmetric_tensor(rng, n, scale):
+    s = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    return scale * 0.5 * (s + np.swapaxes(s, 1, 2))
+
+
+def _image_norm(s, form_out, v):
+    u = np.einsum("kab,a,b->k", s, v, v)
+    return float(np.sqrt(np.real(np.einsum("ij,i,j->", form_out, u, np.conj(u)))))
+
+
+def test_exact_route_brackets_the_ascent():
+    # at least the 64-start ascent, at most the certified upper end, with
+    # different random metrics on the two sides
+    rng = np.random.default_rng(23)
+    for scale in (0.3, 0.1, 1e-3):
+        for _ in range(20):
+            s = _symmetric_tensor(rng, 2, scale)
+            g_in = metric_at(random_ball_point(2, rng, 0.9)).g
+            g_out = metric_at(random_ball_point(2, rng, 0.9)).g
+            value, v, converged = max_quadratic_image_norm(s, g_in, g_out)
+            searched = _ascend(s[None], g_in[None], g_out[None], 64, 0, 500)[0][0]
+            upper = _sym_upper(s[None], g_in[None], g_out[None])[0]
+            assert converged
+            assert value >= searched * (1 - 1e-12)
+            assert value <= upper * (1 + 1e-12)
+            # the value is attained at the returned direction
+            assert abs(np.real(np.conj(v) @ g_in.T @ v) - 1.0) <= 1e-12
+            assert abs(_image_norm(s, g_out, v) - value) <= 1e-12 * value
+
+
+def test_exact_route_hard_case():
+    # S^1 = I, S^2 = 0 at the origin: the linear part of the quadratic on the
+    # 2-sphere vanishes, and the maximum is sqrt(3) |v|^2 = 1 / sqrt(3)
+    s = np.zeros((2, 2, 2), dtype=complex)
+    s[0] = np.eye(2)
+    g = metric_at(np.zeros(2)).g
+    value, v, converged = max_quadratic_image_norm(s, g, g)
+    assert converged
+    assert abs(value - 1.0 / np.sqrt(3)) <= 1e-15
+    assert abs(_image_norm(s, g, v) - value) <= 1e-15
+    assert value >= _ascend(s[None], g[None], g[None], 16, 0, 500)[0][0] * (1 - 1e-12)
+
+
+def test_norm_at_arg_v_attains_the_value():
+    rng = np.random.default_rng(31)
+    m = random_normalized_polymap(2, rng, scale=0.2)
+    for _ in range(5):
+        z = random_ball_point(2, rng, 0.8)
+        est = schwarzian_norm_at(m, z)
+        g = metric_at(z).g
+        u = schwarzian_apply(schwarzian_of(m, z), est.arg_v)
+        assert abs(np.real(np.einsum("ij,i,j->", g, est.arg_v, np.conj(est.arg_v))) - 1) <= 1e-12
+        q_out = np.real(np.einsum("ij,i,j->", g, u, np.conj(u)))
+        assert abs(q_out - est.value**2) <= 1e-12 * est.value**2
+        assert (est.converged, est.iterations) == (True, 0)
+        assert est.value <= est.upper * (1 + 1e-12)
+
+
+def test_upper_end_at_every_n():
+    rng = np.random.default_rng(37)
+    for n in (2, 3, 4):
+        s = _symmetric_tensor(rng, n, 0.2)
+        g = metric_at(random_ball_point(n, rng, 0.7)).g
+        upper = _sym_upper(s[None], g[None], g[None])[0]
+        searched = _ascend(s[None], g[None], g[None], 16, 0, 500)[0][0]
+        assert searched <= upper * (1 + 1e-12)
+        # a direction-free form of the same bound: ||T||_F in orthonormal coordinates
+        chol = np.linalg.cholesky(g.T)
+        m = np.linalg.inv(chol.conj().T)
+        t = np.einsum("kl,lab,ai,bj->kij", chol.conj().T, s, m, m)
+        assert upper <= np.sqrt(np.sum(np.abs(t) ** 2)) * (1 + 1e-12)
+
+
+def test_hopf_quadratic_matches_symbolic_identity():
+    # f(w) = m^H H m with m = (w1^2, w1 w2, w2^2) equals p^T A p + b^T p
+    # (+ c0 |p|^2) as polynomials, after homogenizing b^T p by |w|^2; then the
+    # code's coefficients equal the symbolic ones at random numeric H
+    import sympy as sp
+
+    x1, y1, x2, y2 = sp.symbols("x1 y1 x2 y2", real=True)
+    d0, d1, d2 = sp.symbols("d0 d1 d2", real=True)
+    r01, i01, r02, i02, r12, i12 = sp.symbols("r01 i01 r02 i02 r12 i12", real=True)
+    h01, h02, h12 = r01 + sp.I * i01, r02 + sp.I * i02, r12 + sp.I * i12
+    h = sp.Matrix([[d0, h01, h02], [sp.conjugate(h01), d1, h12],
+                   [sp.conjugate(h02), sp.conjugate(h12), d2]])
+    w1, w2 = x1 + sp.I * y1, x2 + sp.I * y2
+    mono = sp.Matrix([w1**2, w1 * w2, w2**2])
+    f = sp.expand((mono.H * h * mono)[0, 0])
+    c = w1 * sp.conjugate(w2)
+    p = sp.Matrix([sp.expand(w1 * sp.conjugate(w1) - w2 * sp.conjugate(w2)),
+                   sp.expand(2 * sp.re(c)), sp.expand(2 * sp.im(c))])
+    c0 = (d0 + d1 + d2) / 4
+    a = sp.Matrix([[(d0 - d1 + d2) / 4, (r01 - r12) / 4, (i01 - i12) / 4],
+                   [(r01 - r12) / 4, r02 / 2, i02 / 2],
+                   [(i01 - i12) / 4, i02 / 2, -r02 / 2]])
+    b = sp.Matrix([(d0 - d2) / 2, (r01 + r12) / 2, (i01 + i12) / 2])
+    norm2 = x1**2 + y1**2 + x2**2 + y2**2
+    rhs = (p.T * (a + c0 * sp.eye(3)) * p)[0, 0] + norm2 * (b.T * p)[0, 0]
+    assert sp.expand(f - rhs) == 0
+
+    rng = np.random.default_rng(41)
+    hn = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    hn = hn + hn.conj().T
+    subs = {d0: hn[0, 0].real, d1: hn[1, 1].real, d2: hn[2, 2].real,
+            r01: hn[0, 1].real, i01: hn[0, 1].imag, r02: hn[0, 2].real,
+            i02: hn[0, 2].imag, r12: hn[1, 2].real, i12: hn[1, 2].imag}
+    code_a, code_b = _hopf_quadratic(hn[None])
+    assert np.max(np.abs(code_a[0] - np.array(a.subs(subs), dtype=float))) <= 1e-14
+    assert np.max(np.abs(code_b[0] - np.array(b.subs(subs), dtype=float).ravel())) <= 1e-14

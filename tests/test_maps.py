@@ -198,6 +198,24 @@ def test_moebius_singular_grid_rejected():
     a = np.ones((3, 3), dtype=complex)
     with pytest.raises(MapSpecError):
         MoebiusMap(a)
+    for c in (1e-13, 1.0, 1e13):  # singular at every scale, and with NaN entries
+        with pytest.raises(MapSpecError):
+            MoebiusMap(c * np.diag([1.0, 1.0, 1e-14]))
+    with pytest.raises(MapSpecError):
+        MoebiusMap(np.full((3, 3), np.nan))
+
+
+def test_moebius_scaled_grid_is_the_same_map():
+    # a grid and its scalar multiples are one map, however small the scale
+    identity = MoebiusMap(1e-13 * np.eye(3))
+    assert np.max(np.abs(map_eval(identity, [0.2, 0.1j]) - [0.2, 0.1j])) <= TOL
+    base = random_moebius(2, np.random.default_rng(19))
+    z = np.array([0.1, -0.2j])
+    for c in (1e-13, 1e-6, 1e13):
+        scaled = MoebiusMap(c * base.a)
+        assert np.max(np.abs(map_eval(scaled, z) - map_eval(base, z))) <= TOL
+        pairs = zip(map_jet_at(scaled, z, 2), map_jet_at(base, z, 2))
+        assert max(max_coeff_diff(x, y) for x, y in pairs) <= 1e-10
 
 
 def test_jacobian_of_moebius_formula():

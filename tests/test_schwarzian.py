@@ -8,6 +8,7 @@ from schwarzball.errors import (
     DimensionError,
     SingularDifferentialError,
 )
+from schwarzball.jets import JetVector
 from schwarzball.maps import (
     CompositionMap,
     MoebiusMap,
@@ -206,6 +207,30 @@ def test_singular_differential_guard():
     broken = JetVector([jv[0] * 0.0, jv[1]])
     with pytest.raises(SingularDifferentialError):
         schwarzian_at(broken)
+
+
+def test_schwarzian_of_tests_df_once(monkeypatch):
+    # map_jet_at tests DF and schwarzian_at trusts its result; a singular DF
+    # still raises from map_jet_at and schwarzian_of (and from schwarzian_at,
+    # test_singular_differential_guard)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    m = random_normalized_polymap(3, np.random.default_rng(3), scale=0.1)
+    schwarzian_of(m, np.array([0.1, 0.2j, -0.1]))
+    assert len(calls) == 1
+    schwarzian_at(JetVector(map_jet_at(m, np.zeros(3), 3).jets))  # a plain jet is tested
+    assert len(calls) == 3
+    singular = PolyMap(2, [{(2, 0): 1.0}, {(0, 1): 1.0}])  # DF = diag(2 z1, 1)
+    with pytest.raises(SingularDifferentialError):
+        map_jet_at(singular, np.zeros(2), 3)
+    with pytest.raises(SingularDifferentialError):
+        schwarzian_of(singular, np.zeros(2))
 
 
 def scaled_shear(c):
