@@ -372,7 +372,7 @@ def _quad_norms(s, form_in, form_out, starts: int, seed: int, max_iter: int):
     Returns per-problem arrays (value, maximizing v, converged, ascent steps);
     at n = 2 the starts, the seed and the iteration cap have no effect.
     """
-    if np.shape(s)[-1] == 2:
+    if s.shape[-1] == 2:
         return _hopf_norms(s, form_in, form_out)
     return _ascend(s, form_in, form_out, starts, seed, max_iter)
 
