@@ -11,26 +11,27 @@ operator output both measured at the same base point the pointwise norm
 ||S(F o sigma)(z)|| = ||S F(sigma(z))|| exactly.
 
 Pointwise norms are maxima of a quadratic-map image norm over an ellipsoid.
-At n = 2 they are computed exactly: through the Hopf map the squared norm is
-a quadratic on the 2-sphere, and its maximum is a trust-region problem
-solved in closed form (one 3 x 3 eigenproblem and a monotone Newton
-iteration per point, batched over points).  At n >= 3 they are estimated by
-deterministic multistart projected gradient ascent on the sphere obtained
-from a Cholesky factorization of the constraint form, and reported values
-are lower bounds.  One kernel runs every start of every problem as a row of
-one array, so ``schwarzian_norm_sup`` solves its whole probe grid in one call
-and each refine round in one more.  Each tensor is divided by its Frobenius
-norm first, so both routes are scale-free; the one absolute floor is
-``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
-stop at once, the exact route skips its Newton steps).  Every value is
-attained at the reported direction.  ``upper`` is a certified upper end of
-the pointwise norm at every n: the largest singular value of the tensor
-restricted to symmetric tensors, in orthonormal coordinates for both forms.
-``converged`` records whether every retained start terminated by step size
-rather than by the iteration cap (always true at n = 2), and ``points`` and
-``iterations`` count the probed base points and accepted ascent steps (none
-at n = 2).  A sup over the ball stays a searched lower bound at every n: its
-base points are probed, not bracketed.
+Every route first takes the tensor to one frame (``_pullback``): it is
+divided by its Frobenius norm, and with the Cholesky factor of the input
+form, v = M w turns the ellipsoid into the unit sphere of w in C^n.
+At n = 2 the norm is exact: through the Hopf map the squared norm is a
+quadratic on the 2-sphere, and its maximum is a trust-region problem solved
+in closed form (one 3 x 3 eigenproblem and a monotone Newton iteration per
+point, batched over points).  At n >= 3 it is estimated by deterministic
+multistart projected gradient ascent on that sphere, and reported values are
+lower bounds.  One kernel runs every start of every problem as a row of one
+array, so ``schwarzian_norm_sup`` solves its whole probe grid in one call and
+each refine round in one more.  The division makes both routes scale-free; the
+one absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise
+(the ascent's starts stop at once, the exact route skips its Newton steps).
+Every value is attained at the reported direction.  ``upper`` is a certified
+upper end of the pointwise norm at every n: the largest singular value of
+the tensor restricted to symmetric tensors, in orthonormal coordinates for
+both forms.  ``converged`` records whether every retained start terminated
+by step size rather than by the iteration cap (always true at n = 2), and
+``points`` and ``iterations`` count the probed base points and accepted
+ascent steps (none at n = 2).  A sup over the ball stays a searched lower
+bound at every n: its base points are probed, not bracketed.
 """
 
 from __future__ import annotations
@@ -113,63 +114,61 @@ def bergman_norm(z, v) -> float:
 # -- constrained supremum of a quadratic-map image norm ----------------------
 
 
-def _realified_form(m: np.ndarray) -> np.ndarray:
-    """Symmetric real 2n x 2n matrices Q with x^T Q x = sum_ij m_ij v_i conj(v_j).
+def _pullback(s, form_in):
+    """S / c in coordinates orthonormal for the input form, c the Frobenius norm of S.
 
-    Works on one n x n matrix or on a stack of them.
+    Both forms read q(v) = sum_ij g_ij v_i conj(v_j) = v^H conj(g) v, so with
+    conj(form_in) = L L^H and M = L^{-H} the direction v = M w has
+    q_in(v) = |w|^2.  The norms are homogeneous of degree one in S, so every
+    route works on S / c and multiplies c back: steps and stopping tests do
+    not depend on the scale of S.  Returns R^l = M^T (S^l / c) M,
+    (problems, n, n, n), M, c (1 where S vanishes) and the rows whose c lies
+    below ZERO_NORM (rounding noise).
     """
-    re, im = np.real(m), np.imag(m)
-    return np.concatenate(
-        [np.concatenate([re, im], axis=-1), np.concatenate([-im, re], axis=-1)], axis=-2
-    )
+    s = np.asarray(s, dtype=complex)
+    scale = np.linalg.norm(s.reshape(len(s), -1), axis=1)
+    zero = scale < ZERO_NORM
+    scale[scale == 0.0] = 1.0
+    chol = np.linalg.cholesky(np.conj(form_in))
+    m = np.conj(np.swapaxes(np.linalg.inv(chol), 1, 2))
+    r = np.swapaxes(m, 1, 2)[:, None] @ (s / scale[:, None, None, None]) @ m[:, None]
+    return r, m, scale, zero
 
 
-def _value_and_grad(x, chol_inv_t, chol_inv, s_flat, g_out):
-    """Squared image norm and its gradient at each row of x (rows, 2n)."""
-    rows, n = s_flat.shape[0], s_flat.shape[1]
-    ab = (chol_inv_t @ x[:, :, None])[:, :, 0]
-    v = ab[:, :n] + 1j * ab[:, n:]
-    u = s_flat @ (v[:, :, None] * v[:, None, :]).reshape(rows, n * n, 1)
+def _value_and_grad(x, r_flat, g_out):
+    """Squared image norm q_out(R(w, w)) and its gradient at each row of x = (Re w, Im w)."""
+    rows, n = r_flat.shape[0], r_flat.shape[1]
+    w = x[:, :n] + 1j * x[:, n:]
+    u = r_flat @ (w[:, :, None] * w[:, None, :]).reshape(rows, n * n, 1)
     eta = g_out @ np.conj(u)
     val2 = np.real(np.sum(u * eta, axis=(1, 2)))
-    w = 2.0 * ((np.swapaxes(eta, 1, 2) @ s_flat).reshape(rows, n, n) @ v[:, :, None])[:, :, 0]
-    grad_ab = np.concatenate([2.0 * np.real(w), -2.0 * np.imag(w)], axis=1)
-    return val2, (chol_inv @ grad_ab[:, :, None])[:, :, 0]
+    dw = 2.0 * ((np.swapaxes(eta, 1, 2) @ r_flat).reshape(rows, n, n) @ w[:, :, None])[:, :, 0]
+    return val2, np.concatenate([2.0 * np.real(dw), -2.0 * np.imag(dw)], axis=1)
 
 
 def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
     """Multistart projected ascent for a stack of problems, in one array.
 
-    ``s`` is (problems, n, n, n) and the forms (problems, n, n).  Every row of
+    ``s`` is (problems, n, n, n) and the forms (problems, n, n).  The ascent
+    runs on the unit sphere of w in C^n, as the real rows x = (Re w, Im w),
+    for R from :func:`_pullback`, and reports v = M w.  Every row of
     the (problems x starts, 2n) iterate is one start of one problem; all rows
     share the starts drawn from ``default_rng(seed)`` and run the same
     arithmetic under a per-row mask, so a problem's result does not depend
-    on the batch it is solved in.  Each S is divided by its Frobenius norm
-    c before the ascent and the value multiplied back (the value is
-    homogeneous of degree one in S), so steps and stopping tests do not
-    depend on the scale of S.  The one absolute floor is ZERO_NORM: an S
-    below it stops at its first iterate.
+    on the batch it is solved in.  An S below ZERO_NORM stops at its first
+    iterate.
 
     Returns per-problem arrays (value, maximizing v, converged, accepted
     steps summed over starts).
     """
-    s = np.asarray(s, dtype=complex)
-    problems, n = s.shape[0], s.shape[-1]
+    r, change, scale, zero = _pullback(s, form_in)
+    problems, n = r.shape[0], r.shape[-1]
     k = max(int(starts), 1)
-    scale = np.linalg.norm(s.reshape(problems, -1), axis=1)
-    zero = np.repeat(scale < ZERO_NORM, k)
-    scale[scale == 0.0] = 1.0
-    chol = np.linalg.cholesky(_realified_form(np.asarray(form_in, dtype=complex)))
-    chol_inv = np.linalg.inv(chol)
     mats = [
         np.repeat(a, k, axis=0)
-        for a in (
-            np.ascontiguousarray(np.swapaxes(chol_inv, 1, 2)),
-            chol_inv,
-            (s / scale[:, None, None, None]).reshape(problems, n, n * n),
-            np.asarray(form_out, dtype=complex),
-        )
+        for a in (r.reshape(problems, n, n * n), np.asarray(form_out, dtype=complex))
     ]
+    zero = np.repeat(zero, k)
 
     x0 = np.random.default_rng(seed).standard_normal((k, 2 * n))
     x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
@@ -222,25 +221,13 @@ def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
         active[done] = False
 
     best = np.arange(problems) * k + np.argmax(val2.reshape(problems, k), axis=1)
-    ab = (mats[0][best] @ x[best][:, :, None])[:, :, 0]
+    w = x[best, :n] + 1j * x[best, n:]
     return (
         np.sqrt(np.maximum(val2[best], 0.0)) * scale,
-        ab[:, :n] + 1j * ab[:, n:],
+        (change @ w[:, :, None])[:, :, 0],
         converged.reshape(problems, k).all(axis=1),
         steps.reshape(problems, k).sum(axis=1),
     )
-
-
-def _pullback(s, form_in):
-    """S in coordinates orthonormal for the input form, with the change of variables.
-
-    Both forms read q(v) = sum_ij g_ij v_i conj(v_j) = v^H conj(g) v, so with
-    conj(form_in) = L L^H and M = L^{-H} the direction v = M w has
-    q_in(v) = |w|^2.  Returns R^l = M^T S^l M, (problems, n, n, n), and M.
-    """
-    chol = np.linalg.cholesky(np.conj(form_in))
-    m = np.conj(np.swapaxes(np.linalg.inv(chol), 1, 2))
-    return np.swapaxes(m, 1, 2)[:, None] @ s @ m[:, None], m
 
 
 def _sym_upper(s, form_in, form_out):
@@ -253,12 +240,12 @@ def _sym_upper(s, form_in, form_out):
     the restriction of S to symmetric tensors.  The bound holds up to the
     rounding of one eigvalsh, a few units of 1e-16 relative.
     """
-    r, _ = _pullback(s, form_in)
+    r, _, scale, _ = _pullback(s, form_in)
     n = r.shape[-1]
     i, j = np.triu_indices(n)
     sym = r[:, :, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
     h = np.conj(np.swapaxes(sym, 1, 2)) @ np.conj(form_out) @ sym
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0))
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)) * scale
 
 
 def _hopf_quadratic(h):
@@ -283,9 +270,10 @@ def _hopf_quadratic(h):
 def _hopf_norms(s, form_in, form_out):
     """Exact pointwise norms at n = 2 for a stack of problems, in closed form.
 
-    With R from :func:`_pullback`, R(w, w) = t m(w) for m = (w1^2, w1 w2, w2^2)
-    and t_l = (R^l_00, 2 R^l_01, R^l_11), so f(w) = q_out(R(w, w)) = m^H H m
-    with H = t^H conj(form_out) t, 3 x 3 Hermitian.  Through the Hopf image
+    With R from :func:`_pullback`, R(w, w) = t m(w) for
+    m = (w1^2, w1 w2, w2^2) and t_l = (R^l_00, 2 R^l_01, R^l_11), so
+    f(w) = q_out(R(w, w)) = m^H H m with H = t^H conj(form_out) t, 3 x 3
+    Hermitian.  Through the Hopf image
     p of the unit sphere, f = p^T A p + b^T p + c0 on the 2-sphere
     (:func:`_hopf_quadratic`; the constant c0 moves no maximizer).  The
     maximum of a quadratic over a sphere is a trust-region problem with a
@@ -299,17 +287,12 @@ def _hopf_norms(s, form_in, form_out):
     eigenvector fills p up to the sphere.  p goes back to w and v = M w, and
     the value is sqrt(q_out(S(v, v))) at that v, so it is attained.
 
-    S is divided by its Frobenius norm first, as in :func:`_ascend`, and rows
-    below ZERO_NORM skip Newton.  Returns the same per-problem arrays as
+    Rows below ZERO_NORM skip Newton.  Returns the same per-problem arrays as
     :func:`_ascend`, with every row converged and no ascent steps.
     """
     s = np.asarray(s, dtype=complex)
     problems = s.shape[0]
-    scale = np.linalg.norm(s.reshape(problems, -1), axis=1)
-    zero = scale < ZERO_NORM
-    scale[scale == 0.0] = 1.0
-    s = s / scale[:, None, None, None]
-    r, change = _pullback(s, form_in)
+    r, change, _, zero = _pullback(s, form_in)
     t = np.stack([r[:, :, 0, 0], 2.0 * r[:, :, 0, 1], r[:, :, 1, 1]], axis=-1)
     a, b = _hopf_quadratic(np.conj(np.swapaxes(t, 1, 2)) @ np.conj(form_out) @ t)
 
@@ -359,7 +342,7 @@ def _hopf_norms(s, form_in, form_out):
     u = s.reshape(problems, -1, 4) @ (v[:, :, None] * v[:, None, :]).reshape(problems, 4, 1)
     val2 = np.real(np.sum(u[:, :, 0] * (form_out @ np.conj(u))[:, :, 0], axis=1))
     return (
-        np.sqrt(np.maximum(val2, 0.0)) * scale,
+        np.sqrt(np.maximum(val2, 0.0)),
         v,
         np.ones(problems, dtype=bool),
         np.zeros(problems, dtype=int),

@@ -110,17 +110,20 @@ def residual_check(name: str, value: float, tolerance: float) -> dict:
     return check(name, float(value), tolerance, float(value) <= tolerance)
 
 
-def build_report(command: str, args: dict, seed, results: list[dict], started: float) -> dict:
-    return {
+def _finish(command: str, shown_args: dict, args, results: list[dict], started: float) -> int:
+    """Emit the JSON report of a command; exit code 0 if every check passed, else 1."""
+    report = {
         "tool": "schwarzball",
         "version": __version__,
         "command": command,
-        "args": to_jsonable(args),
-        "seed": seed,
+        "args": to_jsonable(shown_args),
+        "seed": args.seed,
         "passed": all(r["passed"] for r in results),
         "results": results,
         "timing": {"seconds": time.time() - started},
     }
+    emit(json.dumps(report, indent=2) + "\n", args.out)
+    return 0 if report["passed"] else 1
 
 
 def emit(report_text: str, out_path: str | None) -> None:
@@ -506,11 +509,7 @@ def cmd_verify(args) -> int:
     results = runner(n=args.n, seed=args.seed)
     if args.inject_failure:
         results.append(check("injected_failure", 1.0, 0.0, False))
-    report = build_report(
-        "verify", {"suite": args.suite, "n": args.n}, args.seed, results, started
-    )
-    emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if report["passed"] else 1
+    return _finish("verify", {"suite": args.suite, "n": args.n}, args, results, started)
 
 
 def _parse_range(text: str, kind) -> tuple:
@@ -565,11 +564,9 @@ def cmd_bounds(args) -> int:
         )
         for br in rows
     ]
-    report = build_report(
-        "bounds", {"n": args.n, "alpha": args.alpha, "step": args.step}, args.seed, results, started
+    return _finish(
+        "bounds", {"n": args.n, "alpha": args.alpha, "step": args.step}, args, results, started
     )
-    emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if report["passed"] else 1
 
 
 def _parse_point(text: str, n: int) -> np.ndarray:
@@ -641,13 +638,11 @@ def cmd_analyze(args) -> int:
             results.append(check("extremal_lambda_aligned", dec.lam, None, True))
             results.append(check("extremal_quadratic_residual", dec.quadratic_residual, None, True))
             results.append(check("extremal_off_residuals", dec.off_residuals, None, True))
-    report = build_report(
+    return _finish(
         "analyze",
         {"map_file": args.map_file, "ops": args.ops, "zeta": args.zeta, "r_max": args.r_max},
-        args.seed, results, started,
+        args, results, started,
     )
-    emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if report["passed"] else 1
 
 
 def cmd_search(args) -> int:
@@ -668,13 +663,11 @@ def cmd_search(args) -> int:
         check("search_evaluations", res.evaluations, None, True),
         check("search_converged", res.converged, None, True),
     ]
-    report = build_report(
+    return _finish(
         "search",
         {"family": args.family, "n": args.n, "alpha": args.alpha, "budget": args.budget},
-        args.seed, results, started,
+        args, results, started,
     )
-    emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0 if report["passed"] else 1
 
 
 # -- entry point ---------------------------------------------------------------

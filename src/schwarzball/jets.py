@@ -170,9 +170,6 @@ class Jet:
             return self
         return Jet(self.n, d, self.coeffs)
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(v) for v in self.coeffs.values()), default=0.0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_shape(self, other: "Jet") -> None:
@@ -388,43 +385,38 @@ def _check_off_cut(c: complex, what: str) -> complex:
     return c
 
 
-def _unit_deviation(a: Jet) -> Jet:
-    """Return a/a(0) - 1, a jet with zero constant term."""
-    c = a.constant_term
-    u = a * (1.0 / c)
-    table = dict(u.coeffs)
-    table.pop((0,) * a.n, None)
-    return Jet._from_table(a.n, a.d, table)
+def _series(a: Jet, const: complex, coeffs: Sequence[complex]) -> Jet:
+    """const + sum_k coeffs[k - 1] u^k over k = 1..d, for u = a/a(0) - 1.
+
+    u has a zero constant term, so u^k vanishes beyond k = d and the finite
+    sum is exact modulo truncation.
+    """
+    u = a * (1.0 / a.constant_term)
+    u.coeffs.pop((0,) * a.n, None)
+    out = Jet.constant(a.n, a.d, const)
+    power = u
+    for k, c in enumerate(coeffs, start=1):
+        out = out + power * c
+        if k < a.d:
+            power = _mul(power, u)
+    return out
 
 
 def jet_log(a: Jet) -> Jet:
     """Principal-branch logarithm of a jet with constant term off (-inf, 0]."""
     c = _check_off_cut(a.constant_term, "jet_log")
-    u = _unit_deviation(a)
-    out = Jet.constant(a.n, a.d, cmath.log(c))
-    power = u
-    for k in range(1, a.d + 1):
-        out = out + power * (((-1) ** (k + 1)) / k)
-        if k < a.d:
-            power = _mul(power, u)
-    return out
+    return _series(a, cmath.log(c), [((-1) ** (k + 1)) / k for k in range(1, a.d + 1)])
 
 
 def jet_pow(a: Jet, p: complex) -> Jet:
     """Principal-branch power ``a**p`` for complex exponent ``p``."""
     c = _check_off_cut(a.constant_term, "jet_pow")
     p = complex(p)
-    u = _unit_deviation(a)
-    scale = cmath.exp(p * cmath.log(c))
-    out = Jet.constant(a.n, a.d, 1.0)
-    power = u
-    binom = 1.0 + 0j
-    for k in range(1, a.d + 1):
-        binom *= (p - (k - 1)) / k
-        out = out + power * binom
-        if k < a.d:
-            power = _mul(power, u)
-    return out * scale
+    # binomial coefficients binom(p, k), k = 1..d, as running products
+    binoms = itertools.accumulate(
+        ((p - (k - 1)) / k for k in range(1, a.d + 1)), operator.mul, initial=1.0 + 0j
+    )
+    return _series(a, 1.0, list(binoms)[1:]) * cmath.exp(p * cmath.log(c))
 
 
 def jet_reciprocal(a: Jet) -> Jet:
@@ -432,16 +424,7 @@ def jet_reciprocal(a: Jet) -> Jet:
     c = a.constant_term
     if c == 0:
         raise VanishingDenominatorError("reciprocal of a jet with zero constant term")
-    u = _unit_deviation(a)
-    out = Jet.constant(a.n, a.d, 1.0)
-    power = u
-    sign = -1.0
-    for k in range(1, a.d + 1):
-        out = out + power * sign
-        sign = -sign
-        if k < a.d:
-            power = _mul(power, u)
-    return out * (1.0 / c)
+    return _series(a, 1.0, [(-1.0) ** k for k in range(1, a.d + 1)]) * (1.0 / c)
 
 
 # -- jet vectors and matrices ----------------------------------------------
@@ -506,9 +489,6 @@ class JetVector:
                 table[zero_key] = c
             out.append(Jet._from_table(j.n, j.d, table))
         return JetVector(out)
-
-    def truncate(self, d: int) -> "JetVector":
-        return JetVector(j.truncate(d) for j in self.jets)
 
 
 class JetMatrix:

@@ -65,10 +65,6 @@ class PolyMap:
             comps.append(table)
         self.components = tuple(comps)
 
-    @property
-    def degree(self) -> int:
-        return max((sum(k) for c in self.components for k in c), default=0)
-
 
 class MoebiusMap:
     """Moebius transformation z -> (l_1/l_0, ..., l_n/l_0).
@@ -180,10 +176,7 @@ def map_eval(m: MapSpec, z: Sequence[complex]) -> np.ndarray:
             out[i] = total
         return out
     if isinstance(m, MoebiusMap):
-        zh = np.concatenate(([1.0], z))
-        l = m.a @ zh
-        if abs(l[0]) < 1e-14:
-            raise VanishingDenominatorError("Moebius denominator vanishes at the point")
+        l = _affine_forms(m, z)
         return l[1:] / l[0]
     if isinstance(m, CompositionMap):
         w = z
@@ -193,14 +186,24 @@ def map_eval(m: MapSpec, z: Sequence[complex]) -> np.ndarray:
     raise DimensionError(f"not a map spec: {type(m).__name__}")
 
 
+def _affine_forms(m: MoebiusMap, z: np.ndarray) -> np.ndarray:
+    """The forms l(z) = a (1, z) of a Moebius map, with l_0(z) tested against zero.
+
+    The test is relative to the largest entry of the grid, so a grid and its
+    scalar multiples, which are one map, pass or fail together.
+    """
+    l = m.a @ np.concatenate(([1.0], z))
+    if abs(l[0]) < 1e-14 * np.abs(m.a).max():
+        raise VanishingDenominatorError("Moebius denominator vanishes at the point")
+    return l
+
+
 # -- jet expansion ------------------------------------------------------------
 
 
 def _rational_jet(num_const, num_lin, den_const, den_lin, d: int) -> JetVector:
     """Jet of (num_const + num_lin h) / (den_const + den_lin h) about h = 0."""
     n = num_lin.shape[1]
-    if abs(den_const) < 1e-14:
-        raise VanishingDenominatorError("denominator vanishes at the expansion center")
     den_table = {(0,) * n: complex(den_const)}
     for j in range(n):
         if den_lin[j] != 0:
@@ -295,8 +298,7 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> MapJet:
             comps.append(Jet._from_table(n, d, acc))
         return _check_locally_biholomorphic(JetVector(comps))
     if isinstance(m, MoebiusMap):
-        zh = np.concatenate(([1.0], zeta))
-        l = m.a @ zh
+        l = _affine_forms(m, zeta)
         return _check_locally_biholomorphic(
             _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)
         )

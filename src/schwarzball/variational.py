@@ -48,6 +48,11 @@ from .maps import (
 )
 from .schwarzian import MIN_JET_DEGREE, schwarzian_at
 
+# consecutive remainder quotients of variation_expansion_check stay within this factor
+_RATIO_BOUND = 4.0
+# weight of the squared norm excess in the extremal search's penalty
+_PENALTY_WEIGHT = 1e3
+
 
 @dataclass(frozen=True)
 class VariationReport:
@@ -127,12 +132,11 @@ def variation_expansion_check(
     scales: Sequence[float] = (1e-1, 5e-2, 2.5e-2),
     directions: int = 3,
     seed: int = 0,
-    ratio_bound: float = 4.0,
 ) -> ExpansionReport:
     """Check grad(JG)(0) = Lambda + A zeta - (n+1) conj(zeta) + O(|zeta|^2).
 
     For each direction u and scale s the remainder at zeta = s u is divided
-    by s^2; consecutive quotients must stay within ``ratio_bound`` of each
+    by s^2; consecutive quotients must stay within ``_RATIO_BOUND`` of each
     other (both are near the same second-order coefficient).  Exactly
     vanishing remainders (Moebius-flat cases) pass by convention.
     """
@@ -162,7 +166,7 @@ def variation_expansion_check(
     max_ratio = float(np.max(ratios)) if ratios.size else 1.0
     return ExpansionReport(
         scales=scales, errors=errors, ratios=ratios, max_ratio=max_ratio,
-        ok=bool(max_ratio <= ratio_bound),
+        ok=bool(max_ratio <= _RATIO_BOUND),
     )
 
 
@@ -319,14 +323,13 @@ def extremal_search(
     seed: int = 0,
     restarts: int = 3,
     r_max: float = 0.85,
-    penalty_weight: float = 1e3,
     probe_shells: int = 4,
     probe_angular: int = 10,
     probe_starts: int = 6,
 ) -> SearchResult:
     """Penalized Nelder-Mead maximization of |grad JF(0)| over the subfamily.
 
-    The penalty ``penalty_weight * max(0, est - alpha)^2`` uses a reduced
+    The penalty ``_PENALTY_WEIGHT * max(0, est - alpha)^2`` uses a reduced
     search budget for the norm estimate during iteration; the incumbent is
     re-estimated with the same settings for the report.  Deterministic for a
     fixed seed; restarts are merged by best value then lexicographic
@@ -360,7 +363,7 @@ def extremal_search(
             return 1e6
         order2 = float(np.linalg.norm(grad_jacobian(g)))
         est = norm_est(mp).value
-        return -order2 + penalty_weight * max(0.0, est - alpha) ** 2
+        return -order2 + _PENALTY_WEIGHT * max(0.0, est - alpha) ** 2
 
     rng = np.random.default_rng(seed)
     per_run = max(budget // max(restarts, 1), 10)

@@ -85,6 +85,13 @@ def test_moebius_denominator_guard():
     m = moebius_pole_at_e1(2)
     with pytest.raises(VanishingDenominatorError):
         map_eval(m, [1.0, 0.0])
+    # the test is relative to the grid: scaled poles still raise
+    for c in (1e-20, 1e20):
+        scaled = MoebiusMap(c * m.a)
+        with pytest.raises(VanishingDenominatorError):
+            map_eval(scaled, [1.0, 0.0])
+        with pytest.raises(VanishingDenominatorError):
+            map_jet_at(scaled, [1.0, 0.0], 2)
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -211,7 +218,7 @@ def test_moebius_scaled_grid_is_the_same_map():
     assert np.max(np.abs(map_eval(identity, [0.2, 0.1j]) - [0.2, 0.1j])) <= TOL
     base = random_moebius(2, np.random.default_rng(19))
     z = np.array([0.1, -0.2j])
-    for c in (1e-13, 1e-6, 1e13):
+    for c in (1e-20, 1e-15, 1e-13, 1e-6, 1e13):
         scaled = MoebiusMap(c * base.a)
         assert np.max(np.abs(map_eval(scaled, z) - map_eval(base, z))) <= TOL
         pairs = zip(map_jet_at(scaled, z, 2), map_jet_at(base, z, 2))
