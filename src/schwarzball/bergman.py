@@ -20,18 +20,27 @@ in closed form (one 3 x 3 eigenproblem and a monotone Newton iteration per
 point, batched over points).  At n >= 3 it is estimated by deterministic
 multistart projected gradient ascent on that sphere, and reported values are
 lower bounds.  One kernel runs every start of every problem as a row of one
-array, so ``schwarzian_norm_sup`` solves its whole probe grid in one call and
-each refine round in one more.  The division makes both routes scale-free; the
-one absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise
-(the ascent's starts stop at once, the exact route skips its Newton steps).
+array, and a problem's result does not depend on the batch it is solved in.
+The division makes both routes scale-free; the one absolute floor is
+``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
+stop at once, the exact route skips its Newton steps).
 Every value is attained at the reported direction.  ``upper`` is a certified
 upper end of the pointwise norm at every n: the largest singular value of
 the tensor restricted to symmetric tensors, in orthonormal coordinates for
-both forms.  ``converged`` records whether every retained start terminated
-by step size rather than by the iteration cap (always true at n = 2), and
-``points`` and ``iterations`` count the probed base points and accepted
-ascent steps (none at n = 2).  A sup over the ball stays a searched lower
-bound at every n: its base points are probed, not bracketed.
+both forms, up to the rounding slack ``UPPER_SLACK``.  ``converged`` records
+whether every retained start terminated by step size rather than by the
+iteration cap (always true at n = 2).
+
+``schwarzian_norm_sup`` bounds and prunes its probe points: each round builds
+the tensors and upper ends of all its points in one batch and solves, in one
+more batched call, only the points whose upper end reaches a floor (the
+incumbent's value; in the grid round, the value of the point with the largest
+upper end, solved first on its own).  A pruned point cannot beat the floor, so
+the result is the one every point would give.  ``points`` counts the probed
+base points, ``pruned`` those the upper end excluded, and ``iterations`` the
+accepted ascent steps over the points solved (none at n = 2).  A sup over the
+ball stays a searched lower bound at every n: its base points are probed, not
+bracketed.
 """
 
 from __future__ import annotations
@@ -50,6 +59,11 @@ STEP_FLOOR = 1e-12
 # Frobenius norm below which S is rounding noise (Moebius maps give about
 # 1e-15): its starts stop at their first iterate
 ZERO_NORM = 1e-12
+# relative rounding slack of _sym_upper: eigvalsh is backward stable, so the top
+# eigenvalue of the PSD m x m H (m = n(n+1)/2, R of unit Frobenius norm) is off by
+# O(m eps) relative, and forming H and a value adds O(n eps / (1 - |z|^2)); that is
+# below 1e-12 for n <= 5 and |z| <= 0.99, so 1e-9 keeps a factor 1000 in reserve
+UPPER_SLACK = 1e-9
 # safety cap on the monotone Newton iteration of the exact n = 2 route, which
 # converges quadratically in a handful of steps
 NEWTON_MAX_ITER = 50
@@ -82,7 +96,8 @@ class NormEstimate:
     converged: bool
     r_max: float | None = None
     points: int = 1  # probed base points
-    iterations: int = 0  # accepted ascent steps, summed over starts and points
+    iterations: int = 0  # accepted ascent steps, summed over starts and the points solved
+    pruned: int = 0  # probed points the upper end excluded before any ascent
     upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
 
@@ -238,7 +253,7 @@ def _sym_upper(s, form_in, form_out):
     is a unit vector for unit w.  So sqrt(q_out(u)) <= sigma_max(U) in the
     output form, the square root of the top eigenvalue of U^H conj(form_out) U:
     the restriction of S to symmetric tensors.  The bound holds up to the
-    rounding of one eigvalsh, a few units of 1e-16 relative.
+    relative rounding slack ``UPPER_SLACK``.
     """
     r, _, scale, _ = _pullback(s, form_in)
     n = r.shape[-1]
@@ -389,16 +404,12 @@ def max_quadratic_image_norm(
 # -- Schwarzian norms ---------------------------------------------------------
 
 
-def _norms_at(m: MapSpec, points, starts: int, seed: int, max_iter: int):
-    """Pointwise norms at a list of points, solved in one batched call.
-
-    Returns per-point arrays (value, maximizing v, converged, ascent steps,
-    upper end).
-    """
+def _tensors_at(m: MapSpec, points):
+    """Schwarzian tensors S, Bergman metrics g and upper ends at a list of points, batched."""
     tensors = [schwarzian_of(m, z) for z in points]
     g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
     s = np.array([t.Sk for t in tensors])
-    return (*_quad_norms(s, g, g, starts, seed, max_iter), _sym_upper(s, g, g))
+    return s, g, _sym_upper(s, g, g)
 
 
 def schwarzian_norm_at(
@@ -415,7 +426,8 @@ def schwarzian_norm_at(
     ``max_iter`` have no effect; a searched lower bound at n >= 3.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    value, v, converged, iterations, upper = _norms_at(m, [z], starts, seed, max_iter)
+    s, g, upper = _tensors_at(m, [z])
+    value, v, converged, iterations = _quad_norms(s, g, g, starts, seed, max_iter)
     return NormEstimate(
         value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
         converged=bool(converged[0]), iterations=int(iterations[0]), upper=float(upper[0]),
@@ -436,10 +448,15 @@ def schwarzian_norm_sup(
     Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
     deterministic direction samples per shell, followed by ``refine`` rounds
     of 16 points of shrinking local perturbation around the incumbent, the
-    first point in probe order with the largest value.  The grid is solved
-    in one batched call, and so is each refine round.  Pointwise values are
-    exact at n = 2 (``starts`` has no effect there) and searched at n >= 3;
-    ``upper`` is the upper end at the incumbent ``arg_z``.
+    first point in probe order with the largest value.  Each round computes
+    the upper end of every point and solves only those whose upper end,
+    times 1 + ``UPPER_SLACK``, reaches the floor: in a refine round the
+    incumbent's value, in the grid round the value of the first point with the
+    largest upper end, solved on its own first.  The others cannot hold the
+    max, so the result equals solving every point, and ``pruned`` counts
+    them.  Pointwise values are exact at n = 2 (``starts`` has no effect
+    there) and searched at n >= 3; ``upper`` is the upper end at the
+    incumbent ``arg_z``.
     """
     if not 0.0 <= r_max < 1.0:
         raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
@@ -455,12 +472,34 @@ def schwarzian_norm_sup(
         draws = rng.standard_normal((count, 2, n))
         return [d[0] + 1j * d[1] for d in draws]
 
-    def consider(points: list[np.ndarray]):
-        values, vs, converged, iterations, upper = _norms_at(
-            m, points, starts, seed, DEFAULT_MAX_ITER
-        )
+    def consider(points: list[np.ndarray], floor: float | None = None):
+        """Solve the points whose upper end reaches ``floor``; keep the first best one.
+
+        Without a floor, the first point with the largest upper end is solved
+        on its own and its value is the floor.  A pruned point has value
+        <= upper * (1 + UPPER_SLACK) < floor, so it cannot be the round's
+        winner or beat the incumbent.
+        """
+        s, g, upper = _tensors_at(m, points)
+        values = np.full(len(points), -np.inf)
+        vs = np.zeros((len(points), n), dtype=complex)
+        converged = np.ones(len(points), dtype=bool)
+
+        def solve(rows):
+            values[rows], vs[rows], converged[rows], steps = _quad_norms(
+                s[rows], g[rows], g[rows], starts, seed, DEFAULT_MAX_ITER
+            )
+            best.iterations += int(np.sum(steps))
+
+        if floor is None:
+            first = int(np.argmax(upper))
+            solve([first])
+            floor = values[first]
+        rows = np.flatnonzero(np.isneginf(values) & (upper * (1.0 + UPPER_SLACK) >= floor))
+        if rows.size:
+            solve(rows)
         best.points += len(points)
-        best.iterations += int(np.sum(iterations))
+        best.pruned += int(np.sum(np.isneginf(values)))
         i = int(np.argmax(values))
         if values[i] > best.value:
             best.value, best.arg_v, best.arg_z = float(values[i]), vs[i], points[i]
@@ -485,7 +524,7 @@ def schwarzian_norm_sup(
             if norm_z > r_max:
                 z = z * (r_max / norm_z)
             round_points.append(z)
-        consider(round_points)
+        consider(round_points, best.value)
         rho *= 0.4
     best.value = max(best.value, 0.0)
     return best

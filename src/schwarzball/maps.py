@@ -201,24 +201,23 @@ def _affine_forms(m: MoebiusMap, z: np.ndarray) -> np.ndarray:
 # -- jet expansion ------------------------------------------------------------
 
 
+def _affine_jet(const, lin, d: int) -> Jet:
+    """Jet of const + lin h, built as a valid table: no exact zeros, no linear terms at d = 0."""
+    n = len(lin)
+    table = {}
+    if const != 0:
+        table[(0,) * n] = complex(const)
+    if d >= 1:
+        for j in range(n):
+            if lin[j] != 0:
+                table[tuple(1 if k == j else 0 for k in range(n))] = complex(lin[j])
+    return Jet._from_table(n, d, table)
+
+
 def _rational_jet(num_const, num_lin, den_const, den_lin, d: int) -> JetVector:
     """Jet of (num_const + num_lin h) / (den_const + den_lin h) about h = 0."""
-    n = num_lin.shape[1]
-    den_table = {(0,) * n: complex(den_const)}
-    for j in range(n):
-        if den_lin[j] != 0:
-            key = tuple(1 if k == j else 0 for k in range(n))
-            den_table[key] = complex(den_lin[j])
-    inv_den = jet_reciprocal(Jet(n, d, den_table))
-    comps = []
-    for i in range(num_lin.shape[0]):
-        table = {(0,) * n: complex(num_const[i])}
-        for j in range(n):
-            if num_lin[i, j] != 0:
-                key = tuple(1 if k == j else 0 for k in range(n))
-                table[key] = complex(num_lin[i, j])
-        comps.append(Jet(n, d, table) * inv_den)
-    return JetVector(comps)
+    inv_den = jet_reciprocal(_affine_jet(den_const, den_lin, d))
+    return JetVector([_affine_jet(c, lin, d) * inv_den for c, lin in zip(num_const, num_lin)])
 
 
 def _sigma_ratio(a: np.ndarray) -> float:

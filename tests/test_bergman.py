@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schwarzball.bergman import (
+    UPPER_SLACK,
     _ascend,
     _hopf_quadratic,
     _sym_upper,
@@ -24,6 +25,7 @@ from schwarzball.maps import (
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
+    random_moebius,
     random_normalized_polymap,
     unitary_automorphism,
 )
@@ -312,32 +314,45 @@ def _probe_points(n, r_max, shells, angular, refine, seed, value_at):
 
 
 def test_norm_sup_is_the_max_over_its_replayed_probe_points():
-    m = random_normalized_polymap(2, np.random.default_rng(8), scale=0.1)
+    # the points the upper end prunes cannot hold the max, at either route;
+    # for a Moebius map values and upper ends are rounding noise (about
+    # 1e-15), and the relative pruning still keeps the first point of
+    # largest value
     settings = dict(r_max=0.8, shells=3, angular=5, refine=2)
-    est = schwarzian_norm_sup(m, starts=4, seed=11, **settings)
-    points, values = _probe_points(
-        2, seed=11, value_at=lambda z: schwarzian_norm_at(m, z, starts=4, seed=11).value, **settings
-    )
-    assert est.points == len(points) == 1 + 2 * 5 + 2 * 16
-    best = int(np.argmax(values))
-    assert abs(est.value - values[best]) <= 1e-12 * values[best]
-    assert np.max(np.abs(est.arg_z - points[best])) == 0
+    for n in (2, 3):
+        for m, tol in (
+            (random_normalized_polymap(n, np.random.default_rng(8), scale=0.1), 1e-12),
+            (random_moebius(n, np.random.default_rng(19)), 0.0),
+        ):
+            est = schwarzian_norm_sup(m, starts=4, seed=11, **settings)
+            points, values = _probe_points(
+                n, seed=11, value_at=lambda z: schwarzian_norm_at(m, z, starts=4, seed=11).value,
+                **settings,
+            )
+            assert est.points == len(points) == 1 + 2 * 5 + 2 * 16
+            best = int(np.argmax(values))
+            assert abs(est.value - values[best]) <= tol * values[best]
+            assert np.max(np.abs(est.arg_z - points[best])) == 0
 
 
 def test_norm_sup_run_counters():
     # the probe settings of extremal_search's inner norm estimate; exact
-    # pointwise values at n = 2 take no ascent steps
+    # pointwise values at n = 2 take no ascent steps.  Pruning runs at every
+    # n, the exact route included: ``points`` counts every probed point and
+    # ``pruned`` those the upper end excluded (29 of 47 at n = 2 and 36 at
+    # n = 3 for this map); the grid's first point is always solved
     for n in (2, 3):
         m = random_normalized_polymap(n, np.random.default_rng(2), scale=1e-3)
         probe = dict(r_max=0.85, shells=4, angular=10, starts=6, refine=1, seed=5)
         est = schwarzian_norm_sup(m, **probe)
         again = schwarzian_norm_sup(m, **probe)
         assert est.points == 47
+        assert 0 < est.pruned < est.points
         assert est.converged
         assert est.iterations == 0 if n == 2 else est.iterations > 0
         assert est.value <= est.upper
-        assert (again.points, again.iterations, again.value, again.upper) == (
-            est.points, est.iterations, est.value, est.upper
+        assert (again.points, again.pruned, again.iterations, again.value, again.upper) == (
+            est.points, est.pruned, est.iterations, est.value, est.upper
         )
 
 
@@ -402,7 +417,7 @@ def test_exact_route_brackets_the_ascent():
             upper = _sym_upper(s[None], g_in[None], g_out[None])[0]
             assert converged
             assert value >= searched * (1 - 1e-12)
-            assert value <= upper * (1 + 1e-12)
+            assert value <= upper * (1 + UPPER_SLACK)
             # the value is attained at the returned direction
             assert abs(np.real(np.conj(v) @ g_in.T @ v) - 1.0) <= 1e-12
             assert abs(_image_norm(s, g_out, v) - value) <= 1e-12 * value
@@ -437,7 +452,7 @@ def test_norm_at_arg_v_attains_the_value():
             assert abs(q_out - est.value**2) <= 1e-12 * est.value**2
             assert est.converged
             assert est.iterations == 0 if n == 2 else est.iterations > 0
-            assert est.value <= est.upper * (1 + 1e-12)
+            assert est.value <= est.upper * (1 + UPPER_SLACK)
 
 
 def test_upper_end_at_every_n():
@@ -447,7 +462,7 @@ def test_upper_end_at_every_n():
         g = metric_at(random_ball_point(n, rng, 0.7)).g
         upper = _sym_upper(s[None], g[None], g[None])[0]
         searched = _ascend(s[None], g[None], g[None], 16, 0, 500)[0][0]
-        assert searched <= upper * (1 + 1e-12)
+        assert searched <= upper * (1 + UPPER_SLACK)
         # a direction-free form of the same bound: ||T||_F in orthonormal coordinates
         chol = np.linalg.cholesky(g.T)
         m = np.linalg.inv(chol.conj().T)

@@ -10,11 +10,13 @@ from schwarzball.errors import (
     SingularDifferentialError,
     VanishingDenominatorError,
 )
-from schwarzball.jets import jet_det, jet_jacobian, max_coeff_diff
+from schwarzball.jets import Jet, JetVector, jet_det, jet_jacobian, jet_reciprocal, max_coeff_diff
 from schwarzball.maps import (
     CompositionMap,
     MoebiusMap,
     PolyMap,
+    _affine_jet,
+    _rational_jet,
     automorphism_from_center,
     automorphism_validate,
     compose_maps,
@@ -79,6 +81,47 @@ def test_polymap_singular_center_rejected():
     m = PolyMap(2, [{(2, 0): 1.0}, {(0, 1): 1.0}])  # df1 = 2 z1 dz1, singular at 0
     with pytest.raises(SingularDifferentialError):
         map_jet_at(m, [0, 0], 2)
+
+
+def _validated_affine_jet(const, lin, d):
+    """const + lin h through the validating Jet constructor, as an oracle."""
+    n = len(lin)
+    table = {(0,) * n: complex(const)}
+    table.update({tuple(int(k == j) for k in range(n)): complex(lin[j]) for j in range(n)})
+    return Jet(n, d, table)
+
+
+def _validated_rational_jet(num_const, num_lin, den_const, den_lin, d):
+    inv_den = jet_reciprocal(_validated_affine_jet(den_const, den_lin, d))
+    return JetVector(
+        [_validated_affine_jet(c, lin, d) * inv_den for c, lin in zip(num_const, num_lin)]
+    )
+
+
+def test_rational_jet_matches_the_validating_constructor():
+    # the affine tables equal the validated ones (no zeros, no linear terms
+    # at d = 0), and the jets match coefficient for coefficient, in table
+    # order and with the sign of zeros (repr tells 0j from -0j), on a seeded
+    # sweep with zero numerator constants, zero and negative-zero entries,
+    # and d = 0, 1, 3
+    rng = np.random.default_rng(41)
+    for d in (0, 1, 3):
+        for n in (1, 2, 3):
+            for _ in range(6):
+                a = rng.standard_normal((n + 1, n + 1)) + 1j * rng.standard_normal((n + 1, n + 1))
+                a[rng.random((n + 1, n + 1)) < 0.2] = 0.0
+                a[rng.random((n + 1, n + 1)) < 0.2] = complex(0.5, -0.0)
+                a[0, 0] += 3.0
+                a[1 + rng.integers(n), 0] = 0.0  # a zero numerator constant
+                args = (a[1:, 0], a[1:, 1:], a[0, 0], a[0, 1:], d)
+                for const, lin in zip(a[:, 0], a[:, 1:]):
+                    want = _validated_affine_jet(const, lin, d).coeffs
+                    assert list(_affine_jet(const, lin, d).coeffs.items()) == list(want.items())
+                got, want = _rational_jet(*args), _validated_rational_jet(*args)
+                assert [repr(list(j.coeffs.items())) for j in got.jets] == [
+                    repr(list(j.coeffs.items())) for j in want.jets
+                ]
+                assert all(j.d == d and j.n == n for j in got.jets)
 
 
 def test_moebius_denominator_guard():
