@@ -24,23 +24,19 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .errors import MapSpecError, SchwarzballError
-from .bergman import (
-    bergman_norm,
-    invariance_residual,
-    schwarzian_norm_at,
-    schwarzian_norm_sup,
-)
+from .bergman import schwarzian_norm_at, schwarzian_norm_sup
 from .family import (
     NormalizedJet,
     grad_jacobian,
-    koebe_map,
     koebe_transform,
     norm_order_functional,
+    normalization_residual,
     normalize_map,
     trace_order_functional,
 )
+from .jets import MAX_VARS
 from .maps import (
     CompositionMap,
     MapSpec,
@@ -48,24 +44,15 @@ from .maps import (
     PolyMap,
     automorphism_from_center,
     automorphism_validate,
-    compose_maps,
     identity_map,
     map_dim,
-    map_eval,
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
     random_normalized_polymap,
 )
-from .schwarzian import (
-    MIN_JET_DEGREE,
-    canonical_residual,
-    chain_rule_transform,
-    pde_residual,
-    schwarzian_at,
-    schwarzian_of,
-)
+from .schwarzian import MIN_JET_DEGREE, canonical_residual, pde_residual, schwarzian_at
 from .variational import (
     bounds_report,
     decoupled_residuals,
@@ -266,72 +253,50 @@ def load_map_file(path: str) -> MapSpec:
 
 def suite_moebius(n: int = 2, seed: int = 0, maps: int = 200, points: int = 20) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst_sk = 0.0
-    worst_s0 = 0.0
-    for _ in range(maps):
-        m = random_moebius(n, rng)
-        for _ in range(points):
-            t = schwarzian_of(m, random_ball_point(n, rng, 0.9))
-            worst_sk = max(worst_sk, float(np.max(np.abs(t.Sk))))
-            worst_s0 = max(worst_s0, float(np.max(np.abs(t.S0))))
+
+    def cases():
+        for _ in range(maps):
+            m = random_moebius(n, rng)
+            for _ in range(points):
+                yield m, random_ball_point(n, rng, 0.9)
+
+    w = checks.worst(checks.moebius_vanishing, cases())
     return [
-        residual_check("moebius_max_abs_Sk", worst_sk, 1e-8),
-        residual_check("moebius_max_abs_S0", worst_s0, 1e-8),
+        residual_check("moebius_max_abs_Sk", w["Sk"], 1e-8),
+        residual_check("moebius_max_abs_S0", w["S0"], 1e-8),
     ]
 
 
 def suite_chainrule(n: int = 2, seed: int = 0, pairs: int = 50) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst_sk = 0.0
-    worst_s0 = 0.0
-    worst_moebius_post = 0.0
-    for _ in range(pairs):
-        f = random_normalized_polymap(n, rng, scale=0.08)
-        g = random_normalized_polymap(n, rng, scale=0.08)
-        z = random_ball_point(n, rng, 0.3)
-        jf = map_jet_at(f, z, 3)
-        w = jf.constants()
-        jg = map_jet_at(g, w, 3)
-        transformed = chain_rule_transform(
-            schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg
-        )
-        direct = schwarzian_at(compose_maps(g, f, z, 3), z=z)
-        worst_sk = max(worst_sk, float(np.max(np.abs(transformed.Sk - direct.Sk))))
-        worst_s0 = max(worst_s0, float(np.max(np.abs(transformed.S0 - direct.S0))))
-        # Moebius postcomposition leaves the tensor unchanged
-        mo = random_moebius(n, rng)
-        t_f = schwarzian_at(jf, z=z)
-        t_mf = schwarzian_at(compose_maps(mo, f, z, 3), z=z)
-        worst_moebius_post = max(
-            worst_moebius_post,
-            float(np.max(np.abs(t_f.Sk - t_mf.Sk))),
-            float(np.max(np.abs(t_f.S0 - t_mf.S0))),
-        )
+    # f, g, z, then the Moebius postcomposition
+    cases = [
+        (random_normalized_polymap(n, rng, scale=0.08), random_normalized_polymap(n, rng, scale=0.08),
+         random_ball_point(n, rng, 0.3), random_moebius(n, rng))
+        for _ in range(pairs)
+    ]
+    w = checks.worst(checks.chain_rule, cases)
     return [
-        residual_check("chainrule_max_Sk_gap", worst_sk, 1e-9),
-        residual_check("chainrule_max_S0_gap", worst_s0, 1e-9),
-        residual_check("moebius_postcomposition_invariance", worst_moebius_post, 1e-9),
+        residual_check("chainrule_max_Sk_gap", w["Sk"], 1e-9),
+        residual_check("chainrule_max_S0_gap", w["S0"], 1e-9),
+        residual_check("moebius_postcomposition_invariance", w["moebius_post"], 1e-9),
     ]
 
 
 def suite_invariance(n: int = 2, seed: int = 0, triples: int = 50) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_iso = 0.0
-    for _ in range(triples):
-        f = random_normalized_polymap(n, rng, scale=0.1)
-        sigma = automorphism_from_center(random_ball_point(n, rng, 0.5))
-        z = random_ball_point(n, rng, 0.5)
-        worst = max(worst, invariance_residual(f, sigma, z, seed=seed))
-        # isometry of the metric under the same automorphism
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        dsig = map_jet_at(sigma, z, 1).linear_matrix()
-        lhs = bergman_norm(map_eval(sigma, z), dsig @ v)
-        rhs = bergman_norm(z, v)
-        worst_iso = max(worst_iso, abs(lhs - rhs) / max(rhs, 1e-30))
+    # f, the automorphism's center, z, then the direction v
+    cases = [
+        (random_normalized_polymap(n, rng, scale=0.1),
+         automorphism_from_center(random_ball_point(n, rng, 0.5)),
+         random_ball_point(n, rng, 0.5),
+         rng.standard_normal(n) + 1j * rng.standard_normal(n), seed)
+        for _ in range(triples)
+    ]
+    w = checks.worst(checks.invariance, cases)
     return [
-        residual_check("norm_invariance_max_residual", worst, 1e-6),
-        residual_check("metric_isometry_max_rel_residual", worst_iso, 1e-9),
+        residual_check("norm_invariance_max_residual", w["norm"], 1e-6),
+        residual_check("metric_isometry_max_rel_residual", w["isometry"], 1e-9),
     ]
 
 
@@ -348,145 +313,78 @@ def _named_test_maps(n: int) -> list[MapSpec]:
 
 def suite_pde(n: int = 2, seed: int = 0, random_maps: int = 20) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst_canon = 0.0
-    worst_pde = 0.0
-    worst_sym = 0.0
     cases: list[tuple[MapSpec, np.ndarray]] = []
     for m in _named_test_maps(n):
         cases.append((m, np.zeros(n, dtype=complex)))
         cases.append((m, random_ball_point(n, rng, 0.4)))
     for _ in range(random_maps):
         cases.append((random_normalized_polymap(n, rng, scale=0.1), random_ball_point(n, rng, 0.4)))
-    for m, z in cases:
-        jv = map_jet_at(m, z, 3)
-        t = schwarzian_at(jv, z=z)
-        worst_canon = max(worst_canon, canonical_residual(t))
-        worst_pde = max(worst_pde, pde_residual(jv, z=z))
-        worst_sym = max(
-            worst_sym,
-            float(np.max(np.abs(t.Sk - np.swapaxes(t.Sk, 1, 2)))),
-            float(np.max(np.abs(t.S0 - t.S0.T))),
-        )
+    w = checks.worst(checks.canonical_and_pde, cases)
     return [
-        residual_check("canonical_form_max_residual", worst_canon, 1e-10),
-        residual_check("pde_solution_max_residual", worst_pde, 1e-12),
-        residual_check("tensor_symmetry_max_residual", worst_sym, 1e-10),
+        residual_check("canonical_form_max_residual", w["canonical"], 1e-10),
+        residual_check("pde_solution_max_residual", w["pde"], 1e-12),
+        residual_check("tensor_symmetry_max_residual", w["symmetry"], 1e-10),
     ]
 
 
 def suite_lemma31(n: int = 2, seed: int = 0, samples: int = 20) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        worst = max(worst, lemma31_check(random_normalized_polymap(n, rng, scale=0.1)))
+    worst = max(lemma31_check(random_normalized_polymap(n, rng, scale=0.1)) for _ in range(samples))
     return [residual_check("gradient_expansion_matrix_max_gap", worst, 1e-9)]
 
 
 def suite_variation(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
-    # symmetry of A on random samples
-    worst_sym = 0.0
-    for _ in range(10):
-        rep = matrix_A(random_normalized_polymap(n, rng, scale=0.1))
-        worst_sym = max(worst_sym, float(np.max(np.abs(rep.A - rep.A.T))))
-    results.append(residual_check("A_symmetry_max_residual", worst_sym, 1e-10))
+    sym = checks.worst(
+        checks.first_variation,
+        [(random_normalized_polymap(n, rng, scale=0.1),) for _ in range(10)],
+    )
     # second-order remainder scaling
-    worst_ratio = 0.0
-    probes: list[MapSpec] = [moebius_pole_at_e1(n)]
-    probes.append(_named_test_maps(n)[3])
-    probes.append(random_normalized_polymap(n, rng, scale=0.1))
-    for m in probes:
-        rep = variation_expansion_check(m, seed=seed)
-        worst_ratio = max(worst_ratio, rep.max_ratio)
-    results.append(residual_check("expansion_remainder_max_ratio", worst_ratio, 4.0))
-    # extremal closure at alpha = 0 for Moebius normalizations, rotated included
-    worst_ext = 0.0
+    probes = [moebius_pole_at_e1(n), _named_test_maps(n)[3], random_normalized_polymap(n, rng, scale=0.1)]
+    ratio = max(variation_expansion_check(m, seed=seed).max_ratio for m in probes)
+    # extremal closure at alpha = 0 for z / (1 - <z, c>), c = exp(i phase) e_1
+    poles = []
     for phase in (0.0, 0.4, 1.1, -0.7):
-        c = np.zeros(n, dtype=complex)
-        c[0] = np.exp(1j * phase)
-        a = np.zeros((n + 1, n + 1), dtype=complex)
-        a[0, 0] = 1.0
-        a[0, 1:] = -np.conj(c)
-        a[1:, 1:] = np.eye(n)
-        worst_ext = max(worst_ext, matrix_A(MoebiusMap(a)).extremal_residual)
-    results.append(residual_check("moebius_extremal_closure_residual", worst_ext, 1e-9))
+        a = np.eye(n + 1, dtype=complex)
+        a[0, 1] = -np.conj(np.exp(1j * phase))
+        poles.append((MoebiusMap(a),))
+    closure = checks.worst(checks.first_variation, poles)
     # exact attainment of the alpha = 0 bound
-    g0 = koebe_transform(moebius_pole_at_e1(n), np.zeros(n), d=3)
-    gap = abs(trace_order_functional(g0) - bounds_report(n, 0.0).ord_bound)
-    results.append(residual_check("alpha0_order_attainment_gap", gap, 1e-12))
+    attained = checks.alpha0_attainment(moebius_pole_at_e1(n))
     dec = decoupled_residuals(moebius_pole_at_e1(n))
-    results.append(residual_check("alpha0_decoupled_quadratic_residual", dec.quadratic_residual, 1e-9))
-    # bound grid sanity
-    grid_ok = True
-    mono_ok = True
-    for nn in range(2, 11):
-        prev_ord = -1.0
-        prev_norm = -1.0
-        for k in range(0, 41):
-            alpha = 0.1 * k
-            br = bounds_report(nn, alpha)
-            if br.C_exact > br.C_simple + 1e-12:
-                grid_ok = False
-            if br.ord_bound < prev_ord - 1e-12 or br.norm_ord_bound < prev_norm - 1e-12:
-                mono_ok = False
-            prev_ord, prev_norm = br.ord_bound, br.norm_ord_bound
-    results.append(check("bounds_C_exact_le_C_simple_grid", grid_ok, None, grid_ok))
-    results.append(check("bounds_monotone_in_alpha", mono_ok, None, mono_ok))
-    return results
+    grid = checks.bounds_grid(range(2, 11), [0.1 * k for k in range(41)])
+    grid_ok = grid["C_excess"] <= 1e-12
+    mono_ok = grid["fall"] <= 1e-12
+    return [
+        residual_check("A_symmetry_max_residual", sym["symmetry"], 1e-10),
+        residual_check("expansion_remainder_max_ratio", ratio, 4.0),
+        residual_check("moebius_extremal_closure_residual", closure["extremal"], 1e-9),
+        residual_check("alpha0_order_attainment_gap", attained["gap"], 1e-12),
+        residual_check("alpha0_decoupled_quadratic_residual", dec.quadratic_residual, 1e-9),
+        check("bounds_C_exact_le_C_simple_grid", grid_ok, None, grid_ok),
+        check("bounds_monotone_in_alpha", mono_ok, None, mono_ok),
+    ]
 
 
 def suite_family(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    results = []
-    worst_norm = 0.0
-    worst_trace = 0.0
-    ratio_obs = 0.0
-    samples: list[MapSpec] = [
-        moebius_pole_at_e1(n),
-        _named_test_maps(n)[2],
-        random_normalized_polymap(n, rng, scale=0.1),
-    ]
-    for m in samples:
-        zeta = random_ball_point(n, rng, 0.4)
-        g = koebe_transform(m, zeta, d=3)
-        worst_norm = max(
-            worst_norm,
-            float(np.max(np.abs(g.jets.constants()))),
-            float(np.max(np.abs(g.jets.linear_matrix() - np.eye(n)))),
-        )
-        trace = trace_order_functional(g)
-        grad = grad_jacobian(g)
-        worst_trace = max(worst_trace, abs(2.0 * trace - float(np.linalg.norm(grad))))
-        norm_ord = norm_order_functional(g, seed=seed)
-        if norm_ord > 1e-12:
-            ratio_obs = max(ratio_obs, trace / (n * norm_ord))
-    results.append(residual_check("koebe_normalization_max_residual", worst_norm, 1e-12))
-    results.append(residual_check("trace_order_gradient_gap", worst_trace, 1e-10))
-    worst_id = 0.0
-    for scale in (1e-1, 1e-2):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        zeta = scale * u
-        g = koebe_transform(identity_map(n), zeta, d=2)
-        worst_id = max(
-            worst_id,
-            float(np.max(np.abs(grad_jacobian(g) + (n + 1) * np.conj(zeta)))),
-        )
-    results.append(residual_check("identity_koebe_gradient_gap", worst_id, 1e-12))
+    samples = [moebius_pole_at_e1(n), _named_test_maps(n)[2], random_normalized_polymap(n, rng, scale=0.1)]
+    w = checks.worst(checks.koebe, [(m, random_ball_point(n, rng, 0.4), seed) for m in samples])
+    us = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2)]
+    # u is normalized first: scale * u / |u| rounds differently
+    zetas = [(scale * (u / np.linalg.norm(u)),) for scale, u in zip((1e-1, 1e-2), us)]
+    ident = checks.worst(checks.identity_koebe, zetas)
     # linear invariance: transform of a shear/Moebius does not raise the norm estimate
-    worst_gap = 0.0
-    for m in (moebius_pole_at_e1(n), _named_test_maps(n)[2]):
-        zeta = random_ball_point(n, rng, 0.3)
-        est_f = schwarzian_norm_sup(m, r_max=0.7, shells=4, angular=10, starts=8, seed=seed)
-        est_g = schwarzian_norm_sup(
-            koebe_map(m, zeta), r_max=0.7, shells=4, angular=10, starts=8, seed=seed
-        )
-        worst_gap = max(worst_gap, est_g.value - est_f.value)
-    results.append(residual_check("linear_invariance_norm_excess", max(worst_gap, 0.0), 1e-6))
-    # observed only, never asserted
-    results.append(check("trace_le_n_times_norm_order_observed_ratio", ratio_obs, None, True))
-    return results
+    cases = [(m, random_ball_point(n, rng, 0.3), seed) for m in samples[:2]]
+    excess = checks.worst(checks.linear_invariance, cases)
+    return [
+        residual_check("koebe_normalization_max_residual", w["normalization"], 1e-12),
+        residual_check("trace_order_gradient_gap", w["trace_gradient"], 1e-10),
+        residual_check("identity_koebe_gradient_gap", ident["gradient"], 1e-12),
+        residual_check("linear_invariance_norm_excess", excess["norm_excess"], 1e-6),
+        # observed only, never asserted
+        check("trace_le_n_times_norm_order_observed_ratio", w["trace_ratio"], None, True),
+    ]
 
 
 SUITE_RUNNERS = {
@@ -518,8 +416,10 @@ def _parse_range(text: str, kind) -> tuple:
         lo, hi = kind(parts[0]), kind(parts[-1])
     except ValueError as exc:
         raise MapSpecError(f"bad range {text!r}: {exc}") from exc
-    if len(parts) > 2 or lo > hi:
-        raise MapSpecError(f"bad range {text!r}, expected LO:HI with LO <= HI or a single value")
+    if len(parts) > 2 or not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+        raise MapSpecError(
+            f"bad range {text!r}, expected finite LO:HI with LO <= HI or a single value"
+        )
     return (lo, hi)
 
 
@@ -531,8 +431,6 @@ def cmd_bounds(args) -> int:
         raise MapSpecError("bounds require n >= 2")
     if a_lo < 0:
         raise MapSpecError("bounds require alpha >= 0")
-    if args.step <= 0:
-        raise MapSpecError("step must be positive")
     rows = []
     for n in range(n_lo, n_hi + 1):
         count = int(round((a_hi - a_lo) / args.step)) if a_hi > a_lo else 0
@@ -577,7 +475,7 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     if len(vals) != n:
         raise MapSpecError(f"point {text!r} has {len(vals)} entries, expected {n}")
     point = np.array(vals, dtype=complex)
-    if float(np.sum(np.abs(point) ** 2)) >= 1.0:
+    if not float(np.sum(np.abs(point) ** 2)) < 1.0:
         raise MapSpecError(f"point {text!r} is not inside the unit ball")
     return point
 
@@ -620,14 +518,7 @@ def cmd_analyze(args) -> int:
             g = koebe_transform(m, zeta, d=2)
             results.append(check("koebe_grad_jf", grad_jacobian(g), None, True))
             results.append(
-                residual_check(
-                    "koebe_normalization_residual",
-                    max(
-                        float(np.max(np.abs(g.jets.constants()))),
-                        float(np.max(np.abs(g.jets.linear_matrix() - np.eye(n)))),
-                    ),
-                    1e-12,
-                )
+                residual_check("koebe_normalization_residual", normalization_residual(g.jets), 1e-12)
             )
         elif op == "extremal":
             rep = matrix_A(m)
@@ -661,6 +552,7 @@ def cmd_search(args) -> int:
         check("search_bound_margin", res.bound_margin, None, res.bound_margin >= -1e-9),
         check("search_params", res.params, None, True),
         check("search_evaluations", res.evaluations, None, True),
+        check("search_failed_evaluations", res.failed_evaluations, None, True),
         check("search_converged", res.converged, None, True),
     ]
     return _finish(
@@ -671,6 +563,25 @@ def cmd_search(args) -> int:
 
 
 # -- entry point ---------------------------------------------------------------
+
+
+def _checked(kind, test, expected: str):
+    """argparse type: ``kind(text)`` if ``test`` holds for it (NaN fails), else a usage error."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {expected}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_DIMENSION = _checked(int, lambda n: 2 <= n <= MAX_VARS, f"a dimension in 2..{MAX_VARS}")
+_ALPHA = _checked(float, lambda a: 0.0 <= a < np.inf, "a finite alpha >= 0")
+_RADIUS = _checked(float, lambda r: 0.0 <= r < 1.0, "a radius in [0, 1)")
+_STEP = _checked(float, lambda h: 0.0 < h < np.inf, "a finite step > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -684,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named property suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--n", type=int, default=2)
+    p_verify.add_argument("--n", type=_DIMENSION, default=2)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--format", choices=["json"], default="json")
@@ -697,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="tabulate order bounds on an (n, alpha) grid")
     p_bounds.add_argument("--n", default="2", help="single value or LO:HI range")
     p_bounds.add_argument("--alpha", default="0", help="single value or LO:HI range")
-    p_bounds.add_argument("--step", type=float, default=0.1)
+    p_bounds.add_argument("--step", type=_STEP, default=0.1)
     p_bounds.add_argument("--seed", type=int, default=0)
     p_bounds.add_argument("--format", choices=["csv", "json"], default="csv")
     p_bounds.add_argument("--out", default=None)
@@ -707,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("map_file")
     p_analyze.add_argument("--ops", default="schwarzian", help=f"comma list from {ANALYZE_OPS}")
     p_analyze.add_argument("--zeta", default=None, help="comma-separated complex point")
-    p_analyze.add_argument("--r-max", type=float, default=None)
+    p_analyze.add_argument("--r-max", type=_RADIUS, default=None)
     p_analyze.add_argument("--seed", type=int, default=0)
     p_analyze.add_argument("--out", default=None)
     p_analyze.add_argument("--format", choices=["json"], default="json")
@@ -715,10 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="penalized extremal search over a subfamily")
     p_search.add_argument("--family", choices=["moebius", "cubic"], default="moebius")
-    p_search.add_argument("--n", type=int, default=2)
-    p_search.add_argument("--alpha", type=float, default=0.0)
+    p_search.add_argument("--n", type=_DIMENSION, default=2)
+    p_search.add_argument("--alpha", type=_ALPHA, default=0.0)
     p_search.add_argument("--budget", type=int, default=240)
-    p_search.add_argument("--r-max", type=float, default=None)
+    p_search.add_argument("--r-max", type=_RADIUS, default=None)
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=cmd_search)

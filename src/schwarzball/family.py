@@ -35,6 +35,12 @@ NORMALIZATION_TOL = 1e-12
 MEMBERSHIP_EPS = 1e-6
 
 
+def normalization_residual(jets: JetVector) -> float:
+    """max(|G(0)|, |DG(0) - Id|) in the max norm; NaN if an entry is NaN."""
+    gap = np.column_stack([jets.constants(), jets.linear_matrix() - np.eye(jets.n)])
+    return float(np.max(np.abs(gap)))
+
+
 @dataclass(frozen=True)
 class NormalizedJet:
     """Jet at the origin of a map with G(0) = 0 and DG(0) = Id."""
@@ -47,11 +53,10 @@ class NormalizedJet:
             raise DimensionError("normalized jet must be square (n components in n variables)")
         if jv.d < 2:
             raise DimensionError("normalized jet needs degree >= 2")
-        const = np.max(np.abs(jv.constants()))
-        lin = np.max(np.abs(jv.linear_matrix() - np.eye(jv.n)))
-        if const > NORMALIZATION_TOL or lin > NORMALIZATION_TOL:
+        residual = normalization_residual(jv)
+        if not residual <= NORMALIZATION_TOL:
             raise NormalizationError(
-                f"jet not normalized: |G(0)| = {const:.3e}, |DG(0) - Id| = {lin:.3e}"
+                f"jet not normalized: max(|G(0)|, |DG(0) - Id|) = {residual:.3e}"
             )
 
     @property
@@ -159,12 +164,10 @@ def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
     n = map_dim(m)
     origin = np.zeros(n, dtype=complex)
     jv = map_jet_at(m, origin, 1)
-    w0 = jv.constants()
-    d0 = jv.linear_matrix()
-    if np.max(np.abs(w0)) <= NORMALIZATION_TOL and np.max(np.abs(d0 - np.eye(n))) <= NORMALIZATION_TOL:
+    if normalization_residual(jv) <= NORMALIZATION_TOL:
         return m, True
-    mat = np.linalg.inv(d0)
-    return CompositionMap((affine_map(mat, -mat @ w0), m)), False
+    mat = np.linalg.inv(jv.linear_matrix())
+    return CompositionMap((affine_map(mat, -mat @ jv.constants()), m)), False
 
 
 def membership_check(

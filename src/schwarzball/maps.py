@@ -24,6 +24,7 @@ its scalar multiples are one map.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -60,6 +61,8 @@ class PolyMap:
                 if len(key) != n or any(e < 0 for e in key):
                     raise DimensionError(f"bad exponent tuple {key} for n={n}")
                 val = complex(val)
+                if not cmath.isfinite(val):
+                    raise MapSpecError(f"non-finite coefficient {val} at {key}")
                 if val != 0:
                     table[key] = table.get(key, 0j) + val
             comps.append(table)

@@ -229,8 +229,8 @@ def bounds_report(n: int, alpha: float) -> BoundReport:
     """Evaluate the closed-form order bounds at (n, alpha)."""
     if n < 2:
         raise DimensionError("bounds need n >= 2")
-    if alpha < 0:
-        raise DimensionError("alpha must be non-negative")
+    if not 0.0 <= alpha < np.inf:
+        raise DimensionError("alpha must be finite and non-negative")
     ce = c_exact(n, alpha)
     cs = c_simple(n, alpha)
     root = np.sqrt(1.0 + 0.25 * (n + 1) * alpha**2 + ce)
@@ -269,6 +269,7 @@ class SearchResult:
     ord_bound: float
     bound_margin: float
     evaluations: int
+    failed_evaluations: int  # objective calls whose map raised a SchwarzballError
     converged: bool
     alpha: float
     n: int
@@ -333,12 +334,13 @@ def extremal_search(
     search budget for the norm estimate during iteration; the incumbent is
     re-estimated with the same settings for the report.  Deterministic for a
     fixed seed; restarts are merged by best value then lexicographic
-    parameters.
+    parameters.  Parameters whose map raises a package error score 1e6 and
+    are counted in ``failed_evaluations``.
     """
     if config.dim <= 0 or config.x0.size == 0:
         raise InfeasibleSearchError("subfamily parameterization is empty")
-    if alpha < 0:
-        raise DimensionError("alpha must be non-negative")
+    if not 0.0 <= alpha < np.inf:
+        raise DimensionError("alpha must be finite and non-negative")
     origin = np.zeros(config.n, dtype=complex)
     try:
         NormalizedJet(map_jet_at(config.build(np.asarray(config.x0, dtype=float)), origin, 2))
@@ -346,6 +348,7 @@ def extremal_search(
         raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}") from exc
 
     evaluations = 0
+    failed_evaluations = 0
 
     def norm_est(mp: MapSpec) -> NormEstimate:
         return schwarzian_norm_sup(
@@ -354,12 +357,13 @@ def extremal_search(
         )
 
     def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, failed_evaluations
         evaluations += 1
         try:
             mp = config.build(x)
             g = NormalizedJet(map_jet_at(mp, origin, 2))
         except SchwarzballError:
+            failed_evaluations += 1
             return 1e6
         order2 = float(np.linalg.norm(grad_jacobian(g)))
         est = norm_est(mp).value
@@ -394,6 +398,7 @@ def extremal_search(
         ord_bound=bounds.ord_bound,
         bound_margin=float(bounds.ord_bound - achieved),
         evaluations=evaluations,
+        failed_evaluations=failed_evaluations,
         converged=success,
         alpha=float(alpha),
         n=config.n,

@@ -9,7 +9,8 @@ import time
 
 import numpy as np
 
-from schwarzball.bergman import invariance_residual, schwarzian_norm_sup
+from schwarzball import checks
+from schwarzball.bergman import schwarzian_norm_sup
 from schwarzball.cli import main
 from schwarzball.family import koebe_transform, trace_order_functional
 from schwarzball.jets import jet_det, jet_jacobian
@@ -23,7 +24,6 @@ from schwarzball.maps import (
     random_moebius,
     random_normalized_polymap,
 )
-from schwarzball.schwarzian import canonical_residual, pde_residual, schwarzian_at, schwarzian_of
 from schwarzball.variational import (
     bounds_report,
     matrix_A,
@@ -52,8 +52,7 @@ def test_criterion_01_moebius_vanishing():
         for _ in range(100):
             m = random_moebius(n, rng)
             for _ in range(20):
-                t = schwarzian_of(m, random_ball_point(n, rng, 0.9))
-                worst = max(worst, t.max_abs())
+                worst = max(worst, *checks.moebius_vanishing(m, random_ball_point(n, rng, 0.9)).values())
     elapsed = time.time() - started
     report(
         1, "moebius-vanishing",
@@ -63,42 +62,29 @@ def test_criterion_01_moebius_vanishing():
 
 
 def test_criterion_02_chain_rule():
-    from schwarzball.maps import compose_maps
-    from schwarzball.schwarzian import chain_rule_transform
-
     rng = np.random.default_rng(202)
-    worst = 0.0
-    for _ in range(50):
-        f = random_normalized_polymap(2, rng, scale=0.08)
-        g = random_normalized_polymap(2, rng, scale=0.08)
-        z = random_ball_point(2, rng, 0.3)
-        jf = map_jet_at(f, z, 3)
-        w = jf.constants()
-        jg = map_jet_at(g, w, 3)
-        transformed = chain_rule_transform(
-            schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg
-        )
-        direct = schwarzian_at(compose_maps(g, f, z, 3), z=z)
-        worst = max(worst, float(np.max(np.abs(transformed.Sk - direct.Sk))))
-        worst = max(worst, float(np.max(np.abs(transformed.S0 - direct.S0))))
+    cases = [
+        (random_normalized_polymap(2, rng, scale=0.08), random_normalized_polymap(2, rng, scale=0.08),
+         random_ball_point(2, rng, 0.3))
+        for _ in range(50)
+    ]
+    worst = max(checks.worst(checks.chain_rule, cases).values())
     report(2, "chain-rule", worst <= 1e-9, f"max gap = {worst:.3e} (tol 1e-9)")
 
 
 def test_criterion_03_norm_invariance():
     rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(50):
-        f = random_normalized_polymap(2, rng, scale=0.1)
-        sigma = automorphism_from_center(random_ball_point(2, rng, 0.5))
-        z = random_ball_point(2, rng, 0.5)
-        worst = max(worst, invariance_residual(f, sigma, z))
+    cases = [
+        (random_normalized_polymap(2, rng, scale=0.1),
+         automorphism_from_center(random_ball_point(2, rng, 0.5)), random_ball_point(2, rng, 0.5))
+        for _ in range(50)
+    ]
+    worst = checks.worst(checks.invariance, cases)["norm"]
     report(3, "norm-invariance", worst <= 1e-6, f"max residual = {worst:.3e} (tol 1e-6)")
 
 
 def test_criterion_04_canonical_and_pde():
     rng = np.random.default_rng(404)
-    worst_canon = 0.0
-    worst_pde = 0.0
     cases = []
     for n in (2, 3):
         cases.append((identity_map(n), np.zeros(n, dtype=complex)))
@@ -109,10 +95,8 @@ def test_criterion_04_canonical_and_pde():
             cases.append(
                 (random_normalized_polymap(n, rng, scale=0.1), random_ball_point(n, rng, 0.4))
             )
-    for m, z in cases:
-        jv = map_jet_at(m, z, 3)
-        worst_canon = max(worst_canon, canonical_residual(schwarzian_at(jv, z=z)))
-        worst_pde = max(worst_pde, pde_residual(jv, z=z))
+    worst = checks.worst(checks.canonical_and_pde, cases)
+    worst_canon, worst_pde = worst["canonical"], worst["pde"]
     report(
         4, "canonical-form-and-pde-solution",
         worst_canon <= 1e-10 and worst_pde <= 1e-12,
@@ -204,12 +188,7 @@ def test_criterion_09_bound_formulas():
         and abs(br.ord_bound - ORD_BOUND_2_1) <= 1e-6
         and abs(br.norm_ord_bound - NORM_ORD_BOUND_2_1) <= 1e-6
     )
-    grid_ok = True
-    for n in range(2, 11):
-        for k in range(1, 41):
-            b = bounds_report(n, 0.1 * k)
-            if b.C_exact > b.C_simple:
-                grid_ok = False
+    grid_ok = checks.bounds_grid(range(2, 11), [0.1 * k for k in range(1, 41)])["C_excess"] <= 0
     report(
         9, "bound-formulas", ok and grid_ok,
         f"C_exact = {br.C_exact!r}, ord = {br.ord_bound!r}, norm_ord = {br.norm_ord_bound!r}, "

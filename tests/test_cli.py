@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from schwarzball.cli import main, map_from_payload, map_to_payload
+from schwarzball.cli import SUITES, main, map_from_payload, map_to_payload
 from schwarzball.errors import MapSpecError
 from schwarzball.maps import (
     CompositionMap,
@@ -60,6 +60,35 @@ def test_verify_seed_changes_are_visible(tmp_path):
     assert rep1["seed"] != rep2["seed"]
 
 
+# -- suites ------------------------------------------------------------------------
+
+SUITE_CHECKS = {
+    "moebius": ["moebius_max_abs_Sk", "moebius_max_abs_S0"],
+    "chainrule": ["chainrule_max_Sk_gap", "chainrule_max_S0_gap", "moebius_postcomposition_invariance"],
+    "invariance": ["norm_invariance_max_residual", "metric_isometry_max_rel_residual"],
+    "pde": ["canonical_form_max_residual", "pde_solution_max_residual", "tensor_symmetry_max_residual"],
+    "lemma31": ["gradient_expansion_matrix_max_gap"],
+    "variation": [
+        "A_symmetry_max_residual", "expansion_remainder_max_ratio",
+        "moebius_extremal_closure_residual", "alpha0_order_attainment_gap",
+        "alpha0_decoupled_quadratic_residual", "bounds_C_exact_le_C_simple_grid",
+        "bounds_monotone_in_alpha",
+    ],
+    "family": [
+        "koebe_normalization_max_residual", "trace_order_gradient_gap",
+        "identity_koebe_gradient_gap", "linear_invariance_norm_excess",
+        "trace_le_n_times_norm_order_observed_ratio",
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_passes_with_its_checks(tmp_path, suite):
+    code, rep = run_json(tmp_path, ["verify", suite, "--n", "2", "--seed", "0"])
+    assert code == 0 and rep["passed"] is True
+    assert [r["name"] for r in rep["results"]] == SUITE_CHECKS[suite]
+
+
 # -- exit codes --------------------------------------------------------------------
 
 
@@ -76,10 +105,24 @@ def test_exit_code_injected_failure(tmp_path):
     assert any(r["name"] == "injected_failure" for r in rep["results"])
 
 
-def test_exit_code_usage_error():
+def test_exit_code_usage_error(tmp_path):
     assert main(["verify", "bogus"]) == 2
     assert main(["nonsense"]) == 2
     assert main([]) == 2
+    # out-of-range and non-finite options are rejected while parsing, before any work
+    path = tmp_path / "moebius.json"
+    path.write_text(json.dumps(MOEBIUS_FILE))
+    argvs = [
+        ["bounds", "--alpha", "0:1", "--step", "nan"], ["bounds", "--alpha", "0:1", "--step", "inf"],
+        ["bounds", "--alpha", "0:inf"], ["bounds", "--alpha", "nan"],
+        ["search", "--alpha", "-1"], ["search", "--alpha", "nan"], ["search", "--alpha", "inf"],
+    ]
+    for r_max in ("1.5", "nan", "-0.1"):
+        argvs += [["search", "--r-max", r_max], ["analyze", str(path), "--ops", "norm", "--r-max", r_max]]
+    for n in ("1", "9"):
+        argvs += [["verify", "pde", "--n", n], ["search", "--n", n]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
 
 
 def test_exit_code_math_error(tmp_path):
@@ -113,8 +156,14 @@ def test_exit_code_parse_error(tmp_path):
         assert main(["analyze", str(path3)]) == 2
     shear_path = tmp_path / "shear.json"
     shear_path.write_text(json.dumps(SHEAR_FILE))
-    for zeta in ("2,0", "0.8,0.7"):  # outside the ball: rejected before any op runs
+    for zeta in ("2,0", "0.8,0.7", "nan,0"):  # outside the ball: rejected before any op runs
         assert main(["analyze", str(shear_path), "--zeta", zeta, "--ops", "schwarzian,norm"]) == 2
+    nan_constant = [{"exps": [0, 0], "re": float("nan"), "im": 0.0}]
+    nan_path = tmp_path / "nan.json"
+    nan_path.write_text(json.dumps(dict(SHEAR_FILE, components=[
+        SHEAR_FILE["components"][0] + nan_constant, SHEAR_FILE["components"][1]])))
+    for ops in ("schwarzian,norm", "order,koebe"):
+        assert main(["analyze", str(nan_path), "--ops", ops]) == 2
 
 
 # -- map-spec round trips ------------------------------------------------------------
@@ -300,3 +349,4 @@ def test_search_cli_moebius(tmp_path):
     by_name = {r["name"]: r["value"] for r in rep["results"]}
     assert by_name["search_achieved_order"] >= 1.4
     assert by_name["search_achieved_order"] <= by_name["search_ord_bound"]
+    assert by_name["search_failed_evaluations"] == 0

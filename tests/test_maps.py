@@ -255,6 +255,12 @@ def test_moebius_singular_grid_rejected():
         MoebiusMap(np.full((3, 3), np.nan))
 
 
+def test_polymap_rejects_non_finite_coefficients():
+    for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)):
+        with pytest.raises(MapSpecError):
+            PolyMap(2, [{(1, 0): 1.0, (0, 0): bad}, {(0, 1): 1.0}])
+
+
 def test_moebius_scaled_grid_is_the_same_map():
     # a grid and its scalar multiples are one map, however small the scale
     identity = MoebiusMap(1e-13 * np.eye(3))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schwarzball import checks
 from schwarzball.errors import (
     BasePointMismatchError,
     DimensionError,
@@ -50,8 +51,7 @@ def test_moebius_tensor_vanishes():
     for _ in range(25):
         m = random_moebius(2, rng)
         for _ in range(4):
-            t = schwarzian_of(m, random_ball_point(2, rng, 0.9))
-            worst = max(worst, t.max_abs())
+            worst = max(worst, *checks.moebius_vanishing(m, random_ball_point(2, rng, 0.9)).values())
     assert worst <= 1e-8
 
 
@@ -122,19 +122,12 @@ def test_chain_rule_with_identity_inner():
 
 def test_chain_rule_matches_direct_composition():
     rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(10):
-        f = random_normalized_polymap(2, rng, scale=0.08)
-        g = random_normalized_polymap(2, rng, scale=0.08)
-        z = random_ball_point(2, rng, 0.3)
-        jf = map_jet_at(f, z, 3)
-        w = jf.constants()
-        jg = map_jet_at(g, w, 3)
-        t = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
-        direct = schwarzian_at(compose_maps(g, f, z, 3), z=z)
-        worst = max(worst, float(np.max(np.abs(t.Sk - direct.Sk))))
-        worst = max(worst, float(np.max(np.abs(t.S0 - direct.S0))))
-    assert worst <= 1e-9
+    cases = [
+        (random_normalized_polymap(2, rng, scale=0.08), random_normalized_polymap(2, rng, scale=0.08),
+         random_ball_point(2, rng, 0.3))
+        for _ in range(10)
+    ]
+    assert max(checks.worst(checks.chain_rule, cases).values()) <= 1e-9
 
 
 def test_chain_rule_base_point_mismatch():
@@ -171,10 +164,8 @@ def test_canonical_residual_examples():
     rng = np.random.default_rng(3)
     for _ in range(10):
         f = random_normalized_polymap(2, rng, scale=0.12)
-        t = schwarzian_of(f, random_ball_point(2, rng, 0.4))
-        assert canonical_residual(t) <= 1e-10
-        assert np.max(np.abs(t.Sk - np.swapaxes(t.Sk, 1, 2))) == 0
-        assert np.max(np.abs(t.S0 - t.S0.T)) == 0
+        res = checks.canonical_and_pde(f, random_ball_point(2, rng, 0.4))
+        assert res["canonical"] <= 1e-10 and res["symmetry"] == 0
 
 
 def test_pde_residual_examples():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schwarzball import checks
 from schwarzball.errors import DimensionError, InfeasibleSearchError, NormalizationError
 from schwarzball.maps import (
     MoebiusMap,
@@ -81,8 +82,7 @@ def test_extremal_closure_includes_rotated_moebius():
 def test_matrix_a_symmetry():
     rng = np.random.default_rng(19)
     for _ in range(10):
-        rep = matrix_A(random_normalized_polymap(2, rng, scale=0.12))
-        assert np.max(np.abs(rep.A - rep.A.T)) <= 1e-10
+        assert checks.first_variation(random_normalized_polymap(2, rng, scale=0.12))["symmetry"] <= 1e-10
 
 
 def test_matrix_a_requires_normalized():
@@ -170,15 +170,9 @@ def test_bounds_frozen_values_at_2_1():
 
 
 def test_bounds_grid_and_monotonicity():
-    for n in range(2, 11):
-        prev = -1.0
-        for k in range(1, 41):
-            alpha = 0.1 * k
-            br = bounds_report(n, alpha)
-            assert br.C_exact <= br.C_simple
-            assert br.lower_bound <= br.norm_ord_bound
-            assert br.ord_bound >= prev
-            prev = br.ord_bound
+    # BoundReport itself checks lower_bound <= norm_ord_bound
+    grid = checks.bounds_grid(range(2, 11), [0.1 * k for k in range(1, 41)])
+    assert grid["C_excess"] <= 0 and grid["fall"] <= 0
 
 
 def test_bounds_dimension_guard():
@@ -187,6 +181,11 @@ def test_bounds_dimension_guard():
     with pytest.raises(DimensionError):
         c_exact(1, 0.5)
     assert c_simple(2, 0.0) == 0
+    for alpha in (-0.1, np.nan, np.inf):
+        with pytest.raises(DimensionError):
+            bounds_report(2, alpha)
+        with pytest.raises(DimensionError):
+            extremal_search(moebius_subfamily(2), alpha=alpha)
 
 
 # -- extremal search -----------------------------------------------------------------
@@ -252,3 +251,7 @@ def test_search_penalizes_package_errors_in_build():
     res = extremal_search(cfg, **SMALL_SEARCH)
     assert np.array_equal(res.params, cfg.x0)
     assert res.evaluations >= 10
+    # every objective call away from x0 fails; Nelder-Mead evaluates x0 once
+    assert res.failed_evaluations == res.evaluations - 1
+    assert extremal_search(cfg, **SMALL_SEARCH).failed_evaluations == res.failed_evaluations
+    assert extremal_search(moebius_subfamily(2), **SMALL_SEARCH).failed_evaluations == 0
