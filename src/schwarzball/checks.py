@@ -19,7 +19,7 @@ from .family import (
     normalization_residual,
     trace_order_functional,
 )
-from .maps import MapSpec, compose_maps, identity_map, map_dim, map_eval, map_jet_at
+from .maps import MapSpec, compose_maps, identity_map, map_eval, map_jet_at
 from .schwarzian import (
     MIN_JET_DEGREE,
     canonical_residual,
@@ -97,15 +97,18 @@ def first_variation(m: MapSpec) -> dict[str, float]:
 def koebe(m: MapSpec, zeta, seed: int = 0) -> dict[str, float]:
     """max(|G(0)|, |DG(0) - Id|) and |2 trace order - |grad JG(0)|| of the Koebe
     transform G of m at zeta, and the observed (not a residual) ``trace_ratio``:
-    trace order / (n norm order), 0 where the norm order vanishes."""
+    trace order / (n norm order), left out where the norm order is at most 1e-12
+    (a NaN norm order gives a NaN ratio)."""
     g = koebe_transform(m, zeta, d=3)
     trace = trace_order_functional(g)
     norm_ord = norm_order_functional(g, seed=seed)
-    return {
+    out = {
         "normalization": normalization_residual(g.jets),
         "trace_gradient": abs(2.0 * trace - float(np.linalg.norm(grad_jacobian(g)))),
-        "trace_ratio": trace / (g.n * norm_ord) if norm_ord > 1e-12 else 0.0,
     }
+    if not norm_ord <= 1e-12:
+        out["trace_ratio"] = trace / (g.n * norm_ord)
+    return out
 
 
 def identity_koebe(zeta) -> dict[str, float]:
@@ -123,19 +126,15 @@ def linear_invariance(m: MapSpec, zeta, seed: int = 0) -> dict[str, float]:
     return {"norm_excess": max(0.0, est_g.value - est_f.value)}
 
 
-def alpha0_attainment(m: MapSpec) -> dict[str, float]:
-    """|trace order of the Koebe transform of m at 0 - order bound at alpha = 0|."""
-    n = map_dim(m)
-    g = koebe_transform(m, np.zeros(n), d=3)
-    return {"gap": abs(trace_order_functional(g) - bounds_report(n, 0.0).ord_bound)}
-
-
 def bounds_grid(ns, alphas) -> dict[str, float]:
-    """Largest C_exact - C_simple on the grid, and largest fall of a bound as alpha grows."""
-    excess, fall = [], [0.0]
+    """Largest C_exact - C_simple and lower_bound - norm_ord_bound on the grid, and
+    largest fall of a bound as alpha grows."""
+    excess, lower, fall = [], [], [0.0]
     for n in ns:
         rows = [bounds_report(n, alpha) for alpha in alphas]
         excess += [br.C_exact - br.C_simple for br in rows]
+        lower += [br.lower_bound - br.norm_ord_bound for br in rows]
         fall += [max(a.ord_bound - b.ord_bound, a.norm_ord_bound - b.norm_ord_bound)
                  for a, b in zip(rows, rows[1:])]
-    return {"C_excess": float(np.max(excess)), "fall": float(np.max(fall))}
+    return {"C_excess": float(np.max(excess)), "lower_excess": float(np.max(lower)),
+            "fall": float(np.max(fall))}

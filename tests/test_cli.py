@@ -115,6 +115,8 @@ def test_exit_code_usage_error(tmp_path):
     argvs = [
         ["bounds", "--alpha", "0:1", "--step", "nan"], ["bounds", "--alpha", "0:1", "--step", "inf"],
         ["bounds", "--alpha", "0:inf"], ["bounds", "--alpha", "nan"],
+        ["bounds", "--alpha", "0:1", "--step", "1e-320"], ["bounds", "--alpha", "0:1", "--step", "1e-300"],
+        ["bounds", "--n", "2:1000000", "--alpha", "0:1"],
         ["search", "--alpha", "-1"], ["search", "--alpha", "nan"], ["search", "--alpha", "inf"],
     ]
     for r_max in ("1.5", "nan", "-0.1"):

@@ -170,9 +170,8 @@ def test_bounds_frozen_values_at_2_1():
 
 
 def test_bounds_grid_and_monotonicity():
-    # BoundReport itself checks lower_bound <= norm_ord_bound
     grid = checks.bounds_grid(range(2, 11), [0.1 * k for k in range(1, 41)])
-    assert grid["C_excess"] <= 0 and grid["fall"] <= 0
+    assert grid["C_excess"] <= 0 and grid["lower_excess"] <= 0 and grid["fall"] <= 0
 
 
 def test_bounds_dimension_guard():
