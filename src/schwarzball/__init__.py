@@ -63,7 +63,6 @@ from .bergman import (
     MetricTensor,
     NormEstimate,
     bergman_norm,
-    invariance_residual,
     metric_at,
     schwarzian_norm_at,
     schwarzian_norm_sup,

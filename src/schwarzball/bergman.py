@@ -10,26 +10,28 @@ operator output both measured at the same base point the pointwise norm
 ||S F(z)|| = sup_{||v||=1} ||S F(z)(v)|| satisfies the invariance identity
 ||S(F o sigma)(z)|| = ||S F(sigma(z))|| exactly.
 
-Pointwise norms are maxima of a quadratic-map image norm over an ellipsoid.
-Every route first takes the tensor to one frame (``_pullback``): it is
-divided by its Frobenius norm, and with the Cholesky factor of the input
-form, v = M w turns the ellipsoid into the unit sphere of w in C^n.
-At n = 2 the norm is exact: through the Hopf map the squared norm is a
-quadratic on the 2-sphere, and its maximum is a trust-region problem solved
-in closed form (one 3 x 3 eigenproblem and a monotone Newton iteration per
-point, batched over points).  At n >= 3 it is estimated by deterministic
-multistart projected gradient ascent on that sphere, and reported values are
-lower bounds.  One kernel runs every start of every problem as a row of one
-array, and a problem's result does not depend on the batch it is solved in.
-The division makes both routes scale-free; the one absolute floor is
-``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
-stop at once, the exact route skips its Newton steps).
+Pointwise norms are maxima of a quadratic-map image norm over an ellipsoid,
+with direction and image measured in one form.  Each batch of tensors is
+taken once to one frame (``_pullback``), orthonormal for the form in every
+slot: with M from the Cholesky factor of the form and c the Frobenius norm of
+S, the pointwise norm is c times the maximum of |T(w, w)| over the unit
+sphere of w in C^n, and v = M w.  Every route solves that one problem, and
+no kernel sees a metric.  At n = 2 it is exact: through the Hopf map
+|T(w, w)|^2 is a quadratic on the 2-sphere, and its maximum is a trust-region
+problem solved in closed form (one 3 x 3 eigenproblem and a monotone Newton
+iteration per point, batched over points).  At n >= 3 it is estimated by
+deterministic multistart projected gradient ascent on the sphere, and
+reported values are lower bounds.  One kernel runs every start of every
+problem as a row of one array, and a problem's result does not depend on the
+batch it is solved in.  Dividing by c makes both routes scale-free; the one
+absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise (the
+ascent's starts stop at once, the exact route skips its Newton steps).
 Every value is attained at the reported direction.  ``upper`` is a certified
-upper end of the pointwise norm at every n: the largest singular value of
-the tensor restricted to symmetric tensors, in orthonormal coordinates for
-both forms, up to the rounding slack ``UPPER_SLACK``.  ``converged`` records
-whether every retained start terminated by step size rather than by the
-iteration cap (always true at n = 2).
+upper end of the pointwise norm at every n: c times the largest singular
+value of T restricted to symmetric tensors, up to the rounding slack
+``UPPER_SLACK``.  ``converged`` records whether every retained start
+terminated by step size rather than by the iteration cap (always true at
+n = 2).
 
 ``schwarzian_norm_sup`` bounds and prunes its probe points: each round builds
 the tensors and upper ends of all its points in one batch and solves, in one
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
-from .maps import CompositionMap, MapSpec, map_dim, map_eval
+from .maps import MapSpec, map_dim
 from .schwarzian import schwarzian_of
 
 DEFAULT_STARTS = 16
@@ -59,9 +61,12 @@ STEP_FLOOR = 1e-12
 # Frobenius norm below which S is rounding noise (Moebius maps give about
 # 1e-15): its starts stop at their first iterate
 ZERO_NORM = 1e-12
-# relative rounding slack of _sym_upper: eigvalsh is backward stable, so the top
-# eigenvalue of the PSD m x m H (m = n(n+1)/2, R of unit Frobenius norm) is off by
-# O(m eps) relative, and forming H and a value adds O(n eps / (1 - |z|^2)); that is
+# relative rounding slack of _sym_upper: S / c has unit Frobenius norm, and T
+# applies L^H once and M = L^-H twice to it; each has condition number
+# sqrt(kappa), kappa = 1 / (1 - |z|^2) that of the Bergman metric (1 for the
+# identity form), so forming T and H = U^H U is off by O(n eps kappa^(3/2))
+# relative to the top eigenvalue of H, the squared bound, and eigvalsh, being
+# backward stable, adds O(m eps) for the PSD m x m H (m = n(n+1)/2).  That is
 # below 1e-12 for n <= 5 and |z| <= 0.99, so 1e-9 keeps a factor 1000 in reserve
 UPPER_SLACK = 1e-9
 # safety cap on the monotone Newton iteration of the exact n = 2 route, which
@@ -129,66 +134,67 @@ def bergman_norm(z, v) -> float:
 # -- constrained supremum of a quadratic-map image norm ----------------------
 
 
-def _pullback(s, form_in):
-    """S / c in coordinates orthonormal for the input form, c the Frobenius norm of S.
+def _pullback(s, form):
+    """The frame of a stack of problems: (T, M, c, zero rows).
 
-    Both forms read q(v) = sum_ij g_ij v_i conj(v_j) = v^H conj(g) v, so with
-    conj(form_in) = L L^H and M = L^{-H} the direction v = M w has
-    q_in(v) = |w|^2.  The norms are homogeneous of degree one in S, so every
-    route works on S / c and multiplies c back: steps and stopping tests do
-    not depend on the scale of S.  Returns R^l = M^T (S^l / c) M,
-    (problems, n, n, n), M, c (1 where S vanishes) and the rows whose c lies
-    below ZERO_NORM (rounding noise).
+    The direction and the image are measured with one form,
+    q(v) = sum_ij g_ij v_i conj(v_j) = v^H conj(g) v.  With conj(form) = L L^H
+    and M = L^{-H}, the direction v = M w has q(v) = |w|^2 and an image u has
+    q(u) = |L^H u|^2, so with c the Frobenius norm of S (1 where S vanishes)
+    and T^k = sum_l (L^H)_kl (S^l / c)(M ., M .),
+
+        q(S(M w, M w)) = c^2 |T(w, w)|^2.
+
+    Every route maximizes |T(w, w)| over unit w in C^n and multiplies c back,
+    so steps and stopping tests do not depend on the scale of S, and no
+    kernel sees a metric.  Returns T (problems, n, n, n), M, c and the rows
+    whose c lies below ZERO_NORM (rounding noise).
     """
     s = np.asarray(s, dtype=complex)
     scale = np.linalg.norm(s.reshape(len(s), -1), axis=1)
     zero = scale < ZERO_NORM
     scale[scale == 0.0] = 1.0
-    chol = np.linalg.cholesky(np.conj(form_in))
+    chol = np.linalg.cholesky(np.conj(form))
     m = np.conj(np.swapaxes(np.linalg.inv(chol), 1, 2))
     r = np.swapaxes(m, 1, 2)[:, None] @ (s / scale[:, None, None, None]) @ m[:, None]
-    return r, m, scale, zero
+    return np.einsum("plk,plij->pkij", np.conj(chol), r), m, scale, zero
 
 
-def _value_and_grad(x, r_flat, g_out):
-    """Squared image norm q_out(R(w, w)) and its gradient at each row of x = (Re w, Im w)."""
-    rows, n = r_flat.shape[0], r_flat.shape[1]
+def _value_and_grad(x, t_flat):
+    """|T(w, w)|^2 and its gradient at each row of x = (Re w, Im w)."""
+    rows, n = t_flat.shape[0], t_flat.shape[1]
     w = x[:, :n] + 1j * x[:, n:]
-    u = r_flat @ (w[:, :, None] * w[:, None, :]).reshape(rows, n * n, 1)
-    eta = g_out @ np.conj(u)
+    u = t_flat @ (w[:, :, None] * w[:, None, :]).reshape(rows, n * n, 1)
+    eta = np.conj(u)
     val2 = np.real(np.sum(u * eta, axis=(1, 2)))
-    dw = 2.0 * ((np.swapaxes(eta, 1, 2) @ r_flat).reshape(rows, n, n) @ w[:, :, None])[:, :, 0]
+    dw = 2.0 * ((np.swapaxes(eta, 1, 2) @ t_flat).reshape(rows, n, n) @ w[:, :, None])[:, :, 0]
     return val2, np.concatenate([2.0 * np.real(dw), -2.0 * np.imag(dw)], axis=1)
 
 
-def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
+def _ascend(frame, starts: int, seed: int, max_iter: int):
     """Multistart projected ascent for a stack of problems, in one array.
 
-    ``s`` is (problems, n, n, n) and the forms (problems, n, n).  The ascent
-    runs on the unit sphere of w in C^n, as the real rows x = (Re w, Im w),
-    for R from :func:`_pullback`, and reports v = M w.  Every row of
-    the (problems x starts, 2n) iterate is one start of one problem; all rows
-    share the starts drawn from ``default_rng(seed)`` and run the same
-    arithmetic under a per-row mask, so a problem's result does not depend
-    on the batch it is solved in.  An S below ZERO_NORM stops at its first
-    iterate.
+    ``frame`` comes from :func:`_pullback`.  The ascent maximizes |T(w, w)|
+    on the unit sphere of w in C^n, as the real rows x = (Re w, Im w), and
+    reports v = M w.  Every row of the (problems x starts, 2n) iterate is one
+    start of one problem; all rows share the starts drawn from
+    ``default_rng(seed)`` and run the same arithmetic under a per-row mask,
+    so a problem's result does not depend on the batch it is solved in.  An
+    S below ZERO_NORM stops at its first iterate.
 
     Returns per-problem arrays (value, maximizing v, converged, accepted
     steps summed over starts).
     """
-    r, change, scale, zero = _pullback(s, form_in)
-    problems, n = r.shape[0], r.shape[-1]
+    t, change, scale, zero = frame
+    problems, n = t.shape[0], t.shape[-1]
     k = max(int(starts), 1)
-    mats = [
-        np.repeat(a, k, axis=0)
-        for a in (r.reshape(problems, n, n * n), np.asarray(form_out, dtype=complex))
-    ]
+    t_flat = np.repeat(t.reshape(problems, n, n * n), k, axis=0)
     zero = np.repeat(zero, k)
 
     x0 = np.random.default_rng(seed).standard_normal((k, 2 * n))
     x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
     x = np.tile(x0, (problems, 1))
-    val2, grad = _value_and_grad(x, *mats)
+    val2, grad = _value_and_grad(x, t_flat)
     rows = len(x)
     prev_x = np.zeros_like(x)
     prev_tangent = np.zeros_like(x)
@@ -221,7 +227,7 @@ def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
             cand = xa[j] + t[j, None] * tangent[j]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             rj = idx[j]
-            cand_val2, cand_grad = _value_and_grad(cand, *(a[rj] for a in mats))
+            cand_val2, cand_grad = _value_and_grad(cand, t_flat[rj])
             ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * tnorm[j] ** 2
             jo, ro = j[ok], rj[ok]
             moved[jo] = np.linalg.norm(cand[ok] - xa[jo], axis=1)
@@ -245,21 +251,21 @@ def _ascend(s, form_in, form_out, starts: int, seed: int, max_iter: int):
     )
 
 
-def _sym_upper(s, form_in, form_out):
+def _sym_upper(frame):
     """Certified upper end of each pointwise norm, at any n.
 
-    With R from :func:`_pullback`, u(v) = R(w, w) = U m(w), where the columns
-    of U are R_ii and sqrt(2) R_ij (i < j) and m(w) = (w_i^2, sqrt(2) w_i w_j)
-    is a unit vector for unit w.  So sqrt(q_out(u)) <= sigma_max(U) in the
-    output form, the square root of the top eigenvalue of U^H conj(form_out) U:
-    the restriction of S to symmetric tensors.  The bound holds up to the
-    relative rounding slack ``UPPER_SLACK``.
+    With T from :func:`_pullback`, T(w, w) = U m(w), where the columns of U
+    are T_ii and sqrt(2) T_ij (i < j) and m(w) = (w_i^2, sqrt(2) w_i w_j) is
+    a unit vector for unit w.  So |T(w, w)| <= sigma_max(U), the square root
+    of the top eigenvalue of U^H U: the restriction of T to symmetric
+    tensors.  The bound, times c, holds up to the relative rounding slack
+    ``UPPER_SLACK``.
     """
-    r, _, scale, _ = _pullback(s, form_in)
-    n = r.shape[-1]
+    t, _, scale, _ = frame
+    n = t.shape[-1]
     i, j = np.triu_indices(n)
-    sym = r[:, :, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-    h = np.conj(np.swapaxes(sym, 1, 2)) @ np.conj(form_out) @ sym
+    sym = t[:, :, i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
+    h = np.conj(np.swapaxes(sym, 1, 2)) @ sym
     return np.sqrt(np.maximum(np.linalg.eigvalsh(h)[:, -1], 0.0)) * scale
 
 
@@ -282,16 +288,15 @@ def _hopf_quadratic(h):
     return a, b
 
 
-def _hopf_norms(s, form_in, form_out):
+def _hopf_norms(frame):
     """Exact pointwise norms at n = 2 for a stack of problems, in closed form.
 
-    With R from :func:`_pullback`, R(w, w) = t m(w) for
-    m = (w1^2, w1 w2, w2^2) and t_l = (R^l_00, 2 R^l_01, R^l_11), so
-    f(w) = q_out(R(w, w)) = m^H H m with H = t^H conj(form_out) t, 3 x 3
-    Hermitian.  Through the Hopf image
-    p of the unit sphere, f = p^T A p + b^T p + c0 on the 2-sphere
-    (:func:`_hopf_quadratic`; the constant c0 moves no maximizer).  The
-    maximum of a quadratic over a sphere is a trust-region problem with a
+    With T from :func:`_pullback`, T(w, w) = U m(w) for
+    m = (w1^2, w1 w2, w2^2) and U^k = (T^k_00, 2 T^k_01, T^k_11), so
+    f(w) = |T(w, w)|^2 = m^H H m with H = U^H U, 3 x 3 Hermitian.  Through
+    the Hopf image p of the unit sphere, f = p^T A p + b^T p + c0 on the
+    2-sphere (:func:`_hopf_quadratic`; the constant c0 moves no maximizer).
+    The maximum of a quadratic over a sphere is a trust-region problem with a
     known global solution (Gander, Golub & von Matt 1989; More & Sorensen
     1983): in the eigenbasis A = Q diag(lam) Q^T and with beta = Q^T b / 2,
     p_i = beta_i / (delta + lam_max - lam_i), where delta >= 0 solves
@@ -300,16 +305,15 @@ def _hopf_norms(s, form_in, form_out):
     and quadratically to it; each row stops when it no longer moves.  When the
     root would lie below delta = 0 (the hard case), delta = 0 and the top
     eigenvector fills p up to the sphere.  p goes back to w and v = M w, and
-    the value is sqrt(q_out(S(v, v))) at that v, so it is attained.
+    the value is c |T(w, w)| at that w, so it is attained.
 
     Rows below ZERO_NORM skip Newton.  Returns the same per-problem arrays as
     :func:`_ascend`, with every row converged and no ascent steps.
     """
-    s = np.asarray(s, dtype=complex)
-    problems = s.shape[0]
-    r, change, _, zero = _pullback(s, form_in)
-    t = np.stack([r[:, :, 0, 0], 2.0 * r[:, :, 0, 1], r[:, :, 1, 1]], axis=-1)
-    a, b = _hopf_quadratic(np.conj(np.swapaxes(t, 1, 2)) @ np.conj(form_out) @ t)
+    t, change, scale, zero = frame
+    problems = t.shape[0]
+    u = np.stack([t[:, :, 0, 0], 2.0 * t[:, :, 0, 1], t[:, :, 1, 1]], axis=-1)
+    a, b = _hopf_quadratic(np.conj(np.swapaxes(u, 1, 2)) @ u)
 
     lam, q = np.linalg.eigh(a)
     beta = np.einsum("pji,pj->pi", q, b) / 2.0
@@ -353,51 +357,47 @@ def _hopf_norms(s, form_in, form_out):
     w[north, 0], w[north, 1] = w1, np.conj(c[north]) / w1
     w2 = np.sqrt((1.0 - p[~north, 0]) / 2.0)
     w[~north, 0], w[~north, 1] = c[~north] / w2, w2
-    v = (change @ w[:, :, None])[:, :, 0]
-    u = s.reshape(problems, -1, 4) @ (v[:, :, None] * v[:, None, :]).reshape(problems, 4, 1)
-    val2 = np.real(np.sum(u[:, :, 0] * (form_out @ np.conj(u))[:, :, 0], axis=1))
+    image = u @ np.stack([w[:, 0] ** 2, w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)[:, :, None]
+    val2 = np.real(np.sum(image * np.conj(image), axis=(1, 2)))
     return (
-        np.sqrt(np.maximum(val2, 0.0)),
-        v,
+        np.sqrt(val2) * scale,
+        (change @ w[:, :, None])[:, :, 0],
         np.ones(problems, dtype=bool),
         np.zeros(problems, dtype=int),
     )
 
 
-def _quad_norms(s, form_in, form_out, starts: int, seed: int, max_iter: int):
+def _quad_norms(frame, starts: int, seed: int, max_iter: int):
     """Pointwise norms of a stack of problems: exact at n = 2, searched at n >= 3.
 
     Returns per-problem arrays (value, maximizing v, converged, ascent steps);
     at n = 2 the starts, the seed and the iteration cap have no effect.
     """
-    if s.shape[-1] == 2:
-        return _hopf_norms(s, form_in, form_out)
-    return _ascend(s, form_in, form_out, starts, seed, max_iter)
+    if frame[0].shape[-1] == 2:
+        return _hopf_norms(frame)
+    return _ascend(frame, starts, seed, max_iter)
 
 
 def max_quadratic_image_norm(
     s_list: np.ndarray,
-    form_in: np.ndarray,
-    form_out: np.ndarray,
+    form: np.ndarray,
     starts: int = DEFAULT_STARTS,
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, np.ndarray, bool]:
-    """sup of sqrt(q_out(u(v))) over q_in(v) = 1, u_k = v^t S^k v.
+    """sup of sqrt(q(u(v))) over q(v) = 1, u_k = v^t S^k v, q(v) = sum_ij form_ij v_i conj(v_j).
 
     Exact at n = 2 (a trust-region problem on the 2-sphere, see
     :func:`_hopf_norms`), where ``starts``, ``seed`` and ``max_iter`` have no
     effect.  At n >= 3, multistart projected gradient ascent with Armijo
-    backtracking on the Euclidean sphere image of the constraint ellipsoid,
+    backtracking on the unit sphere of the frame of :func:`_pullback`,
     deterministic for a fixed seed.  Returns (value, maximizing v, converged
     flag).
     """
-    value, v, converged, _ = _quad_norms(
-        np.asarray(s_list, dtype=complex)[None],
-        np.asarray(form_in, dtype=complex)[None],
-        np.asarray(form_out, dtype=complex)[None],
-        starts, seed, max_iter,
+    frame = _pullback(
+        np.asarray(s_list, dtype=complex)[None], np.asarray(form, dtype=complex)[None]
     )
+    value, v, converged, _ = _quad_norms(frame, starts, seed, max_iter)
     return float(value[0]), v[0], bool(converged[0])
 
 
@@ -405,11 +405,11 @@ def max_quadratic_image_norm(
 
 
 def _tensors_at(m: MapSpec, points):
-    """Schwarzian tensors S, Bergman metrics g and upper ends at a list of points, batched."""
+    """Frame of the Schwarzian tensors in the Bergman metric, and upper ends, at points."""
     tensors = [schwarzian_of(m, z) for z in points]
     g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
-    s = np.array([t.Sk for t in tensors])
-    return s, g, _sym_upper(s, g, g)
+    frame = _pullback(np.array([t.Sk for t in tensors]), g)
+    return frame, _sym_upper(frame)
 
 
 def schwarzian_norm_at(
@@ -426,8 +426,8 @@ def schwarzian_norm_at(
     ``max_iter`` have no effect; a searched lower bound at n >= 3.
     """
     z = np.asarray(z, dtype=complex).reshape(-1)
-    s, g, upper = _tensors_at(m, [z])
-    value, v, converged, iterations = _quad_norms(s, g, g, starts, seed, max_iter)
+    frame, upper = _tensors_at(m, [z])
+    value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)
     return NormEstimate(
         value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
         converged=bool(converged[0]), iterations=int(iterations[0]), upper=float(upper[0]),
@@ -480,14 +480,14 @@ def schwarzian_norm_sup(
         <= upper * (1 + UPPER_SLACK) < floor, so it cannot be the round's
         winner or beat the incumbent.
         """
-        s, g, upper = _tensors_at(m, points)
+        frame, upper = _tensors_at(m, points)
         values = np.full(len(points), -np.inf)
         vs = np.zeros((len(points), n), dtype=complex)
         converged = np.ones(len(points), dtype=bool)
 
         def solve(rows):
             values[rows], vs[rows], converged[rows], steps = _quad_norms(
-                s[rows], g[rows], g[rows], starts, seed, DEFAULT_MAX_ITER
+                tuple(a[rows] for a in frame), starts, seed, DEFAULT_MAX_ITER
             )
             best.iterations += int(np.sum(steps))
 
@@ -528,13 +528,4 @@ def schwarzian_norm_sup(
         rho *= 0.4
     best.value = max(best.value, 0.0)
     return best
-
-
-def invariance_residual(m: MapSpec, sigma: MapSpec, z, starts: int = DEFAULT_STARTS, seed: int = 0) -> float:
-    """| ||S(F o sigma)(z)|| - ||S F(sigma(z))|| |, zero in exact arithmetic."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    composed = CompositionMap((m, sigma))
-    lhs = schwarzian_norm_at(composed, z, starts=starts, seed=seed).value
-    rhs = schwarzian_norm_at(m, map_eval(sigma, z), starts=starts, seed=seed).value
-    return abs(lhs - rhs)
 

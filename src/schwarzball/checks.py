@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import bergman_norm, invariance_residual, schwarzian_norm_sup
+from .bergman import bergman_norm, schwarzian_norm_at, schwarzian_norm_sup
 from .family import (
     grad_jacobian,
     koebe_map,
@@ -19,7 +19,7 @@ from .family import (
     normalization_residual,
     trace_order_functional,
 )
-from .maps import MapSpec, compose_maps, identity_map, map_eval, map_jet_at
+from .maps import CompositionMap, MapSpec, compose_maps, identity_map, map_eval, map_jet_at
 from .schwarzian import (
     MIN_JET_DEGREE,
     canonical_residual,
@@ -69,7 +69,9 @@ def chain_rule(f: MapSpec, g: MapSpec, z, moebius: MapSpec | None = None) -> dic
 def invariance(f: MapSpec, sigma: MapSpec, z, v=None, seed: int = 0) -> dict[str, float]:
     """| ||S(f o sigma)(z)|| - ||S f(sigma(z))|| | for an automorphism sigma, and with
     a direction ``v``, the relative change ``isometry`` of its length under D sigma(z)."""
-    out = {"norm": invariance_residual(f, sigma, z, seed=seed)}
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    lhs = schwarzian_norm_at(CompositionMap((f, sigma)), z, seed=seed).value
+    out = {"norm": abs(lhs - schwarzian_norm_at(f, map_eval(sigma, z), seed=seed).value)}
     if v is not None:
         dsig = map_jet_at(sigma, z, 1).linear_matrix()
         rhs = bergman_norm(z, v)

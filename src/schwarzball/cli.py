@@ -447,8 +447,8 @@ def cmd_bounds(args) -> int:
             alpha = a_lo + k * args.step
             if alpha > a_hi + 1e-9:
                 break
-            br = bounds_report(n, alpha)
-            rows.append(br)
+            rows.append(bounds_report(n, alpha))
+    ok = [br.C_exact <= br.C_simple and br.lower_bound <= br.norm_ord_bound for br in rows]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -457,7 +457,7 @@ def cmd_bounds(args) -> int:
             writer.writerow([br.n, repr(br.alpha), repr(br.C_exact), repr(br.C_simple),
                              repr(br.ord_bound), repr(br.norm_ord_bound), repr(br.lower_bound)])
         emit(buf.getvalue(), args.out)
-        return 0
+        return 0 if all(ok) else 1
     results = [
         check(
             f"bounds_n{br.n}_alpha{br.alpha:g}",
@@ -467,9 +467,9 @@ def cmd_bounds(args) -> int:
                 "lower_bound": br.lower_bound,
             },
             None,
-            br.C_exact <= br.C_simple,
+            row_ok,
         )
-        for br in rows
+        for br, row_ok in zip(rows, ok)
     ]
     return _finish(
         "bounds", {"n": args.n, "alpha": args.alpha, "step": args.step}, args, results, started

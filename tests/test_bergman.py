@@ -8,10 +8,10 @@ from schwarzball.bergman import (
     UPPER_SLACK,
     _ascend,
     _hopf_quadratic,
+    _pullback,
     _sym_upper,
     _value_and_grad,
     bergman_norm,
-    invariance_residual,
     max_quadratic_image_norm,
     metric_at,
     schwarzian_norm_at,
@@ -116,10 +116,11 @@ def test_optimizer_gradient_matches_finite_differences():
     s = 0.5 * (s + np.swapaxes(s, 1, 2))
     g = metric_at([0.3, 0.1 - 0.2j]).g
 
-    # the kernel's objective and gradient in the pulled-back frame v = M w,
+    # the kernel's objective and gradient in the frame v = M w, T = L^H S(M., M.),
     # checked against the norm of S at v by central differences
-    m = np.conj(np.linalg.inv(np.linalg.cholesky(np.conj(g)))).T
-    r_flat = np.einsum("ia,lij,jb->lab", m, s, m).reshape(n, n * n)
+    chol = np.linalg.cholesky(np.conj(g))
+    m = np.conj(np.linalg.inv(chol)).T
+    t_flat = np.einsum("lk,ia,lij,jb->kab", np.conj(chol), m, s, m).reshape(n, n * n)
 
     def val(x):
         v = m @ (x[:n] + 1j * x[n:])
@@ -131,7 +132,7 @@ def test_optimizer_gradient_matches_finite_differences():
         x /= np.linalg.norm(x)
         v = m @ (x[:n] + 1j * x[n:])
         assert abs(np.real(np.einsum("ij,i,j->", g, v, np.conj(v))) - 1.0) <= 1e-14
-        val2, grad = _value_and_grad(x[None], r_flat[None], g[None])
+        val2, grad = _value_and_grad(x[None], t_flat[None])
         assert abs(val2[0] - val(x)) <= 1e-14 * val(x)
         fd = np.array([(val(x + 1e-6 * e) - val(x - 1e-6 * e)) / 2e-6 for e in np.eye(2 * n)])
         assert np.max(np.abs(grad[0] - fd)) <= 1e-6
@@ -143,7 +144,7 @@ def test_max_quadratic_image_norm_closed_form():
     s = np.zeros((2, 2, 2), dtype=complex)
     s[0, 1, 1] = 2 * a
     g = metric_at(np.zeros(2)).g
-    value, v, converged = max_quadratic_image_norm(s, g, g, starts=16, seed=0)
+    value, v, converged = max_quadratic_image_norm(s, g, starts=16, seed=0)
     assert converged
     assert abs(value - 2 * a / np.sqrt(3)) <= 1e-10
 
@@ -236,7 +237,7 @@ def test_kernel_matches_scalar_reference_loop():
             g = metric_at(random_ball_point(n, rng, 0.8)).g
             ref, ref_converged = _scalar_loop(s, g, g)
             assert ref_converged
-            value, _, converged, _ = _ascend(s[None], g[None], g[None], 16, 0, 500)
+            value, _, converged, _ = _ascend(_pullback(s[None], g[None]), 16, 0, 500)
             assert converged[0]
             assert abs(value[0] - ref) <= 1e-12 * ref
 
@@ -248,10 +249,10 @@ def test_max_quadratic_image_norm_scale_equivariant():
     z = np.array([0.3, -0.2 + 0.1j])
     sk = schwarzian_of(m, z).Sk
     g = metric_at(z).g
-    base, _, base_converged = max_quadratic_image_norm(sk, g, g)
+    base, _, base_converged = max_quadratic_image_norm(sk, g)
     assert base_converged
     for c in (1.0, 1e-3, 1e-6):
-        value, _, converged = max_quadratic_image_norm(c * sk, g, g)
+        value, _, converged = max_quadratic_image_norm(c * sk, g)
         assert converged
         assert abs(value - c * base) <= 1e-12 * c * base
 
@@ -364,20 +365,20 @@ def test_norm_sup_radius_guard():
 
 def test_invariance_residual_identity_sigma():
     sigma = automorphism_from_center([0.0, 0.0])
-    assert invariance_residual(shear(0.3), sigma, [0.1, 0.2]) <= 1e-12
+    assert checks.invariance(shear(0.3), sigma, [0.1, 0.2])["norm"] <= 1e-12
 
 
 def test_invariance_residual_unitary():
     th = 0.8
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
     sigma = unitary_automorphism(u)
-    assert invariance_residual(shear(0.4), sigma, [0.2, -0.1 + 0.2j]) <= 1e-9
+    assert checks.invariance(shear(0.4), sigma, [0.2, -0.1 + 0.2j])["norm"] <= 1e-9
 
 
 def test_norm_and_invariance_through_unitary_with_jacobian_on_the_cut():
     sigma = unitary_automorphism(np.diag([1j, 1j]))  # J sigma = -1 everywhere
     assert schwarzian_norm_sup(sigma).value == 0
-    assert invariance_residual(shear(0.4), sigma, [0.2, -0.1 + 0.2j]) <= 1e-9
+    assert checks.invariance(shear(0.4), sigma, [0.2, -0.1 + 0.2j])["norm"] <= 1e-9
 
 
 def test_invariance_residual_random_suite():
@@ -398,29 +399,29 @@ def _symmetric_tensor(rng, n, scale):
     return scale * 0.5 * (s + np.swapaxes(s, 1, 2))
 
 
-def _image_norm(s, form_out, v):
+def _image_norm(s, form, v):
     u = np.einsum("kab,a,b->k", s, v, v)
-    return float(np.sqrt(np.real(np.einsum("ij,i,j->", form_out, u, np.conj(u)))))
+    return float(np.sqrt(np.real(np.einsum("ij,i,j->", form, u, np.conj(u)))))
 
 
 def test_exact_route_brackets_the_ascent():
-    # at least the 64-start ascent, at most the certified upper end, with
-    # different random metrics on the two sides
+    # at least the 64-start ascent, at most the certified upper end, in a
+    # random metric
     rng = np.random.default_rng(23)
     for scale in (0.3, 0.1, 1e-3):
         for _ in range(20):
             s = _symmetric_tensor(rng, 2, scale)
-            g_in = metric_at(random_ball_point(2, rng, 0.9)).g
-            g_out = metric_at(random_ball_point(2, rng, 0.9)).g
-            value, v, converged = max_quadratic_image_norm(s, g_in, g_out)
-            searched = _ascend(s[None], g_in[None], g_out[None], 64, 0, 500)[0][0]
-            upper = _sym_upper(s[None], g_in[None], g_out[None])[0]
+            g = metric_at(random_ball_point(2, rng, 0.9)).g
+            value, v, converged = max_quadratic_image_norm(s, g)
+            frame = _pullback(s[None], g[None])
+            searched = _ascend(frame, 64, 0, 500)[0][0]
+            upper = _sym_upper(frame)[0]
             assert converged
             assert value >= searched * (1 - 1e-12)
             assert value <= upper * (1 + UPPER_SLACK)
             # the value is attained at the returned direction
-            assert abs(np.real(np.conj(v) @ g_in.T @ v) - 1.0) <= 1e-12
-            assert abs(_image_norm(s, g_out, v) - value) <= 1e-12 * value
+            assert abs(np.real(np.conj(v) @ g.T @ v) - 1.0) <= 1e-12
+            assert abs(_image_norm(s, g, v) - value) <= 1e-12 * value
 
 
 def test_exact_route_hard_case():
@@ -429,11 +430,11 @@ def test_exact_route_hard_case():
     s = np.zeros((2, 2, 2), dtype=complex)
     s[0] = np.eye(2)
     g = metric_at(np.zeros(2)).g
-    value, v, converged = max_quadratic_image_norm(s, g, g)
+    value, v, converged = max_quadratic_image_norm(s, g)
     assert converged
     assert abs(value - 1.0 / np.sqrt(3)) <= 1e-15
     assert abs(_image_norm(s, g, v) - value) <= 1e-15
-    assert value >= _ascend(s[None], g[None], g[None], 16, 0, 500)[0][0] * (1 - 1e-12)
+    assert value >= _ascend(_pullback(s[None], g[None]), 16, 0, 500)[0][0] * (1 - 1e-12)
 
 
 def test_norm_at_arg_v_attains_the_value():
@@ -460,14 +461,56 @@ def test_upper_end_at_every_n():
     for n in (2, 3, 4):
         s = _symmetric_tensor(rng, n, 0.2)
         g = metric_at(random_ball_point(n, rng, 0.7)).g
-        upper = _sym_upper(s[None], g[None], g[None])[0]
-        searched = _ascend(s[None], g[None], g[None], 16, 0, 500)[0][0]
+        frame = _pullback(s[None], g[None])
+        upper = _sym_upper(frame)[0]
+        searched = _ascend(frame, 16, 0, 500)[0][0]
         assert searched <= upper * (1 + UPPER_SLACK)
         # a direction-free form of the same bound: ||T||_F in orthonormal coordinates
         chol = np.linalg.cholesky(g.T)
         m = np.linalg.inv(chol.conj().T)
         t = np.einsum("kl,lab,ai,bj->kij", chol.conj().T, s, m, m)
         assert upper <= np.sqrt(np.sum(np.abs(t) ** 2)) * (1 + 1e-12)
+
+
+def test_pullback_frame_identities():
+    # v = M w lies on the unit sphere of the form, and c |T(w, w)| is the
+    # norm of S(v, v) in the same form, for unit w, at every n
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 4):
+        s = np.stack([_symmetric_tensor(rng, n, scale) for scale in (0.3, 1e-3)])
+        g = np.stack([metric_at(random_ball_point(n, rng, 0.9)).g for _ in range(2)])
+        t, m, c, zero = _pullback(s, g)
+        assert not zero.any()
+        for p in range(2):
+            for _ in range(5):
+                w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                w /= np.linalg.norm(w)
+                v = m[p] @ w
+                assert abs(np.real(np.einsum("ij,i,j->", g[p], v, np.conj(v))) - 1.0) <= 1e-12
+                value = c[p] * np.linalg.norm(np.einsum("kij,i,j->k", t[p], w, w))
+                assert abs(value - _image_norm(s[p], g[p], v)) <= 1e-12 * value
+
+
+def test_one_pullback_per_norm_at_and_per_sup_round(monkeypatch):
+    # the upper ends and the solves of a batch share its frame: one Cholesky
+    # factorization of the stacked metrics per pointwise norm and per round
+    # of the sup (the grid, then each refine round)
+    shapes = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        shapes.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for n in (2, 3):
+        m = random_normalized_polymap(n, np.random.default_rng(3), scale=0.1)
+        shapes.clear()
+        schwarzian_norm_at(m, np.full(n, 0.2))
+        assert shapes == [(1, n, n)]
+        shapes.clear()
+        schwarzian_norm_sup(m, r_max=0.8, shells=3, angular=5, starts=4, refine=2)
+        assert shapes == [(1 + 2 * 5, n, n), (16, n, n), (16, n, n)]
 
 
 def test_hopf_quadratic_matches_symbolic_identity():

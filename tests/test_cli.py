@@ -1,10 +1,12 @@
 """CLI contract: determinism, map-file round trips, exit codes, formats."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from schwarzball import checks, cli, family, variational
 from schwarzball.cli import SUITES, main, map_from_payload, map_to_payload
 from schwarzball.errors import MapSpecError
 from schwarzball.maps import (
@@ -103,6 +105,49 @@ def test_exit_code_injected_failure(tmp_path):
     assert code == 1
     assert rep["passed"] is False
     assert any(r["name"] == "injected_failure" for r in rep["results"])
+
+
+def test_bound_violations_are_reported_not_raised(tmp_path, monkeypatch):
+    # C_simple pushed below C_exact: the variation suite and both bounds
+    # formats write their report or table with the check false, and exit 1
+    c_simple = variational.c_simple
+    monkeypatch.setattr(variational, "c_simple", lambda n, alpha: -1.0)
+    code, rep = run_json(tmp_path, ["verify", "variation", "--n", "2", "--seed", "0"])
+    assert code == 1 and rep["passed"] is False
+    assert [r["name"] for r in rep["results"] if not r["passed"]] == [
+        "bounds_C_exact_le_C_simple_grid"
+    ]
+    grid = ["bounds", "--n", "2", "--alpha", "0:1", "--step", "0.5"]
+    code, rep = run_json(tmp_path, grid + ["--format", "json"], "bounds.json")
+    assert code == 1 and not any(r["passed"] for r in rep["results"])
+    out = tmp_path / "bounds.csv"
+    assert main(grid + ["--format", "csv", "--out", str(out)]) == 1
+    assert len(out.read_text().strip().split("\n")) == 1 + 3
+    # a lower bound above the norm order bound fails its row too
+    monkeypatch.setattr(variational, "c_simple", c_simple)
+    bounds_report = cli.bounds_report
+
+    def raised_lower(n, alpha):
+        br = bounds_report(n, alpha)
+        return dataclasses.replace(br, lower_bound=br.norm_ord_bound + (alpha > 0.7))
+
+    monkeypatch.setattr(cli, "bounds_report", raised_lower)
+    code, rep = run_json(tmp_path, grid + ["--format", "json"], "lower.json")
+    assert code == 1
+    assert [r["passed"] for r in rep["results"]] == [True, True, False]
+    assert main(grid + ["--format", "csv", "--out", str(out)]) == 1
+
+
+def test_trace_order_gap_is_reported_not_raised(tmp_path, monkeypatch):
+    # a 0.1% error in grad JG(0) reaches the family suite's report as a
+    # failing check instead of an exception
+    grad_jacobian = family.grad_jacobian
+    for module in (family, checks):
+        monkeypatch.setattr(module, "grad_jacobian", lambda g: 1.001 * grad_jacobian(g))
+    code, rep = run_json(tmp_path, ["verify", "family", "--n", "2", "--seed", "0"])
+    assert code == 1 and rep["passed"] is False
+    gap = next(r for r in rep["results"] if r["name"] == "trace_order_gradient_gap")
+    assert gap["passed"] is False and gap["value"] > 1e-4
 
 
 def test_exit_code_usage_error(tmp_path):

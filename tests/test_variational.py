@@ -5,6 +5,7 @@ import pytest
 
 from schwarzball import checks
 from schwarzball.errors import DimensionError, InfeasibleSearchError, NormalizationError
+from schwarzball.family import membership_check
 from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
@@ -185,6 +186,8 @@ def test_bounds_dimension_guard():
             bounds_report(2, alpha)
         with pytest.raises(DimensionError):
             extremal_search(moebius_subfamily(2), alpha=alpha)
+        with pytest.raises(DimensionError):
+            membership_check(identity_map(2), alpha, shells=2, angular=2, starts=2)
 
 
 # -- extremal search -----------------------------------------------------------------
