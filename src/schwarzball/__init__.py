@@ -23,7 +23,6 @@ from .errors import (
 )
 from .jets import (
     Jet,
-    JetMatrix,
     JetVector,
     jet_compose,
     jet_det,
@@ -32,7 +31,6 @@ from .jets import (
     jet_partial,
     jet_pow,
     jet_reciprocal,
-    max_coeff_diff,
     multi_indices,
 )
 from .maps import (
@@ -43,19 +41,16 @@ from .maps import (
     affine_map,
     automorphism_from_center,
     automorphism_validate,
-    compose_maps,
     identity_map,
     map_eval,
     map_jet_at,
     moebius_pole_at_e1,
-    unitary_automorphism,
 )
 from .schwarzian import (
     SchwarzianTensor,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
-    schwarzian_apply,
     schwarzian_at,
     schwarzian_of,
 )
@@ -70,14 +65,12 @@ from .bergman import (
 from .family import (
     MembershipResult,
     NormalizedJet,
-    OrderFunctionals,
     grad_jacobian,
     koebe_map,
     koebe_transform,
     membership_check,
     norm_order_functional,
     normalize_map,
-    order_functionals,
     trace_order_functional,
 )
 from .variational import (

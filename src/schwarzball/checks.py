@@ -19,7 +19,7 @@ from .family import (
     normalization_residual,
     trace_order_functional,
 )
-from .maps import CompositionMap, MapSpec, compose_maps, identity_map, map_eval, map_jet_at
+from .maps import CompositionMap, MapSpec, identity_map, map_eval, map_jet_at
 from .schwarzian import (
     MIN_JET_DEGREE,
     canonical_residual,
@@ -58,10 +58,10 @@ def chain_rule(f: MapSpec, g: MapSpec, z, moebius: MapSpec | None = None) -> dic
     jg = map_jet_at(g, w, MIN_JET_DEGREE)
     t_f = schwarzian_at(jf, z=z)
     rule = chain_rule_transform(t_f, schwarzian_at(jg, z=w), jf, jg)
-    direct = schwarzian_at(compose_maps(g, f, z, MIN_JET_DEGREE), z=z)
+    direct = schwarzian_at(map_jet_at(CompositionMap((g, f)), z, MIN_JET_DEGREE), z=z)
     out = {"Sk": _gap(rule.Sk, direct.Sk), "S0": _gap(rule.S0, direct.S0)}
     if moebius is not None:
-        t_mf = schwarzian_at(compose_maps(moebius, f, z, MIN_JET_DEGREE), z=z)
+        t_mf = schwarzian_at(map_jet_at(CompositionMap((moebius, f)), z, MIN_JET_DEGREE), z=z)
         out["moebius_post"] = max(_gap(t_f.Sk, t_mf.Sk), _gap(t_f.S0, t_mf.S0))
     return out
 
@@ -97,16 +97,19 @@ def first_variation(m: MapSpec) -> dict[str, float]:
 
 
 def koebe(m: MapSpec, zeta, seed: int = 0) -> dict[str, float]:
-    """max(|G(0)|, |DG(0) - Id|) and |2 trace order - |grad JG(0)|| of the Koebe
-    transform G of m at zeta, and the observed (not a residual) ``trace_ratio``:
+    """max(|G(0)|, |DG(0) - Id|) of the Koebe transform G of m at zeta; the gap
+    ``trace_gradient`` between 2 trace order, read off grad JG(0), and the length
+    of the trace form c_i = sum_j d^2 g_j/dz_i dz_j(0), which equals grad JG(0)
+    for a normalized map; and the observed (not a residual) ``trace_ratio``:
     trace order / (n norm order), left out where the norm order is at most 1e-12
     (a NaN norm order gives a NaN ratio)."""
     g = koebe_transform(m, zeta, d=3)
     trace = trace_order_functional(g)
     norm_ord = norm_order_functional(g, seed=seed)
+    trace_form = np.einsum("jij->i", g.jets.derivatives(2))
     out = {
         "normalization": normalization_residual(g.jets),
-        "trace_gradient": abs(2.0 * trace - float(np.linalg.norm(grad_jacobian(g)))),
+        "trace_gradient": abs(2.0 * trace - float(np.linalg.norm(trace_form))),
     }
     if not norm_ord <= 1e-12:
         out["trace_ratio"] = trace / (g.n * norm_ord)

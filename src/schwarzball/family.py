@@ -1,15 +1,16 @@
 """Koebe transforms and order functionals of normalized maps.
 
-A normalized map satisfies G(0) = 0, DG(0) = Id.  The Koebe transform
+A normalized map satisfies G(0) = 0, DG(0) = Id.  The Koebe transform of F
+at zeta is the normalization of F o sigma, with sigma the ball automorphism
+moving the origin to zeta,
 
-    G = Dsigma(0)^{-1} DF(zeta)^{-1} [ F o sigma - F(zeta) ],
+    G = D(F o sigma)(0)^{-1} [ F o sigma - F(zeta) ],
 
-with sigma the ball automorphism moving the origin to zeta, renormalizes F
-after precomposition and is the linear-invariance machine for the family
-{ ||S F|| <= alpha }.  The per-map order functionals implemented here are the
-trace order (half the Euclidean length of grad JG(0), equal to the supremum
-form over unit directions) and the norm order (half the maximal Euclidean
-length of the second-derivative quadratic map over the unit sphere).
+and is the linear-invariance machine for the family { ||S F|| <= alpha }.
+The per-map order functionals implemented here are the trace order (half the
+Euclidean length of grad JG(0)) and the norm order (half the maximal
+Euclidean length of the second-derivative quadratic map over the unit
+sphere).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .maps import (
     affine_map,
     automorphism_from_center,
     map_dim,
-    map_eval,
     map_jet_at,
 )
 
@@ -68,14 +68,15 @@ class NormalizedJet:
         return self.jets.d
 
 
-@dataclass(frozen=True)
-class OrderFunctionals:
-    """Per-map order data; 2 * trace_order = |grad_jf| for a normalized map
-    (checked by ``checks.koebe``, not on build)."""
-
-    trace_order: float
-    grad_jf: np.ndarray
-    norm_order: float
+def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
+    """Return (affine-postcomposed normalization of m, whether m already was)."""
+    n = map_dim(m)
+    origin = np.zeros(n, dtype=complex)
+    jv = map_jet_at(m, origin, 1)
+    if normalization_residual(jv) <= NORMALIZATION_TOL:
+        return m, True
+    mat = np.linalg.inv(jv.linear_matrix())
+    return CompositionMap((affine_map(mat, -mat @ jv.constants()), m)), False
 
 
 def koebe_transform(m: MapSpec, zeta, d: int = 4) -> NormalizedJet:
@@ -85,32 +86,23 @@ def koebe_transform(m: MapSpec, zeta, d: int = 4) -> NormalizedJet:
 
 
 def koebe_map(m: MapSpec, zeta) -> MapSpec:
-    """The Koebe transform as a composable map (affine o F o sigma)."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    sigma = automorphism_from_center(zeta)
-    j_sigma = map_jet_at(sigma, np.zeros(len(zeta), dtype=complex), 1)
-    j_f = map_jet_at(m, zeta, 1)
-    mat = np.linalg.inv(j_f.linear_matrix() @ j_sigma.linear_matrix())
-    w0 = map_eval(m, zeta)
-    post = affine_map(mat, -mat @ w0)
-    return CompositionMap((post, m, sigma))
+    """The Koebe transform as a composable map: the normalization of m o sigma."""
+    return normalize_map(CompositionMap((m, automorphism_from_center(zeta))))[0]
 
 
-def grad_jacobian(g: NormalizedJet | JetVector) -> np.ndarray:
+def grad_jacobian(g: NormalizedJet) -> np.ndarray:
     """grad(JG)(0) read off the degree-1 part of the Jacobian determinant jet."""
-    jv = g.jets if isinstance(g, NormalizedJet) else g
-    return jet_det(jet_jacobian(jv)).derivatives(1)
+    return jet_det(jet_jacobian(g.jets)).derivatives(1)
 
 
 def trace_order_functional(g: NormalizedJet) -> float:
-    """Half the supremum over unit directions of the trace form.
+    """Half the Euclidean length of grad(JG)(0).
 
-    The supremum form equals the Euclidean length of the coefficient vector
-    c_i = sum_j d^2 g_j/dz_i dz_j(0).  For normalized maps this vector is
-    grad(JG)(0); ``checks.koebe`` reports the gap between the two routes.
+    ``checks.koebe`` compares it with the trace form, the length of
+    c_i = sum_j d^2 g_j/dz_i dz_j(0), which equals grad(JG)(0) for a
+    normalized map.
     """
-    c = np.einsum("jij->i", g.jets.derivatives(2))
-    return 0.5 * float(np.linalg.norm(c))
+    return 0.5 * float(np.linalg.norm(grad_jacobian(g)))
 
 
 def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> float:
@@ -122,16 +114,6 @@ def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> 
     h = g.jets.derivatives(2)
     value, _, _ = max_quadratic_image_norm(h, np.eye(g.n), starts=starts, seed=seed)
     return 0.5 * value
-
-
-def order_functionals(g: NormalizedJet, starts: int = 16, seed: int = 0) -> OrderFunctionals:
-    """Trace order, Jacobian gradient, and norm order of a normalized jet."""
-    grad = grad_jacobian(g)
-    return OrderFunctionals(
-        trace_order=trace_order_functional(g),
-        grad_jf=grad,
-        norm_order=norm_order_functional(g, starts=starts, seed=seed),
-    )
 
 
 @dataclass
@@ -149,17 +131,6 @@ class MembershipResult:
     alpha: float
     epsilon: float
     was_normalized: bool
-
-
-def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
-    """Return (affine-postcomposed normalization of m, whether m already was)."""
-    n = map_dim(m)
-    origin = np.zeros(n, dtype=complex)
-    jv = map_jet_at(m, origin, 1)
-    if normalization_residual(jv) <= NORMALIZATION_TOL:
-        return m, True
-    mat = np.linalg.inv(jv.linear_matrix())
-    return CompositionMap((affine_map(mat, -mat @ jv.constants()), m)), False
 
 
 def membership_check(

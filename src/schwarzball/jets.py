@@ -151,25 +151,6 @@ class Jet:
         """
         return _derivative_arrays((self,), order)[0]
 
-    def evaluate(self, h: Sequence[complex]) -> complex:
-        """Evaluate the truncated polynomial at offset ``h`` from the center."""
-        h = [complex(x) for x in h]
-        if len(h) != self.n:
-            raise DimensionError("offset length does not match variable count")
-        total = 0j
-        for key, val in self.coeffs.items():
-            term = val
-            for x, e in zip(h, key):
-                for _ in range(e):
-                    term *= x
-            total += term
-        return total
-
-    def truncate(self, d: int) -> "Jet":
-        if d == self.d:
-            return self
-        return Jet(self.n, d, self.coeffs)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_same_shape(self, other: "Jet") -> None:
@@ -491,57 +472,24 @@ class JetVector:
         return JetVector(out)
 
 
-class JetMatrix:
-    """Rectangular grid of jets sharing (n, d)."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[Jet]]):
-        rows = tuple(tuple(r) for r in rows)
-        if not rows or not rows[0]:
-            raise DimensionError("empty jet matrix")
-        width = len(rows[0])
-        n, d = rows[0][0].n, rows[0][0].d
-        for r in rows:
-            if len(r) != width:
-                raise DimensionError("ragged jet matrix")
-            for j in r:
-                if not isinstance(j, Jet) or j.n != n or j.d != d:
-                    raise DimensionError("jet matrix entries do not share (n, d)")
-        self.rows = rows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.rows[0]))
-
-    @property
-    def n(self) -> int:
-        return self.rows[0][0].n
-
-    @property
-    def d(self) -> int:
-        return self.rows[0][0].d
-
-    def __getitem__(self, ij: tuple[int, int]) -> Jet:
-        i, j = ij
-        return self.rows[i][j]
+def jet_jacobian(jv: JetVector) -> list[list[Jet]]:
+    """Jacobian matrix of jets as rows, entry [i][j] = d(component_i)/d(z_j)."""
+    return [[jet_partial(jv[i], j) for j in range(jv.n)] for i in range(len(jv))]
 
 
-def jet_jacobian(jv: JetVector) -> JetMatrix:
-    """Jacobian matrix of jets, entry (i, j) = d(component_i)/d(z_j)."""
-    return JetMatrix([[jet_partial(jv[i], j) for j in range(jv.n)] for i in range(len(jv))])
-
-
-def jet_det(matrix: JetMatrix) -> Jet:
-    """Determinant of a square jet matrix by first-row expansion with memoized minors."""
-    rows, cols = matrix.shape
-    if rows != cols:
-        raise DimensionError("determinant of a non-square jet matrix")
-    n, d = matrix.n, matrix.d
+def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:
+    """Determinant of a square matrix of jets sharing (n, d), given as rows,
+    by first-row expansion with memoized minors."""
+    size = len(rows)
+    if size == 0 or any(len(r) != size for r in rows):
+        raise DimensionError("determinant of an empty or non-square jet matrix")
+    n, d = rows[0][0].n, rows[0][0].d
+    if any(e.n != n or e.d != d for r in rows for e in r):
+        raise DimensionError("jet matrix entries do not share (n, d)")
     cache: dict[tuple[int, tuple[int, ...]], Jet] = {}
 
     def minor(r: int, cs: tuple[int, ...]) -> Jet:
-        if r == rows:
+        if r == size:
             return Jet.constant(n, d, 1.0)
         key = (r, cs)
         hit = cache.get(key)
@@ -550,7 +498,7 @@ def jet_det(matrix: JetMatrix) -> Jet:
         acc = Jet.zero(n, d)
         sign = 1.0
         for pos, c in enumerate(cs):
-            entry = matrix.rows[r][c]
+            entry = rows[r][c]
             if entry.coeffs:
                 sub = minor(r + 1, cs[:pos] + cs[pos + 1:])
                 acc = acc + _mul(entry, sub) * sign
@@ -558,11 +506,4 @@ def jet_det(matrix: JetMatrix) -> Jet:
         cache[key] = acc
         return acc
 
-    return minor(0, tuple(range(cols)))
-
-
-def max_coeff_diff(a: Jet, b: Jet) -> float:
-    """Largest absolute coefficient difference (jets must share (n, d))."""
-    a._check_same_shape(b)
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coeff(k) - b.coeff(k)) for k in keys), default=0.0)
+    return minor(0, tuple(range(size)))

@@ -25,7 +25,6 @@ its scalar multiples are one map.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -114,11 +113,7 @@ def map_dim(m: MapSpec) -> int:
 
 
 def identity_map(n: int) -> PolyMap:
-    comps = []
-    for i in range(n):
-        key = tuple(1 if k == i else 0 for k in range(n))
-        comps.append({key: 1.0})
-    return PolyMap(n, comps)
+    return affine_map(np.eye(n))
 
 
 def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> PolyMap:
@@ -139,14 +134,6 @@ def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> P
                 table[key] = matrix[i, j]
         comps.append(table)
     return PolyMap(n, comps)
-
-
-def unitary_automorphism(u: np.ndarray) -> MoebiusMap:
-    """Automorphism z -> Uz for unitary U."""
-    u = np.asarray(u, dtype=complex)
-    a = np.eye(u.shape[0] + 1, dtype=complex)
-    a[1:, 1:] = u
-    return MoebiusMap(a)
 
 
 def moebius_pole_at_e1(n: int) -> MoebiusMap:
@@ -307,21 +294,10 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> MapJet:
     if isinstance(m, CompositionMap):
         jv = map_jet_at(m.maps[-1], zeta, d)
         for part in m.maps[-2::-1]:
-            jv = _compose_jet_step(part, jv, d)
+            w = jv.constants()
+            jv = jet_compose(map_jet_at(part, w, d), jv.shifted(-w).jets)
         return _check_locally_biholomorphic(jv)
     raise DimensionError(f"not a map spec: {type(m).__name__}")
-
-
-def _compose_jet_step(outer: MapSpec, inner_jet: JetVector, d: int) -> JetVector:
-    w = inner_jet.constants()
-    outer_jet = map_jet_at(outer, w, d)
-    return jet_compose(outer_jet, inner_jet.shifted(-w).jets)
-
-
-def compose_maps(outer: MapSpec, inner: MapSpec, center: Sequence[complex], d: int) -> JetVector:
-    """Jet of ``outer o inner`` about ``center`` to degree ``d``."""
-    inner_jet = map_jet_at(inner, center, d)
-    return _compose_jet_step(outer, inner_jet, d)
 
 
 # -- ball automorphisms -------------------------------------------------------
@@ -357,43 +333,19 @@ def automorphism_from_center(zeta: Sequence[complex]) -> MoebiusMap:
     return MoebiusMap(a / s)
 
 
-@dataclass
-class AutomorphismReport:
-    """Residuals of the three block identities plus a ball-containment sample."""
-
-    identity_residuals: tuple[float, float, float]
-    max_residual: float
-    max_image_norm: float
-    ball_ok: bool
-
-
-def automorphism_validate(sigma: MoebiusMap, samples: int = 200, seed: int = 0) -> AutomorphismReport:
-    """Report block-identity residuals and sample that sigma maps the ball into itself.
+def automorphism_validate(sigma: MoebiusMap) -> tuple[float, float, float]:
+    """Residuals of the three block identities of a ball automorphism.
 
     The blocks of (Az + B)/(Cz + D) are read from the grid [[D, C], [B, A]].
+    ``max`` of the three is the residual the ``automorphism`` map-file loader
+    tests.
     """
     n = sigma.n
     dd, c, b, a = sigma.a[0, 0], sigma.a[0, 1:], sigma.a[1:, 0], sigma.a[1:, 1:]
     r1 = float(np.max(np.abs(a.T @ a.conj() - np.outer(c, c.conj()) - np.eye(n))))
     r2 = float(abs(abs(dd) ** 2 - complex(b @ b.conj()) - 1.0))
     r3 = float(np.max(np.abs(a.T @ b.conj() - c * np.conj(dd))))
-    rng = np.random.default_rng(seed)
-    max_norm = 0.0
-    ok = True
-    for _ in range(samples):
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        z = v * (0.999 * rng.random() ** (1.0 / (2 * n)))
-        try:
-            img = map_eval(sigma, z)
-        except VanishingDenominatorError:
-            ok = False
-            continue
-        nn = float(np.linalg.norm(img))
-        max_norm = max(max_norm, nn)
-        if nn >= 1.0:
-            ok = False
-    return AutomorphismReport((r1, r2, r3), max(r1, r2, r3), max_norm, ok)
+    return r1, r2, r3
 
 
 # -- deterministic samplers used by verification suites -----------------------

@@ -117,14 +117,6 @@ def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
     return schwarzian_at(map_jet_at(m, z, MIN_JET_DEGREE), z=z)
 
 
-def schwarzian_apply(t: SchwarzianTensor, v) -> np.ndarray:
-    """Quadratic-form operator value (v^t S^1 v, ..., v^t S^n v)."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    if len(v) != t.n:
-        raise DimensionError("direction dimension does not match tensor dimension")
-    return np.einsum("kij,i,j->k", t.Sk, v, v)
-
-
 def canonical_residual(t: SchwarzianTensor) -> float:
     """max_i |sum_j S^j_ij|, identically zero for genuine Schwarzian tensors."""
     n = t.n

@@ -89,10 +89,10 @@ class BoundReport:
 
 def matrix_A(m: MapSpec) -> VariationReport:
     """Assemble the first-variation matrix and the extremality residual."""
-    jv = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)).jets
-    n = jv.n
-    t = schwarzian_at(jv)
-    lam = grad_jacobian(jv)
+    g = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE))
+    n = g.n
+    t = schwarzian_at(g.jets)
+    lam = grad_jacobian(g)
     b = np.einsum("kij,k->ij", t.Sk, lam)
     a = b - (n + 1) * t.S0 + np.outer(lam, lam) / (n + 1)
     residual = float(np.linalg.norm(a @ np.conj(lam) - (n + 1) * lam))
@@ -194,11 +194,11 @@ def decoupled_residuals(m: MapSpec) -> DecoupledReport:
         q = np.conj(u0)
         target = CompositionMap((affine_map(q.conj().T), m, affine_map(q)))
         rotated = True
-    jv_rot = NormalizedJet(map_jet_at(target, origin, MIN_JET_DEGREE)).jets
-    lam_rot = grad_jacobian(jv_rot)
+    g_rot = NormalizedJet(map_jet_at(target, origin, MIN_JET_DEGREE))
+    lam_rot = grad_jacobian(g_rot)
     if abs(lam_rot[0] - lam) > 1e-9 * (1 + lam) or np.max(np.abs(lam_rot[1:])) > 1e-9 * (1 + lam):
         raise NormalizationError("rotation failed to align the Jacobian gradient")
-    t = schwarzian_at(jv_rot)
+    t = schwarzian_at(g_rot.jets)
     s1 = t.Sk[0]
     quad = abs(lam**2 + (n + 1) * s1[0, 0] * lam - (n + 1) ** 2 * t.S0[0, 0] - (n + 1) ** 2)
     off = np.abs(s1[0, 1:] * lam - (n + 1) * t.S0[0, 1:])

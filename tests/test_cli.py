@@ -74,7 +74,7 @@ SUITE_CHECKS = {
         "A_symmetry_max_residual", "expansion_remainder_max_ratio",
         "moebius_extremal_closure_residual", "alpha0_order_attainment_gap",
         "alpha0_decoupled_quadratic_residual", "bounds_C_exact_le_C_simple_grid",
-        "bounds_monotone_in_alpha",
+        "bounds_lower_le_norm_ord_bound_grid", "bounds_monotone_in_alpha",
     ],
     "family": [
         "koebe_normalization_max_residual", "trace_order_gradient_gap",
@@ -136,6 +136,13 @@ def test_bound_violations_are_reported_not_raised(tmp_path, monkeypatch):
     assert code == 1
     assert [r["passed"] for r in rep["results"]] == [True, True, False]
     assert main(grid + ["--format", "csv", "--out", str(out)]) == 1
+    # and the variation suite's grid check reports it
+    monkeypatch.setattr(checks, "bounds_report", raised_lower)
+    code, rep = run_json(tmp_path, ["verify", "variation", "--n", "2", "--seed", "0"], "var.json")
+    assert code == 1
+    failed = [r for r in rep["results"] if not r["passed"]]
+    assert [r["name"] for r in failed] == ["bounds_lower_le_norm_ord_bound_grid"]
+    assert abs(failed[0]["value"] - 1.0) <= 1e-12 and failed[0]["tolerance"] == 1e-12
 
 
 def test_trace_order_gap_is_reported_not_raised(tmp_path, monkeypatch):
@@ -163,6 +170,11 @@ def test_exit_code_usage_error(tmp_path):
         ["bounds", "--alpha", "0:1", "--step", "1e-320"], ["bounds", "--alpha", "0:1", "--step", "1e-300"],
         ["bounds", "--n", "2:1000000", "--alpha", "0:1"],
         ["search", "--alpha", "-1"], ["search", "--alpha", "nan"], ["search", "--alpha", "inf"],
+        ["verify", "pde", "--seed", "-1"], ["analyze", str(path), "--seed", "-1"],
+        ["search", "--seed", "-1"], ["search", "--budget", "-5"], ["search", "--budget", "0"],
+        # options that selected nothing are gone
+        ["verify", "pde", "--format", "json"], ["analyze", str(path), "--format", "json"],
+        ["bounds", "--seed", "0"],
     ]
     for r_max in ("1.5", "nan", "-0.1"):
         argvs += [["search", "--r-max", r_max], ["analyze", str(path), "--ops", "norm", "--r-max", r_max]]
@@ -313,6 +325,7 @@ def test_bounds_rejects_small_n(tmp_path):
 def test_bounds_json_format(tmp_path):
     code, rep = run_json(tmp_path, ["bounds", "--n", "2", "--alpha", "0", "--format", "json"])
     assert code == 0
+    assert rep["seed"] is None  # bounds draws nothing
     assert rep["results"][0]["value"]["ord_bound"] == 1.5
 
 

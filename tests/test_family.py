@@ -13,18 +13,24 @@ from schwarzball.family import (
     norm_order_functional,
     normalization_residual,
     normalize_map,
-    order_functionals,
     trace_order_functional,
 )
 from schwarzball.jets import Jet, JetVector
 from schwarzball.maps import (
+    CompositionMap,
     PolyMap,
+    affine_map,
+    automorphism_from_center,
     identity_map,
+    map_eval,
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
+    random_moebius,
     random_normalized_polymap,
 )
+
+from helpers import max_coeff_diff
 
 
 def shear_a(a):
@@ -43,6 +49,27 @@ def test_koebe_at_origin_returns_map_itself():
         keys = set(g.jets[i].coeffs) | set(direct[i].coeffs)
         worst = max(abs(g.jets[i].coeff(k) - direct[i].coeff(k)) for k in keys)
         assert worst <= 1e-13
+
+
+def _explicit_koebe_map(m, zeta):
+    """post o F o sigma with post = (DF(zeta) Dsigma(0))^{-1} (w - F(zeta)), built term by term."""
+    sigma = automorphism_from_center(zeta)
+    d_sigma = map_jet_at(sigma, np.zeros(len(zeta)), 1).linear_matrix()
+    d_f = map_jet_at(m, zeta, 1).linear_matrix()
+    mat = np.linalg.inv(d_f @ d_sigma)
+    post = affine_map(mat, -mat @ map_eval(m, zeta))
+    return CompositionMap((post, m, sigma))
+
+
+def test_koebe_transform_matches_explicit_construction():
+    rng = np.random.default_rng(21)
+    maps = (shear_a(0.4), random_moebius(2, rng), random_normalized_polymap(2, rng, scale=0.1))
+    for m in maps:
+        for zeta in ([0.1, 0.0], [0.2 - 0.1j, 0.3j], random_ball_point(2, rng, 0.5)):
+            zeta = np.asarray(zeta, dtype=complex)
+            g = koebe_transform(m, zeta, d=3)
+            want = map_jet_at(_explicit_koebe_map(m, zeta), np.zeros(2), 3)
+            assert max(max_coeff_diff(x, y) for x, y in zip(g.jets, want)) <= 1e-13
 
 
 def test_koebe_identity_gradient_exact():
@@ -91,12 +118,14 @@ def test_norm_order_examples():
 
 
 def test_order_functionals_invariant():
+    # grad JG(0) equals the trace form c_i = sum_j d^2 g_j/dz_i dz_j(0) of a normalized map
     rng = np.random.default_rng(25)
     for _ in range(10):
         m = random_normalized_polymap(2, rng, scale=0.15)
         g = NormalizedJet(map_jet_at(m, np.zeros(2), 3))
-        of = order_functionals(g)
-        assert abs(2 * of.trace_order - np.linalg.norm(of.grad_jf)) <= 1e-10
+        trace_form = np.einsum("jij->i", g.jets.derivatives(2))
+        assert np.max(np.abs(grad_jacobian(g) - trace_form)) <= 1e-10
+        assert abs(2 * trace_order_functional(g) - np.linalg.norm(trace_form)) <= 1e-10
 
 
 def test_koebe_random_maps_stay_normalized():

@@ -14,16 +14,16 @@ from schwarzball.errors import (
 )
 from schwarzball.jets import (
     Jet,
-    JetMatrix,
     JetVector,
     jet_compose,
     jet_det,
     jet_log,
     jet_partial,
     jet_pow,
-    max_coeff_diff,
     multi_indices,
 )
+
+from helpers import max_coeff_diff
 
 TOL = 1e-12
 
@@ -85,8 +85,8 @@ def test_truncation_exactness_vs_full_product():
     # product of degree-2 polynomials at d=4 agrees with the untruncated
     # dict product restricted to total degree <= 4
     rng = np.random.default_rng(5)
-    a = random_jet(2, 2, rng).truncate(4)
-    b = random_jet(2, 2, rng).truncate(4)
+    a = Jet(2, 4, random_jet(2, 2, rng).coeffs)
+    b = Jet(2, 4, random_jet(2, 2, rng).coeffs)
     full = {}
     for ka, va in a.coeffs.items():
         for kb, vb in b.coeffs.items():
@@ -202,16 +202,23 @@ def test_mixed_partials_commute():
 
 def test_det_identity():
     one, zero = Jet(2, 2, {(0, 0): 1}), Jet(2, 2)
-    m = JetMatrix([[one if i == j else zero for j in range(3)] for i in range(3)])
+    m = [[one if i == j else zero for j in range(3)] for i in range(3)]
     assert max_coeff_diff(jet_det(m), Jet(2, 2, {(0, 0): 1})) == 0
 
 
 def test_det_triangular():
-    m = JetMatrix([
+    m = [
         [Jet(2, 2, {(0, 0): 1, (1, 0): 1}), Jet(2, 2, {(0, 1): 1})],
         [Jet(2, 2), Jet(2, 2, {(0, 0): 1})],
-    ])
+    ]
     assert max_coeff_diff(jet_det(m), Jet(2, 2, {(0, 0): 1, (1, 0): 1})) == 0
+
+
+def test_det_rejects_non_square_and_mixed_shapes():
+    one = Jet(2, 2, {(0, 0): 1})
+    for rows in ([], [[one, one]], [[one], [one, one]], [[one, Jet(2, 3)], [one, one]]):
+        with pytest.raises(DimensionError):
+            jet_det(rows)
 
 
 # -- exactness against the reference loops ----------------------------------------
@@ -361,14 +368,6 @@ def test_derivatives_array_matches_derivative_value():
         for idx in product(range(3), repeat=order):
             key = tuple(idx.count(v) for v in range(3))
             assert arr[idx] == a.derivative_value(key)
-
-
-def test_evaluate_matches_coefficients():
-    rng = np.random.default_rng(3)
-    a = random_jet(2, 3, rng)
-    h = np.array([0.05, -0.03 + 0.02j])
-    direct = sum(v * h[0] ** k[0] * h[1] ** k[1] for k, v in a.coeffs.items())
-    assert abs(a.evaluate(h) - direct) <= 1e-12
 
 
 def test_variable_count_limit():

@@ -15,22 +15,21 @@ from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
     affine_map,
-    compose_maps,
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
     random_normalized_polymap,
-    unitary_automorphism,
 )
 from schwarzball.schwarzian import (
     canonical_residual,
     chain_rule_transform,
     pde_residual,
-    schwarzian_apply,
     schwarzian_at,
     schwarzian_of,
 )
+
+from helpers import quadratic_image, unitary_automorphism
 
 
 def shear_a(a, n=2):
@@ -77,19 +76,13 @@ def test_b_shear_origin_value():
 def test_apply_operator():
     a = 0.7
     t = schwarzian_of(shear_a(a), np.zeros(2))
-    assert np.max(np.abs(schwarzian_apply(t, np.zeros(2)))) == 0
-    out = schwarzian_apply(t, np.array([0, 1.0]))
+    assert np.max(np.abs(quadratic_image(t, np.zeros(2)))) == 0
+    out = quadratic_image(t, np.array([0, 1.0]))
     assert abs(out[0] - 2 * a) <= 1e-12 and abs(out[1]) <= 1e-12
     rng = np.random.default_rng(4)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     c = 0.3 - 1.2j
-    assert np.max(np.abs(schwarzian_apply(t, c * v) - c * c * schwarzian_apply(t, v))) <= 1e-12
-
-
-def test_apply_dimension_mismatch():
-    t = schwarzian_of(shear_a(0.2), np.zeros(2))
-    with pytest.raises(DimensionError):
-        schwarzian_apply(t, np.ones(3))
+    assert np.max(np.abs(quadratic_image(t, c * v) - c * c * quadratic_image(t, v))) <= 1e-12
 
 
 def test_chain_rule_with_moebius_outer_is_identity():
@@ -152,7 +145,7 @@ def test_moebius_postcomposition_invariance():
         mo = random_moebius(2, rng)
         z = random_ball_point(2, rng, 0.3)
         tf = schwarzian_at(map_jet_at(f, z, 3), z=z)
-        tmf = schwarzian_at(compose_maps(mo, f, z, 3), z=z)
+        tmf = schwarzian_at(map_jet_at(CompositionMap((mo, f)), z, 3), z=z)
         worst = max(worst, float(np.max(np.abs(tf.Sk - tmf.Sk))))
         worst = max(worst, float(np.max(np.abs(tf.S0 - tmf.S0))))
     assert worst <= 1e-9
@@ -243,7 +236,7 @@ def test_singularity_test_is_scale_free():
     g = random_moebius(3, np.random.default_rng(8))
     jg = map_jet_at(g, w, 3)
     t = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
-    direct = schwarzian_at(compose_maps(g, scaled_shear(1e-5), z, 3), z=z)
+    direct = schwarzian_at(map_jet_at(CompositionMap((g, scaled_shear(1e-5))), z, 3), z=z)
     assert np.max(np.abs(t.Sk - direct.Sk)) <= 1e-9
     assert np.max(np.abs(t.S0 - direct.S0)) <= 1e-9
 
