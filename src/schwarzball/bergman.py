@@ -106,18 +106,24 @@ class NormEstimate:
     upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
 
+def _metrics(z: np.ndarray) -> np.ndarray:
+    """Bergman metric matrices at a stack of interior points, shape (p, n, n)."""
+    n = z.shape[1]
+    r2 = np.sum(np.abs(z) ** 2, axis=1)
+    if np.any(r2 >= 1.0):
+        raise OutsideDomainError(f"|z|^2 = {np.max(r2):.6f} is not inside the unit ball")
+    g = ((n + 1) / (1.0 - r2) ** 2)[:, None, None] * (
+        (1.0 - r2)[:, None, None] * np.eye(n) + np.conj(z)[:, :, None] * z[:, None, :]
+    )
+    return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))  # exact hermitian symmetry through rounding
+
+
 def metric_at(z, n: int | None = None) -> MetricTensor:
     """Bergman metric matrix at an interior point of the unit ball."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if n is not None and len(z) != n:
         raise DimensionError(f"point has dimension {len(z)}, expected {n}")
-    n = len(z)
-    r2 = float(np.sum(np.abs(z) ** 2))
-    if r2 >= 1.0:
-        raise OutsideDomainError(f"|z|^2 = {r2:.6f} is not inside the unit ball")
-    g = (n + 1) / (1.0 - r2) ** 2 * ((1.0 - r2) * np.eye(n) + np.outer(np.conj(z), z))
-    g = 0.5 * (g + g.conj().T)  # exact hermitian symmetry through rounding
-    return MetricTensor(z=z, g=g)
+    return MetricTensor(z=z, g=_metrics(z[None])[0])
 
 
 def _form_value(g: np.ndarray, v: np.ndarray) -> float:
@@ -405,10 +411,12 @@ def max_quadratic_image_norm(
 
 
 def _tensors_at(m: MapSpec, points):
-    """Frame of the Schwarzian tensors in the Bergman metric, and upper ends, at points."""
-    tensors = [schwarzian_of(m, z) for z in points]
-    g = np.array([metric_at(z, n=t.n).g for z, t in zip(points, tensors)])
-    frame = _pullback(np.array([t.Sk for t in tensors]), g)
+    """Frame of the Schwarzian tensors in the Bergman metric, and upper ends, at points.
+
+    One batched tensor call and one vectorized metric expression for all the points.
+    """
+    points = np.asarray(points, dtype=complex)
+    frame = _pullback(schwarzian_of(m, points).Sk, _metrics(points))
     return frame, _sym_upper(frame)
 
 

@@ -45,7 +45,7 @@ def worst(check, cases) -> dict[str, float]:
 
 
 def moebius_vanishing(m: MapSpec, z) -> dict[str, float]:
-    """Largest entries of S^k and S^0 of a Moebius map at ``z``."""
+    """Largest entries of S^k and S^0 of a Moebius map at ``z``, a point or a stack of them."""
     t = schwarzian_of(m, z)
     return {"Sk": float(np.max(np.abs(t.Sk))), "S0": float(np.max(np.abs(t.S0)))}
 

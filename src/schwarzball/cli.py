@@ -254,11 +254,10 @@ def load_map_file(path: str) -> MapSpec:
 def suite_moebius(n: int = 2, seed: int = 0, maps: int = 200, points: int = 20) -> list[dict]:
     rng = np.random.default_rng(seed)
 
-    def cases():
+    def cases():  # each map with its points as one stack, drawn in the same order
         for _ in range(maps):
             m = random_moebius(n, rng)
-            for _ in range(points):
-                yield m, random_ball_point(n, rng, 0.9)
+            yield m, np.array([random_ball_point(n, rng, 0.9) for _ in range(points)])
 
     w = checks.worst(checks.moebius_vanishing, cases())
     return [

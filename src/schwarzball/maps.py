@@ -1,4 +1,4 @@
-"""Exact map classes on the unit ball and their jet expansions.
+"""Exact map classes on the unit ball, their derivatives and their jet expansions.
 
 Three kinds of locally biholomorphic maps are supported: polynomial maps,
 Moebius transformations (ratios of affine forms), and composition chains of
@@ -9,22 +9,40 @@ zeta, with s = sqrt(1 - |zeta|^2), is the single closed form
 
     [[1, zeta^H], [zeta, s Id + zeta zeta^H / (1 + s)]] / s.
 
-Every map can be expanded into an exact Taylor jet about any admissible
-center; rational denominators are expanded by a truncated geometric series,
-so no numerical differentiation is involved.  A polynomial map is recentered
-by building each monomial (zeta + h)^e it uses once, as a smaller monomial
-times one factor zeta_k + h_k, and summing coefficient times monomial over
-the components, which share the monomials.  A composition step composes all
-outer components with the inner jet in one :func:`jet_compose` call.  Every
-expansion checks that DF is nonsingular relative to its own scale
-(:func:`check_nonsingular`) and returns a :class:`MapJet`, which records
-that the test passed.  Moebius grids are tested the same way: a grid and
-its scalar multiples are one map.
+Values and derivatives of order <= 3 at a stack of points come from
+:func:`_derivatives`, one batched route per map kind with a leading point
+axis: a polynomial map weights the values of its monomials by the term
+coefficients it builds once in ``__init__``; a Moebius map uses the
+closed form of F = L / l_0; a composition chain applies the order-3
+multivariate Faa di Bruno formula part by part.  :func:`map_eval` and
+``schwarzian_of`` read these arrays.  Every row is computed by stacked
+matrix products and elementwise arithmetic only, so a point gives the same
+bits alone as in any batch.
+
+Every map can also be expanded into an exact Taylor jet about any admissible
+center, to any degree, by :func:`map_jet_at`; rational denominators are
+expanded by a truncated geometric series, so no numerical differentiation is
+involved.  The jet route serves Koebe transforms (degree 4), the variational
+diagnostics, ``pde_residual`` and the oracles in :mod:`.checks`.  A
+polynomial map is recentered by building each monomial (zeta + h)^e it uses
+once, as a smaller monomial times one factor zeta_k + h_k, and summing
+coefficient times monomial over the components, which share the monomials.
+A composition step composes all outer components with the inner jet in one
+:func:`jet_compose` call.
+
+Both routes raise VanishingDenominatorError where a Moebius denominator
+vanishes, relative to the largest entry of its grid, and check that DF of
+every part and of the whole map is nonsingular relative to its own scale
+(:func:`check_nonsingular`).  Moebius grids are tested the same way: a grid
+and its scalar multiples are one map.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
+from math import comb
 from typing import Sequence, Union
 
 import numpy as np
@@ -66,6 +84,7 @@ class PolyMap:
                     table[key] = table.get(key, 0j) + val
             comps.append(table)
         self.components = tuple(comps)
+        self._plan, self._coeffs = _poly_arrays(self.n, self.components)
 
 
 class MoebiusMap:
@@ -153,39 +172,198 @@ def map_eval(m: MapSpec, z: Sequence[complex]) -> np.ndarray:
     z = np.asarray(z, dtype=complex).reshape(-1)
     if len(z) != map_dim(m):
         raise DimensionError("point dimension does not match map dimension")
-    if isinstance(m, PolyMap):
-        out = np.zeros(m.n, dtype=complex)
-        for i, comp in enumerate(m.components):
-            total = 0j
-            for key, val in comp.items():
-                term = val
-                for x, e in zip(z, key):
-                    for _ in range(e):
-                        term *= x
-                total += term
-            out[i] = total
-        return out
-    if isinstance(m, MoebiusMap):
-        l = _affine_forms(m, z)
-        return l[1:] / l[0]
-    if isinstance(m, CompositionMap):
-        w = z
-        for part in reversed(m.maps):
-            w = map_eval(part, w)
-        return w
-    raise DimensionError(f"not a map spec: {type(m).__name__}")
+    return _derivatives(m, z[None], 0)[0][0]
 
 
 def _affine_forms(m: MoebiusMap, z: np.ndarray) -> np.ndarray:
-    """The forms l(z) = a (1, z) of a Moebius map, with l_0(z) tested against zero.
+    """The forms l(z) = a (1, z) of a Moebius map at a stack of points, with l_0 tested.
 
     The test is relative to the largest entry of the grid, so a grid and its
     scalar multiples, which are one map, pass or fail together.
     """
-    l = m.a @ np.concatenate(([1.0], z))
-    if abs(l[0]) < 1e-14 * np.abs(m.a).max():
+    w = np.concatenate((np.ones((len(z), 1)), z), axis=1)
+    l = (m.a @ w[:, :, None])[:, :, 0]
+    if np.any(np.abs(l[:, 0]) < 1e-14 * np.abs(m.a).max()):
         raise VanishingDenominatorError("Moebius denominator vanishes at the point")
     return l
+
+
+# -- derivative arrays at a stack of points -------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_positions(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Exponents alpha of total degree <= 3 in n variables, by degree, and index arrays.
+
+    A row of derivative columns holds d^alpha_c f_l at position c * n + l; the
+    first comb(n + k, k) exponents hold the orders <= k.  Entry
+    [l, i_1, ..., i_k] of the k-th index array, k = 0, ..., 3, is the
+    position of d^k f_l / dz_{i_1} ... dz_{i_k}.
+    """
+    alphas = sorted(multi_indices(n, 3), key=sum)
+    column = {alpha: c for c, alpha in enumerate(alphas)}
+    slots = []
+    for k in range(4):
+        slot = np.empty((n,) * (k + 1), dtype=int)
+        for idx in itertools.product(range(n), repeat=k + 1):
+            slot[idx] = column[tuple(idx[1:].count(i) for i in range(n))] * n + idx[0]
+        slots.append(slot)
+    return np.array(alphas), tuple(slots)
+
+
+@functools.lru_cache(maxsize=256)
+def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
+    """How a polynomial map with exponents ``used`` gives its derivatives of order <= 3.
+
+    The monomials are every exponent below one in use, ordered by degree.
+    ``levels`` lists, per degree from 1 up, the monomials of that degree with
+    their parent (one degree less) and the variable that multiplies it.  Term
+    s says that d^alpha_{c_s} f_l takes monomial ``rows[s]`` times the
+    coefficient of exponent e = ``used[terms[s]]`` in f_l times
+    ``weights[s]`` = e! / (e - alpha_{c_s})!.  Terms are sorted by c_s, and
+    ``orders[k]`` = (number of terms, columns present, start of each
+    column's run) for the columns of order <= k.
+    """
+    monomials, frontier = {(0,) * n} | set(used), list(used)
+    while frontier:
+        key = frontier.pop()
+        for k, e in enumerate(key):
+            sub = key[:k] + (e - 1,) + key[k + 1:]
+            if e and sub not in monomials:
+                monomials.add(sub)
+                frontier.append(sub)
+    monomials = sorted(monomials, key=lambda e: (sum(e), e))
+    index = {e: i for i, e in enumerate(monomials)}
+    parent, var = np.zeros(len(monomials), dtype=int), np.zeros(len(monomials), dtype=int)
+    for i, e in enumerate(monomials[1:], 1):
+        var[i] = k = max(j for j, x in enumerate(e) if x)
+        parent[i] = index[e[:k] + (e[k] - 1,) + e[k + 1:]]
+    degree = np.array([sum(e) for e in monomials])
+    levels = [(idx, parent[idx], var[idx])
+              for idx in (np.flatnonzero(degree == d) for d in range(1, degree.max() + 1))]
+
+    alphas = _derivative_positions(n)[0]
+    exps = np.array(used, dtype=int).reshape(-1, n)
+    rest = exps[:, None, :] - alphas[None]
+    weight = np.ones(rest.shape[:2], dtype=int)
+    for r in range(3):
+        weight *= np.prod(np.where(alphas[None] > r, exps[:, None, :] - r, 1), axis=2)
+    cols, terms = np.nonzero(np.all(rest >= 0, axis=2).T)  # sorted by column
+    rows = np.array([index[tuple(e)] for e in rest[terms, cols].tolist()], dtype=int)
+    present, starts = np.unique(cols, return_index=True)
+    orders = []
+    for k in range(4):
+        width = int(np.searchsorted(present, comb(n + k, k)))
+        orders.append((int(np.searchsorted(cols, comb(n + k, k))), present[:width], starts[:width]))
+    return levels, len(monomials), rows, terms, weight[terms, cols, None], orders
+
+
+def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
+    """The plan of a polynomial map (:func:`_monomial_plan`) and its weighted term coefficients.
+
+    Row s of the coefficient array holds, for every component l, the factor
+    of monomial ``rows[s]`` in d^alpha_{c_s} f_l.
+    """
+    used = tuple(sorted({key for comp in components for key in comp}))
+    levels, size, rows, terms, weights, orders = plan = _monomial_plan(n, used)
+    coeffs = np.array([[comp.get(key, 0j) for comp in components] for key in used]).reshape(-1, n)
+    return plan, weights * coeffs[terms]
+
+
+def _poly_derivatives(m: PolyMap, z: np.ndarray, order: int) -> list[np.ndarray]:
+    levels, size, rows, _, _, orders = m._plan
+    values = np.empty((len(z), size), dtype=complex)
+    values[:, 0] = 1.0
+    for idx, parent, var in levels:
+        values[:, idx] = values[:, parent] * z[:, var]
+    count, present, starts = orders[order]
+    n = m.n
+    cols = np.zeros((len(z), comb(n + order, order), n), dtype=complex)
+    if count:  # each column sums its run of terms, one after another
+        terms = values[:, rows[:count], None] * m._coeffs[:count]
+        cols[:, present] = np.add.reduceat(terms, starts, axis=1)
+    cols = cols.reshape(len(z), -1)
+    return [cols[:, slot] for slot in _derivative_positions(n)[1][: order + 1]]
+
+
+def _moebius_derivatives(m: MoebiusMap, z: np.ndarray, order: int) -> list[np.ndarray]:
+    """F = L / l_0: with u = 1 / l_0, b the gradient of l_0 and beta = u b,
+
+    DF = u (A - F b^T),  D^2F_ij = -(DF_i beta_j + DF_j beta_i),
+    D^3F_ijk = -(D^2F_ij beta_k + D^2F_ik beta_j + D^2F_jk beta_i).
+    """
+    l = _affine_forms(m, z)
+    out = [l[:, 1:] / l[:, :1]]
+    b = m.a[0, 1:]
+    u = 1.0 / l[:, :1]
+    beta = u * b
+    if order >= 1:
+        out.append(u[:, :, None] * (m.a[1:, 1:] - out[0][:, :, None] * b))
+    if order >= 2:
+        x = out[1][:, :, :, None] * beta[:, None, None, :]
+        out.append(-(x + np.swapaxes(x, 2, 3)))
+    if order >= 3:
+        y = out[2][..., None] * beta[:, None, None, None, :]
+        out.append(-(y + np.swapaxes(y, 3, 4) + y.transpose(0, 1, 4, 2, 3)))
+    return [np.ascontiguousarray(a) for a in out]
+
+
+def _pull(t: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """t[q, l, a_1, ..., a_k] with every slot a_s contracted against d1[q, a_s, i_s]."""
+    p, n = d1.shape[:2]
+    last_to_third = (0, 1, t.ndim - 1) + tuple(range(2, t.ndim - 1))
+    for _ in range(t.ndim - 2):
+        t = (t.reshape(p, -1, n) @ d1).reshape(t.shape).transpose(last_to_third)
+    return t
+
+
+def _compose(f: list[np.ndarray], g: list[np.ndarray]) -> list[np.ndarray]:
+    """Derivatives of f o g from those of g and of f at g's values (Faa di Bruno, order 3):
+
+    D(f o g) = Df Dg,  D^2(f o g) = D^2f(Dg, Dg) + Df D^2g,
+    D^3(f o g) = D^3f(Dg, Dg, Dg) + 3 Sym D^2f(D^2g, Dg) + Df D^3g.
+    """
+    out = [f[0]]
+    if len(f) < 2:
+        return out
+    p, n = g[1].shape[:2]
+    out.append(f[1] @ g[1])
+    if len(f) > 2:
+        out.append(_pull(f[2], g[1]) + (f[1] @ g[2].reshape(p, n, -1)).reshape(g[2].shape))
+    if len(f) > 3:
+        # y[l, a, k] = D^2f_l(e_a, Dg e_k); mixed[l, x, i, j] = sum_a y[l, a, x] D^2g_a,ij
+        y = (f[2].reshape(p, -1, n) @ g[1]).reshape(p, n, n, n)
+        mixed = (np.swapaxes(y, 2, 3).reshape(p, -1, n) @ g[2].reshape(p, n, -1)).reshape(g[3].shape)
+        out.append(
+            _pull(f[3], g[1])
+            + mixed + mixed.transpose(0, 1, 3, 4, 2) + mixed.transpose(0, 1, 3, 2, 4)
+            + (f[1] @ g[3].reshape(p, n, -1)).reshape(g[3].shape)
+        )
+    return [np.ascontiguousarray(a) for a in out]
+
+
+def _derivatives(m: MapSpec, z: np.ndarray, order: int) -> list[np.ndarray]:
+    """[F, DF, ..., D^order F] at a stack of points ``z`` of shape (p, n), order <= 3.
+
+    Entry [q, l, i_1, ..., i_k] of the k-th array is d^k f_l / dz_{i_1} ... dz_{i_k}
+    at z[q].  Raises VanishingDenominatorError where a Moebius denominator
+    vanishes and, for order >= 1, SingularDifferentialError where DF of a part
+    or of the whole map fails :func:`check_nonsingular`, as :func:`map_jet_at`
+    does at each point.
+    """
+    if isinstance(m, PolyMap):
+        out = _poly_derivatives(m, z, order)
+    elif isinstance(m, MoebiusMap):
+        out = _moebius_derivatives(m, z, order)
+    elif isinstance(m, CompositionMap):
+        out = _derivatives(m.maps[-1], z, order)
+        for part in m.maps[-2::-1]:
+            out = _compose(_derivatives(part, out[0], order), out)
+    else:
+        raise DimensionError(f"not a map spec: {type(m).__name__}")
+    if order:
+        check_nonsingular(out[1], "map at the point")
+    return out
 
 
 # -- jet expansion ------------------------------------------------------------
@@ -210,45 +388,31 @@ def _rational_jet(num_const, num_lin, den_const, den_lin, d: int) -> JetVector:
     return JetVector([_affine_jet(c, lin, d) * inv_den for c, lin in zip(num_const, num_lin)])
 
 
-def _sigma_ratio(a: np.ndarray) -> float:
-    """sigma_min / sigma_max of ``a``: 0 for a zero matrix, NaN for NaN or infinite entries."""
+def _sigma_ratio(a: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max of each matrix in ``a``: 0 for a zero matrix, NaN for NaN or infinite entries."""
     try:
         sv = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError:  # NaN entries; infinite ones give NaN values
-        return float("nan")
-    return float(sv[-1] / sv[0]) if sv[0] != 0 else 0.0
+        return np.full(a.shape[:-2], np.nan)
+    top = sv[..., 0]
+    return np.divide(sv[..., -1], top, out=np.zeros_like(top), where=top != 0)
 
 
 def check_nonsingular(df: np.ndarray, what: str) -> None:
-    """Raise unless sigma_min(DF) > SINGULAR_TOL * sigma_max(DF).
+    """Raise unless sigma_min(DF) > SINGULAR_TOL * sigma_max(DF), for DF or a stack of them.
 
     The test is relative, so a map and its scalings c F pass or fail
     together, as their Schwarzian tensors agree.
     """
-    ratio = _sigma_ratio(df)
-    if not ratio > SINGULAR_TOL:
+    ratio = np.atleast_1d(_sigma_ratio(df))
+    bad = ratio[~(ratio > SINGULAR_TOL)]
+    if bad.size:
         raise SingularDifferentialError(
-            f"{what}: differential singular (sigma_min / sigma_max = {ratio:.3e})"
+            f"{what}: differential singular (sigma_min / sigma_max = {bad[0]:.3e})"
         )
 
 
-class MapJet(JetVector):
-    """Jet of a map about a center where DF has passed :func:`check_nonsingular`.
-
-    :func:`map_jet_at` returns it, so consumers that need DF^{-1} (such as
-    ``schwarzian_at``) need not test DF again.  Jets derived from it are
-    plain :class:`JetVector` objects.
-    """
-
-    __slots__ = ()
-
-
-def _check_locally_biholomorphic(jv: JetVector) -> MapJet:
-    check_nonsingular(jv.linear_matrix(), "map at the expansion center")
-    return MapJet(jv.jets)
-
-
-def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> MapJet:
+def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
     """Exact Taylor jet of the map about ``zeta`` to degree ``d``.
 
     Component ``i`` of the result is the jet of ``m_i(zeta + h)`` in the
@@ -285,19 +449,19 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> MapJet:
                     else:
                         acc[tk] = s
             comps.append(Jet._from_table(n, d, acc))
-        return _check_locally_biholomorphic(JetVector(comps))
-    if isinstance(m, MoebiusMap):
-        l = _affine_forms(m, zeta)
-        return _check_locally_biholomorphic(
-            _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)
-        )
-    if isinstance(m, CompositionMap):
+        jv = JetVector(comps)
+    elif isinstance(m, MoebiusMap):
+        l = _affine_forms(m, zeta[None])[0]
+        jv = _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)
+    elif isinstance(m, CompositionMap):
         jv = map_jet_at(m.maps[-1], zeta, d)
         for part in m.maps[-2::-1]:
             w = jv.constants()
             jv = jet_compose(map_jet_at(part, w, d), jv.shifted(-w).jets)
-        return _check_locally_biholomorphic(jv)
-    raise DimensionError(f"not a map spec: {type(m).__name__}")
+    else:
+        raise DimensionError(f"not a map spec: {type(m).__name__}")
+    check_nonsingular(jv.linear_matrix(), "map at the expansion center")
+    return jv
 
 
 # -- ball automorphisms -------------------------------------------------------

@@ -10,8 +10,14 @@ u_0 = (JF)^{-1/(n+1)} solves the associated second-order linear system
 
     d^2 u / dz_i dz_j = sum_k S^k_ij d_k u + S^0_ij u.
 
-Both are computed from the derivative arrays DF, D^2F and D^3F at the point.
-The log-derivatives of JF come from Jacobi's formula,
+Both are computed from the derivative arrays DF, D^2F and D^3F at the point,
+by one assembly with a leading point axis.  :func:`schwarzian_of`, the
+production route, takes a point or a stack of points and reads the arrays
+straight from the map kind (``maps._derivatives``), with no jets; a row of
+a stack equals the same point alone, bit for bit.  :func:`schwarzian_at`
+reads them from a Taylor jet; it serves ``pde_residual``,
+:func:`chain_rule_transform` and the oracles in :mod:`.checks`.  The
+log-derivatives of JF come from Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -35,18 +41,19 @@ import numpy as np
 
 from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
-from .maps import MapJet, MapSpec, check_nonsingular, map_jet_at
+from .maps import MapSpec, _derivatives, check_nonsingular, map_dim
 
 MIN_JET_DEGREE = 3
 
 
 @dataclass(frozen=True)
 class SchwarzianTensor:
-    """Schwarzian data of a map at a base point.
+    """Schwarzian data of a map at a base point, or at a stack of them.
 
     ``Sk[k][i, j]`` holds S^{k+1}_ij (the n symmetric matrices of the
     quadratic-form operator) and ``S0[i, j]`` the zero-index coefficients.
-    Both are symmetrized on construction.
+    Both are symmetrized on construction.  For a stack of points every array,
+    ``z`` included, has a leading point axis.
     """
 
     z: np.ndarray
@@ -55,7 +62,7 @@ class SchwarzianTensor:
 
     @property
     def n(self) -> int:
-        return self.Sk.shape[0]
+        return self.Sk.shape[-1]
 
     def max_abs(self) -> float:
         return float(max(np.max(np.abs(self.Sk)), np.max(np.abs(self.S0))))
@@ -65,6 +72,37 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^k and S^0 from DF, D^2F and D^3F, each with a leading point axis.
+
+    ``d2[q, l, i, j]`` is d^2 f_l / dz_i dz_j at point q, and so on.  Only
+    stacked matrix products, stacked inverses and elementwise arithmetic are
+    used, so each point's result does not depend on the stack it is in.
+    """
+    count, n = d1.shape[:2]
+    dinv = np.linalg.inv(d1)
+    # m[k, i, j] = (DF^{-1} d_i DF)_kj; Jacobi's formula gives the log-derivatives of JF
+    m = (dinv @ d2.reshape(count, n, -1)).reshape(d2.shape)
+    third = (dinv @ d3.reshape(count, n, -1)).reshape(d3.shape)
+    glog = sum(m[:, k, :, k] for k in range(n))
+    mi = np.swapaxes(m, 1, 2)  # mi[i] = DF^{-1} d_i DF
+    # traces[i, j] = tr(mi[i] mi[j]), as products of flattened matrices
+    traces = mi.reshape(count, n, -1) @ np.swapaxes(mi, 2, 3).reshape(count, n, -1).swapaxes(1, 2)
+    hlog = sum(third[:, k, :, :, k] for k in range(n)) - traces
+
+    p = -1.0 / (n + 1)
+    pg = p * glog
+    sk = m.copy()
+    for k in range(n):
+        sk[:, k, k, :] += pg
+        sk[:, k, :, k] += pg
+    sk = _symmetrize(sk)
+    s0 = p * p * glog[:, :, None] * glog[:, None, :] + p * hlog - sum(
+        sk[:, k] * pg[:, k, None, None] for k in range(n)
+    )
+    return sk, _symmetrize(s0)
+
+
 def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     """Schwarzian tensor from the jet of F at a point.
 
@@ -72,8 +110,7 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     ----------
     jv : JetVector
         Jet of the map about the base point, degree >= 3, with nonsingular
-        linear part.  DF is tested unless ``jv`` is a :class:`MapJet`, whose
-        DF :func:`map_jet_at` has tested.
+        linear part (tested here).
     z : array_like, optional
         Base point recorded on the tensor (defaults to the origin).
     """
@@ -85,36 +122,30 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     if jv.d < MIN_JET_DEGREE:
         raise DimensionError(f"jet degree {jv.d} < {MIN_JET_DEGREE} cannot carry third derivatives")
     z = np.zeros(n, dtype=complex) if z is None else np.asarray(z, dtype=complex).reshape(-1)
-
     dmat = jv.derivatives(1)
-    if not isinstance(jv, MapJet):  # map_jet_at has tested DF already
-        check_nonsingular(dmat, "map at the base point")
-    dinv = np.linalg.inv(dmat)
-    d2f = jv.derivatives(2)  # d2f[l, i, j] = d^2 f_l / dz_i dz_j
-    d3f = jv.derivatives(3)
-
-    # m[i] = DF^{-1} d_i DF; Jacobi's formula gives the log-derivatives of JF
-    m = np.einsum("kl,lij->ikj", dinv, d2f)
-    glog = np.einsum("ikk->i", m)
-    hlog = np.einsum("kl,lijk->ij", dinv, d3f) - np.einsum("jab,iba->ij", m, m)
-
-    p = -1.0 / (n + 1)
-    sk = np.swapaxes(m, 0, 1)
-    for k in range(n):
-        sk[k, k, :] += p * glog
-        sk[k, :, k] += p * glog
-    sk = _symmetrize(sk)
-    s0 = p * p * np.outer(glog, glog) + p * hlog - np.einsum("kij,k->ij", sk, p * glog)
-    return SchwarzianTensor(z=z, Sk=sk, S0=_symmetrize(s0))
+    check_nonsingular(dmat, "map at the base point")
+    sk, s0 = _tensors(dmat[None], jv.derivatives(2)[None], jv.derivatives(3)[None])
+    return SchwarzianTensor(z=z, Sk=sk[0], S0=s0[0])
 
 
 def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
-    """Convenience wrapper: expand the map at ``z`` and build its tensor.
+    """Schwarzian tensor of the map at a point ``z`` (n,) or at a stack of points (p, n).
 
-    DF is tested once, by :func:`map_jet_at`.
+    The derivative arrays come straight from the map kind, with no jets; a
+    stack gives tensors with a leading point axis, each row equal to its
+    point's single call.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    return schwarzian_at(map_jet_at(m, z, MIN_JET_DEGREE), z=z)
+    z = np.asarray(z, dtype=complex)
+    n = map_dim(m)
+    if z.ndim not in (1, 2) or z.shape[-1] != n:
+        raise DimensionError("point dimension does not match map dimension")
+    if n < 2:
+        raise DimensionError("Schwarzian tensors require n >= 2")
+    _, d1, d2, d3 = _derivatives(m, z.reshape(-1, n), MIN_JET_DEGREE)
+    sk, s0 = _tensors(d1, d2, d3)
+    if z.ndim == 1:
+        return SchwarzianTensor(z=z, Sk=sk[0], S0=s0[0])
+    return SchwarzianTensor(z=z, Sk=sk, S0=s0)
 
 
 def canonical_residual(t: SchwarzianTensor) -> float:

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     DimensionError,
@@ -363,6 +362,10 @@ def extremal_search(
         order2 = float(np.linalg.norm(grad_jacobian(g)))
         est = norm_est(mp).value
         return -order2 + _PENALTY_WEIGHT * max(0.0, est - alpha) ** 2
+
+    # imported here, not with the module: scipy.optimize adds about 48 MB of
+    # resident memory and 0.4 s to every process that imports the package
+    from scipy import optimize
 
     rng = np.random.default_rng(seed)
     per_run = max(budget // max(restarts, 1), 10)

@@ -1,6 +1,7 @@
-"""Property tests on drawn inputs: Moebius vanishing, the chain rule, norm
-invariance under ball automorphisms at arbitrary centers, and the bracket
-around the exact pointwise norm at n = 2.
+"""Property tests on drawn inputs: Moebius vanishing, the chain rule, the
+batched tensor route against the jet route, norm invariance under ball
+automorphisms at arbitrary centers, and the bracket around the exact
+pointwise norm at n = 2.
 
 Arrays are drawn at the largest dimension (n = 3) and cut down to the drawn
 n, so explicit examples can pin the extreme inputs.
@@ -19,8 +20,14 @@ from schwarzball.bergman import (
     metric_at,
 )
 from schwarzball.jets import multi_indices
-from schwarzball.maps import MoebiusMap, PolyMap, automorphism_from_center
-from schwarzball.schwarzian import schwarzian_of
+from schwarzball.maps import (
+    CompositionMap,
+    MoebiusMap,
+    PolyMap,
+    automorphism_from_center,
+    map_jet_at,
+)
+from schwarzball.schwarzian import schwarzian_at, schwarzian_of
 
 dims = st.integers(min_value=2, max_value=3)
 CUBIC_TERMS = 16  # monomials of degree 2 and 3 in three variables
@@ -71,6 +78,21 @@ def test_moebius_tensors_vanish_on_drawn_grids(n, perturbation, point):
 def test_chain_rule_on_drawn_cubic_pairs(n, f_coeffs, g_coeffs, point):
     f, g = normalized_cubic(f_coeffs, n), normalized_cubic(g_coeffs, n)
     assert max(checks.chain_rule(f, g, ball_point(point, n, 0.3)).values()) <= 1e-9
+
+
+@settings(max_examples=25)
+@given(n=dims, coeffs=cubic_coeffs, center=vectors, points=complex_arrays((4, 3), 1.0))
+def test_batched_tensors_match_the_jet_route(n, coeffs, center, points):
+    f = normalized_cubic(coeffs, n)
+    sigma = automorphism_from_center(ball_point(center, n, 0.6))
+    points = np.array([ball_point(z, n, 0.3) for z in points])
+    for m in (f, sigma, CompositionMap((f, sigma))):
+        batch = schwarzian_of(m, points)
+        for z, sk, s0 in zip(points, batch.Sk, batch.S0):
+            jet = schwarzian_at(map_jet_at(m, z, 3), z=z)
+            scale = max(1.0, jet.max_abs())
+            assert np.max(np.abs(sk - jet.Sk)) <= 1e-12 * scale
+            assert np.max(np.abs(s0 - jet.S0)) <= 1e-12 * scale
 
 
 EXTREME = dict(direction=np.ones(3, dtype=complex), coeffs=np.full((3, CUBIC_TERMS), 0.1 - 0.1j),

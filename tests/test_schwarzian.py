@@ -8,6 +8,7 @@ from schwarzball.errors import (
     BasePointMismatchError,
     DimensionError,
     SingularDifferentialError,
+    VanishingDenominatorError,
 )
 from schwarzball.jets import JetVector
 from schwarzball.maps import (
@@ -15,6 +16,7 @@ from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
     affine_map,
+    automorphism_from_center,
     map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
@@ -194,9 +196,10 @@ def test_singular_differential_guard():
 
 
 def test_schwarzian_of_tests_df_once(monkeypatch):
-    # map_jet_at tests DF and schwarzian_at trusts its result; a singular DF
-    # still raises from map_jet_at and schwarzian_of (and from schwarzian_at,
-    # test_singular_differential_guard)
+    # schwarzian_of tests DF once, with one stacked SVD and no jets; the jet
+    # route tests it twice, in map_jet_at and again in schwarzian_at; a
+    # singular DF raises from map_jet_at and schwarzian_of (and from
+    # schwarzian_at, test_singular_differential_guard)
     calls = []
     svd = np.linalg.svd
 
@@ -215,6 +218,72 @@ def test_schwarzian_of_tests_df_once(monkeypatch):
         map_jet_at(singular, np.zeros(2), 3)
     with pytest.raises(SingularDifferentialError):
         schwarzian_of(singular, np.zeros(2))
+
+
+def _kinds(n, rng):
+    """A map of each kind: poly, Moebius, automorphism, poly o automorphism, a 3-part chain."""
+    poly = random_normalized_polymap(n, rng, scale=0.2)
+    sigma = automorphism_from_center(random_ball_point(n, rng, 0.5))
+    mo = random_moebius(n, rng)
+    chain = CompositionMap((random_normalized_polymap(n, rng, scale=0.1), mo, poly))
+    return {"poly": poly, "moebius": mo, "automorphism": sigma,
+            "poly_o_automorphism": CompositionMap((poly, sigma)), "chain": chain}
+
+
+def test_batched_route_matches_jet_route():
+    # relative to the larger of 1 and the largest entry: Moebius tensors are
+    # rounding noise on both routes
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4, 5):
+        for kind, m in _kinds(n, rng).items():
+            points = np.array([random_ball_point(n, rng, 0.6) for _ in range(3)])
+            batch = schwarzian_of(m, points)
+            assert batch.Sk.shape == (3, n, n, n) and batch.S0.shape == (3, n, n)
+            for z, sk, s0 in zip(points, batch.Sk, batch.S0):
+                jet = schwarzian_at(map_jet_at(m, z, 3), z=z)
+                scale = max(1.0, jet.max_abs())
+                gap = max(np.max(np.abs(sk - jet.Sk)), np.max(np.abs(s0 - jet.S0)))
+                assert gap <= 1e-12 * scale, (n, kind, gap)
+
+
+def test_batch_rows_equal_single_point_calls():
+    # bit for bit: a point's tensor does not depend on the stack it is in
+    rng = np.random.default_rng(13)
+    for n in (2, 3):
+        for kind, m in _kinds(n, rng).items():
+            points = np.array([random_ball_point(n, rng, 0.9) for _ in range(47)])
+            batch = schwarzian_of(m, points)
+            assert np.array_equal(batch.z, points)
+            for z, sk, s0 in zip(points, batch.Sk, batch.S0):
+                one = schwarzian_of(m, z)
+                assert np.array_equal(one.Sk, sk) and np.array_equal(one.S0, s0), (n, kind)
+
+
+def test_one_bad_point_in_a_batch_raises_as_the_jet_route():
+    rng = np.random.default_rng(14)
+    good = np.array([random_ball_point(2, rng, 0.5) + 0.6 for _ in range(5)])
+    singular = PolyMap(2, [{(2, 0): 1.0}, {(0, 1): 1.0}])  # DF = diag(2 z1, 1)
+    cases = [
+        (singular, [0.0, 0.3], SingularDifferentialError),
+        (moebius_pole_at_e1(2), [1.0, 0.0], VanishingDenominatorError),  # on the polar set
+        (CompositionMap((random_moebius(2, rng), singular)), [0.0, -0.2],
+         SingularDifferentialError),  # a singular inner part
+    ]
+    for m, bad, error in cases:
+        schwarzian_of(m, good)
+        with pytest.raises(error):
+            map_jet_at(m, bad, 3)
+        with pytest.raises(error):
+            schwarzian_of(m, np.insert(good, 2, bad, axis=0))
+        with pytest.raises(error):
+            schwarzian_of(m, bad)
+
+
+def test_point_shape_guards():
+    m = shear_a(0.2)
+    for z in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionError):
+            schwarzian_of(m, z)
 
 
 def scaled_shear(c):

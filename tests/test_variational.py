@@ -1,5 +1,9 @@
 """Variational machinery: matrix A, expansions, decoupled equations, bounds, search."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -191,6 +195,15 @@ def test_bounds_dimension_guard():
 
 
 # -- extremal search -----------------------------------------------------------------
+
+
+def test_package_import_leaves_scipy_optimize_to_the_search():
+    # scipy.optimize adds about 48 MB of resident memory; only extremal_search uses it
+    code = "import sys, schwarzball.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_search_moebius_family_alpha_zero():
