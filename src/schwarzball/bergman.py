@@ -19,19 +19,20 @@ sphere of w in C^n, and v = M w.  Every route solves that one problem, and
 no kernel sees a metric.  At n = 2 it is exact: through the Hopf map
 |T(w, w)|^2 is a quadratic on the 2-sphere, and its maximum is a trust-region
 problem solved in closed form (one 3 x 3 eigenproblem and a monotone Newton
-iteration per point, batched over points).  At n >= 3 it is estimated by
-deterministic multistart projected gradient ascent on the sphere, and
-reported values are lower bounds.  One kernel runs every start of every
-problem as a row of one array, and a problem's result does not depend on the
-batch it is solved in.  Dividing by c makes both routes scale-free; the one
-absolute floor is ``ZERO_NORM``, below which a tensor is rounding noise (the
-ascent's starts stop at once, the exact route skips its Newton steps).
+iteration per point, batched over points).  At n >= 3 it is estimated by a
+deterministic multistart ascent on the sphere, 2 Barzilai-Borwein (BB) steps,
+then saddle-free Riemannian Newton steps modulo phase, and reported values
+are lower bounds.  One kernel runs every start of every problem as a row of
+one array, and a problem's result does not depend on the batch it is solved
+in.  Dividing by c makes both routes scale-free; the one absolute floor is
+``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
+stop at once, the exact route skips its Newton steps).
 Every value is attained at the reported direction.  ``upper`` is a certified
 upper end of the pointwise norm at every n: c times the largest singular
 value of T restricted to symmetric tensors, up to the rounding slack
 ``UPPER_SLACK``.  ``converged`` records whether every retained start
-terminated by step size rather than by the iteration cap (always true at
-n = 2).
+terminated by step size or flatness rather than by the iteration cap (always
+true at n = 2).
 
 ``schwarzian_norm_sup`` bounds and prunes its probe points: each round builds
 the tensors and upper ends of all its points in one batch and solves, in one
@@ -40,9 +41,9 @@ incumbent's value; in the grid round, the value of the point with the largest
 upper end, solved first on its own).  A pruned point cannot beat the floor, so
 the result is the one every point would give.  ``points`` counts the probed
 base points, ``pruned`` those the upper end excluded, and ``iterations`` the
-accepted ascent steps over the points solved (none at n = 2).  A sup over the
-ball stays a searched lower bound at every n: its base points are probed, not
-bracketed.
+accepted ascent steps (BB and Newton) over the points solved (none at
+n = 2).  A sup over the ball stays a searched lower bound at every n: its
+base points are probed, not bracketed.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ from .schwarzian import schwarzian_of
 DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 500
 STEP_FLOOR = 1e-12
+# projected-gradient steps of BB length each start takes before its Newton
+# steps, which then finish in the basin those steps reached.  With 1 or 3 one
+# n = 3 pointwise norm of the norm benchmark (seed 1) fell by 8%: a start
+# landed at another local maximum
+BB_STEPS = 2
 # Frobenius norm below which S is rounding noise (Moebius maps give about
 # 1e-15): its starts stop at their first iterate
 ZERO_NORM = 1e-12
@@ -101,7 +107,7 @@ class NormEstimate:
     converged: bool
     r_max: float | None = None
     points: int = 1  # probed base points
-    iterations: int = 0  # accepted ascent steps, summed over starts and the points solved
+    iterations: int = 0  # accepted steps (2 BB, then Newton), summed over starts and points solved
     pruned: int = 0  # probed points the upper end excluded before any ascent
     upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
@@ -166,27 +172,80 @@ def _pullback(s, form):
     return np.einsum("plk,plij->pkij", np.conj(chol), r), m, scale, zero
 
 
-def _value_and_grad(x, t_flat):
-    """|T(w, w)|^2 and its gradient at each row of x = (Re w, Im w)."""
+def _value(x, t_flat):
+    """|T(w, w)|^2 at each row of x = (Re w, Im w)."""
     rows, n = t_flat.shape[0], t_flat.shape[1]
     w = x[:, :n] + 1j * x[:, n:]
     u = t_flat @ (w[:, :, None] * w[:, None, :]).reshape(rows, n * n, 1)
-    eta = np.conj(u)
-    val2 = np.real(np.sum(u * eta, axis=(1, 2)))
-    dw = 2.0 * ((np.swapaxes(eta, 1, 2) @ t_flat).reshape(rows, n, n) @ w[:, :, None])[:, :, 0]
-    return val2, np.concatenate([2.0 * np.real(dw), -2.0 * np.imag(dw)], axis=1)
+    return np.real(np.sum(u * np.conj(u), axis=(1, 2)))
+
+
+def _grad_and_hess(x, t_flat):
+    """Gradient and Hessian of |T(w, w)|^2 in x = (Re w, Im w), at each row of x.
+
+    With u_k = w^T T^k w and tw_k = T^k w, the complex gradient is
+    g = 2 sum_k conj(u_k) tw_k, and the second derivative along dw is
+    2 Re(dw^T A dw) + 2 sum_k |2 tw_k^T dw|^2 with A = 2 sum_k conj(u_k) T^k
+    (complex symmetric) and B = 4 tw^H tw (Hermitian); in real coordinates
+
+        H = 2 [[Re A + Re B, -Im A - Im B], [-Im A + Im B, -Re A + Re B]].
+    """
+    rows, n = t_flat.shape[0], t_flat.shape[1]
+    w = x[:, :n] + 1j * x[:, n:]
+    tw = (t_flat.reshape(rows, n * n, n) @ w[:, :, None]).reshape(rows, n, n)
+    eta = np.conj(tw @ w[:, :, None])  # conj(u), (rows, n, 1)
+    g = 2.0 * (np.swapaxes(eta, 1, 2) @ tw)[:, 0]
+    a = 2.0 * (np.swapaxes(eta, 1, 2) @ t_flat).reshape(rows, n, n)
+    b = 4.0 * np.conj(np.swapaxes(tw, 1, 2)) @ tw
+    hess = np.empty((rows, 2 * n, 2 * n))
+    hess[:, :n, :n], hess[:, :n, n:] = np.real(a) + np.real(b), -np.imag(a) - np.imag(b)
+    hess[:, n:, :n], hess[:, n:, n:] = np.imag(b) - np.imag(a), np.real(b) - np.real(a)
+    return np.concatenate([2.0 * np.real(g), -2.0 * np.imag(g)], axis=1), 2.0 * hess
+
+
+def _newton_directions(x, tangent, hess, mult):
+    """Saddle-free Riemannian Newton directions on the unit sphere modulo phase.
+
+    ``tangent`` is the gradient g projected off x, and ``mult`` is x^T g.  The
+    Riemannian Hessian is P (H - (x^T g) I) P, with P the projection off x and
+    off the phase direction Jx = (-Im w, Re w), along which the objective is
+    constant.  Both are shifted far negative, so one symmetric
+    eigendecomposition per row gives d = V diag(1 / max(|lam|, 1e-8 scale))
+    V^T tangent: Newton's step where the Hessian is negative definite, an
+    ascent direction wherever it is not (Absil, Baker & Gallivan 2007;
+    Dauphin et al. 2014).  ``scale`` is the shift, the largest |lam|.
+    """
+    n2 = x.shape[1]
+    jx = np.concatenate([-x[:, n2 // 2:], x[:, :n2 // 2]], axis=1)
+    basis = np.stack([x, jx], axis=2)  # orthonormal columns x, Jx
+    along = basis @ np.swapaxes(basis, 1, 2)
+    proj = np.eye(n2) - along
+    riem = proj @ (hess - mult[:, None, None] * np.eye(n2)) @ proj
+    shift = 2.0 * np.linalg.norm(riem, axis=(1, 2)) + np.abs(mult)
+    lam, vec = np.linalg.eigh(riem - shift[:, None, None] * along)
+    inv = 1.0 / np.maximum(np.abs(lam), 1e-8 * shift[:, None])
+    coef = inv * (np.swapaxes(vec, 1, 2) @ tangent[:, :, None])[:, :, 0]
+    return (vec @ coef[:, :, None])[:, :, 0]
 
 
 def _ascend(frame, starts: int, seed: int, max_iter: int):
-    """Multistart projected ascent for a stack of problems, in one array.
+    """Multistart Riemannian ascent for a stack of problems, in one array.
 
     ``frame`` comes from :func:`_pullback`.  The ascent maximizes |T(w, w)|
     on the unit sphere of w in C^n, as the real rows x = (Re w, Im w), and
-    reports v = M w.  Every row of the (problems x starts, 2n) iterate is one
-    start of one problem; all rows share the starts drawn from
-    ``default_rng(seed)`` and run the same arithmetic under a per-row mask,
-    so a problem's result does not depend on the batch it is solved in.  An
-    S below ZERO_NORM stops at its first iterate.
+    reports v = M w.  Each start takes ``BB_STEPS`` projected-gradient steps
+    of Barzilai-Borwein length, then saddle-free Riemannian Newton steps on
+    the sphere modulo phase (:func:`_newton_directions`); every trial point
+    is x + t d renormalized, with t halved until the Armijo test holds, so
+    every start rises monotonically.  Values are evaluated at trial points,
+    the gradient and Hessian only at accepted ones.  Every row of the
+    (problems x starts, 2n) iterate is one start of one problem; all rows
+    share the starts drawn from ``default_rng(seed)`` and run the same
+    arithmetic under a per-row mask, so a problem's result does not depend on
+    the batch it is solved in.  A start stops when its gradient is flat or
+    the Newton model's gain lies below the rounding of the value, when no
+    step of length ``STEP_FLOOR`` or more passes the test, or when it moves
+    less than that; an S below ZERO_NORM stops at its first iterate.
 
     Returns per-problem arrays (value, maximizing v, converged, accepted
     steps summed over starts).
@@ -200,45 +259,56 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     x0 = np.random.default_rng(seed).standard_normal((k, 2 * n))
     x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
     x = np.tile(x0, (problems, 1))
-    val2, grad = _value_and_grad(x, t_flat)
+    val2 = _value(x, t_flat)
     rows = len(x)
     prev_x = np.zeros_like(x)
     prev_tangent = np.zeros_like(x)
-    has_prev = np.zeros(rows, dtype=bool)
     active = ~zero
     converged = zero.copy()
     steps = np.zeros(rows, dtype=int)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        xa, ga = x[idx], grad[idx]
-        tangent = ga - np.sum(ga * xa, axis=1, keepdims=True) * xa
+        xa = x[idx]
+        ga, ha = _grad_and_hess(xa, t_flat[idx])
+        mult = np.sum(ga * xa, axis=1)
+        tangent = ga - mult[:, None] * xa
         tnorm = np.linalg.norm(tangent, axis=1)
         flat = tnorm < 1e-14 * np.maximum(1.0, val2[idx])
-        # Barzilai-Borwein trial step, halved under the Armijo test
         t = np.ones(idx.size)
-        sx = xa - prev_x[idx]
-        sy = np.sum(sx * (prev_tangent[idx] - tangent), axis=1)
-        bb = has_prev[idx] & (sy > 1e-30)
-        t[bb] = np.minimum(np.maximum(np.sum(sx[bb] * sx[bb], axis=1) / sy[bb], 1e-10), 1e6)
+        if it < BB_STEPS:
+            # projected gradient, Barzilai-Borwein trial length from the second step
+            direction, slope, length = tangent, tnorm**2, tnorm
+            if it > 0:
+                sx = xa - prev_x[idx]
+                sy = np.sum(sx * (prev_tangent[idx] - tangent), axis=1)
+                bb = sy > 1e-30
+                t[bb] = np.minimum(np.maximum(np.sum(sx[bb] * sx[bb], axis=1) / sy[bb], 1e-10), 1e6)
+            prev_x[idx], prev_tangent[idx] = xa, tangent
+        else:
+            direction = _newton_directions(xa, tangent, ha, mult)
+            slope = np.sum(tangent * direction, axis=1)
+            # a gain the Newton model puts below the rounding of the value is
+            # flat too: no trial point could show it
+            flat |= slope < 1e-15 * val2[idx]
+            length = np.linalg.norm(direction, axis=1)
         accepted = np.zeros(idx.size, dtype=bool)
         moved = np.zeros(idx.size)
         trying = ~flat
         while True:
-            trying &= t * tnorm >= STEP_FLOOR
+            trying &= t * length >= STEP_FLOOR
             j = np.flatnonzero(trying)
             if j.size == 0:
                 break
-            cand = xa[j] + t[j, None] * tangent[j]
+            cand = xa[j] + t[j, None] * direction[j]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             rj = idx[j]
-            cand_val2, cand_grad = _value_and_grad(cand, t_flat[rj])
-            ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * tnorm[j] ** 2
+            cand_val2 = _value(cand, t_flat[rj])
+            ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * slope[j]
             jo, ro = j[ok], rj[ok]
             moved[jo] = np.linalg.norm(cand[ok] - xa[jo], axis=1)
-            prev_x[ro], prev_tangent[ro], has_prev[ro] = xa[jo], tangent[jo], True
-            x[ro], val2[ro], grad[ro] = cand[ok], cand_val2[ok], cand_grad[ok]
+            x[ro], val2[ro] = cand[ok], cand_val2[ok]
             accepted[jo] = True
             trying[jo] = False
             t[trying] *= 0.5
@@ -395,10 +465,10 @@ def max_quadratic_image_norm(
 
     Exact at n = 2 (a trust-region problem on the 2-sphere, see
     :func:`_hopf_norms`), where ``starts``, ``seed`` and ``max_iter`` have no
-    effect.  At n >= 3, multistart projected gradient ascent with Armijo
-    backtracking on the unit sphere of the frame of :func:`_pullback`,
-    deterministic for a fixed seed.  Returns (value, maximizing v, converged
-    flag).
+    effect.  At n >= 3, a multistart ascent on the unit sphere of the frame
+    of :func:`_pullback`, 2 BB steps, then saddle-free Riemannian Newton
+    steps, each with Armijo backtracking (:func:`_ascend`); deterministic for
+    a fixed seed.  Returns (value, maximizing v, converged flag).
     """
     frame = _pullback(
         np.asarray(s_list, dtype=complex)[None], np.asarray(form, dtype=complex)[None]

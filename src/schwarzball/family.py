@@ -109,7 +109,8 @@ def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> 
     """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms.
 
     Exact at n = 2, where ``starts`` and ``seed`` have no effect; a searched
-    lower bound at n >= 3 (see :func:`max_quadratic_image_norm`).
+    lower bound at n >= 3, from 2 BB steps, then saddle-free Riemannian Newton
+    steps per start (see :func:`max_quadratic_image_norm`).
     """
     h = g.jets.derivatives(2)
     value, _, _ = max_quadratic_image_norm(h, np.eye(g.n), starts=starts, seed=seed)
