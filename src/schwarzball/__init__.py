@@ -61,6 +61,7 @@ from .bergman import (
     metric_at,
     schwarzian_norm_at,
     schwarzian_norm_sup,
+    schwarzian_norms_at,
 )
 from .family import (
     MembershipResult,

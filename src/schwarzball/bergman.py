@@ -34,6 +34,11 @@ value of T restricted to symmetric tensors, up to the rounding slack
 terminated by step size or flatness rather than by the iteration cap (always
 true at n = 2).
 
+``schwarzian_norms_at`` takes many (map, point) cases to one kernel call:
+their tensors are stacked, pulled back in one frame and solved together, so
+the kernel's Python loop runs once for the list, and each case's result is
+the one its single-case call ``schwarzian_norm_at`` gives.
+
 ``schwarzian_norm_sup`` bounds and prunes its probe points: each round builds
 the tensors and upper ends of all its points in one batch and solves, in one
 more batched call, only the points whose upper end reaches a floor (the
@@ -239,13 +244,14 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     is x + t d renormalized, with t halved until the Armijo test holds, so
     every start rises monotonically.  Values are evaluated at trial points,
     the gradient and Hessian only at accepted ones.  Every row of the
-    (problems x starts, 2n) iterate is one start of one problem; all rows
-    share the starts drawn from ``default_rng(seed)`` and run the same
-    arithmetic under a per-row mask, so a problem's result does not depend on
-    the batch it is solved in.  A start stops when its gradient is flat or
-    the Newton model's gain lies below the rounding of the value, when no
-    step of length ``STEP_FLOOR`` or more passes the test, or when it moves
-    less than that; an S below ZERO_NORM stops at its first iterate.
+    (problems x starts, 2n) iterate is one start of one problem, and the
+    tensors are kept once per problem, gathered for the active rows at each
+    step; all rows share the starts drawn from ``default_rng(seed)`` and run
+    the same arithmetic under a per-row mask, so a problem's result does not
+    depend on the batch it is solved in.  A start stops when its gradient is
+    flat or the Newton model's gain lies below the rounding of the value,
+    when no step of length ``STEP_FLOOR`` or more passes the test, or when it
+    moves less than that; an S below ZERO_NORM stops at its first iterate.
 
     Returns per-problem arrays (value, maximizing v, converged, accepted
     steps summed over starts).
@@ -253,13 +259,14 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     t, change, scale, zero = frame
     problems, n = t.shape[0], t.shape[-1]
     k = max(int(starts), 1)
-    t_flat = np.repeat(t.reshape(problems, n, n * n), k, axis=0)
-    zero = np.repeat(zero, k)
+    t_flat = t.reshape(problems, n, n * n)
+    owner = np.repeat(np.arange(problems), k)  # the problem of each row
+    zero = zero[owner]
 
     x0 = np.random.default_rng(seed).standard_normal((k, 2 * n))
     x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
     x = np.tile(x0, (problems, 1))
-    val2 = _value(x, t_flat)
+    val2 = _value(x, t_flat[owner])
     rows = len(x)
     prev_x = np.zeros_like(x)
     prev_tangent = np.zeros_like(x)
@@ -271,7 +278,8 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
         if idx.size == 0:
             break
         xa = x[idx]
-        ga, ha = _grad_and_hess(xa, t_flat[idx])
+        ta = t_flat[owner[idx]]
+        ga, ha = _grad_and_hess(xa, ta)
         mult = np.sum(ga * xa, axis=1)
         tangent = ga - mult[:, None] * xa
         tnorm = np.linalg.norm(tangent, axis=1)
@@ -304,7 +312,7 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
             cand = xa[j] + t[j, None] * direction[j]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             rj = idx[j]
-            cand_val2 = _value(cand, t_flat[rj])
+            cand_val2 = _value(cand, ta[j])
             ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * slope[j]
             jo, ro = j[ok], rj[ok]
             moved[jo] = np.linalg.norm(cand[ok] - xa[jo], axis=1)
@@ -480,14 +488,50 @@ def max_quadratic_image_norm(
 # -- Schwarzian norms ---------------------------------------------------------
 
 
-def _tensors_at(m: MapSpec, points):
-    """Frame of the Schwarzian tensors in the Bergman metric, and upper ends, at points.
+def _tensors_at(sk, points):
+    """Frame of stacked Schwarzian tensors ``sk`` (p, n, n, n) in the Bergman
+    metric at their points (p, n), and their upper ends.
 
-    One batched tensor call and one vectorized metric expression for all the points.
+    One vectorized metric expression and one Cholesky factorization for all
+    the points.
     """
-    points = np.asarray(points, dtype=complex)
-    frame = _pullback(schwarzian_of(m, points).Sk, _metrics(points))
+    frame = _pullback(sk, _metrics(np.asarray(points, dtype=complex)))
     return frame, _sym_upper(frame)
+
+
+def schwarzian_norms_at(
+    cases,
+    starts: int = DEFAULT_STARTS,
+    seed: int = 0,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> list[NormEstimate]:
+    """Pointwise invariant Schwarzian norms ||S F(z)|| of (map, point) cases.
+
+    Many maps, one kernel call: the tensors of every case are stacked,
+    pulled back in one frame and solved in one call of the n = 2 or n >= 3
+    kernel.  A case's result does not depend on the list it is in, so entry i
+    equals the single-case call on case i bit for bit.  All cases share one
+    dimension; an empty list gives [].  Input direction and operator output
+    are both measured with the Bergman metric at the case's point.  Exact at
+    n = 2, where ``starts``, ``seed`` and ``max_iter`` have no effect; a
+    searched lower bound at n >= 3.
+    """
+    cases = [(m, np.asarray(z, dtype=complex).reshape(-1)) for m, z in cases]
+    if not cases:
+        return []
+    dims = {map_dim(m) for m, _ in cases}
+    if len(dims) > 1:
+        raise DimensionError(f"cases mix the dimensions {sorted(dims)}")
+    points = np.stack([z for _, z in cases])
+    frame, upper = _tensors_at(np.stack([schwarzian_of(m, z).Sk for m, z in cases]), points)
+    value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)
+    return [
+        NormEstimate(
+            value=float(value[i]), arg_v=v[i], arg_z=z, starts=starts,
+            converged=bool(converged[i]), iterations=int(iterations[i]), upper=float(upper[i]),
+        )
+        for i, (_, z) in enumerate(cases)
+    ]
 
 
 def schwarzian_norm_at(
@@ -497,19 +541,9 @@ def schwarzian_norm_at(
     seed: int = 0,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> NormEstimate:
-    """Pointwise invariant Schwarzian norm ||S F(z)||.
-
-    Input direction and operator output are both measured with the Bergman
-    metric at ``z``.  Exact at n = 2, where ``starts``, ``seed`` and
-    ``max_iter`` have no effect; a searched lower bound at n >= 3.
-    """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    frame, upper = _tensors_at(m, [z])
-    value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)
-    return NormEstimate(
-        value=float(value[0]), arg_v=v[0], arg_z=z, starts=starts,
-        converged=bool(converged[0]), iterations=int(iterations[0]), upper=float(upper[0]),
-    )
+    """Pointwise invariant Schwarzian norm ||S F(z)||: the one case of
+    :func:`schwarzian_norms_at`."""
+    return schwarzian_norms_at([(m, z)], starts, seed, max_iter)[0]
 
 
 def schwarzian_norm_sup(
@@ -558,7 +592,7 @@ def schwarzian_norm_sup(
         <= upper * (1 + UPPER_SLACK) < floor, so it cannot be the round's
         winner or beat the incumbent.
         """
-        frame, upper = _tensors_at(m, points)
+        frame, upper = _tensors_at(schwarzian_of(m, points).Sk, points)
         values = np.full(len(points), -np.inf)
         vs = np.zeros((len(points), n), dtype=complex)
         converged = np.ones(len(points), dtype=bool)

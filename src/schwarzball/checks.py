@@ -2,6 +2,8 @@
 
 Each check takes one sampled case and returns its named residuals, all zero
 in exact arithmetic; :func:`worst` takes the maximum of each over many cases.
+:func:`invariance` takes the whole case list itself, so that its pointwise
+norms are solved in one kernel call per side, and returns the same maxima.
 The ``verify`` suites, the acceptance criteria and the unit tests share these
 checks, each with its own samples (drawn by :mod:`.maps`) and tolerances.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import bergman_norm, schwarzian_norm_at, schwarzian_norm_sup
+from .bergman import bergman_norm, schwarzian_norm_sup, schwarzian_norms_at
 from .family import (
     grad_jacobian,
     koebe_map,
@@ -66,17 +68,32 @@ def chain_rule(f: MapSpec, g: MapSpec, z, moebius: MapSpec | None = None) -> dic
     return out
 
 
-def invariance(f: MapSpec, sigma: MapSpec, z, v=None, seed: int = 0) -> dict[str, float]:
-    """| ||S(f o sigma)(z)|| - ||S f(sigma(z))|| | for an automorphism sigma, and with
-    a direction ``v``, the relative change ``isometry`` of its length under D sigma(z)."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    lhs = schwarzian_norm_at(CompositionMap((f, sigma)), z, seed=seed).value
-    out = {"norm": abs(lhs - schwarzian_norm_at(f, map_eval(sigma, z), seed=seed).value)}
-    if v is not None:
-        dsig = map_jet_at(sigma, z, 1).linear_matrix()
-        rhs = bergman_norm(z, v)
-        out["isometry"] = abs(bergman_norm(map_eval(sigma, z), dsig @ v) - rhs) / max(rhs, 1e-30)
+def invariance(cases, seed: int = 0) -> dict[str, float]:
+    """Largest | ||S(f o sigma)(z)|| - ||S f(sigma(z))|| | over the cases (f, sigma, z) or
+    (f, sigma, z, v), sigma an automorphism, and over the cases with a direction v, the
+    largest relative change ``isometry`` of its length under D sigma(z); NaN wins.
+
+    Each side's norms come from one :func:`schwarzian_norms_at` call over all the cases.
+    """
+    cases = [(f, sigma, np.asarray(z, dtype=complex).reshape(-1), *rest)
+             for f, sigma, z, *rest in cases]
+    if not cases:
+        return {}
+    lhs = schwarzian_norms_at([(CompositionMap((f, sigma)), z) for f, sigma, z, *_ in cases],
+                              seed=seed)
+    rhs = schwarzian_norms_at([(f, map_eval(sigma, z)) for f, sigma, z, *_ in cases], seed=seed)
+    out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}
+    isometry = [_isometry(sigma, z, v) for _, sigma, z, *rest in cases for v in rest]
+    if isometry:
+        out["isometry"] = float(np.max(isometry))
     return out
+
+
+def _isometry(sigma: MapSpec, z: np.ndarray, v) -> float:
+    """Relative change of the Bergman length of v under D sigma(z)."""
+    before = bergman_norm(z, v)
+    after = bergman_norm(map_eval(sigma, z), map_jet_at(sigma, z, 1).linear_matrix() @ v)
+    return abs(after - before) / max(before, 1e-30)
 
 
 def canonical_and_pde(m: MapSpec, z) -> dict[str, float]:

@@ -289,10 +289,10 @@ def suite_invariance(n: int = 2, seed: int = 0, triples: int = 50) -> list[dict]
         (random_normalized_polymap(n, rng, scale=0.1),
          automorphism_from_center(random_ball_point(n, rng, 0.5)),
          random_ball_point(n, rng, 0.5),
-         rng.standard_normal(n) + 1j * rng.standard_normal(n), seed)
+         rng.standard_normal(n) + 1j * rng.standard_normal(n))
         for _ in range(triples)
     ]
-    w = checks.worst(checks.invariance, cases)
+    w = checks.invariance(cases, seed=seed)
     return [
         residual_check("norm_invariance_max_residual", w["norm"], 1e-6),
         residual_check("metric_isometry_max_rel_residual", w["isometry"], 1e-9),

@@ -19,9 +19,11 @@ from schwarzball.bergman import (
     metric_at,
     schwarzian_norm_at,
     schwarzian_norm_sup,
+    schwarzian_norms_at,
 )
-from schwarzball.errors import OutsideDomainError
+from schwarzball.errors import DimensionError, OutsideDomainError
 from schwarzball.maps import (
+    CompositionMap,
     PolyMap,
     automorphism_from_center,
     identity_map,
@@ -278,7 +280,7 @@ def test_ascent_has_no_long_tail():
             rng = np.random.default_rng(seed)
             m = random_normalized_polymap(3, rng, scale=scale)
             points = np.array([random_ball_point(3, rng, 0.85) for _ in range(40)])
-            frame, _ = _tensors_at(m, points)
+            frame, _ = _tensors_at(schwarzian_of(m, points).Sk, points)
             _, _, converged, steps = _ascend(frame, 6, seed, DEFAULT_MAX_ITER)
             assert converged.all()
             assert steps.max() <= 150
@@ -407,20 +409,20 @@ def test_norm_sup_radius_guard():
 
 def test_invariance_residual_identity_sigma():
     sigma = automorphism_from_center([0.0, 0.0])
-    assert checks.invariance(shear(0.3), sigma, [0.1, 0.2])["norm"] <= 1e-12
+    assert checks.invariance([(shear(0.3), sigma, [0.1, 0.2])])["norm"] <= 1e-12
 
 
 def test_invariance_residual_unitary():
     th = 0.8
     u = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]], dtype=complex)
     sigma = unitary_automorphism(u)
-    assert checks.invariance(shear(0.4), sigma, [0.2, -0.1 + 0.2j])["norm"] <= 1e-9
+    assert checks.invariance([(shear(0.4), sigma, [0.2, -0.1 + 0.2j])])["norm"] <= 1e-9
 
 
 def test_norm_and_invariance_through_unitary_with_jacobian_on_the_cut():
     sigma = unitary_automorphism(np.diag([1j, 1j]))  # J sigma = -1 everywhere
     assert schwarzian_norm_sup(sigma).value == 0
-    assert checks.invariance(shear(0.4), sigma, [0.2, -0.1 + 0.2j])["norm"] <= 1e-9
+    assert checks.invariance([(shear(0.4), sigma, [0.2, -0.1 + 0.2j])])["norm"] <= 1e-9
 
 
 def test_invariance_residual_random_suite():
@@ -430,7 +432,63 @@ def test_invariance_residual_random_suite():
          automorphism_from_center(random_ball_point(2, rng, 0.5)), random_ball_point(2, rng, 0.5))
         for _ in range(20)
     ]
-    assert checks.worst(checks.invariance, cases)["norm"] <= 1e-6
+    assert checks.invariance(cases)["norm"] <= 1e-6
+
+
+def _invariance_cases(n, rng, count):
+    return [
+        (random_normalized_polymap(n, rng, scale=0.1),
+         automorphism_from_center(random_ball_point(n, rng, 0.5)), random_ball_point(n, rng, 0.5),
+         rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for _ in range(count)
+    ]
+
+
+def test_invariance_over_cases_is_the_worst_single_case():
+    cases = _invariance_cases(3, np.random.default_rng(14), 20)
+    singles = [checks.invariance([case], seed=2) for case in cases]
+    worst = {name: max(s[name] for s in singles) for name in ("norm", "isometry")}
+    assert checks.invariance(cases, seed=2) == worst
+    # without a direction there is no isometry residual
+    assert set(checks.invariance([case[:3] for case in cases[:2]])) == {"norm"}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_norms_at_rows_equal_single_calls(n):
+    """Poly, poly o automorphism and Moebius cases in one list; the Moebius rows
+    (S about 1e-15) are ZERO_NORM rows inside a nonzero batch."""
+    rng = np.random.default_rng(20 + n)
+    cases = []
+    for i in range(9):
+        m = random_normalized_polymap(n, rng, scale=0.1)
+        if i % 3 == 1:
+            m = CompositionMap((m, automorphism_from_center(random_ball_point(n, rng, 0.5))))
+        elif i % 3 == 2:
+            m = random_moebius(n, rng)
+        cases.append((m, random_ball_point(n, rng, 0.6)))
+    many = schwarzian_norms_at(cases, starts=6, seed=5)
+    assert len(many) == len(cases)
+    assert all((est.value < 1e-12) == (i % 3 == 2) for i, est in enumerate(many))
+    for (m, z), est in zip(cases, many):
+        one = schwarzian_norm_at(m, z, starts=6, seed=5)
+        assert (est.value, est.converged, est.iterations, est.upper) == (
+            one.value, one.converged, one.iterations, one.upper
+        )
+        assert np.array_equal(est.arg_v, one.arg_v)
+        assert np.array_equal(est.arg_z, one.arg_z)
+
+
+def test_norms_at_input_errors():
+    assert schwarzian_norms_at([]) == []
+    assert checks.invariance([]) == {}
+    with pytest.raises(DimensionError):
+        schwarzian_norms_at([(shear(0.3), [0.1, 0.2]), (shear(0.3, n=3), [0.1, 0.2, 0.0])])
+    sigma2, sigma3 = automorphism_from_center([0.1, 0.0]), automorphism_from_center([0.1, 0.0, 0.0])
+    with pytest.raises(DimensionError):
+        checks.invariance([(shear(0.3), sigma2, [0.1, 0.2]),
+                           (shear(0.3, n=3), sigma3, [0.1, 0.2, 0.0])])
+    with pytest.raises(OutsideDomainError):
+        schwarzian_norms_at([(shear(0.3), [0.1, 0.2]), (shear(0.3), [0.9, 0.6])])
 
 
 # -- the exact route at n = 2 ----------------------------------------------------

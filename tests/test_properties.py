@@ -118,7 +118,7 @@ def test_norm_invariance_through_automorphisms_at_any_center(
     u[1:] *= off_axis
     sigma = automorphism_from_center(radius * u / np.linalg.norm(u))
     z = ball_point(point, n, 0.5)
-    assert checks.invariance(normalized_cubic(coeffs, n), sigma, z)["norm"] <= 1e-6
+    assert checks.invariance([(normalized_cubic(coeffs, n), sigma, z)])["norm"] <= 1e-6
 
 
 @settings(max_examples=40)
