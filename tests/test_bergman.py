@@ -435,17 +435,14 @@ def test_invariance_residual_random_suite():
     assert checks.invariance(cases)["norm"] <= 1e-6
 
 
-def _invariance_cases(n, rng, count):
-    return [
-        (random_normalized_polymap(n, rng, scale=0.1),
-         automorphism_from_center(random_ball_point(n, rng, 0.5)), random_ball_point(n, rng, 0.5),
-         rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for _ in range(count)
-    ]
-
-
 def test_invariance_over_cases_is_the_worst_single_case():
-    cases = _invariance_cases(3, np.random.default_rng(14), 20)
+    rng = np.random.default_rng(14)
+    cases = [
+        (random_normalized_polymap(3, rng, scale=0.1),
+         automorphism_from_center(random_ball_point(3, rng, 0.5)), random_ball_point(3, rng, 0.5),
+         rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        for _ in range(20)
+    ]
     singles = [checks.invariance([case], seed=2) for case in cases]
     worst = {name: max(s[name] for s in singles) for name in ("norm", "isometry")}
     assert checks.invariance(cases, seed=2) == worst
