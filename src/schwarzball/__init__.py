@@ -65,10 +65,8 @@ from .bergman import (
 )
 from .family import (
     MembershipResult,
-    NormalizedJet,
     grad_jacobian,
     koebe_map,
-    koebe_transform,
     membership_check,
     norm_order_functional,
     normalize_map,

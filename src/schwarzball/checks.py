@@ -15,13 +15,21 @@ import numpy as np
 from .bergman import bergman_norm, schwarzian_norm_sup, schwarzian_norms_at
 from .family import (
     grad_jacobian,
+    jet_grad_jacobian,
     koebe_map,
-    koebe_transform,
     norm_order_functional,
     normalization_residual,
     trace_order_functional,
 )
-from .maps import CompositionMap, MapSpec, identity_map, map_eval, map_jet_at
+from .maps import (
+    CompositionMap,
+    MapSpec,
+    _derivatives,
+    identity_map,
+    map_dim,
+    map_eval,
+    map_jet_at,
+)
 from .schwarzian import (
     MIN_JET_DEGREE,
     canonical_residual,
@@ -53,17 +61,17 @@ def moebius_vanishing(m: MapSpec, z) -> dict[str, float]:
 
 
 def chain_rule(f: MapSpec, g: MapSpec, z, moebius: MapSpec | None = None) -> dict[str, float]:
-    """Gaps between S(g o f)(z) by the chain rule and by direct composition, and
-    with a Moebius map, the gap ``moebius_post`` between S f(z) and S(moebius o f)(z)."""
+    """Gaps between S(g o f)(z) by the jet chain rule and by :func:`schwarzian_of` of the
+    composition, and with a Moebius map, the gap ``moebius_post`` between the
+    :func:`schwarzian_of` tensors S f(z) and S(moebius o f)(z)."""
     jf = map_jet_at(f, z, MIN_JET_DEGREE)
     w = jf.constants()
     jg = map_jet_at(g, w, MIN_JET_DEGREE)
-    t_f = schwarzian_at(jf, z=z)
-    rule = chain_rule_transform(t_f, schwarzian_at(jg, z=w), jf, jg)
-    direct = schwarzian_at(map_jet_at(CompositionMap((g, f)), z, MIN_JET_DEGREE), z=z)
+    rule = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
+    direct = schwarzian_of(CompositionMap((g, f)), z)
     out = {"Sk": _gap(rule.Sk, direct.Sk), "S0": _gap(rule.S0, direct.S0)}
     if moebius is not None:
-        t_mf = schwarzian_at(map_jet_at(CompositionMap((moebius, f)), z, MIN_JET_DEGREE), z=z)
+        t_f, t_mf = schwarzian_of(f, z), schwarzian_of(CompositionMap((moebius, f)), z)
         out["moebius_post"] = max(_gap(t_f.Sk, t_mf.Sk), _gap(t_f.S0, t_mf.S0))
     return out
 
@@ -91,18 +99,18 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
 
 def _isometry(sigma: MapSpec, z: np.ndarray, v) -> float:
     """Relative change of the Bergman length of v under D sigma(z)."""
+    value, d1 = (a[0] for a in _derivatives(sigma, z[None], 1))
     before = bergman_norm(z, v)
-    after = bergman_norm(map_eval(sigma, z), map_jet_at(sigma, z, 1).linear_matrix() @ v)
+    after = bergman_norm(value, d1 @ v)
     return abs(after - before) / max(before, 1e-30)
 
 
 def canonical_and_pde(m: MapSpec, z) -> dict[str, float]:
     """Canonical-form, u_0 linear-system and symmetry residuals of S m(z)."""
-    jv = map_jet_at(m, z, MIN_JET_DEGREE)
-    t = schwarzian_at(jv, z=z)
+    t = schwarzian_of(m, z)
     return {
         "canonical": canonical_residual(t),
-        "pde": pde_residual(jv, z=z),
+        "pde": pde_residual(m, z),
         "symmetry": max(_gap(t.Sk, np.swapaxes(t.Sk, 1, 2)), _gap(t.S0, t.S0.T)),
     }
 
@@ -115,28 +123,27 @@ def first_variation(m: MapSpec) -> dict[str, float]:
 
 def koebe(m: MapSpec, zeta, seed: int = 0) -> dict[str, float]:
     """max(|G(0)|, |DG(0) - Id|) of the Koebe transform G of m at zeta; the gap
-    ``trace_gradient`` between 2 trace order, read off grad JG(0), and the length
-    of the trace form c_i = sum_j d^2 g_j/dz_i dz_j(0), which equals grad JG(0)
-    for a normalized map; and the observed (not a residual) ``trace_ratio``:
-    trace order / (n norm order), left out where the norm order is at most 1e-12
-    (a NaN norm order gives a NaN ratio)."""
-    g = koebe_transform(m, zeta, d=3)
+    ``trace_gradient`` between 2 trace order, read off the trace form
+    c_i = sum_j d^2 g_j/dz_i dz_j(0), and the length of grad JG(0) read off the
+    Jacobian-determinant jet, which agree for a normalized map; and the observed
+    (not a residual) ``trace_ratio``: trace order / (n norm order), left out where
+    the norm order is at most 1e-12 (a NaN norm order gives a NaN ratio)."""
+    g = koebe_map(m, zeta)
     trace = trace_order_functional(g)
     norm_ord = norm_order_functional(g, seed=seed)
-    trace_form = np.einsum("jij->i", g.jets.derivatives(2))
     out = {
-        "normalization": normalization_residual(g.jets),
-        "trace_gradient": abs(2.0 * trace - float(np.linalg.norm(trace_form))),
+        "normalization": normalization_residual(g),
+        "trace_gradient": abs(2.0 * trace - float(np.linalg.norm(jet_grad_jacobian(g)))),
     }
     if not norm_ord <= 1e-12:
-        out["trace_ratio"] = trace / (g.n * norm_ord)
+        out["trace_ratio"] = trace / (map_dim(g) * norm_ord)
     return out
 
 
 def identity_koebe(zeta) -> dict[str, float]:
     """|grad JG(0) + (n+1) conj(zeta)| for the Koebe transform G of the identity."""
     n = len(zeta)
-    g = koebe_transform(identity_map(n), zeta, d=2)
+    g = koebe_map(identity_map(n), zeta)
     return {"gradient": _gap(grad_jacobian(g), -(n + 1) * np.conj(zeta))}
 
 

@@ -28,9 +28,8 @@ from . import __version__, checks
 from .errors import MapSpecError, SchwarzballError
 from .bergman import schwarzian_norm_at, schwarzian_norm_sup
 from .family import (
-    NormalizedJet,
     grad_jacobian,
-    koebe_transform,
+    koebe_map,
     norm_order_functional,
     normalization_residual,
     normalize_map,
@@ -46,13 +45,12 @@ from .maps import (
     automorphism_validate,
     identity_map,
     map_dim,
-    map_jet_at,
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
     random_normalized_polymap,
 )
-from .schwarzian import MIN_JET_DEGREE, canonical_residual, pde_residual, schwarzian_at
+from .schwarzian import canonical_residual, pde_residual, schwarzian_of
 from .variational import (
     bounds_report,
     decoupled_residuals,
@@ -349,7 +347,7 @@ def suite_variation(n: int = 2, seed: int = 0) -> list[dict]:
         poles.append((MoebiusMap(a),))
     closure = checks.worst(checks.first_variation, poles)
     # exact attainment of the alpha = 0 bound
-    g0 = koebe_transform(moebius_pole_at_e1(n), np.zeros(n), d=3)
+    g0 = koebe_map(moebius_pole_at_e1(n), np.zeros(n))
     attained = abs(trace_order_functional(g0) - bounds_report(n, 0.0).ord_bound)
     dec = decoupled_residuals(moebius_pole_at_e1(n))
     grid = checks.bounds_grid(range(2, 11), [0.1 * k for k in range(41)])
@@ -501,12 +499,11 @@ def cmd_analyze(args) -> int:
     results = []
     for op in ops:
         if op == "schwarzian":
-            jv = map_jet_at(m, zeta, MIN_JET_DEGREE)
-            t = schwarzian_at(jv, z=zeta)
+            t = schwarzian_of(m, zeta)
             results.append(check("schwarzian_Sk", t.Sk, None, True))
             results.append(check("schwarzian_S0", t.S0, None, True))
             results.append(residual_check("schwarzian_canonical_residual", canonical_residual(t), 1e-10))
-            results.append(residual_check("schwarzian_pde_residual", pde_residual(jv, z=zeta), 1e-12))
+            results.append(residual_check("schwarzian_pde_residual", pde_residual(m, zeta), 1e-12))
         elif op == "norm":
             est = schwarzian_norm_at(m, zeta, seed=args.seed)
             results.append(check("norm_at_point", est.value, None, True))
@@ -517,17 +514,16 @@ def cmd_analyze(args) -> int:
                 results.append(check("norm_sup_lower_bound", sup.value, None, True))
                 results.append(check("norm_sup_arg_z", sup.arg_z, None, True))
         elif op == "order":
-            normalized, was = normalize_map(m)
-            g = NormalizedJet(map_jet_at(normalized, np.zeros(n, dtype=complex), 2))
+            g, was = normalize_map(m)
             results.append(check("order_trace", trace_order_functional(g), None, True))
             results.append(check("order_norm", norm_order_functional(g, seed=args.seed), None, True))
             results.append(check("order_grad_jf", grad_jacobian(g), None, True))
             results.append(check("order_was_normalized", was, None, True))
         elif op == "koebe":
-            g = koebe_transform(m, zeta, d=2)
+            g = koebe_map(m, zeta)
             results.append(check("koebe_grad_jf", grad_jacobian(g), None, True))
             results.append(
-                residual_check("koebe_normalization_residual", normalization_residual(g.jets), 1e-12)
+                residual_check("koebe_normalization_residual", normalization_residual(g), 1e-12)
             )
         elif op == "extremal":
             rep = matrix_A(m)
@@ -556,6 +552,7 @@ def cmd_search(args) -> int:
     results = [
         check("search_achieved_order", res.achieved_order, None, True),
         check("search_norm_estimate", res.norm_estimate.value, None, True),
+        check("search_norm_upper", res.norm_estimate.upper, None, True),
         check("search_extremal_residual", res.extremal_residual, None, True),
         check("search_ord_bound", res.ord_bound, None, True),
         check("search_bound_margin", res.bound_margin, None, res.bound_margin >= -1e-9),

@@ -10,7 +10,10 @@ and is the linear-invariance machine for the family { ||S F|| <= alpha }.
 The per-map order functionals implemented here are the trace order (half the
 Euclidean length of grad JG(0)) and the norm order (half the maximal
 Euclidean length of the second-derivative quadratic map over the unit
-sphere).
+sphere).  Both read D^2 G(0) from the derivative arrays of the map kind
+(``maps._derivatives``), the route the Schwarzian tensors use;
+:func:`jet_grad_jacobian` differentiates the Jacobian-determinant jet instead
+and serves as the oracle ``checks.koebe`` compares the trace form with.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError
 from .bergman import NormEstimate, max_quadratic_image_norm, schwarzian_norm_sup
-from .jets import JetVector, jet_det, jet_jacobian
+from .jets import jet_det, jet_jacobian
 from .maps import (
     CompositionMap,
     MapSpec,
+    _derivatives,
     affine_map,
     automorphism_from_center,
     map_dim,
@@ -35,54 +39,41 @@ NORMALIZATION_TOL = 1e-12
 MEMBERSHIP_EPS = 1e-6
 
 
-def normalization_residual(jets: JetVector) -> float:
-    """max(|G(0)|, |DG(0) - Id|) in the max norm; NaN if an entry is NaN."""
-    gap = np.column_stack([jets.constants(), jets.linear_matrix() - np.eye(jets.n)])
-    return float(np.max(np.abs(gap)))
+def _at_origin(m: MapSpec, order: int) -> list[np.ndarray]:
+    """[F(0), DF(0), ..., D^order F(0)] of the map, without the point axis."""
+    return [a[0] for a in _derivatives(m, np.zeros((1, map_dim(m)), dtype=complex), order)]
 
 
-@dataclass(frozen=True)
-class NormalizedJet:
-    """Jet at the origin of a map with G(0) = 0 and DG(0) = Id."""
+def _residual(value: np.ndarray, d1: np.ndarray) -> float:
+    """max(|F(0)|, |DF(0) - Id|) in the max norm; NaN if an entry is NaN."""
+    return float(np.max(np.abs(np.column_stack([value, d1 - np.eye(len(value))]))))
 
-    jets: JetVector
 
-    def __post_init__(self):
-        jv = self.jets
-        if len(jv) != jv.n:
-            raise DimensionError("normalized jet must be square (n components in n variables)")
-        if jv.d < 2:
-            raise DimensionError("normalized jet needs degree >= 2")
-        residual = normalization_residual(jv)
-        if not residual <= NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"jet not normalized: max(|G(0)|, |DG(0) - Id|) = {residual:.3e}"
-            )
+def _normalized(g: MapSpec, order: int) -> list[np.ndarray]:
+    """[G(0), DG(0), ..., D^order G(0)] of a normalized map.
 
-    @property
-    def n(self) -> int:
-        return self.jets.n
+    Raises NormalizationError unless max(|G(0)|, |DG(0) - Id|) <= NORMALIZATION_TOL
+    (NaN fails).
+    """
+    out = _at_origin(g, order)
+    residual = _residual(out[0], out[1])
+    if not residual <= NORMALIZATION_TOL:
+        raise NormalizationError(f"map not normalized: max(|G(0)|, |DG(0) - Id|) = {residual:.3e}")
+    return out
 
-    @property
-    def d(self) -> int:
-        return self.jets.d
+
+def normalization_residual(m: MapSpec) -> float:
+    """max(|F(0)|, |DF(0) - Id|) in the max norm; NaN if an entry is NaN."""
+    return _residual(*_at_origin(m, 1))
 
 
 def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
     """Return (affine-postcomposed normalization of m, whether m already was)."""
-    n = map_dim(m)
-    origin = np.zeros(n, dtype=complex)
-    jv = map_jet_at(m, origin, 1)
-    if normalization_residual(jv) <= NORMALIZATION_TOL:
+    value, d1 = _at_origin(m, 1)
+    if _residual(value, d1) <= NORMALIZATION_TOL:
         return m, True
-    mat = np.linalg.inv(jv.linear_matrix())
-    return CompositionMap((affine_map(mat, -mat @ jv.constants()), m)), False
-
-
-def koebe_transform(m: MapSpec, zeta, d: int = 4) -> NormalizedJet:
-    """Normalized jet at the origin, to degree ``d``, of :func:`koebe_map`."""
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    return NormalizedJet(map_jet_at(koebe_map(m, zeta), np.zeros(len(zeta), dtype=complex), d))
+    mat = np.linalg.inv(d1)
+    return CompositionMap((affine_map(mat, -mat @ value), m)), False
 
 
 def koebe_map(m: MapSpec, zeta) -> MapSpec:
@@ -90,30 +81,35 @@ def koebe_map(m: MapSpec, zeta) -> MapSpec:
     return normalize_map(CompositionMap((m, automorphism_from_center(zeta))))[0]
 
 
-def grad_jacobian(g: NormalizedJet) -> np.ndarray:
-    """grad(JG)(0) read off the degree-1 part of the Jacobian determinant jet."""
-    return jet_det(jet_jacobian(g.jets)).derivatives(1)
+def grad_jacobian(g: MapSpec) -> np.ndarray:
+    """grad(JG)(0) of a normalized map, as the trace form c_i = sum_j d^2 g_j/dz_i dz_j(0).
 
-
-def trace_order_functional(g: NormalizedJet) -> float:
-    """Half the Euclidean length of grad(JG)(0).
-
-    ``checks.koebe`` compares it with the trace form, the length of
-    c_i = sum_j d^2 g_j/dz_i dz_j(0), which equals grad(JG)(0) for a
-    normalized map.
+    Jacobi's formula gives grad(JG)(0) = JG(0) tr(DG(0)^{-1} d_i DG(0)), which
+    is the trace form where DG(0) = Id.
     """
+    return np.einsum("jij->i", _normalized(g, 2)[2])
+
+
+def jet_grad_jacobian(g: MapSpec) -> np.ndarray:
+    """grad(JG)(0) read off the degree-1 part of the Jacobian-determinant jet (an oracle)."""
+    jv = map_jet_at(g, np.zeros(map_dim(g), dtype=complex), 2)
+    return jet_det(jet_jacobian(jv)).derivatives(1)
+
+
+def trace_order_functional(g: MapSpec) -> float:
+    """Half the Euclidean length of grad(JG)(0) of a normalized map."""
     return 0.5 * float(np.linalg.norm(grad_jacobian(g)))
 
 
-def norm_order_functional(g: NormalizedJet, starts: int = 16, seed: int = 0) -> float:
-    """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms.
+def norm_order_functional(g: MapSpec, starts: int = 16, seed: int = 0) -> float:
+    """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms, for a normalized map.
 
     Exact at n = 2, where ``starts`` and ``seed`` have no effect; a searched
     lower bound at n >= 3, from 2 BB steps, then saddle-free Riemannian Newton
     steps per start (see :func:`max_quadratic_image_norm`).
     """
-    h = g.jets.derivatives(2)
-    value, _, _ = max_quadratic_image_norm(h, np.eye(g.n), starts=starts, seed=seed)
+    h = _normalized(g, 2)[2]
+    value, _, _ = max_quadratic_image_norm(h, np.eye(len(h)), starts=starts, seed=seed)
     return 0.5 * value
 
 

@@ -14,16 +14,19 @@ Values and derivatives of order <= 3 at a stack of points come from
 axis: a polynomial map weights the values of its monomials by the term
 coefficients it builds once in ``__init__``; a Moebius map uses the
 closed form of F = L / l_0; a composition chain applies the order-3
-multivariate Faa di Bruno formula part by part.  :func:`map_eval` and
-``schwarzian_of`` read these arrays.  Every row is computed by stacked
-matrix products and elementwise arithmetic only, so a point gives the same
-bits alone as in any batch.
+multivariate Faa di Bruno formula part by part.  Every production
+derivative reads these arrays: :func:`map_eval`, ``schwarzian_of``, the
+normalization, Koebe transforms and order functionals of :mod:`.family`,
+and the variational diagnostics.  Every row is computed by stacked matrix
+products and elementwise arithmetic only, so a point gives the same bits
+alone as in any batch.
 
 Every map can also be expanded into an exact Taylor jet about any admissible
 center, to any degree, by :func:`map_jet_at`; rational denominators are
 expanded by a truncated geometric series, so no numerical differentiation is
-involved.  The jet route serves Koebe transforms (degree 4), the variational
-diagnostics, ``pde_residual`` and the oracles in :mod:`.checks`.  A
+involved.  The jet route is an independent oracle only: ``pde_residual``,
+``chain_rule_transform``, the direct Hessian of ``lemma31_check`` and
+``family.jet_grad_jacobian`` read it.  A
 polynomial map is recentered by building each monomial (zeta + h)^e it uses
 once, as a smaller monomial times one factor zeta_k + h_k, and summing
 coefficient times monomial over the components, which share the monomials.

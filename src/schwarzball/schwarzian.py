@@ -15,9 +15,9 @@ by one assembly with a leading point axis.  :func:`schwarzian_of`, the
 production route, takes a point or a stack of points and reads the arrays
 straight from the map kind (``maps._derivatives``), with no jets; a row of
 a stack equals the same point alone, bit for bit.  :func:`schwarzian_at`
-reads them from a Taylor jet; it serves ``pde_residual``,
-:func:`chain_rule_transform` and the oracles in :mod:`.checks`.  The
-log-derivatives of JF come from Jacobi's formula,
+reads them from a Taylor jet; it serves :func:`chain_rule_transform` and
+the jet oracles in :mod:`.checks`.  The log-derivatives of JF come from
+Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -25,11 +25,11 @@ log-derivatives of JF come from Jacobi's formula,
 and with g = grad log JF, H = Hess log JF and p = -1/(n+1) the solution
 property gives S^0 = p^2 g g^T + p H - sum_k S^k (p g)_k.  No power or
 logarithm of JF is taken, so the tensors are defined wherever DF is
-invertible, whatever the phase of JF.  ``pde_residual`` re-derives both
-sides of the linear system through an independent jet route (a jet power of
-the Jacobian determinant) as a regression guard.  Tensors vanish exactly on
-Moebius maps and obey the composition rule implemented in
-:func:`chain_rule_transform`.
+invertible, whatever the phase of JF.  ``pde_residual`` checks the
+:func:`schwarzian_of` tensor against u_0 derivatives from an independent
+jet route (a jet power of the Jacobian determinant) as a regression guard.
+Tensors vanish exactly on Moebius maps and obey the composition rule
+implemented in :func:`chain_rule_transform`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
-from .maps import MapSpec, _derivatives, check_nonsingular, map_dim
+from .maps import MapSpec, _derivatives, check_nonsingular, map_dim, map_jet_at
 
 MIN_JET_DEGREE = 3
 
@@ -154,18 +154,18 @@ def canonical_residual(t: SchwarzianTensor) -> float:
     return float(max(abs(sum(t.Sk[j, i, j] for j in range(n))) for i in range(n)))
 
 
-def pde_residual(jv: JetVector, z=None) -> float:
-    """Residual of the u_0 solution property, evaluated through jet powers.
+def pde_residual(m: MapSpec, z) -> float:
+    """Residual of the u_0 solution property of the tensor :func:`schwarzian_of` gives at ``z``.
 
-    Both sides of d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 are
-    recomputed from scratch: the tensor by the derivative-array route of
-    :func:`schwarzian_at`, the u_0 derivatives from ``jet_pow`` applied to the
-    Jacobian-determinant jet.  Nonzero output means the two differentiation
-    routes disagree.
+    In d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 the tensor comes from
+    the derivative arrays of the map kind and the u_0 derivatives from
+    ``jet_pow`` applied to the Jacobian-determinant jet of the map about z.
+    Nonzero output means the two differentiation routes disagree.
     """
-    t = schwarzian_at(jv, z=z)
-    p = -1.0 / (jv.n + 1)
-    jf_jet = jet_det(jet_jacobian(jv))
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    t = schwarzian_of(m, z)
+    p = -1.0 / (len(z) + 1)
+    jf_jet = jet_det(jet_jacobian(map_jet_at(m, z, MIN_JET_DEGREE)))
     jf0 = jf_jet.constant_term
     # (JF / JF(z))^p has constant term 1, off the cut; the scalar JF(z)^p
     # restores the scale of u_0 on any branch

@@ -33,7 +33,7 @@ from .errors import (
     SchwarzballError,
 )
 from .bergman import NormEstimate, schwarzian_norm_sup
-from .family import NormalizedJet, grad_jacobian, koebe_transform
+from .family import grad_jacobian, koebe_map
 from .jets import jet_det, jet_jacobian, jet_log, multi_indices
 from .maps import (
     CompositionMap,
@@ -45,7 +45,7 @@ from .maps import (
     map_jet_at,
     _unitary_with_first_column,
 )
-from .schwarzian import MIN_JET_DEGREE, schwarzian_at
+from .schwarzian import MIN_JET_DEGREE, schwarzian_of
 
 # consecutive remainder quotients of variation_expansion_check stay within this factor
 _RATIO_BOUND = 4.0
@@ -87,11 +87,10 @@ class BoundReport:
 
 
 def matrix_A(m: MapSpec) -> VariationReport:
-    """Assemble the first-variation matrix and the extremality residual."""
-    g = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE))
-    n = g.n
-    t = schwarzian_at(g.jets)
-    lam = grad_jacobian(g)
+    """Assemble the first-variation matrix and the extremality residual of a normalized map."""
+    n = map_dim(m)
+    lam = grad_jacobian(m)
+    t = schwarzian_of(m, np.zeros(n, dtype=complex))
     b = np.einsum("kij,k->ij", t.Sk, lam)
     a = b - (n + 1) * t.S0 + np.outer(lam, lam) / (n + 1)
     residual = float(np.linalg.norm(a @ np.conj(lam) - (n + 1) * lam))
@@ -104,9 +103,9 @@ def lemma31_check(m: MapSpec) -> float:
     The direct route takes the Hessian of log JF at 0 from the determinant
     jet, bypassing the Schwarzian tensors entirely.
     """
-    jv = NormalizedJet(map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)).jets
-    hess = jet_log(jet_det(jet_jacobian(jv))).derivatives(2)
     rep = matrix_A(m)
+    jv = map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)
+    hess = jet_log(jet_det(jet_jacobian(jv))).derivatives(2)
     return float(np.max(np.abs(hess - rep.A)))
 
 
@@ -146,7 +145,7 @@ def variation_expansion_check(
         u /= np.linalg.norm(u)
         for si, s in enumerate(scales):
             zeta = s * u
-            g = grad_jacobian(koebe_transform(m, zeta, d=2))
+            g = grad_jacobian(koebe_map(m, zeta))
             predicted = rep.Lam + rep.A @ zeta - (n + 1) * np.conj(zeta)
             errors[di, si] = float(np.linalg.norm(g - predicted))
         q = errors[di] / np.array(scales) ** 2
@@ -182,8 +181,7 @@ def decoupled_residuals(m: MapSpec) -> DecoupledReport:
         S^1_1j lambda - (n+1) S^0_1j = 0   (j >= 2).
     """
     n = map_dim(m)
-    origin = np.zeros(n, dtype=complex)
-    lam_vec = grad_jacobian(NormalizedJet(map_jet_at(m, origin, MIN_JET_DEGREE)))
+    lam_vec = grad_jacobian(m)
     lam = float(np.linalg.norm(lam_vec))
     rotated = False
     target = m
@@ -193,11 +191,10 @@ def decoupled_residuals(m: MapSpec) -> DecoupledReport:
         q = np.conj(u0)
         target = CompositionMap((affine_map(q.conj().T), m, affine_map(q)))
         rotated = True
-    g_rot = NormalizedJet(map_jet_at(target, origin, MIN_JET_DEGREE))
-    lam_rot = grad_jacobian(g_rot)
+    lam_rot = grad_jacobian(target)
     if abs(lam_rot[0] - lam) > 1e-9 * (1 + lam) or np.max(np.abs(lam_rot[1:])) > 1e-9 * (1 + lam):
         raise NormalizationError("rotation failed to align the Jacobian gradient")
-    t = schwarzian_at(g_rot.jets)
+    t = schwarzian_of(target, np.zeros(n, dtype=complex))
     s1 = t.Sk[0]
     quad = abs(lam**2 + (n + 1) * s1[0, 0] * lam - (n + 1) ** 2 * t.S0[0, 0] - (n + 1) ** 2)
     off = np.abs(s1[0, 1:] * lam - (n + 1) * t.S0[0, 1:])
@@ -335,9 +332,8 @@ def extremal_search(
         raise InfeasibleSearchError("subfamily parameterization is empty")
     if not 0.0 <= alpha < np.inf:
         raise DimensionError("alpha must be finite and non-negative")
-    origin = np.zeros(config.n, dtype=complex)
     try:
-        NormalizedJet(map_jet_at(config.build(np.asarray(config.x0, dtype=float)), origin, 2))
+        grad_jacobian(config.build(np.asarray(config.x0, dtype=float)))
     except SchwarzballError as exc:
         raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}") from exc
 
@@ -355,11 +351,10 @@ def extremal_search(
         evaluations += 1
         try:
             mp = config.build(x)
-            g = NormalizedJet(map_jet_at(mp, origin, 2))
+            order2 = float(np.linalg.norm(grad_jacobian(mp)))
         except SchwarzballError:
             failed_evaluations += 1
             return 1e6
-        order2 = float(np.linalg.norm(grad_jacobian(g)))
         est = norm_est(mp).value
         return -order2 + _PENALTY_WEIGHT * max(0.0, est - alpha) ** 2
 

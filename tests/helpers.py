@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from schwarzball.maps import MoebiusMap
+from schwarzball.family import koebe_map, normalize_map
+from schwarzball.maps import (
+    MoebiusMap,
+    automorphism_from_center,
+    random_ball_point,
+    random_normalized_polymap,
+)
 
 
 def max_coeff_diff(a, b):
@@ -22,3 +28,18 @@ def unitary_automorphism(u):
     a = np.eye(len(u) + 1, dtype=complex)
     a[1:, 1:] = u
     return MoebiusMap(a)
+
+
+def normalized_samples(n, rng):
+    """Labelled normalized maps of each kind: polynomial, Moebius z / (1 - <z, c>),
+    a normalized automorphism and a polynomial map composed with an automorphism."""
+    c = random_ball_point(n, rng, 0.8)
+    grid = np.eye(n + 1, dtype=complex)
+    grid[0, 1:] = -np.conj(c)
+    return [
+        ("poly", random_normalized_polymap(n, rng, scale=0.15)),
+        ("moebius", MoebiusMap(grid)),
+        ("automorphism", normalize_map(automorphism_from_center(random_ball_point(n, rng, 0.6)))[0]),
+        ("poly o automorphism",
+         koebe_map(random_normalized_polymap(n, rng, scale=0.15), random_ball_point(n, rng, 0.5))),
+    ]

@@ -12,7 +12,7 @@ import numpy as np
 from schwarzball import checks
 from schwarzball.bergman import schwarzian_norm_sup
 from schwarzball.cli import main
-from schwarzball.family import koebe_transform, trace_order_functional
+from schwarzball.family import koebe_map, trace_order_functional
 from schwarzball.jets import jet_det, jet_jacobian
 from schwarzball.maps import (
     automorphism_from_center,
@@ -164,7 +164,7 @@ def test_criterion_08_extremal_consistency_alpha_zero():
     est = schwarzian_norm_sup(m, r_max=0.9)
     rep = matrix_A(m)
     grad_gap = abs(float(np.linalg.norm(rep.Lam)) - 3.0)
-    g0 = koebe_transform(m, np.zeros(2), d=3)
+    g0 = koebe_map(m, np.zeros(2))
     trace = trace_order_functional(g0)
     bound = bounds_report(2, 0.0).ord_bound
     ok = (

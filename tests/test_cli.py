@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from schwarzball import checks, cli, family, variational
+from schwarzball import checks, cli, family, maps, variational
 from schwarzball.cli import SUITES, main, map_from_payload, map_to_payload
 from schwarzball.errors import MapSpecError
 from schwarzball.maps import (
@@ -155,6 +156,36 @@ def test_trace_order_gap_is_reported_not_raised(tmp_path, monkeypatch):
     assert code == 1 and rep["passed"] is False
     gap = next(r for r in rep["results"] if r["name"] == "trace_order_gradient_gap")
     assert gap["passed"] is False and gap["value"] > 1e-4
+
+
+def test_production_commands_run_without_jets(tmp_path, monkeypatch):
+    # the jet route is an oracle only: with every binding of map_jet_at made to
+    # raise, these commands give the same reports
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(SHEAR_FILE))
+    argvs = [["verify", suite, "--n", "2", "--seed", "1"] for suite in ("variation", "moebius", "invariance")]
+    argvs += [
+        ["analyze", str(path), "--ops", "norm,order,koebe,extremal", "--zeta", "0.1,0.2j"],
+        ["search", "--family", "moebius", "--n", "2", "--budget", "12", "--seed", "1"],
+    ]
+    expected = [run_json(tmp_path, argv, f"free{k}.json") for k, argv in enumerate(argvs)]
+
+    def blocked(*args, **kwargs):
+        raise AssertionError("map_jet_at called")
+
+    original = maps.map_jet_at
+    for name, module in list(sys.modules.items()):
+        if name == "schwarzball" or name.startswith("schwarzball."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, blocked)
+    assert checks.map_jet_at is blocked
+    for k, (argv, (code, rep)) in enumerate(zip(argvs, expected)):
+        got_code, got = run_json(tmp_path, argv, f"blocked{k}.json")
+        assert code == got_code == 0, argv
+        rep.pop("timing")
+        got.pop("timing")
+        assert json.dumps(got) == json.dumps(rep), argv
 
 
 def test_exit_code_usage_error(tmp_path):

@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
-from schwarzball import checks
+from schwarzball import checks, family
+from schwarzball.bergman import max_quadratic_image_norm
 from schwarzball.errors import NormalizationError
 from schwarzball.family import (
-    NormalizedJet,
     grad_jacobian,
-    koebe_transform,
+    jet_grad_jacobian,
+    koebe_map,
     membership_check,
     norm_order_functional,
     normalization_residual,
     normalize_map,
     trace_order_functional,
 )
-from schwarzball.jets import Jet, JetVector
 from schwarzball.maps import (
     CompositionMap,
     PolyMap,
@@ -30,7 +30,7 @@ from schwarzball.maps import (
     random_normalized_polymap,
 )
 
-from helpers import max_coeff_diff
+from helpers import max_coeff_diff, normalized_samples
 
 
 def shear_a(a):
@@ -43,12 +43,9 @@ def shear_b(b):
 
 def test_koebe_at_origin_returns_map_itself():
     m = shear_b(0.4)
-    g = koebe_transform(m, np.zeros(2), d=3)
+    g = map_jet_at(koebe_map(m, np.zeros(2)), np.zeros(2), 3)
     direct = map_jet_at(m, np.zeros(2), 3)
-    for i in range(2):
-        keys = set(g.jets[i].coeffs) | set(direct[i].coeffs)
-        worst = max(abs(g.jets[i].coeff(k) - direct[i].coeff(k)) for k in keys)
-        assert worst <= 1e-13
+    assert max(max_coeff_diff(x, y) for x, y in zip(g, direct)) <= 1e-13
 
 
 def _explicit_koebe_map(m, zeta):
@@ -67,9 +64,9 @@ def test_koebe_transform_matches_explicit_construction():
     for m in maps:
         for zeta in ([0.1, 0.0], [0.2 - 0.1j, 0.3j], random_ball_point(2, rng, 0.5)):
             zeta = np.asarray(zeta, dtype=complex)
-            g = koebe_transform(m, zeta, d=3)
+            g = map_jet_at(koebe_map(m, zeta), np.zeros(2), 3)
             want = map_jet_at(_explicit_koebe_map(m, zeta), np.zeros(2), 3)
-            assert max(max_coeff_diff(x, y) for x, y in zip(g.jets, want)) <= 1e-13
+            assert max(max_coeff_diff(x, y) for x, y in zip(g, want)) <= 1e-13
 
 
 def test_koebe_identity_gradient_exact():
@@ -81,51 +78,58 @@ def test_koebe_identity_gradient_exact():
 
 
 def test_koebe_normalization_for_moebius():
-    g = koebe_transform(moebius_pole_at_e1(2), [0.05, -0.02 + 0.01j], d=3)
-    assert normalization_residual(g.jets) <= 1e-12
+    g = koebe_map(moebius_pole_at_e1(2), [0.05, -0.02 + 0.01j])
+    assert normalization_residual(g) <= 1e-12
 
 
-def test_normalized_jet_validation():
-    # an offset G(0), and a NaN in DG(0), which a `residual > tol` test would let through
-    for entry in ({(0, 0): 0.1}, {(0, 1): float("nan")}):
-        bad = JetVector([Jet(2, 2, {(1, 0): 1.0, **entry}), Jet(2, 2, {(0, 1): 1.0})])
+def test_normalized_data_validation(monkeypatch):
+    # an offset G(0) raises
+    offset = PolyMap(2, [{(0, 0): 0.1, (1, 0): 1.0}, {(0, 1): 1.0}])
+    with pytest.raises(NormalizationError):
+        grad_jacobian(offset)
+    # and so does a NaN in DG(0), which a `residual > tol` test would let through;
+    # no map kind builds one, so the derivative arrays are replaced
+    nan_d1 = np.array([[[1.0, np.nan], [0.0, 1.0]]], dtype=complex)
+    monkeypatch.setattr(family, "_derivatives", lambda m, z, order: [
+        np.zeros((1, 2), dtype=complex), nan_d1, np.zeros((1, 2, 2, 2), dtype=complex)][: order + 1])
+    assert np.isnan(normalization_residual(identity_map(2)))
+    for functional in (grad_jacobian, trace_order_functional, norm_order_functional):
         with pytest.raises(NormalizationError):
-            NormalizedJet(bad)
+            functional(identity_map(2))
 
 
 def test_grad_jacobian_examples():
-    assert np.max(np.abs(grad_jacobian(koebe_transform(identity_map(2), np.zeros(2), 2)))) == 0
-    g = NormalizedJet(map_jet_at(moebius_pole_at_e1(2), np.zeros(2), 3))
-    assert np.max(np.abs(grad_jacobian(g) - np.array([3.0, 0.0]))) <= 1e-12
-    gb = NormalizedJet(map_jet_at(shear_b(0.5), np.zeros(2), 3))
-    assert np.max(np.abs(grad_jacobian(gb) - np.array([1.0, 0.0]))) <= 1e-13
+    assert np.max(np.abs(grad_jacobian(koebe_map(identity_map(2), np.zeros(2))))) == 0
+    assert np.max(np.abs(grad_jacobian(moebius_pole_at_e1(2)) - np.array([3.0, 0.0]))) <= 1e-12
+    assert np.max(np.abs(grad_jacobian(shear_b(0.5)) - np.array([1.0, 0.0]))) <= 1e-13
 
 
 def test_trace_order_examples():
-    assert trace_order_functional(NormalizedJet(map_jet_at(identity_map(2), np.zeros(2), 2))) == 0
-    g = NormalizedJet(map_jet_at(moebius_pole_at_e1(2), np.zeros(2), 3))
-    assert abs(trace_order_functional(g) - 1.5) <= 1e-12
-    gb = NormalizedJet(map_jet_at(shear_b(0.5), np.zeros(2), 3))
-    assert abs(trace_order_functional(gb) - 0.5) <= 1e-13
+    assert trace_order_functional(identity_map(2)) == 0
+    assert abs(trace_order_functional(moebius_pole_at_e1(2)) - 1.5) <= 1e-12
+    assert abs(trace_order_functional(shear_b(0.5)) - 0.5) <= 1e-13
 
 
 def test_norm_order_examples():
-    assert norm_order_functional(NormalizedJet(map_jet_at(identity_map(2), np.zeros(2), 2))) <= 1e-12
-    ga = NormalizedJet(map_jet_at(shear_a(0.7), np.zeros(2), 2))
-    assert abs(norm_order_functional(ga) - 0.7) <= 1e-10
-    gb = NormalizedJet(map_jet_at(shear_b(0.3), np.zeros(2), 2))
-    assert abs(norm_order_functional(gb) - 0.3) <= 1e-10
+    assert norm_order_functional(identity_map(2)) <= 1e-12
+    assert abs(norm_order_functional(shear_a(0.7)) - 0.7) <= 1e-10
+    assert abs(norm_order_functional(shear_b(0.3)) - 0.3) <= 1e-10
 
 
 def test_order_functionals_invariant():
-    # grad JG(0) equals the trace form c_i = sum_j d^2 g_j/dz_i dz_j(0) of a normalized map
+    # grad JG(0) as the trace form, and both order functionals, from the
+    # derivative arrays against the same quantities read off Taylor jets
     rng = np.random.default_rng(25)
-    for _ in range(10):
-        m = random_normalized_polymap(2, rng, scale=0.15)
-        g = NormalizedJet(map_jet_at(m, np.zeros(2), 3))
-        trace_form = np.einsum("jij->i", g.jets.derivatives(2))
-        assert np.max(np.abs(grad_jacobian(g) - trace_form)) <= 1e-10
-        assert abs(2 * trace_order_functional(g) - np.linalg.norm(trace_form)) <= 1e-10
+    samples = [(2, "poly", random_normalized_polymap(2, rng, scale=0.15)) for _ in range(10)]
+    samples += [(n, label, g) for n in (2, 3, 4) for label, g in normalized_samples(n, rng)]
+    for n, label, g in samples:
+        jet_grad = jet_grad_jacobian(g)
+        scale = 1.0 + np.max(np.abs(jet_grad))
+        assert np.max(np.abs(grad_jacobian(g) - jet_grad)) <= 1e-13 * scale, label
+        assert abs(2 * trace_order_functional(g) - np.linalg.norm(jet_grad)) <= 1e-13 * scale, label
+        h = map_jet_at(g, np.zeros(n), 2).derivatives(2)
+        want = 0.5 * max_quadratic_image_norm(h, np.eye(n), starts=16, seed=3)[0]
+        assert abs(norm_order_functional(g, seed=3) - want) <= 1e-12 * (1.0 + want), label
 
 
 def test_koebe_random_maps_stay_normalized():
@@ -163,7 +167,7 @@ def test_normalize_map_fixes_affine_offsets():
     ])
     normalized, was = normalize_map(m)
     assert not was
-    assert normalization_residual(map_jet_at(normalized, np.zeros(2), 1)) <= 1e-12
+    assert normalization_residual(normalized) <= 1e-12
 
 
 def test_trace_vs_norm_order_observation():
@@ -173,9 +177,8 @@ def test_trace_vs_norm_order_observation():
     ratios = []
     for _ in range(5):
         m = random_normalized_polymap(2, rng, scale=0.15)
-        g = NormalizedJet(map_jet_at(m, np.zeros(2), 3))
-        t = trace_order_functional(g)
-        no = norm_order_functional(g)
+        t = trace_order_functional(m)
+        no = norm_order_functional(m)
         if no > 1e-12:
             ratios.append(t / (2 * no))
     print("observed trace/(n*norm_order) ratios:", np.round(ratios, 6))

@@ -166,14 +166,14 @@ def test_canonical_residual_examples():
 def test_pde_residual_examples():
     from schwarzball.maps import identity_map
 
-    assert pde_residual(map_jet_at(identity_map(2), np.zeros(2), 3)) == 0
-    assert pde_residual(map_jet_at(shear_a(0.4), np.zeros(2), 3)) <= 1e-14
-    assert pde_residual(map_jet_at(shear_b(0.5), np.zeros(2), 3)) <= 1e-12
+    assert pde_residual(identity_map(2), np.zeros(2)) == 0
+    assert pde_residual(shear_a(0.4), np.zeros(2)) <= 1e-14
+    assert pde_residual(shear_b(0.5), np.zeros(2)) <= 1e-12
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = random_normalized_polymap(2, rng, scale=0.1)
         z = random_ball_point(2, rng, 0.4)
-        assert pde_residual(map_jet_at(f, z, 3), z=z) <= 1e-12
+        assert pde_residual(f, z) <= 1e-12
 
 
 def test_degree_and_dimension_guards():
@@ -328,10 +328,10 @@ def test_tensor_defined_where_jacobian_is_negative_real():
 
 
 def test_pde_residual_where_jacobian_is_negative_real():
-    assert pde_residual(map_jet_at(REFLECTION, np.zeros(2), 3)) <= 1e-12
+    assert pde_residual(REFLECTION, np.zeros(2)) <= 1e-12
     z = np.array([0.1j, 0.25])
     flipped = CompositionMap((REFLECTION, shear_a(0.4)))
-    assert pde_residual(map_jet_at(flipped, z, 3), z=z) <= 1e-12
+    assert pde_residual(flipped, z) <= 1e-12
 
 
 # -- symbolic oracle ------------------------------------------------------------------

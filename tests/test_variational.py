@@ -9,14 +9,16 @@ import pytest
 
 from schwarzball import checks
 from schwarzball.errors import DimensionError, InfeasibleSearchError, NormalizationError
-from schwarzball.family import membership_check
+from schwarzball.family import jet_grad_jacobian, membership_check
 from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
     identity_map,
+    map_jet_at,
     moebius_pole_at_e1,
     random_normalized_polymap,
 )
+from schwarzball.schwarzian import schwarzian_at
 from schwarzball.variational import (
     SubfamilyConfig,
     bounds_report,
@@ -30,6 +32,8 @@ from schwarzball.variational import (
     moebius_subfamily,
     variation_expansion_check,
 )
+
+from helpers import normalized_samples
 
 # frozen by independent high-precision evaluation of the closed-form bounds
 ORD_BOUND_2_1 = 11.196152422706631881
@@ -88,6 +92,20 @@ def test_matrix_a_symmetry():
     rng = np.random.default_rng(19)
     for _ in range(10):
         assert checks.first_variation(random_normalized_polymap(2, rng, scale=0.12))["symmetry"] <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_matrix_a_matches_the_jet_oracle(n):
+    # A assembled from the derivative arrays against A assembled from the jet
+    # tensor and the Jacobian-determinant gradient
+    rng = np.random.default_rng(70 + n)
+    for label, g in normalized_samples(n, rng):
+        t = schwarzian_at(map_jet_at(g, np.zeros(n), 3))
+        lam = jet_grad_jacobian(g)
+        want = np.einsum("kij,k->ij", t.Sk, lam) - (n + 1) * t.S0 + np.outer(lam, lam) / (n + 1)
+        rep = matrix_A(g)
+        assert np.max(np.abs(rep.Lam - lam)) <= 1e-13 * (1.0 + np.max(np.abs(lam))), label
+        assert np.max(np.abs(rep.A - want)) <= 1e-12 * (1.0 + np.max(np.abs(want))), label
 
 
 def test_matrix_a_requires_normalized():
