@@ -463,25 +463,22 @@ def _quad_norms(frame, starts: int, seed: int, max_iter: int):
 
 
 def max_quadratic_image_norm(
-    s_list: np.ndarray,
-    form: np.ndarray,
-    starts: int = DEFAULT_STARTS,
-    seed: int = 0,
-    max_iter: int = DEFAULT_MAX_ITER,
+    s_list: np.ndarray, form: np.ndarray, seed: int = 0
 ) -> tuple[float, np.ndarray, bool]:
     """sup of sqrt(q(u(v))) over q(v) = 1, u_k = v^t S^k v, q(v) = sum_ij form_ij v_i conj(v_j).
 
     Exact at n = 2 (a trust-region problem on the 2-sphere, see
-    :func:`_hopf_norms`), where ``starts``, ``seed`` and ``max_iter`` have no
-    effect.  At n >= 3, a multistart ascent on the unit sphere of the frame
-    of :func:`_pullback`, 2 BB steps, then saddle-free Riemannian Newton
-    steps, each with Armijo backtracking (:func:`_ascend`); deterministic for
-    a fixed seed.  Returns (value, maximizing v, converged flag).
+    :func:`_hopf_norms`), where ``seed`` has no effect.  At n >= 3, an ascent
+    from ``DEFAULT_STARTS`` seeded starts on the unit sphere of the frame of
+    :func:`_pullback`, 2 BB steps, then saddle-free Riemannian Newton steps,
+    each with Armijo backtracking, up to ``DEFAULT_MAX_ITER`` iterations
+    (:func:`_ascend`); deterministic for a fixed seed.  Returns (value,
+    maximizing v, converged flag).
     """
     frame = _pullback(
         np.asarray(s_list, dtype=complex)[None], np.asarray(form, dtype=complex)[None]
     )
-    value, v, converged, _ = _quad_norms(frame, starts, seed, max_iter)
+    value, v, converged, _ = _quad_norms(frame, DEFAULT_STARTS, seed, DEFAULT_MAX_ITER)
     return float(value[0]), v[0], bool(converged[0])
 
 

@@ -110,7 +110,7 @@ def canonical_and_pde(m: MapSpec, z) -> dict[str, float]:
     t = schwarzian_of(m, z)
     return {
         "canonical": canonical_residual(t),
-        "pde": pde_residual(m, z),
+        "pde": pde_residual(m, t),
         "symmetry": max(_gap(t.Sk, np.swapaxes(t.Sk, 1, 2)), _gap(t.S0, t.S0.T)),
     }
 

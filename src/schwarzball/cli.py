@@ -52,6 +52,7 @@ from .maps import (
 )
 from .schwarzian import canonical_residual, pde_residual, schwarzian_of
 from .variational import (
+    SEARCH_R_MAX,
     bounds_report,
     decoupled_residuals,
     extremal_search,
@@ -145,9 +146,8 @@ def map_from_payload(payload: dict) -> MapSpec:
     if not isinstance(payload, dict):
         raise MapSpecError("map payload must be a JSON object")
     kind = payload.get("kind")
-    try:
-        n = int(payload["n"])
-    except (KeyError, TypeError, ValueError):
+    n = payload.get("n")
+    if type(n) is not int:  # JSON integers only: no float is truncated, no boolean taken
         raise MapSpecError("map payload needs an integer field 'n'")
     if kind == "poly":
         comps = payload.get("components")
@@ -159,12 +159,11 @@ def map_from_payload(payload: dict) -> MapSpec:
             for mono in comp:
                 if not isinstance(mono, dict) or "exps" not in mono:
                     raise MapSpecError("poly monomial needs an 'exps' list")
-                try:
-                    exps = tuple(int(e) for e in mono["exps"])
-                except (TypeError, ValueError) as exc:
-                    raise MapSpecError(f"bad exponent list {mono['exps']!r}") from exc
-                if len(exps) != n or any(e < 0 for e in exps):
-                    raise MapSpecError(f"bad exponent list {mono['exps']!r}")
+                exps = mono["exps"]
+                if not (isinstance(exps, list) and len(exps) == n
+                        and all(type(e) is int and e >= 0 for e in exps)):
+                    raise MapSpecError(f"bad exponent list {exps!r}")
+                exps = tuple(exps)
                 table[exps] = table.get(exps, 0j) + _complex_from_payload(mono)
             tables.append(table)
         try:
@@ -210,7 +209,7 @@ def map_from_payload(payload: dict) -> MapSpec:
     raise MapSpecError(f"unknown map kind {kind!r}")
 
 
-def map_to_payload(m: MapSpec, label: str | None = None) -> dict:
+def map_to_payload(m: MapSpec) -> dict:
     if isinstance(m, PolyMap):
         comps = []
         for table in m.components:
@@ -220,42 +219,42 @@ def map_to_payload(m: MapSpec, label: str | None = None) -> dict:
                 entry.update(_complex_to_payload(coeff))
                 comp.append(entry)
             comps.append(comp)
-        payload = {"kind": "poly", "n": m.n, "components": comps}
-    elif isinstance(m, MoebiusMap):
-        payload = {
+        return {"kind": "poly", "n": m.n, "components": comps}
+    if isinstance(m, MoebiusMap):
+        return {
             "kind": "moebius", "n": m.n,
             "a": [[_complex_to_payload(v) for v in row] for row in m.a],
         }
-    elif isinstance(m, CompositionMap):
-        payload = {"kind": "compose", "n": m.n, "maps": [map_to_payload(p) for p in m.maps]}
-    else:
-        raise MapSpecError(f"cannot serialize {type(m).__name__}")
-    if label:
-        payload["label"] = label
-    return payload
+    if isinstance(m, CompositionMap):
+        return {"kind": "compose", "n": m.n, "maps": [map_to_payload(p) for p in m.maps]}
+    raise MapSpecError(f"cannot serialize {type(m).__name__}")
 
 
 def load_map_file(path: str) -> MapSpec:
+    """Read a map-spec file of UTF-8 JSON; raises MapSpecError on any malformed file."""
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return map_from_payload(json.load(fh))
     except OSError as exc:
         raise MapSpecError(f"cannot read map file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MapSpecError(f"map file is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise MapSpecError(f"map file is not valid JSON: {exc}") from exc
-    return map_from_payload(payload)
+    except RecursionError as exc:
+        raise MapSpecError("map file nests too deeply to parse") from exc
 
 
 # -- verification suites -------------------------------------------------------
 
 
-def suite_moebius(n: int = 2, seed: int = 0, maps: int = 200, points: int = 20) -> list[dict]:
+def suite_moebius(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
 
-    def cases():  # each map with its points as one stack, drawn in the same order
-        for _ in range(maps):
+    def cases():  # 200 maps, each with its 20 points as one stack, drawn in the same order
+        for _ in range(200):
             m = random_moebius(n, rng)
-            yield m, np.array([random_ball_point(n, rng, 0.9) for _ in range(points)])
+            yield m, np.array([random_ball_point(n, rng, 0.9) for _ in range(20)])
 
     w = checks.worst(checks.moebius_vanishing, cases())
     return [
@@ -264,13 +263,13 @@ def suite_moebius(n: int = 2, seed: int = 0, maps: int = 200, points: int = 20) 
     ]
 
 
-def suite_chainrule(n: int = 2, seed: int = 0, pairs: int = 50) -> list[dict]:
+def suite_chainrule(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     # f, g, z, then the Moebius postcomposition
     cases = [
         (random_normalized_polymap(n, rng, scale=0.08), random_normalized_polymap(n, rng, scale=0.08),
          random_ball_point(n, rng, 0.3), random_moebius(n, rng))
-        for _ in range(pairs)
+        for _ in range(50)
     ]
     w = checks.worst(checks.chain_rule, cases)
     return [
@@ -280,7 +279,7 @@ def suite_chainrule(n: int = 2, seed: int = 0, pairs: int = 50) -> list[dict]:
     ]
 
 
-def suite_invariance(n: int = 2, seed: int = 0, triples: int = 50) -> list[dict]:
+def suite_invariance(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     # f, the automorphism's center, z, then the direction v
     cases = [
@@ -288,7 +287,7 @@ def suite_invariance(n: int = 2, seed: int = 0, triples: int = 50) -> list[dict]
          automorphism_from_center(random_ball_point(n, rng, 0.5)),
          random_ball_point(n, rng, 0.5),
          rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for _ in range(triples)
+        for _ in range(50)
     ]
     w = checks.invariance(cases, seed=seed)
     return [
@@ -308,13 +307,13 @@ def _named_test_maps(n: int) -> list[MapSpec]:
     return named
 
 
-def suite_pde(n: int = 2, seed: int = 0, random_maps: int = 20) -> list[dict]:
+def suite_pde(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
     cases: list[tuple[MapSpec, np.ndarray]] = []
     for m in _named_test_maps(n):
         cases.append((m, np.zeros(n, dtype=complex)))
         cases.append((m, random_ball_point(n, rng, 0.4)))
-    for _ in range(random_maps):
+    for _ in range(20):
         cases.append((random_normalized_polymap(n, rng, scale=0.1), random_ball_point(n, rng, 0.4)))
     w = checks.worst(checks.canonical_and_pde, cases)
     return [
@@ -324,9 +323,9 @@ def suite_pde(n: int = 2, seed: int = 0, random_maps: int = 20) -> list[dict]:
     ]
 
 
-def suite_lemma31(n: int = 2, seed: int = 0, samples: int = 20) -> list[dict]:
+def suite_lemma31(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst = max(lemma31_check(random_normalized_polymap(n, rng, scale=0.1)) for _ in range(samples))
+    worst = max(lemma31_check(random_normalized_polymap(n, rng, scale=0.1)) for _ in range(20))
     return [residual_check("gradient_expansion_matrix_max_gap", worst, 1e-9)]
 
 
@@ -503,7 +502,7 @@ def cmd_analyze(args) -> int:
             results.append(check("schwarzian_Sk", t.Sk, None, True))
             results.append(check("schwarzian_S0", t.S0, None, True))
             results.append(residual_check("schwarzian_canonical_residual", canonical_residual(t), 1e-10))
-            results.append(residual_check("schwarzian_pde_residual", pde_residual(m, zeta), 1e-12))
+            results.append(residual_check("schwarzian_pde_residual", pde_residual(m, t), 1e-12))
         elif op == "norm":
             est = schwarzian_norm_at(m, zeta, seed=args.seed)
             results.append(check("norm_at_point", est.value, None, True))
@@ -548,7 +547,7 @@ def cmd_search(args) -> int:
     else:
         config = cubic_subfamily(args.n)
     res = extremal_search(config, alpha=args.alpha, budget=args.budget, seed=args.seed,
-                          r_max=args.r_max if args.r_max is not None else 0.85)
+                          r_max=args.r_max)
     results = [
         check("search_achieved_order", res.achieved_order, None, True),
         check("search_norm_estimate", res.norm_estimate.value, None, True),
@@ -634,7 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=_DIMENSION, default=2)
     p_search.add_argument("--alpha", type=_ALPHA, default=0.0)
     p_search.add_argument("--budget", type=_BUDGET, default=240)
-    p_search.add_argument("--r-max", type=_RADIUS, default=None)
+    p_search.add_argument("--r-max", type=_RADIUS, default=SEARCH_R_MAX)
     p_search.add_argument("--seed", type=_SEED, default=0)
     p_search.add_argument("--out", default=None)
     p_search.set_defaults(func=cmd_search)

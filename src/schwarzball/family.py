@@ -101,15 +101,15 @@ def trace_order_functional(g: MapSpec) -> float:
     return 0.5 * float(np.linalg.norm(grad_jacobian(g)))
 
 
-def norm_order_functional(g: MapSpec, starts: int = 16, seed: int = 0) -> float:
+def norm_order_functional(g: MapSpec, seed: int = 0) -> float:
     """Half of sup_{|w|=1} |D^2 G(0)(w, w)| in Euclidean norms, for a normalized map.
 
-    Exact at n = 2, where ``starts`` and ``seed`` have no effect; a searched
-    lower bound at n >= 3, from 2 BB steps, then saddle-free Riemannian Newton
-    steps per start (see :func:`max_quadratic_image_norm`).
+    Exact at n = 2, where ``seed`` has no effect; a searched lower bound at
+    n >= 3, from the seeded multistart ascent of
+    :func:`max_quadratic_image_norm`.
     """
     h = _normalized(g, 2)[2]
-    value, _, _ = max_quadratic_image_norm(h, np.eye(len(h)), starts=starts, seed=seed)
+    value, _, _ = max_quadratic_image_norm(h, np.eye(len(h)), seed=seed)
     return 0.5 * value
 
 
@@ -130,26 +130,17 @@ class MembershipResult:
     was_normalized: bool
 
 
-def membership_check(
-    m: MapSpec,
-    alpha: float,
-    r_max: float = 0.9,
-    shells: int = 7,
-    angular: int = 50,
-    starts: int = 16,
-    seed: int = 0,
-) -> MembershipResult:
+def membership_check(m: MapSpec, alpha: float, seed: int = 0) -> MembershipResult:
     """Compare the searched norm lower bound against the family level alpha.
 
-    Maps that are not normalized are normalized by affine postcomposition
-    first (the Schwarzian norm is unchanged by it).
+    The bound is :func:`schwarzian_norm_sup` with its default probe settings
+    and the given seed.  Maps that are not normalized are normalized by
+    affine postcomposition first (the Schwarzian norm is unchanged by it).
     """
     if not 0.0 <= alpha < np.inf:
         raise DimensionError("family level alpha must be finite and non-negative")
     normalized, already = normalize_map(m)
-    est = schwarzian_norm_sup(
-        normalized, r_max=r_max, shells=shells, angular=angular, starts=starts, seed=seed
-    )
+    est = schwarzian_norm_sup(normalized, seed=seed)
     # Optimistic: the estimate is a lower bound of the true norm, so estimates
     # above alpha certify non-membership while estimates within the epsilon
     # slack only fail to refute membership.

@@ -4,10 +4,12 @@ A jet of degree ``d`` in ``n`` variables stores the coefficients of a Taylor
 expansion about some center for every monomial of total degree at most ``d``.
 All arithmetic here is exact modulo that truncation: sums, Cauchy products,
 formal partial derivatives, composition, principal-branch log/pow, and
-determinants of small jet matrices.  Jets are the differentiation backbone for
-every derivative appearing elsewhere in the package: derivative arrays at the
-center are read through :meth:`Jet.derivatives` and
-:meth:`JetVector.derivatives`, and no numerical differencing is used anywhere.
+determinants of small jet matrices.  Jets are the independent oracle for the
+derivative arrays every production derivative reads (``maps._derivatives``):
+they serve the jet chain rule, ``pde_residual``, ``lemma31_check`` and
+``family.jet_grad_jacobian``, which read derivative arrays at the center
+through :meth:`Jet.derivatives` and :meth:`JetVector.derivatives`.  No
+numerical differencing is used anywhere.
 
 Multi-indices are plain tuples of non-negative ints (``exponents``); their
 total degree is ``sum(exponents)``.  Coefficient tables are dicts keyed by

@@ -25,7 +25,7 @@ Jacobi's formula,
 and with g = grad log JF, H = Hess log JF and p = -1/(n+1) the solution
 property gives S^0 = p^2 g g^T + p H - sum_k S^k (p g)_k.  No power or
 logarithm of JF is taken, so the tensors are defined wherever DF is
-invertible, whatever the phase of JF.  ``pde_residual`` checks the
+invertible, whatever the phase of JF.  ``pde_residual`` checks a
 :func:`schwarzian_of` tensor against u_0 derivatives from an independent
 jet route (a jet power of the Jacobian determinant) as a regression guard.
 Tensors vanish exactly on Moebius maps and obey the composition rule
@@ -154,16 +154,18 @@ def canonical_residual(t: SchwarzianTensor) -> float:
     return float(max(abs(sum(t.Sk[j, i, j] for j in range(n))) for i in range(n)))
 
 
-def pde_residual(m: MapSpec, z) -> float:
-    """Residual of the u_0 solution property of the tensor :func:`schwarzian_of` gives at ``z``.
+def pde_residual(m: MapSpec, t: SchwarzianTensor) -> float:
+    """Residual of the u_0 solution property of the tensor ``t`` of ``m`` at ``t.z``.
 
-    In d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 the tensor comes from
-    the derivative arrays of the map kind and the u_0 derivatives from
-    ``jet_pow`` applied to the Jacobian-determinant jet of the map about z.
-    Nonzero output means the two differentiation routes disagree.
+    In d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 the tensor is the one
+    given (as :func:`schwarzian_of` builds it, from the derivative arrays of
+    the map kind) and the u_0 derivatives come from ``jet_pow`` applied to
+    the Jacobian-determinant jet of the map about t.z.  Nonzero output means
+    the two differentiation routes disagree.
     """
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    t = schwarzian_of(m, z)
+    z = t.z
+    if z.ndim != 1:
+        raise DimensionError("pde_residual checks the tensor at one point")
     p = -1.0 / (len(z) + 1)
     jf_jet = jet_det(jet_jacobian(map_jet_at(m, z, MIN_JET_DEGREE)))
     jf0 = jf_jet.constant_term

@@ -22,7 +22,7 @@ for high-order maps inside norm-bounded subfamilies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +51,18 @@ from .schwarzian import MIN_JET_DEGREE, schwarzian_of
 _RATIO_BOUND = 4.0
 # weight of the squared norm excess in the extremal search's penalty
 _PENALTY_WEIGHT = 1e3
+# remainder scales and random directions of variation_expansion_check
+EXPANSION_SCALES = (1e-1, 5e-2, 2.5e-2)
+EXPANSION_DIRECTIONS = 3
+# Nelder-Mead runs of the extremal search, the first from x0; each gets an
+# equal share of the budget
+SEARCH_RESTARTS = 3
+# default radius of the search's norm estimate, and its probe settings
+# (schwarzian_norm_sup's shells, angular, starts and refine)
+SEARCH_R_MAX = 0.85
+SEARCH_PROBE = dict(shells=4, angular=10, starts=6, refine=1)
+# bound on the real and imaginary parts of the cubic subfamily's coefficients
+CUBIC_BOX = 0.5
 
 
 @dataclass(frozen=True)
@@ -113,34 +125,30 @@ def lemma31_check(m: MapSpec) -> float:
 class ExpansionReport:
     """Second-order remainder scaling of the Koebe-gradient expansion."""
 
-    scales: tuple[float, ...]
     errors: np.ndarray  # (directions, scales)
     ratios: np.ndarray  # consecutive error/s^2 ratios
     max_ratio: float
     ok: bool
 
 
-def variation_expansion_check(
-    m: MapSpec,
-    scales: Sequence[float] = (1e-1, 5e-2, 2.5e-2),
-    directions: int = 3,
-    seed: int = 0,
-) -> ExpansionReport:
+def variation_expansion_check(m: MapSpec, seed: int = 0) -> ExpansionReport:
     """Check grad(JG)(0) = Lambda + A zeta - (n+1) conj(zeta) + O(|zeta|^2).
 
-    For each direction u and scale s the remainder at zeta = s u is divided
-    by s^2; consecutive quotients must stay within ``_RATIO_BOUND`` of each
-    other (both are near the same second-order coefficient).  Exactly
-    vanishing remainders (Moebius-flat cases) pass by convention.
+    For each of ``EXPANSION_DIRECTIONS`` random unit directions u (drawn from
+    ``seed``) and each scale s of ``EXPANSION_SCALES`` the remainder at
+    zeta = s u is divided by s^2; consecutive quotients must stay within
+    ``_RATIO_BOUND`` of each other (both are near the same second-order
+    coefficient).  Exactly vanishing remainders (Moebius-flat cases) pass by
+    convention.
     """
-    scales = tuple(float(s) for s in scales)
+    scales = np.array(EXPANSION_SCALES)
     rep = matrix_A(m)
     n = len(rep.Lam)
     rng = np.random.default_rng(seed)
-    errors = np.zeros((directions, len(scales)))
+    errors = np.zeros((EXPANSION_DIRECTIONS, len(scales)))
     ratios = []
     tiny = 1e-12 * (1.0 + float(np.linalg.norm(rep.Lam)))
-    for di in range(directions):
+    for di in range(EXPANSION_DIRECTIONS):
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u /= np.linalg.norm(u)
         for si, s in enumerate(scales):
@@ -148,7 +156,7 @@ def variation_expansion_check(
             g = grad_jacobian(koebe_map(m, zeta))
             predicted = rep.Lam + rep.A @ zeta - (n + 1) * np.conj(zeta)
             errors[di, si] = float(np.linalg.norm(g - predicted))
-        q = errors[di] / np.array(scales) ** 2
+        q = errors[di] / scales ** 2
         for k in range(len(scales) - 1):
             if errors[di, k] <= tiny and errors[di, k + 1] <= tiny:
                 ratios.append(1.0)
@@ -158,7 +166,7 @@ def variation_expansion_check(
     ratios = np.array(ratios)
     max_ratio = float(np.max(ratios)) if ratios.size else 1.0
     return ExpansionReport(
-        scales=scales, errors=errors, ratios=ratios, max_ratio=max_ratio,
+        errors=errors, ratios=ratios, max_ratio=max_ratio,
         ok=bool(max_ratio <= _RATIO_BOUND),
     )
 
@@ -239,13 +247,13 @@ def bounds_report(n: int, alpha: float) -> BoundReport:
 
 @dataclass
 class SubfamilyConfig:
-    """Parameterized subfamily of normalized maps for the extremal search."""
+    """Parameterized subfamily of normalized maps for the extremal search.
 
-    n: int
-    dim: int
+    ``build`` takes a real parameter vector of the size of ``x0``, the start.
+    """
+
     build: Callable[[np.ndarray], MapSpec]
     x0: np.ndarray
-    label: str = ""
 
 
 @dataclass
@@ -262,9 +270,6 @@ class SearchResult:
     evaluations: int
     failed_evaluations: int  # objective calls whose map raised a SchwarzballError
     converged: bool
-    alpha: float
-    n: int
-    label: str = ""
 
 
 def moebius_subfamily(n: int) -> SubfamilyConfig:
@@ -284,17 +289,18 @@ def moebius_subfamily(n: int) -> SubfamilyConfig:
         return MoebiusMap(a)
 
     x0 = np.full(2 * n, 0.05)
-    return SubfamilyConfig(n=n, dim=2 * n, build=build, x0=x0, label="moebius")
+    return SubfamilyConfig(build=build, x0=x0)
 
 
-def cubic_subfamily(n: int, box: float = 0.5) -> SubfamilyConfig:
-    """Normalized polynomial maps with quadratic coefficients in a box."""
+def cubic_subfamily(n: int) -> SubfamilyConfig:
+    """Normalized polynomial maps whose quadratic coefficients have real and
+    imaginary parts in [-CUBIC_BOX, CUBIC_BOX]."""
     monomials = [k for k in multi_indices(n, 2) if sum(k) == 2]
     per_comp = len(monomials)
     dim = 2 * n * per_comp
 
     def build(x: np.ndarray) -> MapSpec:
-        x = np.clip(x, -box, box)
+        x = np.clip(x, -CUBIC_BOX, CUBIC_BOX)
         comps = []
         idx = 0
         for i in range(n):
@@ -305,7 +311,7 @@ def cubic_subfamily(n: int, box: float = 0.5) -> SubfamilyConfig:
             comps.append(table)
         return PolyMap(n, comps)
 
-    return SubfamilyConfig(n=n, dim=dim, build=build, x0=np.zeros(dim), label="cubic")
+    return SubfamilyConfig(build=build, x0=np.zeros(dim))
 
 
 def extremal_search(
@@ -313,27 +319,27 @@ def extremal_search(
     alpha: float,
     budget: int = 240,
     seed: int = 0,
-    restarts: int = 3,
-    r_max: float = 0.85,
-    probe_shells: int = 4,
-    probe_angular: int = 10,
-    probe_starts: int = 6,
+    r_max: float = SEARCH_R_MAX,
 ) -> SearchResult:
     """Penalized Nelder-Mead maximization of |grad JF(0)| over the subfamily.
 
-    The penalty ``_PENALTY_WEIGHT * max(0, est - alpha)^2`` uses a reduced
-    search budget for the norm estimate during iteration; the incumbent is
-    re-estimated with the same settings for the report.  Deterministic for a
-    fixed seed; restarts are merged by best value then lexicographic
-    parameters.  Parameters whose map raises a package error score 1e6 and
-    are counted in ``failed_evaluations``.
+    The penalty ``_PENALTY_WEIGHT * max(0, est - alpha)^2`` takes ``est`` from
+    :func:`schwarzian_norm_sup` over |z| <= ``r_max`` with the reduced probe
+    settings ``SEARCH_PROBE``; the incumbent is re-estimated with the same
+    settings for the report.  ``SEARCH_RESTARTS`` runs share the budget, the
+    first from x0 and the others from seeded perturbations of it, and are
+    merged by best value then lexicographic parameters, so a fixed seed gives
+    a fixed result.  Parameters whose map raises a package error score 1e6
+    and are counted in ``failed_evaluations``.
     """
-    if config.dim <= 0 or config.x0.size == 0:
+    x0 = np.asarray(config.x0, dtype=float)
+    if x0.size == 0:
         raise InfeasibleSearchError("subfamily parameterization is empty")
     if not 0.0 <= alpha < np.inf:
         raise DimensionError("alpha must be finite and non-negative")
     try:
-        grad_jacobian(config.build(np.asarray(config.x0, dtype=float)))
+        m0 = config.build(x0)
+        grad_jacobian(m0)
     except SchwarzballError as exc:
         raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}") from exc
 
@@ -341,10 +347,7 @@ def extremal_search(
     failed_evaluations = 0
 
     def norm_est(mp: MapSpec) -> NormEstimate:
-        return schwarzian_norm_sup(
-            mp, r_max=r_max, shells=probe_shells, angular=probe_angular,
-            starts=probe_starts, refine=1, seed=seed,
-        )
+        return schwarzian_norm_sup(mp, r_max=r_max, seed=seed, **SEARCH_PROBE)
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations, failed_evaluations
@@ -363,12 +366,10 @@ def extremal_search(
     from scipy import optimize
 
     rng = np.random.default_rng(seed)
-    per_run = max(budget // max(restarts, 1), 10)
+    per_run = max(budget // SEARCH_RESTARTS, 10)
     candidates = []
-    for attempt in range(max(restarts, 1)):
-        x_start = np.asarray(config.x0, dtype=float)
-        if attempt > 0:
-            x_start = x_start + 0.2 * rng.standard_normal(config.dim)
+    for attempt in range(SEARCH_RESTARTS):
+        x_start = x0 if attempt == 0 else x0 + 0.2 * rng.standard_normal(x0.size)
         res = optimize.minimize(
             objective, x_start, method="Nelder-Mead",
             options={"maxfev": per_run, "xatol": 1e-9, "fatol": 1e-12},
@@ -381,7 +382,7 @@ def extremal_search(
     rep = matrix_A(best_map)
     achieved = 0.5 * float(np.linalg.norm(rep.Lam))
     est = norm_est(best_map)
-    bounds = bounds_report(config.n, alpha)
+    bounds = bounds_report(map_dim(m0), alpha)
     return SearchResult(
         achieved_order=achieved,
         params=best_x,
@@ -393,8 +394,5 @@ def extremal_search(
         evaluations=evaluations,
         failed_evaluations=failed_evaluations,
         converged=success,
-        alpha=float(alpha),
-        n=config.n,
-        label=config.label,
     )
 

@@ -155,7 +155,7 @@ def test_max_quadratic_image_norm_closed_form():
     s = np.zeros((2, 2, 2), dtype=complex)
     s[0, 1, 1] = 2 * a
     g = metric_at(np.zeros(2)).g
-    value, v, converged = max_quadratic_image_norm(s, g, starts=16, seed=0)
+    value, v, converged = max_quadratic_image_norm(s, g, seed=0)
     assert converged
     assert abs(value - 2 * a / np.sqrt(3)) <= 1e-10
 

@@ -256,6 +256,35 @@ def test_exit_code_parse_error(tmp_path):
         assert main(["analyze", str(nan_path), "--ops", ops]) == 2
 
 
+def assert_parse_error(tmp_path, content: bytes):
+    """The map file is refused with a MapSpecError, and ``analyze`` exits 2."""
+    path = tmp_path / "map.json"
+    path.write_bytes(content)
+    with pytest.raises(MapSpecError):
+        cli.load_map_file(str(path))
+    assert main(["analyze", str(path)]) == 2
+
+
+def test_map_file_not_utf8_is_a_parse_error(tmp_path):
+    assert_parse_error(tmp_path, json.dumps(SHEAR_FILE).encode("utf-16"))
+
+
+def test_map_file_nested_too_deep_is_a_parse_error(tmp_path):
+    depth = 1500
+    text = '{"kind": "compose", "n": 2, "maps": [' * depth + json.dumps(SHEAR_FILE) + "]}" * depth
+    assert_parse_error(tmp_path, text.encode())
+
+
+def test_map_file_fractional_n_is_a_parse_error(tmp_path):
+    assert_parse_error(tmp_path, json.dumps(dict(SHEAR_FILE, n=2.9)).encode())
+
+
+def test_map_file_fractional_exponent_is_a_parse_error(tmp_path):
+    first = [{"exps": [1.7, 0], "re": 1.0, "im": 0.0}]
+    payload = dict(SHEAR_FILE, components=[first, SHEAR_FILE["components"][1]])
+    assert_parse_error(tmp_path, json.dumps(payload).encode())
+
+
 # -- map-spec round trips ------------------------------------------------------------
 
 
@@ -441,3 +470,13 @@ def test_search_cli_moebius(tmp_path):
     assert by_name["search_achieved_order"] >= 1.4
     assert by_name["search_achieved_order"] <= by_name["search_ord_bound"]
     assert by_name["search_failed_evaluations"] == 0
+
+
+def test_search_r_max_default_is_the_search_radius(tmp_path):
+    argv = ["search", "--family", "moebius", "--n", "2", "--budget", "12", "--seed", "1"]
+    code1, rep1 = run_json(tmp_path, argv, "default.json")
+    code2, rep2 = run_json(tmp_path, argv + ["--r-max", "0.85"], "explicit.json")
+    assert code1 == code2 == 0
+    rep1.pop("timing")
+    rep2.pop("timing")
+    assert json.dumps(rep1) == json.dumps(rep2)

@@ -1,8 +1,10 @@
-"""The benchmark tracer still finds every module binding it wraps.
+"""The benchmark still runs against the package.
 
 perfbench/smoke.py's ``check_tracer`` fails when a traced binding is gone,
-which a refactor of the package can do silently; running it here makes that
-a tier-1 failure rather than a benchmark one.
+and a workload job fails when a library call it makes no longer matches the
+package's signatures; either can follow silently from a refactor of the
+package.  Running both here makes that a tier-1 failure rather than a
+benchmark one.
 """
 
 import importlib.util
@@ -11,7 +13,8 @@ import sys
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "smoke.py")
+_PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+_PATH = os.path.join(_PERFBENCH, "smoke.py")
 
 
 def test_tracer_wraps_and_restores_every_traced_binding(monkeypatch):
@@ -25,3 +28,19 @@ def test_tracer_wraps_and_restores_every_traced_binding(monkeypatch):
         pytest.fail(str(exc))
     finally:
         sys.modules.pop("tracer", None)  # the harness module check_tracer imports
+
+
+def test_tiny_workloads_pass_their_own_checks(monkeypatch, tmp_path):
+    # sys.path and sys.modules come back as they were; the module is registered
+    # while the test runs because dataclasses look their module up there
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name in ("tensor", "norm", "cli"):
+        w = workloads.build(name, seed=1, out_dir=str(tmp_path), tiny=True)
+        for job in [w.warmup] + w.jobs:
+            problem = job.check(job.run())
+            assert problem is None, f"{name} {job.label}: {problem}"

@@ -24,6 +24,7 @@ from schwarzball.maps import (
     random_normalized_polymap,
 )
 from schwarzball.schwarzian import (
+    SchwarzianTensor,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
@@ -44,6 +45,10 @@ def shear_b(b, n=2):
     comps = [{tuple(1 if k == i else 0 for k in range(n)): 1.0} for i in range(n)]
     comps[0][tuple(2 if k == 0 else 0 for k in range(n))] = b
     return PolyMap(n, comps)
+
+
+def pde_at(m, z):
+    return pde_residual(m, schwarzian_of(m, z))
 
 
 def test_moebius_tensor_vanishes():
@@ -166,14 +171,28 @@ def test_canonical_residual_examples():
 def test_pde_residual_examples():
     from schwarzball.maps import identity_map
 
-    assert pde_residual(identity_map(2), np.zeros(2)) == 0
-    assert pde_residual(shear_a(0.4), np.zeros(2)) <= 1e-14
-    assert pde_residual(shear_b(0.5), np.zeros(2)) <= 1e-12
+    assert pde_at(identity_map(2), np.zeros(2)) == 0
+    assert pde_at(shear_a(0.4), np.zeros(2)) <= 1e-14
+    assert pde_at(shear_b(0.5), np.zeros(2)) <= 1e-12
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = random_normalized_polymap(2, rng, scale=0.1)
         z = random_ball_point(2, rng, 0.4)
-        assert pde_residual(f, z) <= 1e-12
+        assert pde_at(f, z) <= 1e-12
+
+
+def test_pde_residual_checks_the_given_tensor():
+    # the residual is that of the tensor passed in, at its own base point:
+    # shifting S^0 by eps moves it by eps |u_0(z)|, and a stack is refused
+    f = random_normalized_polymap(2, np.random.default_rng(9), scale=0.1)
+    z = np.array([0.2, -0.1j])
+    t = schwarzian_of(f, z)
+    eps = 1e-3
+    shifted = SchwarzianTensor(z=t.z, Sk=t.Sk, S0=t.S0 + eps)
+    u0 = abs(np.linalg.det(map_jet_at(f, z, 1).linear_matrix())) ** (-1 / 3)
+    assert abs(pde_residual(f, shifted) - eps * u0) <= 1e-12
+    with pytest.raises(DimensionError):
+        pde_residual(f, schwarzian_of(f, np.stack([z, 0.5 * z])))
 
 
 def test_degree_and_dimension_guards():
@@ -328,10 +347,10 @@ def test_tensor_defined_where_jacobian_is_negative_real():
 
 
 def test_pde_residual_where_jacobian_is_negative_real():
-    assert pde_residual(REFLECTION, np.zeros(2)) <= 1e-12
+    assert pde_at(REFLECTION, np.zeros(2)) <= 1e-12
     z = np.array([0.1j, 0.25])
     flipped = CompositionMap((REFLECTION, shear_a(0.4)))
-    assert pde_residual(flipped, z) <= 1e-12
+    assert pde_at(flipped, z) <= 1e-12
 
 
 # -- symbolic oracle ------------------------------------------------------------------

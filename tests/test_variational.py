@@ -209,7 +209,7 @@ def test_bounds_dimension_guard():
         with pytest.raises(DimensionError):
             extremal_search(moebius_subfamily(2), alpha=alpha)
         with pytest.raises(DimensionError):
-            membership_check(identity_map(2), alpha, shells=2, angular=2, starts=2)
+            membership_check(identity_map(2), alpha)
 
 
 # -- extremal search -----------------------------------------------------------------
@@ -233,16 +233,13 @@ def test_search_moebius_family_alpha_zero():
 
 
 def test_search_cubic_family_respects_bound():
-    res = extremal_search(
-        cubic_subfamily(2, box=0.3), alpha=0.5, budget=24, seed=1, restarts=2,
-        r_max=0.7, probe_shells=3, probe_angular=6, probe_starts=4,
-    )
+    res = extremal_search(cubic_subfamily(2), alpha=0.5, budget=24, seed=1, r_max=0.7)
     assert res.achieved_order <= bounds_report(2, 0.5).ord_bound
     assert res.evaluations <= 40
 
 
 def test_search_empty_config_rejected():
-    cfg = SubfamilyConfig(n=2, dim=0, build=lambda x: identity_map(2), x0=np.zeros(0))
+    cfg = SubfamilyConfig(build=lambda x: identity_map(2), x0=np.zeros(0))
     with pytest.raises(InfeasibleSearchError):
         extremal_search(cfg, alpha=0.0)
     with pytest.raises(InfeasibleSearchError) as info:
@@ -251,7 +248,7 @@ def test_search_empty_config_rejected():
 
 
 def test_search_budget_exhaustion_reported():
-    res = extremal_search(moebius_subfamily(2), alpha=0.0, budget=30, seed=0, restarts=1)
+    res = extremal_search(moebius_subfamily(2), alpha=0.0, budget=30, seed=0)
     assert isinstance(res.converged, bool)
     assert res.evaluations >= 10
 
@@ -266,11 +263,10 @@ def _subfamily_failing(error, at_x0=False):
             raise error("build failed")
         return base.build(x)
 
-    return SubfamilyConfig(n=2, dim=base.dim, build=build, x0=base.x0)
+    return SubfamilyConfig(build=build, x0=base.x0)
 
 
-SMALL_SEARCH = dict(alpha=0.0, budget=12, restarts=1, probe_shells=2, probe_angular=2,
-                    probe_starts=2)
+SMALL_SEARCH = dict(alpha=0.0, budget=12)
 
 
 def test_search_propagates_programming_errors_in_build():
