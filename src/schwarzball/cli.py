@@ -63,7 +63,6 @@ from .variational import (
     variation_expansion_check,
 )
 
-SUITES = ("moebius", "chainrule", "invariance", "pde", "lemma31", "variation", "family")
 ANALYZE_OPS = ("schwarzian", "norm", "order", "koebe", "extremal")
 
 
@@ -126,14 +125,14 @@ def emit(report_text: str, out_path: str | None) -> None:
 
 
 def _complex_from_payload(obj) -> complex:
-    if isinstance(obj, dict):
-        try:
-            return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise MapSpecError(f"bad complex payload {obj!r}") from exc
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise MapSpecError(f"bad complex payload {obj!r}")
+    parts = (obj.get("re", 0.0), obj.get("im", 0.0)) if isinstance(obj, dict) else (obj, 0.0)
+    # JSON numbers only: no string is parsed, no boolean taken
+    if not all(type(x) in (int, float) for x in parts):
+        raise MapSpecError(f"bad complex payload {obj!r}")
+    try:
+        return complex(*parts)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise MapSpecError(f"bad complex payload {obj!r}") from exc
 
 
 def _complex_to_payload(c: complex) -> dict:
@@ -396,6 +395,7 @@ SUITE_RUNNERS = {
     "variation": suite_variation,
     "family": suite_family,
 }
+SUITES = tuple(SUITE_RUNNERS)
 
 
 # -- subcommands ---------------------------------------------------------------

@@ -125,8 +125,6 @@ class MembershipResult:
     member: bool
     margin: float
     estimate: NormEstimate
-    alpha: float
-    epsilon: float
     was_normalized: bool
 
 
@@ -149,8 +147,6 @@ def membership_check(m: MapSpec, alpha: float, seed: int = 0) -> MembershipResul
         member=member,
         margin=float(alpha - est.value),
         estimate=est,
-        alpha=float(alpha),
-        epsilon=MEMBERSHIP_EPS,
         was_normalized=already,
     )
 

@@ -17,8 +17,11 @@ such tuples with exact zeros dropped.  Values are immutable by convention:
 no public operation mutates its inputs.
 
 Products visit only the pairs of terms whose degrees add up to at most
-``d``, and a composition builds each inner monomial once per call and
-shares it across every outer component.  Two module caches, keyed on
+``d``.  Composition, the log/pow/reciprocal series and the recentering of
+polynomial maps (``maps.map_jet_at``) all put jets into a polynomial
+through :func:`_substitute`, which builds each monomial once per call, as
+its parent (one less in its last nonzero exponent) times one factor, and
+shares it across every table it sums.  Two module caches, keyed on
 exponent tuples and filled lazily as keys appear, hold the exponent sum of
 each pair of keys met in a product and, per ``(key, order)``, the factorial
 weight and flat array positions :meth:`Jet.derivatives` writes to.  Neither
@@ -285,78 +288,58 @@ def jet_partial(a: Jet, i: int) -> Jet:
     return Jet(a.n, max(a.d - 1, 0), table)
 
 
-def jet_compose(outer: "Jet | JetVector", inner: Sequence[Jet]) -> "Jet | JetVector":
-    """Compose ``outer`` (a jet in m variables) with m inner jets.
+def _substitute(
+    tables: Sequence[Mapping[tuple[int, ...], complex]], factors: Sequence[Jet], n: int, d: int
+) -> list[Jet]:
+    """sum_e c_e prod_k factors[k]^e_k for each table {e: c_e}, as (n, d) jets.
 
-    ``outer`` may also be a :class:`JetVector` of such jets; every component
-    is then composed with the same inner jets, which build each monomial
-    once, and the result is a :class:`JetVector`.  Every inner jet must share
-    (n, d) with the others, match ``outer.d``, and have a zero constant term
-    (recenter first otherwise).
+    Each monomial is built once, as its parent (one less in its last nonzero
+    exponent) times one factor, and shared by every table; the empty
+    monomial is the constant 1.  Sums that come out exactly zero are dropped.
     """
-    single = isinstance(outer, Jet)
-    outers = (outer,) if single else outer.jets
+    monomials = {(0,) * len(factors): Jet.constant(n, d, 1.0)}
+
+    def monomial(key: tuple[int, ...]) -> Jet:
+        hit = monomials.get(key)
+        if hit is None:
+            k = max(i for i, e in enumerate(key) if e)
+            parent = monomial(key[:k] + (key[k] - 1,) + key[k + 1:])
+            hit = monomials[key] = _mul(parent, factors[k])
+        return hit
+
+    out = []
+    for table in tables:
+        acc: dict[tuple[int, ...], complex] = {}
+        for key, c in table.items():
+            for tk, tv in monomial(key).coeffs.items():
+                s = acc.get(tk, 0j) + c * tv
+                if s == 0:
+                    acc.pop(tk, None)
+                else:
+                    acc[tk] = s
+        out.append(Jet._from_table(n, d, acc))
+    return out
+
+
+def jet_compose(outer: "JetVector", inner: Sequence[Jet]) -> "JetVector":
+    """Compose every component of ``outer`` (jets in m variables) with m inner jets.
+
+    The components share the monomials of the inner jets.  Every inner jet
+    must share (n, d) with the others, match ``outer.d``, and have a zero
+    constant term (recenter first otherwise).
+    """
     inner = list(inner)
-    m, outer_d = outers[0].n, outers[0].d
-    if len(inner) != m:
-        raise DimensionError(f"outer jet has {m} variables but {len(inner)} inner jets given")
-    if not inner:
-        raise DimensionError("composition needs at least one inner jet")
+    if len(inner) != outer.n:
+        raise DimensionError(f"outer jet has {outer.n} variables but {len(inner)} inner jets given")
     n, d = inner[0].n, inner[0].d
     for g in inner:
         if g.n != n or g.d != d:
             raise DimensionError("inner jets do not share (n, d)")
         if g.constant_term != 0:
             raise CompositionCenterError("inner jet has nonzero constant term")
-    if outer_d != d:
-        raise DimensionError(f"outer degree {outer_d} does not match inner degree {d}")
-    one = Jet.constant(n, d, 1.0)
-    powers: list[list[Jet]] = [[one] for _ in inner]
-    # monomials keyed by exponent prefix: the product of powers[k][key[k]]
-    # over the nonzero entries of the prefix, multiplied left to right
-    monomials: dict[tuple[int, ...], Jet] = {}
-
-    def monomial(key: tuple[int, ...]) -> Jet | None:
-        term = monomials.get(key)
-        if term is not None:
-            return term
-        for k, e in enumerate(key):
-            if e == 0:
-                continue
-            prefix = key[: k + 1]
-            hit = monomials.get(prefix)
-            if hit is None:
-                row = powers[k]
-                while len(row) <= e:
-                    row.append(_mul(row[-1], inner[k]))
-                hit = row[e] if term is None else _mul(term, row[e])
-                monomials[prefix] = hit
-            term = hit
-        if term is not None:
-            monomials[key] = term
-        return term
-
-    zero_key = (0,) * n
-    results = []
-    for f in outers:
-        acc: dict[tuple[int, ...], complex] = {}
-        for key, c in f.coeffs.items():
-            term = monomial(key)
-            if term is None:
-                s = acc.get(zero_key, 0j) + c
-                if s == 0:
-                    acc.pop(zero_key, None)
-                else:
-                    acc[zero_key] = s
-                continue
-            for tk, tv in term.coeffs.items():
-                s = acc.get(tk, 0j) + c * tv
-                if s == 0:
-                    acc.pop(tk, None)
-                else:
-                    acc[tk] = s
-        results.append(Jet._from_table(n, d, acc))
-    return results[0] if single else JetVector(results)
+    if outer.d != d:
+        raise DimensionError(f"outer degree {outer.d} does not match inner degree {d}")
+    return JetVector(_substitute([f.coeffs for f in outer], inner, n, d))
 
 
 def _check_off_cut(c: complex, what: str) -> complex:
@@ -368,38 +351,33 @@ def _check_off_cut(c: complex, what: str) -> complex:
     return c
 
 
-def _series(a: Jet, const: complex, coeffs: Sequence[complex]) -> Jet:
-    """const + sum_k coeffs[k - 1] u^k over k = 1..d, for u = a/a(0) - 1.
+def _series(a: Jet, coeffs: Sequence[complex]) -> Jet:
+    """sum_k coeffs[k] u^k over k = 0..d, for u = a/a(0) - 1.
 
     u has a zero constant term, so u^k vanishes beyond k = d and the finite
     sum is exact modulo truncation.
     """
     u = a * (1.0 / a.constant_term)
     u.coeffs.pop((0,) * a.n, None)
-    out = Jet.constant(a.n, a.d, const)
-    power = u
-    for k, c in enumerate(coeffs, start=1):
-        out = out + power * c
-        if k < a.d:
-            power = _mul(power, u)
-    return out
+    table = {(k,): complex(c) for k, c in enumerate(coeffs)}
+    return _substitute([table], [u], a.n, a.d)[0]
 
 
 def jet_log(a: Jet) -> Jet:
     """Principal-branch logarithm of a jet with constant term off (-inf, 0]."""
     c = _check_off_cut(a.constant_term, "jet_log")
-    return _series(a, cmath.log(c), [((-1) ** (k + 1)) / k for k in range(1, a.d + 1)])
+    return _series(a, [cmath.log(c)] + [((-1) ** (k + 1)) / k for k in range(1, a.d + 1)])
 
 
 def jet_pow(a: Jet, p: complex) -> Jet:
     """Principal-branch power ``a**p`` for complex exponent ``p``."""
     c = _check_off_cut(a.constant_term, "jet_pow")
     p = complex(p)
-    # binomial coefficients binom(p, k), k = 1..d, as running products
+    # binomial coefficients binom(p, k), k = 0..d, as running products
     binoms = itertools.accumulate(
         ((p - (k - 1)) / k for k in range(1, a.d + 1)), operator.mul, initial=1.0 + 0j
     )
-    return _series(a, 1.0, list(binoms)[1:]) * cmath.exp(p * cmath.log(c))
+    return _series(a, list(binoms)) * cmath.exp(p * cmath.log(c))
 
 
 def jet_reciprocal(a: Jet) -> Jet:
@@ -407,7 +385,7 @@ def jet_reciprocal(a: Jet) -> Jet:
     c = a.constant_term
     if c == 0:
         raise VanishingDenominatorError("reciprocal of a jet with zero constant term")
-    return _series(a, 1.0, [(-1.0) ** k for k in range(1, a.d + 1)]) * (1.0 / c)
+    return _series(a, [(-1.0) ** k for k in range(a.d + 1)]) * (1.0 / c)
 
 
 # -- jet vectors and matrices ----------------------------------------------

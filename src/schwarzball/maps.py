@@ -27,11 +27,12 @@ expanded by a truncated geometric series, so no numerical differentiation is
 involved.  The jet route is an independent oracle only: ``pde_residual``,
 ``chain_rule_transform``, the direct Hessian of ``lemma31_check`` and
 ``family.jet_grad_jacobian`` read it.  A
-polynomial map is recentered by building each monomial (zeta + h)^e it uses
-once, as a smaller monomial times one factor zeta_k + h_k, and summing
-coefficient times monomial over the components, which share the monomials.
-A composition step composes all outer components with the inner jet in one
-:func:`jet_compose` call.
+polynomial map is recentered by putting the factors zeta_k + h_k into its
+components with the substitution routine of :mod:`.jets`, which builds each
+monomial (zeta + h)^e once and shares it across the components; a
+polynomial is not truncated, so this is exact for any zeta.  A composition
+step composes all outer components with the inner jet in one
+:func:`jet_compose` call, which uses the same routine.
 
 Both routes raise VanishingDenominatorError where a Moebius denominator
 vanishes, relative to the largest entry of its grid, and check that DF of
@@ -57,7 +58,7 @@ from .errors import (
     SingularDifferentialError,
     VanishingDenominatorError,
 )
-from .jets import Jet, JetVector, jet_compose, jet_reciprocal, multi_indices
+from .jets import Jet, JetVector, _substitute, jet_compose, jet_reciprocal, multi_indices
 
 SINGULAR_TOL = 1e-12  # on sigma_min(DF) / sigma_max(DF)
 
@@ -427,32 +428,10 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
     if len(zeta) != n:
         raise DimensionError("center dimension does not match map dimension")
     if isinstance(m, PolyMap):
-        # exact recentering: each monomial (zeta + h)^e in use is built once,
-        # as a smaller monomial times one factor zeta_k + h_k, and shared by
-        # every component
+        # exact recentering: a polynomial is not truncated, so any constant
+        # term may go in for its variables
         factors = [Jet.variable(n, d, k, center=zeta[k]) for k in range(n)]
-        monomials = {(0,) * n: Jet.constant(n, d, 1.0)}
-
-        def monomial(key: tuple[int, ...]) -> Jet:
-            hit = monomials.get(key)
-            if hit is None:
-                k = max(i for i, e in enumerate(key) if e)
-                hit = monomial(key[:k] + (key[k] - 1,) + key[k + 1:]) * factors[k]
-                monomials[key] = hit
-            return hit
-
-        comps = []
-        for comp in m.components:
-            acc: dict[tuple[int, ...], complex] = {}
-            for key, val in comp.items():
-                for tk, tv in monomial(key).coeffs.items():
-                    s = acc.get(tk, 0j) + val * tv
-                    if s == 0:
-                        acc.pop(tk, None)
-                    else:
-                        acc[tk] = s
-            comps.append(Jet._from_table(n, d, acc))
-        jv = JetVector(comps)
+        jv = JetVector(_substitute(m.components, factors, n, d))
     elif isinstance(m, MoebiusMap):
         l = _affine_forms(m, zeta[None])[0]
         jv = _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)

@@ -126,7 +126,6 @@ class ExpansionReport:
     """Second-order remainder scaling of the Koebe-gradient expansion."""
 
     errors: np.ndarray  # (directions, scales)
-    ratios: np.ndarray  # consecutive error/s^2 ratios
     max_ratio: float
     ok: bool
 
@@ -163,10 +162,9 @@ def variation_expansion_check(m: MapSpec, seed: int = 0) -> ExpansionReport:
             else:
                 lo = max(min(q[k], q[k + 1]), 1e-300)
                 ratios.append(max(q[k], q[k + 1]) / lo)
-    ratios = np.array(ratios)
-    max_ratio = float(np.max(ratios)) if ratios.size else 1.0
+    max_ratio = float(np.max(ratios)) if ratios else 1.0
     return ExpansionReport(
-        errors=errors, ratios=ratios, max_ratio=max_ratio,
+        errors=errors, max_ratio=max_ratio,
         ok=bool(max_ratio <= _RATIO_BOUND),
     )
 
@@ -262,7 +260,6 @@ class SearchResult:
 
     achieved_order: float
     params: np.ndarray
-    best_map: MapSpec
     norm_estimate: NormEstimate
     extremal_residual: float
     ord_bound: float
@@ -386,7 +383,6 @@ def extremal_search(
     return SearchResult(
         achieved_order=achieved,
         params=best_x,
-        best_map=best_map,
         norm_estimate=est,
         extremal_residual=rep.extremal_residual,
         ord_bound=bounds.ord_bound,

@@ -285,6 +285,40 @@ def test_map_file_fractional_exponent_is_a_parse_error(tmp_path):
     assert_parse_error(tmp_path, json.dumps(payload).encode())
 
 
+def _shear_with_first_coefficient(**fields):
+    first = [dict({"exps": [1, 0]}, **fields), SHEAR_FILE["components"][0][1]]
+    return dict(SHEAR_FILE, components=[first, SHEAR_FILE["components"][1]])
+
+
+def _moebius_with_entry(value):
+    grid = [row[:] for row in MOEBIUS_FILE["a"]]
+    grid[1][1] = value
+    return dict(MOEBIUS_FILE, a=grid)
+
+
+# the identity automorphism, valid with "D": 1
+IDENTITY_AUTOMORPHISM = {"kind": "automorphism", "n": 2, "D": 1, "C": [0, 0], "B": [0, 0],
+                         "A": [[1, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize("payload", [
+    _shear_with_first_coefficient(re="1.5", im=0.0),
+    _shear_with_first_coefficient(re=True, im=0.0),
+    _shear_with_first_coefficient(re=1.0, im="2"),
+    _moebius_with_entry(True),
+    dict(IDENTITY_AUTOMORPHISM, D=True),
+    _shear_with_first_coefficient(re=10**400, im=0.0),
+], ids=["string_re", "boolean_re", "string_im", "boolean_moebius_entry",
+        "bare_boolean_block", "integer_beyond_float"])
+def test_map_file_coefficient_not_a_json_number_is_a_parse_error(tmp_path, payload):
+    assert_parse_error(tmp_path, json.dumps(payload).encode())
+
+
+def test_map_file_integer_coefficients_load():
+    m = map_from_payload(IDENTITY_AUTOMORPHISM)
+    assert np.array_equal(map_eval(m, [0.1, 0.2j]), [0.1, 0.2j])
+
+
 # -- map-spec round trips ------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Jet arithmetic: ring axioms, series identities, and error contracts."""
 
+import cmath
 import math
 from fractions import Fraction
 from itertools import permutations, product
@@ -7,6 +8,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from schwarzball import jets
 from schwarzball.errors import (
     BranchCutError,
     CompositionCenterError,
@@ -20,8 +22,10 @@ from schwarzball.jets import (
     jet_log,
     jet_partial,
     jet_pow,
+    jet_reciprocal,
     multi_indices,
 )
+from schwarzball.maps import map_jet_at, random_normalized_polymap
 
 from helpers import max_coeff_diff
 
@@ -105,7 +109,7 @@ def test_compose_binomial():
     outer = Jet(1, 2, {(2,): 1})
     inner = [Jet(2, 2, {(1, 0): 1, (0, 1): 1})]
     expected = Jet(2, 2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
-    assert max_coeff_diff(jet_compose(outer, inner), expected) == 0
+    assert max_coeff_diff(jet_compose(JetVector([outer]), inner)[0], expected) == 0
 
 
 def test_compose_log_series():
@@ -113,7 +117,7 @@ def test_compose_log_series():
     outer = jet_log(Jet(1, 3, {(0,): 1, (1,): 1}))
     inner = [Jet(1, 3, {(1,): 1})]
     direct = jet_log(Jet(1, 3, {(0,): 1, (1,): 1}))
-    assert max_coeff_diff(jet_compose(outer, inner), direct) <= TOL
+    assert max_coeff_diff(jet_compose(JetVector([outer]), inner)[0], direct) <= TOL
 
 
 def test_compose_identity_outer():
@@ -121,13 +125,13 @@ def test_compose_identity_outer():
     g = random_jet(2, 3, rng)
     g = g - g.constant_term
     outer = Jet(1, 3, {(1,): 1})
-    assert max_coeff_diff(jet_compose(outer, [g]), g) == 0
+    assert max_coeff_diff(jet_compose(JetVector([outer]), [g])[0], g) == 0
 
 
 def test_compose_rejects_nonzero_center():
     outer = Jet(1, 2, {(1,): 1})
     with pytest.raises(CompositionCenterError):
-        jet_compose(outer, [Jet(2, 2, {(0, 0): 0.5, (1, 0): 1})])
+        jet_compose(JetVector([outer]), [Jet(2, 2, {(0, 0): 0.5, (1, 0): 1})])
 
 
 # -- log and pow ----------------------------------------------------------------
@@ -247,31 +251,40 @@ def _reference_mul(a, b):
 
 
 def _reference_compose(outer, inner):
+    # one component on its own: each monomial is its parent (one less in its
+    # last nonzero exponent) times one inner jet
     n, d = inner[0].n, inner[0].d
-    one = Jet.constant(n, d, 1.0)
-    powers = []
-    for g in inner:
-        row = [one]
-        for _ in range(d):
-            row.append(Jet(n, d, _reference_mul(row[-1], g)))
-        powers.append(row)
+    monomials = {(0,) * len(inner): Jet.constant(n, d, 1.0)}
+
+    def monomial(key):
+        if key not in monomials:
+            k = max(i for i, e in enumerate(key) if e)
+            parent = monomial(key[:k] + (key[k] - 1,) + key[k + 1:])
+            monomials[key] = Jet(n, d, _reference_mul(parent, inner[k]))
+        return monomials[key]
+
     acc = {}
     for key, c in outer.coeffs.items():
-        term = None
-        for k, e in enumerate(key):
-            if e:
-                term = powers[k][e] if term is None else Jet(n, d, _reference_mul(term, powers[k][e]))
-        if term is None:
-            contributions = [((0,) * n, c)]
-        else:
-            contributions = [(tk, c * tv) for tk, tv in term.coeffs.items()]
-        for tk, x in contributions:
-            s = acc.get(tk, 0j) + x
+        for tk, tv in monomial(key).coeffs.items():
+            s = acc.get(tk, 0j) + c * tv
             if s == 0:
                 acc.pop(tk, None)
             else:
                 acc[tk] = s
     return acc
+
+
+def _reference_series(a, coeffs):
+    # coeffs[0] + sum_k coeffs[k] u^k for u = a/a(0) - 1, one power at a time
+    u = a * (1.0 / a.constant_term)
+    u.coeffs.pop((0,) * a.n, None)
+    out = Jet.constant(a.n, a.d, coeffs[0])
+    power = u
+    for k, c in enumerate(coeffs[1:], start=1):
+        out = out + power * c
+        if k < a.d:
+            power = Jet(a.n, a.d, _reference_mul(power, u))
+    return out
 
 
 def _reference_derivatives(a, order):
@@ -297,8 +310,9 @@ def _sparse_jet(n, d, rng):
 
 
 def _assert_same_table(got, want):
-    # equal values and the same key order, which later products iterate in
-    assert list(got.items()) == list(want.items())
+    # equal values, signs of zero included, and the same key order, which
+    # later products iterate in
+    assert repr(list(got.items())) == repr(list(want.items()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -334,7 +348,53 @@ def test_shared_composition_matches_per_component_reference_exactly(n):
     for f, got in zip(outer, composed):
         want = _reference_compose(f, inner)
         _assert_same_table(got.coeffs, want)
-        _assert_same_table(jet_compose(f, inner).coeffs, want)
+        _assert_same_table(jet_compose(JetVector([f]), inner)[0].coeffs, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_series_match_reference_loop_exactly(n):
+    rng = np.random.default_rng(30 + n)
+    for d in range(5):
+        for a in (random_jet(n, d, rng, scale=0.1, unit_constant=True), _sparse_jet(n, d, rng)):
+            c = a.constant_term
+            if c == 0 or (c.imag == 0 and c.real < 0):
+                a = a + 2.0  # off the branch cut
+                c = a.constant_term
+            log_coeffs = [cmath.log(c)] + [(-1) ** (k + 1) / k for k in range(1, d + 1)]
+            _assert_same_table(jet_log(a).coeffs, _reference_series(a, log_coeffs).coeffs)
+            rec_coeffs = [(-1.0) ** k for k in range(d + 1)]
+            want = _reference_series(a, rec_coeffs) * (1.0 / c)
+            _assert_same_table(jet_reciprocal(a).coeffs, want.coeffs)
+            for p in (-1 / 3, 2, 0.5 + 1j):
+                binoms = [1.0 + 0j]
+                for k in range(1, d + 1):
+                    binoms.append(binoms[-1] * ((complex(p) - (k - 1)) / k))
+                want = _reference_series(a, binoms) * cmath.exp(p * cmath.log(c))
+                _assert_same_table(jet_pow(a, p).coeffs, want.coeffs)
+
+
+@pytest.mark.parametrize("n, products", [(2, 9), (3, 19)])
+def test_substitution_makes_one_product_per_monomial(n, products, monkeypatch):
+    # a full cubic has every nonconstant monomial of degree <= 3, each built
+    # once as its parent times one factor
+    calls = []
+    real_mul = jets._mul
+
+    def counted(a, b):
+        calls.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(jets, "_mul", counted)
+    rng = np.random.default_rng(40 + n)
+    inner = []
+    for _ in range(n):
+        g = random_jet(n, 3, rng, scale=0.1)
+        inner.append(g - g.constant_term)
+    jet_compose(JetVector(random_jet(n, 3, rng) for _ in range(n)), inner)
+    assert len(calls) == products
+    calls.clear()
+    map_jet_at(random_normalized_polymap(n, rng), 0.1 * rng.standard_normal(n), 3)
+    assert len(calls) == products
 
 
 def test_derivatives_match_permutation_loop_exactly():
