@@ -108,7 +108,6 @@ class NormEstimate:
     value: float
     arg_v: np.ndarray | None
     arg_z: np.ndarray | None
-    starts: int
     converged: bool
     r_max: float | None = None
     points: int = 1  # probed base points
@@ -524,8 +523,8 @@ def schwarzian_norms_at(
     value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)
     return [
         NormEstimate(
-            value=float(value[i]), arg_v=v[i], arg_z=z, starts=starts,
-            converged=bool(converged[i]), iterations=int(iterations[i]), upper=float(upper[i]),
+            value=float(value[i]), arg_v=v[i], arg_z=z, converged=bool(converged[i]),
+            iterations=int(iterations[i]), upper=float(upper[i]),
         )
         for i, (_, z) in enumerate(cases)
     ]
@@ -572,10 +571,7 @@ def schwarzian_norm_sup(
     n = map_dim(m)
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, max(int(shells), 1))
-    best = NormEstimate(
-        value=-1.0, arg_v=None, arg_z=None, starts=starts, converged=True, r_max=r_max,
-        points=0,
-    )
+    best = NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, r_max=r_max, points=0)
 
     def gaussian_steps(count: int) -> list[np.ndarray]:
         draws = rng.standard_normal((count, 2, n))

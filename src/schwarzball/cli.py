@@ -117,8 +117,6 @@ def emit(report_text: str, out_path: str | None) -> None:
             fh.write(report_text)
     else:
         sys.stdout.write(report_text)
-        if not report_text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 # -- map-spec files -----------------------------------------------------------
@@ -135,19 +133,14 @@ def _complex_from_payload(obj) -> complex:
         raise MapSpecError(f"bad complex payload {obj!r}") from exc
 
 
-def _complex_to_payload(c: complex) -> dict:
-    c = complex(c)
-    return {"re": c.real, "im": c.imag}
-
-
 def map_from_payload(payload: dict) -> MapSpec:
     """Parse a map-spec JSON payload; raises MapSpecError on malformed input."""
     if not isinstance(payload, dict):
         raise MapSpecError("map payload must be a JSON object")
     kind = payload.get("kind")
     n = payload.get("n")
-    if type(n) is not int:  # JSON integers only: no float is truncated, no boolean taken
-        raise MapSpecError("map payload needs an integer field 'n'")
+    if type(n) is not int or n < 1:  # JSON integers only: no float is truncated, no boolean taken
+        raise MapSpecError("map payload needs an integer field 'n' >= 1")
     if kind == "poly":
         comps = payload.get("components")
         if not isinstance(comps, list) or len(comps) != n or not all(isinstance(c, list) for c in comps):
@@ -202,28 +195,22 @@ def map_from_payload(payload: dict) -> MapSpec:
         if not isinstance(parts, list) or not parts:
             raise MapSpecError("compose payload needs a non-empty 'maps' list")
         try:
-            return CompositionMap([map_from_payload(p) for p in parts])
+            m = CompositionMap([map_from_payload(p) for p in parts])
         except SchwarzballError as exc:
             raise MapSpecError(str(exc)) from exc
+        if m.n != n:
+            raise MapSpecError(f"compose payload has n = {n} but its maps have n = {m.n}")
+        return m
     raise MapSpecError(f"unknown map kind {kind!r}")
 
 
 def map_to_payload(m: MapSpec) -> dict:
     if isinstance(m, PolyMap):
-        comps = []
-        for table in m.components:
-            comp = []
-            for exps, coeff in sorted(table.items()):
-                entry = {"exps": list(exps)}
-                entry.update(_complex_to_payload(coeff))
-                comp.append(entry)
-            comps.append(comp)
+        comps = [[{"exps": list(exps), **to_jsonable(coeff)} for exps, coeff in sorted(table.items())]
+                 for table in m.components]
         return {"kind": "poly", "n": m.n, "components": comps}
     if isinstance(m, MoebiusMap):
-        return {
-            "kind": "moebius", "n": m.n,
-            "a": [[_complex_to_payload(v) for v in row] for row in m.a],
-        }
+        return {"kind": "moebius", "n": m.n, "a": to_jsonable(m.a)}
     if isinstance(m, CompositionMap):
         return {"kind": "compose", "n": m.n, "maps": [map_to_payload(p) for p in m.maps]}
     raise MapSpecError(f"cannot serialize {type(m).__name__}")

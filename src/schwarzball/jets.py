@@ -19,19 +19,25 @@ no public operation mutates its inputs.
 Products visit only the pairs of terms whose degrees add up to at most
 ``d``.  Composition, the log/pow/reciprocal series and the recentering of
 polynomial maps (``maps.map_jet_at``) all put jets into a polynomial
-through :func:`_substitute`, which builds each monomial once per call, as
-its parent (one less in its last nonzero exponent) times one factor, and
-shares it across every table it sums.  Two module caches, keyed on
-exponent tuples and filled lazily as keys appear, hold the exponent sum of
-each pair of keys met in a product and, per ``(key, order)``, the factorial
-weight and flat array positions :meth:`Jet.derivatives` writes to.  Neither
-changes an accumulation order, so results do not depend on what the caches
-hold.
+through :func:`_substitute`, which starts from the factors themselves,
+builds each higher monomial once per call, as its parent (one less in its
+last nonzero exponent) times one factor, and shares it across every table
+it sums.  A module cache, keyed on exponent tuples and filled lazily as
+keys appear, holds the exponent sum of each pair of keys met in a
+product; it changes no accumulation order, so results do not depend on
+what it holds.
+
+A derivative array of order k is symmetric: entry ``[i_1, ..., i_k]`` is
+alpha! times the coefficient of the exponent alpha that counts each i
+among the indices.  :func:`_derivative_positions` is the one table of that
+layout, read both by :meth:`Jet.derivatives` and by the production
+derivatives of polynomial maps (``maps._poly_derivatives``).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -50,9 +56,6 @@ MAX_VARS = 8
 
 # key -> {other key -> key + other}, for the pairs of keys products have met
 _KEY_SUMS: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-# order -> {key -> (factorial weight, flat positions of every ordering of the
-# key's index list) when sum(key) == order, else None}
-_DERIVATIVE_SLOTS: dict[int, dict[tuple[int, ...], tuple[int, list[int]] | None]] = {}
 
 
 def multi_indices(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
@@ -64,6 +67,28 @@ def multi_indices(n: int, max_total: int) -> Iterator[tuple[int, ...]]:
     for head in range(max_total + 1):
         for tail in multi_indices(n - 1, max_total - head):
             yield (head,) + tail
+
+
+@functools.lru_cache(maxsize=None)
+def _derivative_positions(n: int, order: int):
+    """The layout of derivative arrays of order <= ``order`` in ``n`` variables.
+
+    Returns ``(column, factorials, index)``: ``column`` numbers the exponents
+    of total degree <= ``order`` by degree, so the first comb(n + k, k)
+    columns hold the orders <= k; ``factorials[c]`` is alpha! for the
+    exponent alpha of column c; and entry ``[i_1, ..., i_k]`` of
+    ``index[k]``, k = 0, ..., order, is the column of the exponent that
+    counts each i among the indices.
+    """
+    column = {alpha: c for c, alpha in enumerate(sorted(multi_indices(n, order), key=sum))}
+    factorials = tuple(math.prod(map(math.factorial, alpha)) for alpha in column)
+    index = []
+    for k in range(order + 1):
+        idx = np.empty((n,) * k, dtype=int)
+        for ids in itertools.product(range(n), repeat=k):
+            idx[ids] = column[tuple(ids.count(i) for i in range(n))]
+        index.append(idx)
+    return column, factorials, tuple(index)
 
 
 def _validated_table(n: int, d: int, coeffs) -> dict[tuple[int, ...], complex]:
@@ -143,11 +168,6 @@ class Jet:
     def constant_term(self) -> complex:
         return self.coeffs.get((0,) * self.n, 0j)
 
-    def derivative_value(self, key: Sequence[int]) -> complex:
-        """Value of the partial derivative multi-index ``key`` at the center."""
-        key = tuple(key)
-        return self.coeffs.get(key, 0j) * math.prod(math.factorial(e) for e in key)
-
     def derivatives(self, order: int) -> np.ndarray:
         """Array of every order-``order`` partial derivative at the center.
 
@@ -210,40 +230,16 @@ class Jet:
         return f"Jet(n={self.n}, d={self.d}, {dict(terms)!r})"
 
 
-def _derivative_slot(key: tuple[int, ...], order: int) -> tuple[int, list[int]] | None:
-    if sum(key) != order:
-        return None
-    n = len(key)
-    index = tuple(i for i, e in enumerate(key) for _ in range(e))
-    positions = [
-        sum(i * n ** (order - 1 - j) for j, i in enumerate(perm))
-        for perm in sorted(set(itertools.permutations(index)))
-    ]
-    return math.prod(math.factorial(e) for e in key), positions
-
-
 def _derivative_arrays(jets: Sequence[Jet], order: int) -> np.ndarray:
-    """Stacked :meth:`Jet.derivatives` of jets sharing n, written in one assignment."""
-    n, size = jets[0].n, jets[0].n**order
-    slots = _DERIVATIVE_SLOTS.setdefault(order, {})
-    positions: list[int] = []
-    values: list[complex] = []
+    """Stacked :meth:`Jet.derivatives` of jets sharing n, as one C-contiguous array."""
+    column, factorials, index = _derivative_positions(jets[0].n, order)
+    coeffs = np.zeros((len(jets), len(column)), dtype=complex)
     for row, jet in enumerate(jets):
-        base = row * size
         for key, val in jet.coeffs.items():
-            slot = slots.get(key, False)
-            if slot is False:
-                slot = slots[key] = _derivative_slot(key, order)
-            if slot is None:
-                continue
-            weight, flat = slot
-            val = val * weight
-            for p in flat:
-                positions.append(base + p)
-                values.append(val)
-    out = np.zeros(len(jets) * size, dtype=complex)
-    out[positions] = values
-    return out.reshape((len(jets),) + (n,) * order)
+            c = column.get(key)
+            if c is not None:  # degrees below ``order`` are written but never read
+                coeffs[row, c] = val * factorials[c]
+    return coeffs.take(index[order], axis=1)
 
 
 def _mul(a: Jet, b: Jet) -> Jet:
@@ -293,11 +289,14 @@ def _substitute(
 ) -> list[Jet]:
     """sum_e c_e prod_k factors[k]^e_k for each table {e: c_e}, as (n, d) jets.
 
-    Each monomial is built once, as its parent (one less in its last nonzero
-    exponent) times one factor, and shared by every table; the empty
-    monomial is the constant 1.  Sums that come out exactly zero are dropped.
+    The empty monomial is the constant 1 and a degree-1 monomial its factor;
+    every other monomial is built once, as its parent (one less in its last
+    nonzero exponent) times one factor, and shared by every table.  Sums that
+    come out exactly zero are dropped.
     """
     monomials = {(0,) * len(factors): Jet.constant(n, d, 1.0)}
+    for k, f in enumerate(factors):
+        monomials[tuple(int(i == k) for i in range(len(factors)))] = f
 
     def monomial(key: tuple[int, ...]) -> Jet:
         hit = monomials.get(key)
@@ -429,10 +428,6 @@ class JetVector:
     def derivatives(self, order: int) -> np.ndarray:
         """Stacked :meth:`Jet.derivatives` of the components; axis 0 is the component."""
         return _derivative_arrays(self.jets, order)
-
-    def linear_matrix(self) -> np.ndarray:
-        """Matrix L with L[i, j] = d(component_i)/d(z_j) at the center."""
-        return self.derivatives(1)
 
     def shifted(self, delta: Sequence[complex]) -> "JetVector":
         """Add ``delta[i]`` to the constant term of component ``i``."""

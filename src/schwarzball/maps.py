@@ -12,7 +12,9 @@ zeta, with s = sqrt(1 - |zeta|^2), is the single closed form
 Values and derivatives of order <= 3 at a stack of points come from
 :func:`_derivatives`, one batched route per map kind with a leading point
 axis: a polynomial map weights the values of its monomials by the term
-coefficients it builds once in ``__init__``; a Moebius map uses the
+coefficients it builds once in ``__init__`` and gathers them in the
+derivative-array layout of :func:`.jets._derivative_positions`, which the
+jet route's :meth:`Jet.derivatives` reads too; a Moebius map uses the
 closed form of F = L / l_0; a composition chain applies the order-3
 multivariate Faa di Bruno formula part by part.  Every production
 derivative reads these arrays: :func:`map_eval`, ``schwarzian_of``, the
@@ -26,13 +28,13 @@ center, to any degree, by :func:`map_jet_at`; rational denominators are
 expanded by a truncated geometric series, so no numerical differentiation is
 involved.  The jet route is an independent oracle only: ``pde_residual``,
 ``chain_rule_transform``, the direct Hessian of ``lemma31_check`` and
-``family.jet_grad_jacobian`` read it.  A
-polynomial map is recentered by putting the factors zeta_k + h_k into its
-components with the substitution routine of :mod:`.jets`, which builds each
-monomial (zeta + h)^e once and shares it across the components; a
-polynomial is not truncated, so this is exact for any zeta.  A composition
-step composes all outer components with the inner jet in one
-:func:`jet_compose` call, which uses the same routine.
+``family.jet_grad_jacobian`` read it.  A polynomial map is recentered by
+putting the factors zeta_k + h_k into its components with the substitution
+routine of :mod:`.jets`, which builds each monomial (zeta + h)^e of degree
+>= 2 once and shares it across the components; a polynomial is not
+truncated, so this is exact for any zeta.  A composition step composes all
+outer components with the inner jet in one :func:`jet_compose` call, which
+uses the same routine.
 
 Both routes raise VanishingDenominatorError where a Moebius denominator
 vanishes, relative to the largest entry of its grid, and check that DF of
@@ -45,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 from math import comb
 from typing import Sequence, Union
 
@@ -58,7 +59,15 @@ from .errors import (
     SingularDifferentialError,
     VanishingDenominatorError,
 )
-from .jets import Jet, JetVector, _substitute, jet_compose, jet_reciprocal, multi_indices
+from .jets import (
+    Jet,
+    JetVector,
+    _derivative_positions,
+    _substitute,
+    jet_compose,
+    jet_reciprocal,
+    multi_indices,
+)
 
 SINGULAR_TOL = 1e-12  # on sigma_min(DF) / sigma_max(DF)
 
@@ -195,26 +204,6 @@ def _affine_forms(m: MoebiusMap, z: np.ndarray) -> np.ndarray:
 # -- derivative arrays at a stack of points -------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _derivative_positions(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Exponents alpha of total degree <= 3 in n variables, by degree, and index arrays.
-
-    A row of derivative columns holds d^alpha_c f_l at position c * n + l; the
-    first comb(n + k, k) exponents hold the orders <= k.  Entry
-    [l, i_1, ..., i_k] of the k-th index array, k = 0, ..., 3, is the
-    position of d^k f_l / dz_{i_1} ... dz_{i_k}.
-    """
-    alphas = sorted(multi_indices(n, 3), key=sum)
-    column = {alpha: c for c, alpha in enumerate(alphas)}
-    slots = []
-    for k in range(4):
-        slot = np.empty((n,) * (k + 1), dtype=int)
-        for idx in itertools.product(range(n), repeat=k + 1):
-            slot[idx] = column[tuple(idx[1:].count(i) for i in range(n))] * n + idx[0]
-        slots.append(slot)
-    return np.array(alphas), tuple(slots)
-
-
 @functools.lru_cache(maxsize=256)
 def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     """How a polynomial map with exponents ``used`` gives its derivatives of order <= 3.
@@ -224,9 +213,13 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     their parent (one degree less) and the variable that multiplies it.  Term
     s says that d^alpha_{c_s} f_l takes monomial ``rows[s]`` times the
     coefficient of exponent e = ``used[terms[s]]`` in f_l times
-    ``weights[s]`` = e! / (e - alpha_{c_s})!.  Terms are sorted by c_s, and
-    ``orders[k]`` = (number of terms, columns present, start of each
-    column's run) for the columns of order <= k.
+    ``weights[s]`` = e! / (e - alpha_{c_s})!, for the exponents alpha_c of
+    the derivative columns of :func:`jets._derivative_positions`.  Terms are
+    sorted by c_s, and ``orders[k]`` = (number of terms, columns present,
+    start of each column's run, slot arrays) for the columns of order <= k.
+    A row of derivative columns holds d^alpha_c f_l at position c * n + l,
+    and entry [l, i_1, ..., i_j] of the j-th slot array is the position of
+    d^j f_l / dz_{i_1} ... dz_{i_j}.
     """
     monomials, frontier = {(0,) * n} | set(used), list(used)
     while frontier:
@@ -246,7 +239,8 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     levels = [(idx, parent[idx], var[idx])
               for idx in (np.flatnonzero(degree == d) for d in range(1, degree.max() + 1))]
 
-    alphas = _derivative_positions(n)[0]
+    column, _, positions = _derivative_positions(n, 3)
+    alphas = np.array(list(column))
     exps = np.array(used, dtype=int).reshape(-1, n)
     rest = exps[:, None, :] - alphas[None]
     weight = np.ones(rest.shape[:2], dtype=int)
@@ -255,10 +249,12 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     cols, terms = np.nonzero(np.all(rest >= 0, axis=2).T)  # sorted by column
     rows = np.array([index[tuple(e)] for e in rest[terms, cols].tolist()], dtype=int)
     present, starts = np.unique(cols, return_index=True)
+    slots = [np.arange(n).reshape((n,) + (1,) * k) + idx * n for k, idx in enumerate(positions)]
     orders = []
     for k in range(4):
         width = int(np.searchsorted(present, comb(n + k, k)))
-        orders.append((int(np.searchsorted(cols, comb(n + k, k))), present[:width], starts[:width]))
+        orders.append((int(np.searchsorted(cols, comb(n + k, k))), present[:width], starts[:width],
+                       slots[: k + 1]))
     return levels, len(monomials), rows, terms, weight[terms, cols, None], orders
 
 
@@ -280,14 +276,14 @@ def _poly_derivatives(m: PolyMap, z: np.ndarray, order: int) -> list[np.ndarray]
     values[:, 0] = 1.0
     for idx, parent, var in levels:
         values[:, idx] = values[:, parent] * z[:, var]
-    count, present, starts = orders[order]
+    count, present, starts, slots = orders[order]
     n = m.n
     cols = np.zeros((len(z), comb(n + order, order), n), dtype=complex)
     if count:  # each column sums its run of terms, one after another
         terms = values[:, rows[:count], None] * m._coeffs[:count]
         cols[:, present] = np.add.reduceat(terms, starts, axis=1)
     cols = cols.reshape(len(z), -1)
-    return [cols[:, slot] for slot in _derivative_positions(n)[1][: order + 1]]
+    return [cols[:, slot] for slot in slots]
 
 
 def _moebius_derivatives(m: MoebiusMap, z: np.ndarray, order: int) -> list[np.ndarray]:
@@ -442,7 +438,7 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
             jv = jet_compose(map_jet_at(part, w, d), jv.shifted(-w).jets)
     else:
         raise DimensionError(f"not a map spec: {type(m).__name__}")
-    check_nonsingular(jv.linear_matrix(), "map at the expansion center")
+    check_nonsingular(jv.derivatives(1), "map at the expansion center")
     return jv
 
 

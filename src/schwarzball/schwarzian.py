@@ -200,7 +200,7 @@ def chain_rule_transform(
         raise BasePointMismatchError(
             "outer tensor base point does not equal F(z) from the inner jet"
         )
-    df = jet_f.linear_matrix()
+    df = jet_f.derivatives(1)
     check_nonsingular(df, "inner map in the chain rule")
     dfinv = np.linalg.inv(df)
     pulled = np.einsum("li,rlm,mj->rij", df, t_g.Sk, df)

@@ -103,7 +103,7 @@ def test_isometry_of_automorphisms():
         sigma = automorphism_from_center(zeta)
         z = random_ball_point(2, rng, 0.8)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        dsig = map_jet_at(sigma, z, 1).linear_matrix()
+        dsig = map_jet_at(sigma, z, 1).derivatives(1)
         lhs = bergman_norm(map_eval(sigma, z), dsig @ v)
         rhs = bergman_norm(z, v)
         assert abs(lhs - rhs) <= 1e-9 * rhs

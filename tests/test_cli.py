@@ -279,6 +279,16 @@ def test_map_file_fractional_n_is_a_parse_error(tmp_path):
     assert_parse_error(tmp_path, json.dumps(dict(SHEAR_FILE, n=2.9)).encode())
 
 
+def test_map_file_dimension_below_one_is_a_parse_error(tmp_path):
+    payload = {"kind": "automorphism", "n": -1, "D": 1, "C": [], "B": [], "A": []}
+    assert_parse_error(tmp_path, json.dumps(payload).encode())
+
+
+def test_map_file_compose_dimension_must_match_its_maps(tmp_path):
+    payload = {"kind": "compose", "n": 5, "maps": [SHEAR_FILE, SHEAR_FILE]}
+    assert_parse_error(tmp_path, json.dumps(payload).encode())
+
+
 def test_map_file_fractional_exponent_is_a_parse_error(tmp_path):
     first = [{"exps": [1.7, 0], "re": 1.0, "im": 0.0}]
     payload = dict(SHEAR_FILE, components=[first, SHEAR_FILE["components"][1]])

@@ -51,8 +51,8 @@ def test_koebe_at_origin_returns_map_itself():
 def _explicit_koebe_map(m, zeta):
     """post o F o sigma with post = (DF(zeta) Dsigma(0))^{-1} (w - F(zeta)), built term by term."""
     sigma = automorphism_from_center(zeta)
-    d_sigma = map_jet_at(sigma, np.zeros(len(zeta)), 1).linear_matrix()
-    d_f = map_jet_at(m, zeta, 1).linear_matrix()
+    d_sigma = map_jet_at(sigma, np.zeros(len(zeta)), 1).derivatives(1)
+    d_f = map_jet_at(m, zeta, 1).derivatives(1)
     mat = np.linalg.inv(d_f @ d_sigma)
     post = affine_map(mat, -mat @ map_eval(m, zeta))
     return CompositionMap((post, m, sigma))

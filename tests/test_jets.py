@@ -3,7 +3,7 @@
 import cmath
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -373,10 +373,10 @@ def test_series_match_reference_loop_exactly(n):
                 _assert_same_table(jet_pow(a, p).coeffs, want.coeffs)
 
 
-@pytest.mark.parametrize("n, products", [(2, 9), (3, 19)])
+@pytest.mark.parametrize("n, products", [(2, 7), (3, 16)])
 def test_substitution_makes_one_product_per_monomial(n, products, monkeypatch):
-    # a full cubic has every nonconstant monomial of degree <= 3, each built
-    # once as its parent times one factor
+    # a full cubic has every monomial of degree 2 and 3, each built once as
+    # its parent times one factor; the degree-1 monomials are the factors
     calls = []
     real_mul = jets._mul
 
@@ -397,18 +397,22 @@ def test_substitution_makes_one_product_per_monomial(n, products, monkeypatch):
     assert len(calls) == products
 
 
+def _assert_same_array(got, want):
+    # equal bytes, signs of zero included, in a C-contiguous array
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
 def test_derivatives_match_permutation_loop_exactly():
     rng = np.random.default_rng(6)
     for n in (1, 2, 3, 5):
         for a in (random_jet(n, 4, rng), _sparse_jet(n, 3, rng)):
             for order in range(4):
-                got = a.derivatives(order)
-                assert got.shape == (n,) * order
-                assert np.array_equal(got, _reference_derivatives(a, order))
+                _assert_same_array(a.derivatives(order), _reference_derivatives(a, order))
         jv = JetVector(random_jet(n, 3, rng) for _ in range(n))
         for order in range(4):
             want = np.stack([_reference_derivatives(j, order) for j in jv])
-            assert np.array_equal(jv.derivatives(order), want)
+            _assert_same_array(jv.derivatives(order), want)
 
 
 # -- misc -------------------------------------------------------------------------
@@ -416,18 +420,7 @@ def test_derivatives_match_permutation_loop_exactly():
 
 def test_derivative_value_includes_factorials():
     a = Jet(2, 3, {(2, 1): 4.0})
-    assert a.derivative_value((2, 1)) == pytest.approx(8.0)
-
-
-def test_derivatives_array_matches_derivative_value():
-    rng = np.random.default_rng(5)
-    a = random_jet(3, 4, rng)
-    for order in range(4):
-        arr = a.derivatives(order)
-        assert arr.shape == (3,) * order
-        for idx in product(range(3), repeat=order):
-            key = tuple(idx.count(v) for v in range(3))
-            assert arr[idx] == a.derivative_value(key)
+    assert a.derivatives(3)[0, 1, 0] == pytest.approx(8.0)
 
 
 def test_variable_count_limit():

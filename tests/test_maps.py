@@ -16,6 +16,7 @@ from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
     _affine_jet,
+    _derivatives,
     _rational_jet,
     automorphism_from_center,
     automorphism_validate,
@@ -25,6 +26,7 @@ from schwarzball.maps import (
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
+    random_normalized_polymap,
 )
 
 from helpers import max_coeff_diff, unitary_automorphism
@@ -37,7 +39,7 @@ def test_identity_jet_at_any_center():
     zeta = np.array([0.2, -0.1 + 0.3j, 0.05j])
     jv = map_jet_at(m, zeta, 2)
     assert np.max(np.abs(jv.constants() - zeta)) == 0
-    assert np.max(np.abs(jv.linear_matrix() - np.eye(3))) == 0
+    assert np.max(np.abs(jv.derivatives(1) - np.eye(3))) == 0
 
 
 def test_moebius_jet_geometric_series():
@@ -148,7 +150,7 @@ def test_automorphism_center_zero_is_identity():
 def test_automorphism_axis_values():
     sigma = automorphism_from_center([0.5, 0.0])
     jv = map_jet_at(sigma, [0, 0], 1)
-    d = jv.linear_matrix()
+    d = jv.derivatives(1)
     assert np.max(np.abs(d - np.diag([0.75, np.sqrt(0.75)]))) <= TOL
     assert abs(np.linalg.det(d) - 0.75**1.5) <= TOL  # 0.6495190528383290
     assert np.max(np.abs(map_eval(sigma, [0, 0]) - np.array([0.5, 0]))) <= TOL
@@ -290,3 +292,20 @@ def test_jacobian_of_moebius_formula():
     l0 = m.a[0, 0] + m.a[0, 1:] @ z
     expected = np.linalg.det(m.a) / l0**3
     assert abs(jm - expected) <= 1e-12 * abs(expected)
+
+
+def test_poly_derivative_rows_equal_single_point_calls():
+    # byte for byte, signs of zero included: a point's derivatives do not
+    # depend on the stack it is in
+    rng = np.random.default_rng(16)
+    for n in (1, 2, 3, 5):
+        sparse = PolyMap(n, [{tuple(int(k == i) for k in range(n)): 1.0, (0,) * n: -0.5j,
+                              tuple(2 * int(k == n - 1 - i) for k in range(n)): 0.3} for i in range(n)])
+        for m in (random_normalized_polymap(n, rng), sparse):
+            points = np.array([random_ball_point(n, rng, 0.9) for _ in range(5)])
+            for order in range(4):
+                batch = _derivatives(m, points, order)
+                assert [a.shape for a in batch] == [(5,) + (n,) * (k + 1) for k in range(order + 1)]
+                for q, z in enumerate(points):
+                    one = _derivatives(m, z[None], order)
+                    assert [a[q].tobytes() for a in batch] == [a[0].tobytes() for a in one]

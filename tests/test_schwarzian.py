@@ -189,7 +189,7 @@ def test_pde_residual_checks_the_given_tensor():
     t = schwarzian_of(f, z)
     eps = 1e-3
     shifted = SchwarzianTensor(z=t.z, Sk=t.Sk, S0=t.S0 + eps)
-    u0 = abs(np.linalg.det(map_jet_at(f, z, 1).linear_matrix())) ** (-1 / 3)
+    u0 = abs(np.linalg.det(map_jet_at(f, z, 1).derivatives(1))) ** (-1 / 3)
     assert abs(pde_residual(f, shifted) - eps * u0) <= 1e-12
     with pytest.raises(DimensionError):
         pde_residual(f, schwarzian_of(f, np.stack([z, 0.5 * z])))
