@@ -21,12 +21,13 @@ no kernel sees a metric.  At n = 2 it is exact: through the Hopf map
 problem solved in closed form (one 3 x 3 eigenproblem and a monotone Newton
 iteration per point, batched over points).  At n >= 3 it is estimated by a
 deterministic multistart ascent on the sphere, 2 Barzilai-Borwein (BB) steps,
-then saddle-free Riemannian Newton steps modulo phase, and reported values
-are lower bounds.  One kernel runs every start of every problem as a row of
-one array, and a problem's result does not depend on the batch it is solved
-in.  Dividing by c makes both routes scale-free; the one absolute floor is
-``ZERO_NORM``, below which a tensor is rounding noise (the ascent's starts
-stop at once, the exact route skips its Newton steps).
+then saddle-free Riemannian Newton steps modulo phase, taken in a
+(2n - 2)-dimensional orthonormal basis of the tangent space, and reported
+values are lower bounds.  One kernel runs every start of every problem as a
+row of one array, and a problem's result does not depend on the batch it is
+solved in.  Dividing by c makes both routes scale-free; the one absolute
+floor is ``ZERO_NORM``, below which a tensor is rounding noise (the ascent's
+starts stop at once, the exact route skips its Newton steps).
 Every value is attained at the reported direction.  ``upper`` is a certified
 upper end of the pointwise norm at every n: c times the largest singular
 value of T restricted to symmetric tensors, up to the rounding slack
@@ -39,16 +40,20 @@ their tensors are stacked, pulled back in one frame and solved together, so
 the kernel's Python loop runs once for the list, and each case's result is
 the one its single-case call ``schwarzian_norm_at`` gives.
 
-``schwarzian_norm_sup`` bounds and prunes its probe points: each round builds
-the tensors and upper ends of all its points in one batch and solves, in one
-more batched call, only the points whose upper end reaches a floor (the
-incumbent's value; in the grid round, the value of the point with the largest
-upper end, solved first on its own).  A pruned point cannot beat the floor, so
-the result is the one every point would give.  ``points`` counts the probed
-base points, ``pruned`` those the upper end excluded, and ``iterations`` the
-accepted ascent steps (BB and Newton) over the points solved (none at
-n = 2).  A sup over the ball stays a searched lower bound at every n: its
-base points are probed, not bracketed.
+``schwarzian_norm_sup`` bounds and prunes its probe points inside the
+kernel: each round (the grid, then each refine round) builds the tensors and
+upper ends of all its points in one batch and solves them in one kernel call
+that drops every point whose upper end cannot reach a floor.  The floor
+starts at the incumbent's value in a refine round (none in the grid round);
+at n >= 3 the ascent raises it before each iteration to the largest value
+its remaining points have reached, and stops the rows of the points it
+drops.  A row's value only rises and the upper end is certified, so a
+dropped point cannot beat the point that set the floor, and the result is
+the one every point would give.  ``points`` counts the probed base points,
+``pruned`` those dropped before or during the ascent, and ``iterations`` the
+accepted ascent steps (BB and Newton) over every start, those of dropped
+points included (none at n = 2).  A sup over the ball stays a searched lower
+bound at every n: its base points are probed, not bracketed.
 """
 
 from __future__ import annotations
@@ -111,8 +116,9 @@ class NormEstimate:
     converged: bool
     r_max: float | None = None
     points: int = 1  # probed base points
-    iterations: int = 0  # accepted steps (2 BB, then Newton), summed over starts and points solved
-    pruned: int = 0  # probed points the upper end excluded before any ascent
+    # accepted steps (2 BB, then Newton), summed over starts and points, dropped points included
+    iterations: int = 0
+    pruned: int = 0  # probed points their upper end dropped, before or during the ascent
     upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
 
@@ -207,32 +213,60 @@ def _grad_and_hess(x, t_flat):
     return np.concatenate([2.0 * np.real(g), -2.0 * np.imag(g)], axis=1), 2.0 * hess
 
 
+def _tangent_basis(x):
+    """Orthonormal real basis of the tangent space {x, Jx}^perp, shape (rows, 2n, 2n - 2).
+
+    For w = x[:n] + i x[n:] with |w| = 1, the complex Householder reflector
+    I - 2 u u^H / |u|^2 with u = w + e^(i arg w_0) e_0 maps w to a multiple of
+    e_0, so its columns 1..n-1 are an orthonormal basis of the complex
+    complement of w.  Each column, taken once as it is and once times i,
+    gives two real columns; the real span of w and i w is that of x and Jx.
+    """
+    n = x.shape[1] // 2
+    w = x[:, :n] + 1j * x[:, n:]
+    u = w.copy()
+    u[:, 0] += np.exp(1j * np.angle(w[:, 0]))  # |u|^2 = 2 (1 + |w_0|), never small
+    cols = (-1.0 / (1.0 + np.abs(w[:, 0])))[:, None, None] * u[:, :, None] * np.conj(w[:, None, 1:])
+    cols[:, 1:] += np.eye(n - 1)
+    basis = np.empty((len(x), 2 * n, 2 * n - 2))
+    basis[:, :n, :n - 1] = basis[:, n:, n - 1:] = np.real(cols)
+    basis[:, n:, :n - 1] = np.imag(cols)
+    basis[:, :n, n - 1:] = -basis[:, n:, :n - 1]
+    return basis
+
+
 def _newton_directions(x, tangent, hess, mult):
     """Saddle-free Riemannian Newton directions on the unit sphere modulo phase.
 
     ``tangent`` is the gradient g projected off x, and ``mult`` is x^T g.  The
-    Riemannian Hessian is P (H - (x^T g) I) P, with P the projection off x and
-    off the phase direction Jx = (-Im w, Re w), along which the objective is
-    constant.  Both are shifted far negative, so one symmetric
-    eigendecomposition per row gives d = V diag(1 / max(|lam|, 1e-8 scale))
-    V^T tangent: Newton's step where the Hessian is negative definite, an
-    ascent direction wherever it is not (Absil, Baker & Gallivan 2007;
-    Dauphin et al. 2014).  ``scale`` is the shift, the largest |lam|.
+    objective is constant along the phase direction Jx = (-Im w, Re w), so
+    the step lives in the (2n - 2)-dimensional tangent space {x, Jx}^perp
+    with orthonormal basis B (:func:`_tangent_basis`), where the Riemannian
+    Hessian is R = B^T (H - (x^T g) I) B.  One symmetric eigendecomposition
+    R = V diag(lam) V^T per row gives d = B V diag(1 / max(|lam|, 1e-8 scale))
+    V^T B^T tangent: Newton's step where R is negative definite, an ascent
+    direction wherever it is not (Absil, Baker & Gallivan 2007; Dauphin et
+    al. 2014).  ``scale`` is 2 ||R||_F + |x^T g|.
     """
-    n2 = x.shape[1]
-    jx = np.concatenate([-x[:, n2 // 2:], x[:, :n2 // 2]], axis=1)
-    basis = np.stack([x, jx], axis=2)  # orthonormal columns x, Jx
-    along = basis @ np.swapaxes(basis, 1, 2)
-    proj = np.eye(n2) - along
-    riem = proj @ (hess - mult[:, None, None] * np.eye(n2)) @ proj
-    shift = 2.0 * np.linalg.norm(riem, axis=(1, 2)) + np.abs(mult)
-    lam, vec = np.linalg.eigh(riem - shift[:, None, None] * along)
-    inv = 1.0 / np.maximum(np.abs(lam), 1e-8 * shift[:, None])
-    coef = inv * (np.swapaxes(vec, 1, 2) @ tangent[:, :, None])[:, :, 0]
-    return (vec @ coef[:, :, None])[:, :, 0]
+    basis = _tangent_basis(x)
+    basis_t = np.swapaxes(basis, 1, 2)
+    riem = basis_t @ hess @ basis - mult[:, None, None] * np.eye(basis.shape[2])
+    scale = 2.0 * np.linalg.norm(riem, axis=(1, 2)) + np.abs(mult)
+    lam, vec = np.linalg.eigh(riem)
+    inv = 1.0 / np.maximum(np.abs(lam), 1e-8 * scale[:, None])
+    coef = inv * (np.swapaxes(vec, 1, 2) @ (basis_t @ tangent[:, :, None]))[:, :, 0]
+    return (basis @ (vec @ coef[:, :, None]))[:, :, 0]
 
 
-def _ascend(frame, starts: int, seed: int, max_iter: int):
+def _alive(upper, floor):
+    """Problems whose upper end, times 1 + ``UPPER_SLACK``, reaches ``floor``.
+
+    The others cannot reach the floor; a NaN upper end does not reach it.
+    """
+    return upper * (1.0 + UPPER_SLACK) >= floor
+
+
+def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor: float = -np.inf):
     """Multistart Riemannian ascent for a stack of problems, in one array.
 
     ``frame`` comes from :func:`_pullback`.  The ascent maximizes |T(w, w)|
@@ -252,8 +286,17 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     when no step of length ``STEP_FLOOR`` or more passes the test, or when it
     moves less than that; an S below ZERO_NORM stops at its first iterate.
 
-    Returns per-problem arrays (value, maximizing v, converged, accepted
-    steps summed over starts).
+    With the problems' upper ends ``upper``, the ascent prunes: before each
+    iteration it raises ``floor`` to the largest value c sqrt(|T(w, w)|^2)
+    among the problems still alive, then drops every problem that cannot
+    reach it (:func:`_alive`, so a NaN upper end drops too) and stops its
+    rows.  A row's value only rises and ``upper`` is certified, so a dropped
+    problem cannot beat the one that set the floor, and every kept problem
+    gets the arrays an unpruned call gives it.
+
+    Returns per-problem arrays (value, -inf for a dropped problem; maximizing
+    v; converged; accepted steps summed over starts, a dropped problem's
+    included).
     """
     t, change, scale, zero = frame
     problems, n = t.shape[0], t.shape[-1]
@@ -269,10 +312,16 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     rows = len(x)
     prev_x = np.zeros_like(x)
     prev_tangent = np.zeros_like(x)
-    active = ~zero
+    alive = np.ones(problems, dtype=bool) if upper is None else _alive(upper, floor)
+    active = ~zero & alive[owner]
     converged = zero.copy()
     steps = np.zeros(rows, dtype=int)
     for it in range(max_iter):
+        if upper is not None and alive.any():
+            value = np.sqrt(np.maximum(val2.reshape(problems, k).max(axis=1), 0.0)) * scale
+            floor = max(floor, float(np.max(value[alive])))
+            alive &= _alive(upper, floor)
+            active &= alive[owner]
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
@@ -327,7 +376,7 @@ def _ascend(frame, starts: int, seed: int, max_iter: int):
     best = np.arange(problems) * k + np.argmax(val2.reshape(problems, k), axis=1)
     w = x[best, :n] + 1j * x[best, n:]
     return (
-        np.sqrt(np.maximum(val2[best], 0.0)) * scale,
+        np.where(alive, np.sqrt(np.maximum(val2[best], 0.0)) * scale, -np.inf),
         (change @ w[:, :, None])[:, :, 0],
         converged.reshape(problems, k).all(axis=1),
         steps.reshape(problems, k).sum(axis=1),
@@ -450,15 +499,30 @@ def _hopf_norms(frame):
     )
 
 
-def _quad_norms(frame, starts: int, seed: int, max_iter: int):
+def _quad_norms(frame, starts: int, seed: int, max_iter: int, upper=None,
+                floor: float = -np.inf):
     """Pointwise norms of a stack of problems: exact at n = 2, searched at n >= 3.
 
     Returns per-problem arrays (value, maximizing v, converged, ascent steps);
-    at n = 2 the starts, the seed and the iteration cap have no effect.
+    at n = 2 the starts, the seed and the iteration cap have no effect.  With
+    the problems' upper ends ``upper``, a problem that cannot reach ``floor``
+    (:func:`_alive`) is dropped and its value comes back as -inf: at n >= 3
+    during the ascent, whose floor rises to the largest value found
+    (:func:`_ascend`), and at n = 2 before the one closed-form call.
     """
-    if frame[0].shape[-1] == 2:
+    if frame[0].shape[-1] != 2:
+        return _ascend(frame, starts, seed, max_iter, upper, floor)
+    if upper is None:
         return _hopf_norms(frame)
-    return _ascend(frame, starts, seed, max_iter)
+    problems = len(upper)
+    value, v = np.full(problems, -np.inf), np.zeros((problems, 2), dtype=complex)
+    converged, steps = np.ones(problems, dtype=bool), np.zeros(problems, dtype=int)
+    keep = np.flatnonzero(_alive(upper, floor))
+    if keep.size:
+        value[keep], v[keep], converged[keep], steps[keep] = _hopf_norms(
+            tuple(a[keep] for a in frame)
+        )
+    return value, v, converged, steps
 
 
 def max_quadratic_image_norm(
@@ -556,15 +620,16 @@ def schwarzian_norm_sup(
     Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
     deterministic direction samples per shell, followed by ``refine`` rounds
     of 16 points of shrinking local perturbation around the incumbent, the
-    first point in probe order with the largest value.  Each round computes
-    the upper end of every point and solves only those whose upper end,
-    times 1 + ``UPPER_SLACK``, reaches the floor: in a refine round the
-    incumbent's value, in the grid round the value of the first point with the
-    largest upper end, solved on its own first.  The others cannot hold the
-    max, so the result equals solving every point, and ``pruned`` counts
-    them.  Pointwise values are exact at n = 2 (``starts`` has no effect
-    there) and searched at n >= 3; ``upper`` is the upper end at the
-    incumbent ``arg_z``.
+    first point in probe order with the largest value.  Each round is one
+    kernel call over all its points with their upper ends: a point whose
+    upper end, times 1 + ``UPPER_SLACK``, lies below the floor is dropped.
+    The floor starts at the incumbent's value in a refine round and with
+    none in the grid round; at n >= 3 the ascent raises it to the largest
+    value found so far before each iteration (:func:`_ascend`).  A dropped
+    point cannot hold the max, so the result equals solving every point, and
+    ``pruned`` counts them.  Pointwise values are exact at n = 2 (``starts``
+    has no effect there) and searched at n >= 3; ``upper`` is the upper end
+    at the incumbent ``arg_z``.
     """
     if not 0.0 <= r_max < 1.0:
         raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
@@ -577,34 +642,20 @@ def schwarzian_norm_sup(
         draws = rng.standard_normal((count, 2, n))
         return [d[0] + 1j * d[1] for d in draws]
 
-    def consider(points: list[np.ndarray], floor: float | None = None):
-        """Solve the points whose upper end reaches ``floor``; keep the first best one.
+    def consider(points: list[np.ndarray], floor: float = -np.inf):
+        """Solve the round's points in one kernel call; keep the first best one.
 
-        Without a floor, the first point with the largest upper end is solved
-        on its own and its value is the floor.  A pruned point has value
-        <= upper * (1 + UPPER_SLACK) < floor, so it cannot be the round's
-        winner or beat the incumbent.
+        A point dropped by its upper end comes back as -inf: its value is
+        below a value the call found or below ``floor``, so it cannot be the
+        round's winner or beat the incumbent.
         """
         frame, upper = _tensors_at(schwarzian_of(m, points).Sk, points)
-        values = np.full(len(points), -np.inf)
-        vs = np.zeros((len(points), n), dtype=complex)
-        converged = np.ones(len(points), dtype=bool)
-
-        def solve(rows):
-            values[rows], vs[rows], converged[rows], steps = _quad_norms(
-                tuple(a[rows] for a in frame), starts, seed, DEFAULT_MAX_ITER
-            )
-            best.iterations += int(np.sum(steps))
-
-        if floor is None:
-            first = int(np.argmax(upper))
-            solve([first])
-            floor = values[first]
-        rows = np.flatnonzero(np.isneginf(values) & (upper * (1.0 + UPPER_SLACK) >= floor))
-        if rows.size:
-            solve(rows)
+        values, vs, converged, steps = _quad_norms(
+            frame, starts, seed, DEFAULT_MAX_ITER, upper, floor
+        )
         best.points += len(points)
         best.pruned += int(np.sum(np.isneginf(values)))
+        best.iterations += int(np.sum(steps))
         i = int(np.argmax(values))
         if values[i] > best.value:
             best.value, best.arg_v, best.arg_z = float(values[i]), vs[i], points[i]

@@ -139,8 +139,10 @@ def map_from_payload(payload: dict) -> MapSpec:
         raise MapSpecError("map payload must be a JSON object")
     kind = payload.get("kind")
     n = payload.get("n")
-    if type(n) is not int or n < 1:  # JSON integers only: no float is truncated, no boolean taken
-        raise MapSpecError("map payload needs an integer field 'n' >= 1")
+    # JSON integers only: no float is truncated, no boolean taken; and no n
+    # beyond the jet route's MAX_VARS, refused before any tensor is built
+    if type(n) is not int or not 1 <= n <= MAX_VARS:
+        raise MapSpecError(f"map payload needs an integer field 'n' in 1..{MAX_VARS}")
     if kind == "poly":
         comps = payload.get("components")
         if not isinstance(comps, list) or len(comps) != n or not all(isinstance(c, list) for c in comps):
@@ -499,6 +501,11 @@ def cmd_analyze(args) -> int:
                 sup = schwarzian_norm_sup(m, r_max=args.r_max, seed=args.seed)
                 results.append(check("norm_sup_lower_bound", sup.value, None, True))
                 results.append(check("norm_sup_arg_z", sup.arg_z, None, True))
+                results.append(check("norm_sup_upper", sup.upper, None, True))
+                results.append(check("norm_sup_points", sup.points, None, True))
+                results.append(check("norm_sup_pruned", sup.pruned, None, True))
+                results.append(check("norm_sup_iterations", sup.iterations, None, True))
+                results.append(check("norm_sup_converged", sup.converged, None, bool(sup.converged)))
         elif op == "order":
             g, was = normalize_map(m)
             results.append(check("order_trace", trace_order_functional(g), None, True))

@@ -52,3 +52,26 @@ def test_lower_is_better_worsening_sign():
     assert out["latency"]["relative_worsening_of_median"] == pytest.approx(0.2)
     assert out["latency"]["change_wins"] == 0
     assert out["rate"]["change_wins"] == 0
+
+
+def test_parse_run_output_reads_metrics_environment_and_labels():
+    stdout = "\n".join([
+        "# workload=norm seed=1 trace=0 attempted=42 failed=0",
+        '# environment {"python": "3.11"}',
+        '# info {"label_median_ms": {"moderate-n2": 2.5, "moderate-n3": 12.0}, "passes": 2}',
+        "jobs_per_kref 110.5 1/kref",
+        "sup_mean n/a norm",
+        '{"correct": true, "attempted": 42, "failed": 0, "metrics": {}}',
+    ])
+    metrics, environment, labels = bench_pairs.parse_run_output(stdout)
+    assert metrics == {"jobs_per_kref": 110.5, "attempted": 42, "failed": 0, "correct": True}
+    assert environment == {"python": "3.11"}
+    assert labels == {"moderate-n2": 2.5, "moderate-n3": 12.0}
+    # no info line: no labels
+    assert bench_pairs.parse_run_output(stdout.replace("# info", "# other"))[2] == {}
+
+
+def test_label_medians_per_side():
+    runs = [{"a": 1.0, "b": 4.0}, {"a": 3.0, "b": 5.0}, {"a": 2.0}]
+    assert bench_pairs.label_medians(runs) == {"a": 2.0, "b": 4.5}
+    assert bench_pairs.label_medians([]) == {}

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from schwarzball import checks
+from schwarzball import bergman, checks
 from schwarzball.bergman import (
     DEFAULT_MAX_ITER,
     UPPER_SLACK,
     _ascend,
     _grad_and_hess,
     _hopf_quadratic,
+    _newton_directions,
     _pullback,
+    _quad_norms,
     _sym_upper,
     _tensors_at,
     _value,
@@ -271,6 +273,86 @@ def test_stack_rows_equal_single_problem_calls():
             assert np.array_equal(whole[p:p + 1], one)
 
 
+def _pruning_stack(rng, n, problems=24):
+    """Problems of widely spread sizes, so the floor drops some and keeps others."""
+    s = np.stack([_symmetric_tensor(rng, n, 10.0 ** rng.uniform(-2, 0)) for _ in range(problems)])
+    g = np.stack([metric_at(random_ball_point(n, rng, 0.9)).g for _ in range(problems)])
+    frame = _pullback(s, g)
+    return frame, _sym_upper(frame)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pruned_ascent_keeps_the_unpruned_results(n):
+    # a kept problem gets the unpruned call's arrays bit for bit; a dropped
+    # one comes back as -inf, and its upper end lies below the returned
+    # maximum or below the given floor
+    rng = np.random.default_rng(50 + n)
+    frame, upper = _pruning_stack(rng, n)
+    plain = _ascend(frame, 6, 5, DEFAULT_MAX_ITER)
+    for floor in (-np.inf, float(np.median(plain[0]))):
+        pruned = _ascend(frame, 6, 5, DEFAULT_MAX_ITER, upper, floor)
+        kept = np.isfinite(pruned[0])
+        assert 0 < kept.sum() < len(kept)
+        for whole, part in zip(plain, pruned):
+            assert np.array_equal(whole[kept], part[kept])
+        bar = max(float(np.max(pruned[0])), floor)
+        assert np.all(upper[~kept] * (1 + UPPER_SLACK) < bar)
+        # the first problem with the largest value is kept
+        assert int(np.argmax(pruned[0])) == int(np.argmax(plain[0]))
+        # dropped rows stop early: their steps count, but fewer of them
+        assert pruned[3].sum() < plain[3].sum()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pruning_drops_nan_and_survives_an_empty_round(n):
+    rng = np.random.default_rng(60 + n)
+    frame, upper = _pruning_stack(rng, n, problems=6)
+    plain = _quad_norms(frame, 6, 5, DEFAULT_MAX_ITER)[0]
+    loser = int(np.argmin(plain))
+    upper[loser] = np.nan
+    value = _quad_norms(frame, 6, 5, DEFAULT_MAX_ITER, upper)[0]
+    assert np.isneginf(value[loser])
+    assert np.max(value) == np.max(plain)
+    # every problem is dropped before any step: a refine round above every upper end
+    value, _, _, steps = _quad_norms(frame, 6, 5, DEFAULT_MAX_ITER, upper, np.inf)
+    assert np.isneginf(value).all() and not steps.any()
+
+
+def _dense_newton_directions(x, tangent, hess, mult):
+    """Oracle: the saddle-free direction through the dense projector.
+
+    P = I - [x Jx][x Jx]^T; the Riemannian Hessian P (H - (x^T g) I) P with
+    x and Jx shifted far negative, and d = V diag(1 / max(|lam|, 1e-8
+    shift)) V^T tangent over its full 2n-dimensional eigendecomposition.
+    """
+    n2 = x.shape[1]
+    jx = np.concatenate([-x[:, n2 // 2:], x[:, :n2 // 2]], axis=1)
+    basis = np.stack([x, jx], axis=2)
+    along = basis @ np.swapaxes(basis, 1, 2)
+    proj = np.eye(n2) - along
+    riem = proj @ (hess - mult[:, None, None] * np.eye(n2)) @ proj
+    shift = 2.0 * np.linalg.norm(riem, axis=(1, 2)) + np.abs(mult)
+    lam, vec = np.linalg.eigh(riem - shift[:, None, None] * along)
+    inv = 1.0 / np.maximum(np.abs(lam), 1e-8 * shift[:, None])
+    coef = inv * (np.swapaxes(vec, 1, 2) @ tangent[:, :, None])[:, :, 0]
+    return (vec @ coef[:, :, None])[:, :, 0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tangent_newton_direction_matches_the_dense_projector(n):
+    rng = np.random.default_rng(70 + n)
+    rows = 40
+    t = np.stack([_symmetric_tensor(rng, n, 1.0) for _ in range(rows)])
+    x = rng.standard_normal((rows, 2 * n))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    g, h = _grad_and_hess(x, t.reshape(rows, n, n * n))
+    mult = np.sum(g * x, axis=1)
+    tangent = g - mult[:, None] * x
+    d = _newton_directions(x, tangent, h, mult)
+    ref = _dense_newton_directions(x, tangent, h, mult)
+    assert np.all(np.linalg.norm(d - ref, axis=1) <= 1e-10 * np.linalg.norm(ref, axis=1))
+
+
 def test_ascent_has_no_long_tail():
     # the sup's probe settings (6 starts) on near-Moebius and moderate cubics
     # at n = 3: every problem converges within 150 accepted steps over its
@@ -335,8 +417,8 @@ def test_norm_sup_witness_lower_bound():
     assert est.value >= 0.2 / np.sqrt(3) - 1e-12
 
 
-def _probe_points(n, r_max, shells, angular, refine, seed, value_at):
-    """Replay of the sup's probe pattern, one pointwise call per point."""
+def _probe_points(n, r_max, shells, angular, refine, seed, values_at):
+    """Replay of the sup's probe pattern, every point of a round solved."""
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, shells)
     points = [np.zeros(n, dtype=complex)]
@@ -345,48 +427,54 @@ def _probe_points(n, r_max, shells, angular, refine, seed, value_at):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             v /= np.linalg.norm(v)
             points.append(radius * v)
-    values = [value_at(z) for z in points]
+    values = values_at(points)
     rho = 0.5 * r_max / (shells - 1)
     for _ in range(refine):
         center = points[int(np.argmax(values))]
+        round_points = []
         for _ in range(16):
             z = center + rho * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2 * n)
             if np.linalg.norm(z) > r_max:
                 z = z * (r_max / np.linalg.norm(z))
-            points.append(z)
-            values.append(value_at(z))
+            round_points.append(z)
+        points += round_points
+        values += values_at(round_points)
         rho *= 0.4
     return points, values
 
 
 def test_norm_sup_is_the_max_over_its_replayed_probe_points():
-    # the points the upper end prunes cannot hold the max, at either route;
-    # for a Moebius map values and upper ends are rounding noise (about
-    # 1e-15), and the relative pruning still keeps the first point of
-    # largest value
-    settings = dict(r_max=0.8, shells=3, angular=5, refine=2)
-    for n in (2, 3):
-        for m, tol in (
-            (random_normalized_polymap(n, np.random.default_rng(8), scale=0.1), 1e-12),
-            (random_moebius(n, np.random.default_rng(19)), 0.0),
-        ):
-            est = schwarzian_norm_sup(m, starts=4, seed=11, **settings)
-            points, values = _probe_points(
-                n, seed=11, value_at=lambda z: schwarzian_norm_at(m, z, starts=4, seed=11).value,
-                **settings,
-            )
-            assert est.points == len(points) == 1 + 2 * 5 + 2 * 16
-            best = int(np.argmax(values))
-            assert abs(est.value - values[best]) <= tol * values[best]
-            assert np.max(np.abs(est.arg_z - points[best])) == 0
+    # the points the upper end prunes cannot hold the max, at either route,
+    # at small settings and at the defaults; for a Moebius map values and
+    # upper ends are rounding noise (about 1e-15), and the relative pruning
+    # still keeps the first point of largest value.  The replay solves every
+    # point, in batches whose rows equal single calls
+    small = dict(r_max=0.8, shells=3, angular=5, refine=2)
+    defaults = dict(r_max=0.9, shells=7, angular=50, refine=3)
+    for probe, starts in ((small, 4), (defaults, 16)):
+        for n in (2, 3):
+            for m, tol in (
+                (random_normalized_polymap(n, np.random.default_rng(8), scale=0.1), 1e-12),
+                (random_moebius(n, np.random.default_rng(19)), 0.0),
+            ):
+                est = schwarzian_norm_sup(m, starts=starts, seed=11, **probe)
+                points, values = _probe_points(n, seed=11, **probe, values_at=lambda zs: [
+                    e.value for e in schwarzian_norms_at([(m, z) for z in zs], starts=starts, seed=11)
+                ])
+                shells, angular, refine = probe["shells"], probe["angular"], probe["refine"]
+                assert est.points == len(points) == 1 + (shells - 1) * angular + 16 * refine
+                best = int(np.argmax(values))
+                assert abs(est.value - values[best]) <= tol * values[best]
+                assert np.max(np.abs(est.arg_z - points[best])) == 0
 
 
 def test_norm_sup_run_counters():
     # the probe settings of extremal_search's inner norm estimate; exact
     # pointwise values at n = 2 take no ascent steps.  Pruning runs at every
     # n, the exact route included: ``points`` counts every probed point and
-    # ``pruned`` those the upper end excluded (29 of 47 at n = 2 and 36 at
-    # n = 3 for this map); the grid's first point is always solved
+    # ``pruned`` those dropped by their upper end, before the ascent or
+    # during it (1 of 47 at n = 2, where only the refine round has a floor,
+    # and 43 at n = 3 for this map)
     for n in (2, 3):
         m = random_normalized_polymap(n, np.random.default_rng(2), scale=1e-3)
         probe = dict(r_max=0.85, shells=4, angular=10, starts=6, refine=1, seed=5)
@@ -589,25 +677,35 @@ def test_pullback_frame_identities():
 
 
 def test_one_pullback_per_norm_at_and_per_sup_round(monkeypatch):
-    # the upper ends and the solves of a batch share its frame: one Cholesky
+    # the upper ends and the solve of a batch share its frame: one Cholesky
     # factorization of the stacked metrics per pointwise norm and per round
-    # of the sup (the grid, then each refine round)
-    shapes = []
-    cholesky = np.linalg.cholesky
+    # of the sup (the grid, then each refine round), and one kernel call per
+    # round over all its points with their upper ends; only refine rounds
+    # start with a floor, the incumbent's value
+    shapes, calls = [], []
+    cholesky, kernel = np.linalg.cholesky, bergman._quad_norms
 
     def counted(a):
         shapes.append(a.shape)
         return cholesky(a)
 
+    def counted_kernel(frame, starts, seed, max_iter, upper=None, floor=-np.inf):
+        calls.append((len(frame[0]), upper is not None, floor))
+        return kernel(frame, starts, seed, max_iter, upper, floor)
+
     monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(bergman, "_quad_norms", counted_kernel)
     for n in (2, 3):
         m = random_normalized_polymap(n, np.random.default_rng(3), scale=0.1)
         shapes.clear()
         schwarzian_norm_at(m, np.full(n, 0.2))
         assert shapes == [(1, n, n)]
         shapes.clear()
-        schwarzian_norm_sup(m, r_max=0.8, shells=3, angular=5, starts=4, refine=2)
+        calls.clear()
+        est = schwarzian_norm_sup(m, r_max=0.8, shells=3, angular=5, starts=4, refine=2)
         assert shapes == [(1 + 2 * 5, n, n), (16, n, n), (16, n, n)]
+        assert [c[:2] for c in calls] == [(1 + 2 * 5, True), (16, True), (16, True)]
+        assert calls[0][2] == -np.inf and 0 < calls[1][2] <= calls[2][2] <= est.value
 
 
 def test_hopf_quadratic_matches_symbolic_identity():

@@ -284,6 +284,20 @@ def test_map_file_dimension_below_one_is_a_parse_error(tmp_path):
     assert_parse_error(tmp_path, json.dumps(payload).encode())
 
 
+def _identity_moebius(n):
+    grid = [[{"re": float(i == j), "im": 0.0} for j in range(n + 1)] for i in range(n + 1)]
+    return {"kind": "moebius", "n": n, "a": grid}
+
+
+def test_map_file_dimension_above_max_vars_is_a_parse_error(tmp_path):
+    # refused at load time (exit 2), before the order-3 arrays of any tensor;
+    # n = MAX_VARS itself still loads
+    assert cli.MAX_VARS == 8
+    assert map_from_payload(_identity_moebius(8)).n == 8
+    assert_parse_error(tmp_path, json.dumps(_identity_moebius(9)).encode())
+    assert main(["analyze", str(tmp_path / "map.json"), "--ops", "schwarzian"]) == 2
+
+
 def test_map_file_compose_dimension_must_match_its_maps(tmp_path):
     payload = {"kind": "compose", "n": 5, "maps": [SHEAR_FILE, SHEAR_FILE]}
     assert_parse_error(tmp_path, json.dumps(payload).encode())
@@ -472,6 +486,28 @@ def test_analyze_shear_norm_closed_form(tmp_path):
     assert code == 0
     by_name = {r["name"]: r["value"] for r in rep["results"]}
     assert abs(by_name["norm_at_point"] - 1.0 / np.sqrt(3)) <= 1e-9  # 2a/sqrt(3), a = 0.5
+
+
+def test_analyze_sup_reports_what_it_rests_on(tmp_path):
+    # deterministic counters of the sup in the report body: two runs are
+    # byte-identical apart from timing, and the probe count follows the
+    # default schedule (7 shells, 50 directions, 3 refine rounds of 16)
+    rng = np.random.default_rng(12)
+    for n in (2, 3):
+        path = tmp_path / f"cubic{n}.json"
+        path.write_text(json.dumps(map_to_payload(maps.random_normalized_polymap(n, rng, scale=0.1))))
+        argv = ["analyze", str(path), "--ops", "norm", "--r-max", "0.8"]
+        (code1, rep1), (code2, rep2) = (run_json(tmp_path, argv, f"{k}.json") for k in "ab")
+        assert code1 == code2 == 0
+        rep1.pop("timing")
+        rep2.pop("timing")
+        assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+        by_name = {r["name"]: r["value"] for r in rep1["results"]}
+        assert by_name["norm_sup_points"] == 1 + (7 - 1) * 50 + 16 * 3
+        assert 0 <= by_name["norm_sup_pruned"] < by_name["norm_sup_points"]
+        assert (by_name["norm_sup_iterations"] > 0) == (n > 2)
+        assert by_name["norm_sup_converged"] is True
+        assert by_name["norm_sup_lower_bound"] <= by_name["norm_sup_upper"] * (1 + 1e-9)
 
 
 def test_analyze_koebe_op(tmp_path):

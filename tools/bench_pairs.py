@@ -16,8 +16,11 @@ The record follows ``BENCH_4.json``: per-run metrics under ``runs``, and
 under ``end_to_end`` the median and quartiles of each metric per side, the
 pairs the change won (ties are not wins), the relative worsening of the
 median and the parent's interquartile range.  Quartiles are numpy linear
-percentiles.  An existing record is updated in place: entries for other
-workloads and seeds are kept, and the entry for this one is replaced.
+percentiles.  Under ``labels`` it keeps, per side, the median over the runs
+of each job label's median latency in ms (``label_median_ms`` of run.py's
+``# info`` line), so the record shows which jobs moved.  An existing record
+is updated in place: entries for other workloads and seeds are kept, and the
+entry for this one is replaced.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ DESCRIPTION = (
     "collected by tools/bench_pairs.py. Pair i runs the parent first when i is odd and the "
     "change first when i is even; each side runs from its own checkout of the same benchmark "
     "files. Quartiles are numpy linear percentiles over the runs of one side; change_wins "
-    "counts the pairs in which the change is strictly better."
+    "counts the pairs in which the change is strictly better. labels holds, per side, the "
+    "median over the runs of each job label's median latency in ms."
 )
 
 
@@ -100,12 +104,14 @@ def summarize(parent_runs: list[dict], change_runs: list[dict], spec: list[dict]
 # -- running ----------------------------------------------------------------------
 
 
-def parse_run_output(stdout: str) -> tuple[dict, dict]:
-    """Metrics of one ``perfbench/run.py`` run and its environment.
+def parse_run_output(stdout: str) -> tuple[dict, dict, dict]:
+    """Metrics of one ``perfbench/run.py`` run, its environment and its job labels.
 
     The launcher prints ``name value unit`` for every metric (``n/a`` when
-    it is not defined), ``# environment {...}``, and a last JSON line with
-    ``attempted``, ``failed`` and ``correct``.
+    it is not defined), ``# environment {...}``, ``# info {...}`` and a last
+    JSON line with ``attempted``, ``failed`` and ``correct``.  The labels are
+    the info line's ``label_median_ms``: each job label's median latency in
+    ms ({} when the line is missing).
     """
     lines = stdout.strip().splitlines()
     if not lines:
@@ -113,9 +119,12 @@ def parse_run_output(stdout: str) -> tuple[dict, dict]:
     last = json.loads(lines[-1])
     metrics: dict = {}
     environment: dict = {}
+    labels: dict = {}
     for line in lines[:-1]:
         if line.startswith("# environment "):
             environment = json.loads(line[len("# environment "):])
+        elif line.startswith("# info "):
+            labels = json.loads(line[len("# info "):]).get("label_median_ms", {})
         elif line and not line.startswith("#"):
             name, value = line.split()[:2]
             if value != "n/a":
@@ -124,10 +133,18 @@ def parse_run_output(stdout: str) -> tuple[dict, dict]:
         for name, entry in last["metrics"].items():
             metrics.setdefault(name, entry["value"])
     metrics.update(attempted=last["attempted"], failed=last["failed"], correct=last["correct"])
-    return metrics, environment
+    return metrics, environment, labels
 
 
-def run_side(root: str, workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def label_medians(runs_labels: list[dict]) -> dict:
+    """Per job label, the median over runs of its ``label_median_ms``."""
+    names = sorted({name for labels in runs_labels for name in labels})
+    return {name: float(np.median([labels[name] for labels in runs_labels if name in labels]))
+            for name in names}
+
+
+def run_side(root: str, workload: str, seed: int, seconds: float,
+             trace: int) -> tuple[dict, dict, dict]:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True,
@@ -172,15 +189,17 @@ def extract(rev: str, dest: str) -> str:
 
 
 def collect(parent_root: str, workload: str, seed: int, pairs: int, seconds: float,
-            layers: bool) -> tuple[dict, dict, dict | None]:
+            layers: bool) -> tuple[dict, dict, dict, dict | None]:
     sides = {"parent": parent_root, "change": ROOT}
     runs: dict = {"parent": [], "change": []}
+    labels: dict = {"parent": [], "change": []}
     environment: dict = {}
     for i in range(1, pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
-            metrics, environment = run_side(sides[side], workload, seed, seconds, 0)
+            metrics, environment, run_labels = run_side(sides[side], workload, seed, seconds, 0)
             runs[side].append(metrics)
+            labels[side].append(run_labels)
             print(f"pair {i} {side}: " + json.dumps(
                 {k: metrics[k] for k in ("jobs_per_kref", "failed") if k in metrics}),
                 file=sys.stderr)
@@ -190,10 +209,10 @@ def collect(parent_root: str, workload: str, seed: int, pairs: int, seconds: flo
                   "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
                              f"--seconds {seconds:g} --trace 1"}
         for side in ("parent", "change"):
-            metrics, _ = run_side(sides[side], workload, seed, seconds, 1)
+            metrics, _, _ = run_side(sides[side], workload, seed, seconds, 1)
             traced[side] = {k: v for k, v in metrics.items()
                             if k not in ("attempted", "failed", "correct")}
-    return runs, environment, traced
+    return runs, {side: label_medians(v) for side, v in labels.items()}, environment, traced
 
 
 def main(argv=None) -> int:
@@ -209,7 +228,7 @@ def main(argv=None) -> int:
         spec = json.load(fh)
     seconds = float(spec["run_seconds"])
     record = {"description": DESCRIPTION, "parent": None, "runs": {}, "end_to_end": {},
-              "environment": {}, "layers": {}}
+              "labels": {}, "environment": {}, "layers": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             record.update(json.load(fh))
@@ -219,8 +238,8 @@ def main(argv=None) -> int:
             if record["parent"] not in (None, commit):
                 raise PairsError(f"{args.out} holds pairs against {record['parent']}, not {commit}")
             check_same_benchmark(parent_root, ROOT)
-            runs, environment, traced = collect(parent_root, args.workload, args.seed,
-                                                args.pairs, seconds, args.layers)
+            runs, labels, environment, traced = collect(parent_root, args.workload, args.seed,
+                                                        args.pairs, seconds, args.layers)
     except (PairsError, subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -229,6 +248,7 @@ def main(argv=None) -> int:
     record["runs"][key] = {"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
                            "seconds": seconds, **runs}
     record["end_to_end"][key] = summarize(runs["parent"], runs["change"], spec["end_to_end"])
+    record["labels"][key] = labels
     record["environment"] = environment
     if traced is not None:
         record["layers"][key] = traced
