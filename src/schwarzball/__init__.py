@@ -53,6 +53,7 @@ from .schwarzian import (
     pde_residual,
     schwarzian_at,
     schwarzian_of,
+    schwarzian_ofs,
 )
 from .bergman import (
     MetricTensor,
@@ -61,6 +62,7 @@ from .bergman import (
     metric_at,
     schwarzian_norm_at,
     schwarzian_norm_sup,
+    schwarzian_norm_sups,
     schwarzian_norms_at,
 )
 from .family import (

@@ -36,20 +36,25 @@ terminated by step size or flatness rather than by the iteration cap (always
 true at n = 2).
 
 ``schwarzian_norms_at`` takes many (map, point) cases to one kernel call:
-their tensors are stacked, pulled back in one frame and solved together, so
-the kernel's Python loop runs once for the list, and each case's result is
-the one its single-case call ``schwarzian_norm_at`` gives.
+their tensors come from one grouped tensor call (``schwarzian_ofs``: one
+derivative call per map kind and plan), are pulled back in one frame and are
+solved together, so the kernel's Python loop runs once for the list, and
+each case's result is the one its single-case call ``schwarzian_norm_at``
+gives.
 
-``schwarzian_norm_sup`` bounds and prunes its probe points inside the
-kernel: each round (the grid, then each refine round) builds the tensors and
-upper ends of all its points in one batch and solves them in one kernel call
-that drops every point whose upper end cannot reach a floor.  The floor
-starts at the incumbent's value in a refine round (none in the grid round);
-at n >= 3 the ascent raises it before each iteration to the largest value
-its remaining points have reached, and stops the rows of the points it
-drops.  A row's value only rises and the upper end is certified, so a
-dropped point cannot beat the point that set the floor, and the result is
-the one every point would give.  ``points`` counts the probed base points,
+``schwarzian_norm_sups`` runs the sups of many maps in lockstep, and
+``schwarzian_norm_sup`` is its one-map call.  Every map probes the same grid
+and the same refine steps around its own incumbent; each round (the grid,
+then each refine round) builds the tensors and upper ends of every map's
+points in one grouped tensor call and solves them in one kernel call that
+drops every point whose upper end cannot reach its map's floor.  A map's
+floor starts at its incumbent's value in a refine round (none in the grid
+round); at n >= 3 the ascent raises each map's floor before each iteration
+to the largest value that map's remaining points have reached, and stops
+the rows of the points it drops.  A row's value only rises and the upper end
+is certified, so a dropped point cannot beat the point that set its map's
+floor, and each map's result is the one every point would give, whatever
+the other maps in the call.  ``points`` counts the probed base points,
 ``pruned`` those dropped before or during the ascent, and ``iterations`` the
 accepted ascent steps (BB and Newton) over every start, those of dropped
 points included (none at n = 2).  A sup over the ball stays a searched lower
@@ -64,7 +69,7 @@ import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
 from .maps import MapSpec, map_dim
-from .schwarzian import schwarzian_of
+from .schwarzian import _stacked_tensors, schwarzian_of
 
 DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 500
@@ -266,7 +271,7 @@ def _alive(upper, floor):
     return upper * (1.0 + UPPER_SLACK) >= floor
 
 
-def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor: float = -np.inf):
+def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor=-np.inf):
     """Multistart Riemannian ascent for a stack of problems, in one array.
 
     ``frame`` comes from :func:`_pullback`.  The ascent maximizes |T(w, w)|
@@ -286,13 +291,16 @@ def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor: flo
     when no step of length ``STEP_FLOOR`` or more passes the test, or when it
     moves less than that; an S below ZERO_NORM stops at its first iterate.
 
-    With the problems' upper ends ``upper``, the ascent prunes: before each
-    iteration it raises ``floor`` to the largest value c sqrt(|T(w, w)|^2)
-    among the problems still alive, then drops every problem that cannot
-    reach it (:func:`_alive`, so a NaN upper end drops too) and stops its
-    rows.  A row's value only rises and ``upper`` is certified, so a dropped
-    problem cannot beat the one that set the floor, and every kept problem
-    gets the arrays an unpruned call gives it.
+    With the problems' upper ends ``upper``, the ascent prunes.  ``floor``
+    holds one floor per map, whose problems are consecutive blocks of equal
+    size (a scalar: one map).  Before each iteration it raises each map's
+    floor to the largest value c sqrt(|T(w, w)|^2) among its problems still
+    alive, then drops every problem that cannot reach its map's floor
+    (:func:`_alive`, so a NaN upper end drops too) and stops its rows.  A
+    row's value only rises and ``upper`` is certified, so a dropped problem
+    cannot beat the one that set its floor, and every kept problem gets the
+    arrays an unpruned call gives it; a map's results do not depend on the
+    other maps in the call.
 
     Returns per-problem arrays (value, -inf for a dropped problem; maximizing
     v; converged; accepted steps summed over starts, a dropped problem's
@@ -312,15 +320,18 @@ def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor: flo
     rows = len(x)
     prev_x = np.zeros_like(x)
     prev_tangent = np.zeros_like(x)
-    alive = np.ones(problems, dtype=bool) if upper is None else _alive(upper, floor)
+    floor = np.atleast_1d(np.asarray(floor, dtype=float))
+    per_map = problems // len(floor)
+    alive = np.ones(problems, dtype=bool) if upper is None else _alive(upper, floor.repeat(per_map))
     active = ~zero & alive[owner]
     converged = zero.copy()
     steps = np.zeros(rows, dtype=int)
     for it in range(max_iter):
         if upper is not None and alive.any():
             value = np.sqrt(np.maximum(val2.reshape(problems, k).max(axis=1), 0.0)) * scale
-            floor = max(floor, float(np.max(value[alive])))
-            alive &= _alive(upper, floor)
+            reached = np.where(alive, value, -np.inf).reshape(len(floor), per_map).max(axis=1)
+            floor = np.fmax(floor, reached)  # a NaN value raises no floor
+            alive &= _alive(upper, floor.repeat(per_map))
             active &= alive[owner]
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -499,16 +510,16 @@ def _hopf_norms(frame):
     )
 
 
-def _quad_norms(frame, starts: int, seed: int, max_iter: int, upper=None,
-                floor: float = -np.inf):
+def _quad_norms(frame, starts: int, seed: int, max_iter: int, upper=None, floor=-np.inf):
     """Pointwise norms of a stack of problems: exact at n = 2, searched at n >= 3.
 
     Returns per-problem arrays (value, maximizing v, converged, ascent steps);
     at n = 2 the starts, the seed and the iteration cap have no effect.  With
-    the problems' upper ends ``upper``, a problem that cannot reach ``floor``
-    (:func:`_alive`) is dropped and its value comes back as -inf: at n >= 3
-    during the ascent, whose floor rises to the largest value found
-    (:func:`_ascend`), and at n = 2 before the one closed-form call.
+    the problems' upper ends ``upper``, a problem that cannot reach its map's
+    ``floor`` (:func:`_alive`; one floor per map of equal consecutive blocks,
+    as in :func:`_ascend`) is dropped and its value comes back as -inf: at
+    n >= 3 during the ascent, whose floors rise to the largest value found
+    per map, and at n = 2 before the one closed-form call.
     """
     if frame[0].shape[-1] != 2:
         return _ascend(frame, starts, seed, max_iter, upper, floor)
@@ -517,7 +528,8 @@ def _quad_norms(frame, starts: int, seed: int, max_iter: int, upper=None,
     problems = len(upper)
     value, v = np.full(problems, -np.inf), np.zeros((problems, 2), dtype=complex)
     converged, steps = np.ones(problems, dtype=bool), np.zeros(problems, dtype=int)
-    keep = np.flatnonzero(_alive(upper, floor))
+    floor = np.atleast_1d(np.asarray(floor, dtype=float))
+    keep = np.flatnonzero(_alive(upper, floor.repeat(problems // len(floor))))
     if keep.size:
         value[keep], v[keep], converged[keep], steps[keep] = _hopf_norms(
             tuple(a[keep] for a in frame)
@@ -548,6 +560,15 @@ def max_quadratic_image_norm(
 # -- Schwarzian norms ---------------------------------------------------------
 
 
+def _schwarzian_rows(cases) -> np.ndarray:
+    """S^k of (map, points (p_i, n)) cases, stacked in case order: one case through
+    ``schwarzian_of``, many through one grouped tensor call (``schwarzian_ofs``),
+    whose one-map case it is, bit for bit."""
+    if len(cases) == 1:
+        return schwarzian_of(*cases[0]).Sk
+    return _stacked_tensors(cases)[0]
+
+
 def _tensors_at(sk, points):
     """Frame of stacked Schwarzian tensors ``sk`` (p, n, n, n) in the Bergman
     metric at their points (p, n), and their upper ends.
@@ -567,11 +588,12 @@ def schwarzian_norms_at(
 ) -> list[NormEstimate]:
     """Pointwise invariant Schwarzian norms ||S F(z)|| of (map, point) cases.
 
-    Many maps, one kernel call: the tensors of every case are stacked,
-    pulled back in one frame and solved in one call of the n = 2 or n >= 3
-    kernel.  A case's result does not depend on the list it is in, so entry i
-    equals the single-case call on case i bit for bit.  All cases share one
-    dimension; an empty list gives [].  Input direction and operator output
+    Many maps, one kernel call: the tensors of every case come from one
+    grouped tensor call (``schwarzian_ofs``), are pulled back in one frame
+    and are solved in one call of the n = 2 or n >= 3 kernel.  A case's
+    result does not depend on the list it is in, so entry i equals the
+    single-case call on case i bit for bit.  All cases share one dimension;
+    an empty list gives [].  Input direction and operator output
     are both measured with the Bergman metric at the case's point.  Exact at
     n = 2, where ``starts``, ``seed`` and ``max_iter`` have no effect; a
     searched lower bound at n >= 3.
@@ -583,7 +605,7 @@ def schwarzian_norms_at(
     if len(dims) > 1:
         raise DimensionError(f"cases mix the dimensions {sorted(dims)}")
     points = np.stack([z for _, z in cases])
-    frame, upper = _tensors_at(np.stack([schwarzian_of(m, z).Sk for m, z in cases]), points)
+    frame, upper = _tensors_at(_schwarzian_rows([(m, z[None]) for m, z in cases]), points)
     value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)
     return [
         NormEstimate(
@@ -606,6 +628,102 @@ def schwarzian_norm_at(
     return schwarzian_norms_at([(m, z)], starts, seed, max_iter)[0]
 
 
+def schwarzian_norm_sups(
+    maps,
+    r_max: float = 0.9,
+    shells: int = 7,
+    starts: int = DEFAULT_STARTS,
+    angular: int = 50,
+    refine: int = 3,
+    seed: int = 0,
+) -> list[NormEstimate]:
+    """Searched lower bounds of ||S F|| = sup_z ||S F(z)|| over |z| <= r_max, one per map.
+
+    Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
+    deterministic direction samples per shell, followed by ``refine`` rounds
+    of 16 points of shrinking local perturbation around each map's
+    incumbent, the first point in probe order with the largest value.  The
+    maps run in lockstep: each round builds the tensors of every map's
+    points in one grouped tensor call and solves them, with their upper ends,
+    in one kernel call.  Pruning and incumbents stay per map: a point whose
+    upper end, times 1 + ``UPPER_SLACK``, lies below its map's floor is
+    dropped.  The floor starts at the map's incumbent value in a refine round
+    and with none in the grid round; at n >= 3 the ascent raises it to the
+    largest value the map has reached before each iteration (:func:`_ascend`).
+    A dropped point cannot hold the max, so the result equals solving every
+    point, and ``pruned`` counts them.  Every map draws the same points from
+    ``default_rng(seed)``, so entry i equals the one-map call on ``maps[i]``
+    bit for bit.  Pointwise values are exact at n = 2 (``starts`` has no
+    effect there) and searched at n >= 3; ``upper`` is the upper end at the
+    incumbent ``arg_z``.  All maps share one dimension; no maps give [].
+    """
+    if not 0.0 <= r_max < 1.0:
+        raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
+    maps = list(maps)
+    dims = sorted({map_dim(m) for m in maps})
+    if len(dims) > 1:
+        raise DimensionError(f"maps mix the dimensions {dims}")
+    if not maps:
+        return []
+    n = dims[0]
+    rng = np.random.default_rng(seed)
+    radii = np.linspace(0.0, r_max, max(int(shells), 1))
+    best = [NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, r_max=r_max, points=0)
+            for _ in maps]
+
+    def gaussian_steps(count: int) -> list[np.ndarray]:
+        draws = rng.standard_normal((count, 2, n))
+        return [d[0] + 1j * d[1] for d in draws]
+
+    def consider(points: np.ndarray, floor):
+        """Solve the round's points (maps, k, n) in one kernel call; keep each map's first best one.
+
+        A point dropped by its upper end comes back as -inf: its value is
+        below a value the call found for its map or below its map's
+        ``floor``, so it cannot be the round's winner or beat the incumbent.
+        """
+        frame, upper = _tensors_at(_schwarzian_rows(list(zip(maps, points))), points.reshape(-1, n))
+        out = _quad_norms(frame, starts, seed, DEFAULT_MAX_ITER, upper, floor) + (upper,)
+        for est, pts, values, vs, converged, steps, up in zip(
+            best, points, *(a.reshape(points.shape[:2] + a.shape[1:]) for a in out)
+        ):
+            est.points += len(pts)
+            est.pruned += int(np.sum(np.isneginf(values)))
+            est.iterations += int(np.sum(steps))
+            i = int(np.argmax(values))
+            if values[i] > est.value:
+                est.value, est.arg_v, est.arg_z = float(values[i]), vs[i], pts[i]
+                est.converged, est.upper = bool(converged[i]), float(up[i])
+
+    grid = []
+    for radius in radii:
+        if radius == 0.0:
+            grid.append(np.zeros(n, dtype=complex))
+            continue
+        grid.extend(radius * (v / np.linalg.norm(v)) for v in gaussian_steps(max(int(angular), 1)))
+    consider(np.array([grid] * len(maps)), np.full(len(maps), -np.inf))
+
+    spacing = r_max / max(len(radii) - 1, 1) if r_max > 0 else 0.1
+    rho = 0.5 * spacing
+    for _ in range(max(int(refine), 0)):
+        steps = gaussian_steps(16)
+        round_points = []
+        for est in best:
+            center = est.arg_z if est.arg_z is not None else np.zeros(n, dtype=complex)
+            round_points.append([])
+            for step in steps:
+                z = center + rho * step / np.sqrt(2 * n)
+                norm_z = float(np.linalg.norm(z))
+                if norm_z > r_max:
+                    z = z * (r_max / norm_z)
+                round_points[-1].append(z)
+        consider(np.array(round_points), np.array([est.value for est in best]))
+        rho *= 0.4
+    for est in best:
+        est.value = max(est.value, 0.0)
+    return best
+
+
 def schwarzian_norm_sup(
     m: MapSpec,
     r_max: float = 0.9,
@@ -615,73 +733,6 @@ def schwarzian_norm_sup(
     refine: int = 3,
     seed: int = 0,
 ) -> NormEstimate:
-    """Searched lower bound of ||S F|| = sup_z ||S F(z)|| over |z| <= r_max.
-
-    Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
-    deterministic direction samples per shell, followed by ``refine`` rounds
-    of 16 points of shrinking local perturbation around the incumbent, the
-    first point in probe order with the largest value.  Each round is one
-    kernel call over all its points with their upper ends: a point whose
-    upper end, times 1 + ``UPPER_SLACK``, lies below the floor is dropped.
-    The floor starts at the incumbent's value in a refine round and with
-    none in the grid round; at n >= 3 the ascent raises it to the largest
-    value found so far before each iteration (:func:`_ascend`).  A dropped
-    point cannot hold the max, so the result equals solving every point, and
-    ``pruned`` counts them.  Pointwise values are exact at n = 2 (``starts``
-    has no effect there) and searched at n >= 3; ``upper`` is the upper end
-    at the incumbent ``arg_z``.
-    """
-    if not 0.0 <= r_max < 1.0:
-        raise OutsideDomainError(f"search radius r_max = {r_max} must lie in [0, 1)")
-    n = map_dim(m)
-    rng = np.random.default_rng(seed)
-    radii = np.linspace(0.0, r_max, max(int(shells), 1))
-    best = NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, r_max=r_max, points=0)
-
-    def gaussian_steps(count: int) -> list[np.ndarray]:
-        draws = rng.standard_normal((count, 2, n))
-        return [d[0] + 1j * d[1] for d in draws]
-
-    def consider(points: list[np.ndarray], floor: float = -np.inf):
-        """Solve the round's points in one kernel call; keep the first best one.
-
-        A point dropped by its upper end comes back as -inf: its value is
-        below a value the call found or below ``floor``, so it cannot be the
-        round's winner or beat the incumbent.
-        """
-        frame, upper = _tensors_at(schwarzian_of(m, points).Sk, points)
-        values, vs, converged, steps = _quad_norms(
-            frame, starts, seed, DEFAULT_MAX_ITER, upper, floor
-        )
-        best.points += len(points)
-        best.pruned += int(np.sum(np.isneginf(values)))
-        best.iterations += int(np.sum(steps))
-        i = int(np.argmax(values))
-        if values[i] > best.value:
-            best.value, best.arg_v, best.arg_z = float(values[i]), vs[i], points[i]
-            best.converged, best.upper = bool(converged[i]), float(upper[i])
-
-    grid = []
-    for radius in radii:
-        if radius == 0.0:
-            grid.append(np.zeros(n, dtype=complex))
-            continue
-        grid.extend(radius * (v / np.linalg.norm(v)) for v in gaussian_steps(max(int(angular), 1)))
-    consider(grid)
-
-    spacing = r_max / max(len(radii) - 1, 1) if r_max > 0 else 0.1
-    rho = 0.5 * spacing
-    for _ in range(max(int(refine), 0)):
-        center = best.arg_z if best.arg_z is not None else np.zeros(n, dtype=complex)
-        round_points = []
-        for step in gaussian_steps(16):
-            z = center + rho * step / np.sqrt(2 * n)
-            norm_z = float(np.linalg.norm(z))
-            if norm_z > r_max:
-                z = z * (r_max / norm_z)
-            round_points.append(z)
-        consider(round_points, best.value)
-        rho *= 0.4
-    best.value = max(best.value, 0.0)
-    return best
-
+    """Searched lower bound of ||S F|| over |z| <= r_max: the one map of
+    :func:`schwarzian_norm_sups`."""
+    return schwarzian_norm_sups([m], r_max, shells, starts, angular, refine, seed)[0]

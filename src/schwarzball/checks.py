@@ -1,18 +1,20 @@
 """Residuals of the paper's identities, one function per property.
 
-Each check takes one sampled case and returns its named residuals, all zero
-in exact arithmetic; :func:`worst` takes the maximum of each over many cases.
-:func:`invariance` takes the whole case list itself, so that its pointwise
-norms are solved in one kernel call per side, and returns the same maxima.
-The ``verify`` suites, the acceptance criteria and the unit tests share these
-checks, each with its own samples (drawn by :mod:`.maps`) and tolerances.
+Each check returns its named residuals, all zero in exact arithmetic, as the
+maximum of each over its cases; NaN wins.  The checks that build Schwarzian
+tensors or norms take the whole case list, so that the tensors come from one
+grouped tensor call (``schwarzian_ofs``), the pointwise norms from one
+kernel call per side and the sups from one lockstep call; the others take
+one case, and :func:`worst` takes their maxima over many.  The ``verify``
+suites, the acceptance criteria and the unit tests share these checks, each
+with its own samples (drawn by :mod:`.maps`) and tolerances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bergman import bergman_norm, schwarzian_norm_sup, schwarzian_norms_at
+from .bergman import bergman_norm, schwarzian_norm_sups, schwarzian_norms_at
 from .family import (
     grad_jacobian,
     jet_grad_jacobian,
@@ -24,19 +26,19 @@ from .family import (
 from .maps import (
     CompositionMap,
     MapSpec,
-    _derivatives,
+    _derivative_chunks,
     identity_map,
     map_dim,
-    map_eval,
     map_jet_at,
 )
 from .schwarzian import (
     MIN_JET_DEGREE,
+    _row_cap,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
     schwarzian_at,
-    schwarzian_of,
+    schwarzian_ofs,
 )
 from .variational import bounds_report, matrix_A
 
@@ -45,35 +47,71 @@ def _gap(a, b) -> float:
     return float(np.max(np.abs(a - b)))
 
 
-def worst(check, cases) -> dict[str, float]:
-    """Largest value of each residual of ``check`` over the argument tuples ``cases``; NaN wins."""
+def _largest(results) -> dict[str, float]:
+    """Largest value of each residual over the dicts ``results``; NaN wins."""
     out: dict[str, float] = {}
-    for case in cases:
-        for name, value in check(*case).items():
+    for res in results:
+        for name, value in res.items():
             out[name] = float(np.maximum(out.get(name, value), value))
     return out
 
 
-def moebius_vanishing(m: MapSpec, z) -> dict[str, float]:
-    """Largest entries of S^k and S^0 of a Moebius map at ``z``, a point or a stack of them."""
-    t = schwarzian_of(m, z)
-    return {"Sk": float(np.max(np.abs(t.Sk))), "S0": float(np.max(np.abs(t.S0)))}
+def worst(check, cases) -> dict[str, float]:
+    """Largest value of each residual of ``check`` over the argument tuples ``cases``; NaN wins."""
+    return _largest(check(*case) for case in cases)
 
 
-def chain_rule(f: MapSpec, g: MapSpec, z, moebius: MapSpec | None = None) -> dict[str, float]:
-    """Gaps between S(g o f)(z) by the jet chain rule and by :func:`schwarzian_of` of the
-    composition, and with a Moebius map, the gap ``moebius_post`` between the
-    :func:`schwarzian_of` tensors S f(z) and S(moebius o f)(z)."""
-    jf = map_jet_at(f, z, MIN_JET_DEGREE)
-    w = jf.constants()
-    jg = map_jet_at(g, w, MIN_JET_DEGREE)
-    rule = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
-    direct = schwarzian_of(CompositionMap((g, f)), z)
-    out = {"Sk": _gap(rule.Sk, direct.Sk), "S0": _gap(rule.S0, direct.S0)}
-    if moebius is not None:
-        t_f, t_mf = schwarzian_of(f, z), schwarzian_of(CompositionMap((moebius, f)), z)
-        out["moebius_post"] = max(_gap(t_f.Sk, t_mf.Sk), _gap(t_f.S0, t_mf.S0))
-    return out
+def _batches(cases):
+    """Consecutive runs of (map, point or stack of points) cases, each with at most the
+    points of one derivative call of a grouped tensor call, or one case."""
+    batch, rows = [], 0
+    for m, z in cases:
+        z = np.asarray(z, dtype=complex)
+        count = len(z) if z.ndim == 2 else 1
+        if batch and rows + count > _row_cap(map_dim(m)):
+            yield batch
+            batch, rows = [], 0
+        batch.append((m, z))
+        rows += count
+    if batch:
+        yield batch
+
+
+def moebius_vanishing(cases) -> dict[str, float]:
+    """Largest entries of S^k and S^0 over the (Moebius map, point or stack of points) cases.
+
+    The tensors come from one grouped tensor call per batch of cases (:func:`_batches`),
+    so no more of them are held at once than one derivative call builds.
+    """
+    return _largest({"Sk": np.max(np.abs(t.Sk), initial=0.0),
+                     "S0": np.max(np.abs(t.S0), initial=0.0)}
+                    for batch in _batches(cases) for t in schwarzian_ofs(batch))
+
+
+def chain_rule(cases) -> dict[str, float]:
+    """Largest gaps over the cases (f, g, z) or (f, g, z, moebius) between S(g o f)(z) by the
+    jet chain rule and by :func:`schwarzian_of` of the composition, and over the cases with
+    a Moebius map, the largest gap ``moebius_post`` between the :func:`schwarzian_of`
+    tensors S f(z) and S(moebius o f)(z).
+
+    The direct tensors of all the cases come from one grouped tensor call; the jet
+    chain rule, the oracle, runs case by case.
+    """
+    cases = [(f, g, np.asarray(z, dtype=complex).reshape(-1), *rest) for f, g, z, *rest in cases]
+    post = [(f, z, moebius) for f, _, z, *rest in cases for moebius in rest]
+    direct = schwarzian_ofs([(CompositionMap((g, f)), z) for f, g, z, *_ in cases]
+                            + [(f, z) for f, z, _ in post]
+                            + [(CompositionMap((moebius, f)), z) for f, z, moebius in post])
+    out = []
+    for (f, g, z, *_), t in zip(cases, direct):
+        jf = map_jet_at(f, z, MIN_JET_DEGREE)
+        w = jf.constants()
+        jg = map_jet_at(g, w, MIN_JET_DEGREE)
+        rule = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
+        out.append({"Sk": _gap(rule.Sk, t.Sk), "S0": _gap(rule.S0, t.S0)})
+    t_f, t_mf = direct[len(cases):len(cases) + len(post)], direct[len(cases) + len(post):]
+    out += [{"moebius_post": max(_gap(a.Sk, b.Sk), _gap(a.S0, b.S0))} for a, b in zip(t_f, t_mf)]
+    return _largest(out)
 
 
 def invariance(cases, seed: int = 0) -> dict[str, float]:
@@ -81,7 +119,8 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
     (f, sigma, z, v), sigma an automorphism, and over the cases with a direction v, the
     largest relative change ``isometry`` of its length under D sigma(z); NaN wins.
 
-    Each side's norms come from one :func:`schwarzian_norms_at` call over all the cases.
+    Each side's norms come from one :func:`schwarzian_norms_at` call over all the cases,
+    and sigma(z) and D sigma(z) from one derivative call per map kind.
     """
     cases = [(f, sigma, np.asarray(z, dtype=complex).reshape(-1), *rest)
              for f, sigma, z, *rest in cases]
@@ -89,30 +128,39 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
         return {}
     lhs = schwarzian_norms_at([(CompositionMap((f, sigma)), z) for f, sigma, z, *_ in cases],
                               seed=seed)
-    rhs = schwarzian_norms_at([(f, map_eval(sigma, z)) for f, sigma, z, *_ in cases], seed=seed)
+    value = np.empty((len(cases), len(cases[0][2])), dtype=complex)
+    d1 = np.empty(value.shape + value.shape[1:], dtype=complex)
+    for rows, (f0, f1) in _derivative_chunks([(sigma, z[None]) for _, sigma, z, *_ in cases],
+                                             1, len(cases)):
+        value[rows], d1[rows] = f0, f1
+    rhs = schwarzian_norms_at([(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
     out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}
-    isometry = [_isometry(sigma, z, v) for _, sigma, z, *rest in cases for v in rest]
+    isometry = [_isometry(z, v, w, df)
+                for (_, _, z, *rest), w, df in zip(cases, value, d1) for v in rest]
     if isometry:
         out["isometry"] = float(np.max(isometry))
     return out
 
 
-def _isometry(sigma: MapSpec, z: np.ndarray, v) -> float:
-    """Relative change of the Bergman length of v under D sigma(z)."""
-    value, d1 = (a[0] for a in _derivatives(sigma, z[None], 1))
+def _isometry(z: np.ndarray, v, w: np.ndarray, df: np.ndarray) -> float:
+    """Relative change of the Bergman length of v at z under a differential ``df`` into w."""
     before = bergman_norm(z, v)
-    after = bergman_norm(value, d1 @ v)
+    after = bergman_norm(w, df @ v)
     return abs(after - before) / max(before, 1e-30)
 
 
-def canonical_and_pde(m: MapSpec, z) -> dict[str, float]:
-    """Canonical-form, u_0 linear-system and symmetry residuals of S m(z)."""
-    t = schwarzian_of(m, z)
-    return {
-        "canonical": canonical_residual(t),
-        "pde": pde_residual(m, t),
-        "symmetry": max(_gap(t.Sk, np.swapaxes(t.Sk, 1, 2)), _gap(t.S0, t.S0.T)),
-    }
+def canonical_and_pde(cases) -> dict[str, float]:
+    """Largest canonical-form, u_0 linear-system and symmetry residuals of S m(z) over the
+    (m, z) cases, whose tensors come from one grouped tensor call."""
+    cases = list(cases)
+    return _largest(
+        {
+            "canonical": canonical_residual(t),
+            "pde": pde_residual(m, t),
+            "symmetry": max(_gap(t.Sk, np.swapaxes(t.Sk, 1, 2)), _gap(t.S0, t.S0.T)),
+        }
+        for (m, _), t in zip(cases, schwarzian_ofs(cases))
+    )
 
 
 def first_variation(m: MapSpec) -> dict[str, float]:
@@ -147,12 +195,13 @@ def identity_koebe(zeta) -> dict[str, float]:
     return {"gradient": _gap(grad_jacobian(g), -(n + 1) * np.conj(zeta))}
 
 
-def linear_invariance(m: MapSpec, zeta, seed: int = 0) -> dict[str, float]:
-    """How far the norm estimate of m's Koebe transform at zeta exceeds m's (0 if not)."""
-    probe = dict(r_max=0.7, shells=4, angular=10, starts=8, seed=seed)
-    est_f = schwarzian_norm_sup(m, **probe)
-    est_g = schwarzian_norm_sup(koebe_map(m, zeta), **probe)
-    return {"norm_excess": max(0.0, est_g.value - est_f.value)}
+def linear_invariance(cases, seed: int = 0) -> dict[str, float]:
+    """Largest excess of the norm estimate of m's Koebe transform at zeta over m's (0 if
+    none) over the (m, zeta) cases; both estimates of every case come from one lockstep sup."""
+    maps = [g for m, zeta in cases for g in (m, koebe_map(m, zeta))]
+    est = schwarzian_norm_sups(maps, r_max=0.7, shells=4, angular=10, starts=8, seed=seed)
+    return _largest({"norm_excess": max(0.0, g.value - f.value)}
+                    for f, g in zip(est[::2], est[1::2]))
 
 
 def bounds_grid(ns, alphas) -> dict[str, float]:

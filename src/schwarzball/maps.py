@@ -21,7 +21,12 @@ derivative reads these arrays: :func:`map_eval`, ``schwarzian_of``, the
 normalization, Koebe transforms and order functionals of :mod:`.family`,
 and the variational diagnostics.  Every row is computed by stacked matrix
 products and elementwise arithmetic only, so a point gives the same bits
-alone as in any batch.
+alone as in any batch.  Many maps share one call when their kinds match
+(:func:`_stack_key`): :func:`_derivative_chunks` gives each point the
+parameters of its own map, stacked per point in C-contiguous arrays (the
+term coefficients of polynomial maps of one monomial plan, the grids of
+Moebius maps of one dimension, and chains part by part), and a row again
+takes the bits of its map's own call.
 
 Every map can also be expanded into an exact Taylor jet about any admissible
 center, to any degree, by :func:`map_jet_at`; rational denominators are
@@ -188,15 +193,16 @@ def map_eval(m: MapSpec, z: Sequence[complex]) -> np.ndarray:
     return _derivatives(m, z[None], 0)[0][0]
 
 
-def _affine_forms(m: MoebiusMap, z: np.ndarray) -> np.ndarray:
-    """The forms l(z) = a (1, z) of a Moebius map at a stack of points, with l_0 tested.
+def _affine_forms(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The forms l(z) = a (1, z) of a Moebius grid at a stack of points, with l_0 tested.
 
-    The test is relative to the largest entry of the grid, so a grid and its
-    scalar multiples, which are one map, pass or fail together.
+    ``a`` is one grid or a C-contiguous stack of them, one per point.  The
+    test is relative to the largest entry of the point's grid, so a grid and
+    its scalar multiples, which are one map, pass or fail together.
     """
     w = np.concatenate((np.ones((len(z), 1)), z), axis=1)
-    l = (m.a @ w[:, :, None])[:, :, 0]
-    if np.any(np.abs(l[:, 0]) < 1e-14 * np.abs(m.a).max()):
+    l = (a @ w[:, :, None])[:, :, 0]
+    if np.any(np.abs(l[:, 0]) < 1e-14 * np.abs(a).max(axis=(-2, -1))):
         raise VanishingDenominatorError("Moebius denominator vanishes at the point")
     return l
 
@@ -270,42 +276,46 @@ def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
     return plan, weights * coeffs[terms]
 
 
-def _poly_derivatives(m: PolyMap, z: np.ndarray, order: int) -> list[np.ndarray]:
-    levels, size, rows, _, _, orders = m._plan
-    values = np.empty((len(z), size), dtype=complex)
+def _poly_derivatives(plan, coeffs: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
+    """Derivative arrays of polynomial maps of one plan: ``coeffs`` is one map's
+    weighted term coefficients (:func:`_poly_arrays`) or a stack of them, one per point."""
+    levels, size, rows, _, _, orders = plan
+    p, n = z.shape
+    values = np.empty((p, size), dtype=complex)
     values[:, 0] = 1.0
     for idx, parent, var in levels:
         values[:, idx] = values[:, parent] * z[:, var]
     count, present, starts, slots = orders[order]
-    n = m.n
-    cols = np.zeros((len(z), comb(n + order, order), n), dtype=complex)
+    cols = np.zeros((p, comb(n + order, order), n), dtype=complex)
     if count:  # each column sums its run of terms, one after another
-        terms = values[:, rows[:count], None] * m._coeffs[:count]
+        terms = values[:, rows[:count], None] * coeffs[..., :count, :]
         cols[:, present] = np.add.reduceat(terms, starts, axis=1)
-    cols = cols.reshape(len(z), -1)
+    cols = cols.reshape(p, cols.shape[1] * n)
     return [cols[:, slot] for slot in slots]
 
 
-def _moebius_derivatives(m: MoebiusMap, z: np.ndarray, order: int) -> list[np.ndarray]:
-    """F = L / l_0: with u = 1 / l_0, b the gradient of l_0 and beta = u b,
+def _moebius_derivatives(a: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
+    """Derivative arrays of a Moebius grid ``a``, or of a stack of grids, one per point.
+
+    F = L / l_0: with u = 1 / l_0, b the gradient of l_0 and beta = u b,
 
     DF = u (A - F b^T),  D^2F_ij = -(DF_i beta_j + DF_j beta_i),
     D^3F_ijk = -(D^2F_ij beta_k + D^2F_ik beta_j + D^2F_jk beta_i).
     """
-    l = _affine_forms(m, z)
+    l = _affine_forms(a, z)
     out = [l[:, 1:] / l[:, :1]]
-    b = m.a[0, 1:]
+    b = a[..., 0, 1:]
     u = 1.0 / l[:, :1]
     beta = u * b
     if order >= 1:
-        out.append(u[:, :, None] * (m.a[1:, 1:] - out[0][:, :, None] * b))
+        out.append(u[:, :, None] * (a[..., 1:, 1:] - out[0][:, :, None] * b[..., None, :]))
     if order >= 2:
         x = out[1][:, :, :, None] * beta[:, None, None, :]
         out.append(-(x + np.swapaxes(x, 2, 3)))
     if order >= 3:
         y = out[2][..., None] * beta[:, None, None, None, :]
         out.append(-(y + np.swapaxes(y, 3, 4) + y.transpose(0, 1, 4, 2, 3)))
-    return [np.ascontiguousarray(a) for a in out]
+    return [np.ascontiguousarray(d) for d in out]
 
 
 def _pull(t: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -313,7 +323,7 @@ def _pull(t: np.ndarray, d1: np.ndarray) -> np.ndarray:
     p, n = d1.shape[:2]
     last_to_third = (0, 1, t.ndim - 1) + tuple(range(2, t.ndim - 1))
     for _ in range(t.ndim - 2):
-        t = (t.reshape(p, -1, n) @ d1).reshape(t.shape).transpose(last_to_third)
+        t = (t.reshape(p, n ** (t.ndim - 2), n) @ d1).reshape(t.shape).transpose(last_to_third)
     return t
 
 
@@ -329,41 +339,91 @@ def _compose(f: list[np.ndarray], g: list[np.ndarray]) -> list[np.ndarray]:
     p, n = g[1].shape[:2]
     out.append(f[1] @ g[1])
     if len(f) > 2:
-        out.append(_pull(f[2], g[1]) + (f[1] @ g[2].reshape(p, n, -1)).reshape(g[2].shape))
+        out.append(_pull(f[2], g[1]) + (f[1] @ g[2].reshape(p, n, n * n)).reshape(g[2].shape))
     if len(f) > 3:
         # y[l, a, k] = D^2f_l(e_a, Dg e_k); mixed[l, x, i, j] = sum_a y[l, a, x] D^2g_a,ij
-        y = (f[2].reshape(p, -1, n) @ g[1]).reshape(p, n, n, n)
-        mixed = (np.swapaxes(y, 2, 3).reshape(p, -1, n) @ g[2].reshape(p, n, -1)).reshape(g[3].shape)
+        y = (f[2].reshape(p, n * n, n) @ g[1]).reshape(p, n, n, n)
+        mixed = (np.swapaxes(y, 2, 3).reshape(p, n * n, n) @ g[2].reshape(p, n, n * n)).reshape(g[3].shape)
         out.append(
             _pull(f[3], g[1])
             + mixed + mixed.transpose(0, 1, 3, 4, 2) + mixed.transpose(0, 1, 3, 2, 4)
-            + (f[1] @ g[3].reshape(p, n, -1)).reshape(g[3].shape)
+            + (f[1] @ g[3].reshape(p, n, n**3)).reshape(g[3].shape)
         )
     return [np.ascontiguousarray(a) for a in out]
 
 
-def _derivatives(m: MapSpec, z: np.ndarray, order: int) -> list[np.ndarray]:
+def _stack_key(m: MapSpec):
+    """Maps of one key take one derivative call, their parameters stacked per point:
+    polynomial maps of one :func:`_monomial_plan` object, Moebius maps of one
+    dimension, and chains whose parts match part by part."""
+    if isinstance(m, PolyMap):
+        return "poly", id(m._plan)
+    if isinstance(m, MoebiusMap):
+        return "moebius", m.n
+    if isinstance(m, CompositionMap):
+        return tuple(_stack_key(part) for part in m.maps)
+    raise DimensionError(f"not a map spec: {type(m).__name__}")
+
+
+def _stacked_params(maps: Sequence[MapSpec], owner: np.ndarray):
+    """Parameters of maps of one :func:`_stack_key` for a stack of points: point q
+    gets those of ``maps[owner[q]]``, in C-contiguous arrays, so each point's
+    matrix products take the bits of its map's own call."""
+    if isinstance(maps[0], CompositionMap):
+        return tuple(_stacked_params([m.maps[i] for m in maps], owner)
+                     for i in range(len(maps[0].maps)))
+    own = [m._coeffs for m in maps] if isinstance(maps[0], PolyMap) else [m.a for m in maps]
+    return np.stack(own)[owner]
+
+
+def _derivatives(m: MapSpec, z: np.ndarray, order: int, params=None) -> list[np.ndarray]:
     """[F, DF, ..., D^order F] at a stack of points ``z`` of shape (p, n), order <= 3.
 
     Entry [q, l, i_1, ..., i_k] of the k-th array is d^k f_l / dz_{i_1} ... dz_{i_k}
-    at z[q].  Raises VanishingDenominatorError where a Moebius denominator
-    vanishes and, for order >= 1, SingularDifferentialError where DF of a part
-    or of the whole map fails :func:`check_nonsingular`, as :func:`map_jet_at`
-    does at each point.
+    at z[q].  With ``params`` from :func:`_stacked_params`, point q is taken
+    by its own map of m's :func:`_stack_key` instead of m; row q equals that
+    map's own call bit for bit.  Raises VanishingDenominatorError where a
+    Moebius denominator vanishes and, for order >= 1,
+    SingularDifferentialError where DF of a part or of the whole map fails
+    :func:`check_nonsingular`, as :func:`map_jet_at` does at each point.
     """
     if isinstance(m, PolyMap):
-        out = _poly_derivatives(m, z, order)
+        out = _poly_derivatives(m._plan, m._coeffs if params is None else params, z, order)
     elif isinstance(m, MoebiusMap):
-        out = _moebius_derivatives(m, z, order)
+        out = _moebius_derivatives(m.a if params is None else params, z, order)
     elif isinstance(m, CompositionMap):
-        out = _derivatives(m.maps[-1], z, order)
-        for part in m.maps[-2::-1]:
-            out = _compose(_derivatives(part, out[0], order), out)
+        parts = (None,) * len(m.maps) if params is None else params
+        out = _derivatives(m.maps[-1], z, order, parts[-1])
+        for part, own in zip(m.maps[-2::-1], parts[-2::-1]):
+            out = _compose(_derivatives(part, out[0], order, own), out)
     else:
         raise DimensionError(f"not a map spec: {type(m).__name__}")
     if order:
         check_nonsingular(out[1], "map at the point")
     return out
+
+def _derivative_chunks(cases, order: int, cap: int):
+    """Derivative arrays of (map, points (p_i, n)) cases, one call per :func:`_stack_key`
+    group and per ``cap`` of its points.
+
+    Yields (rows, [F, ..., D^order F]) per call, ``rows`` the positions of its
+    points among all the cases' points in case order.  Each row equals its
+    map's own call bit for bit (:func:`_derivatives`).
+    """
+    counts = [len(z) for _, z in cases]
+    offsets = np.cumsum([0] + counts)
+    groups: dict = {}
+    for i, (m, _) in enumerate(cases):
+        groups.setdefault(_stack_key(m), []).append(i)
+    for members in groups.values():
+        maps = [cases[i][0] for i in members]
+        z = np.concatenate([cases[i][1] for i in members])
+        rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
+        owner = np.repeat(np.arange(len(members)), [counts[i] for i in members])
+        for lo in range(0, len(z), cap):
+            part = slice(lo, lo + cap)
+            params = None if len(maps) == 1 else _stacked_params(maps, owner[part])
+            yield rows[part], _derivatives(maps[0], z[part], order, params)
 
 
 # -- jet expansion ------------------------------------------------------------
@@ -429,7 +489,7 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
         factors = [Jet.variable(n, d, k, center=zeta[k]) for k in range(n)]
         jv = JetVector(_substitute(m.components, factors, n, d))
     elif isinstance(m, MoebiusMap):
-        l = _affine_forms(m, zeta[None])[0]
+        l = _affine_forms(m.a, zeta[None])[0]
         jv = _rational_jet(l[1:], m.a[1:, 1:], l[0], m.a[0, 1:], d)
     elif isinstance(m, CompositionMap):
         jv = map_jet_at(m.maps[-1], zeta, d)

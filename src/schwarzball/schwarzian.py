@@ -14,10 +14,13 @@ Both are computed from the derivative arrays DF, D^2F and D^3F at the point,
 by one assembly with a leading point axis.  :func:`schwarzian_of`, the
 production route, takes a point or a stack of points and reads the arrays
 straight from the map kind (``maps._derivatives``), with no jets; a row of
-a stack equals the same point alone, bit for bit.  :func:`schwarzian_at`
-reads them from a Taylor jet; it serves :func:`chain_rule_transform` and
-the jet oracles in :mod:`.checks`.  The log-derivatives of JF come from
-Jacobi's formula,
+a stack equals the same point alone, bit for bit.  :func:`schwarzian_ofs`
+builds the tensors of many (map, points) cases with one derivative call and
+one assembly per map kind and plan, in calls of at most ``ROW_ENTRIES``
+order-3 entries, and each case gets what :func:`schwarzian_of`, its one-map
+case, gives.  :func:`schwarzian_at` reads them from a Taylor jet; it serves
+:func:`chain_rule_transform` and the jet oracles in :mod:`.checks`.  The
+log-derivatives of JF come from Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -41,9 +44,20 @@ import numpy as np
 
 from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
-from .maps import MapSpec, _derivatives, check_nonsingular, map_dim, map_jet_at
+from .maps import (
+    MapSpec,
+    _derivative_chunks,
+    _derivatives,
+    check_nonsingular,
+    map_dim,
+    map_jet_at,
+)
 
 MIN_JET_DEGREE = 3
+# entries of the order-3 array (rows times n^4) of one derivative call of a
+# grouped tensor build: 2^14 complex entries are 256 KiB, 1024 rows at n = 2,
+# 202 at n = 3 and 4 at n = 8 (a verify moebius map has 20 points)
+ROW_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,12 +96,12 @@ def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray
     count, n = d1.shape[:2]
     dinv = np.linalg.inv(d1)
     # m[k, i, j] = (DF^{-1} d_i DF)_kj; Jacobi's formula gives the log-derivatives of JF
-    m = (dinv @ d2.reshape(count, n, -1)).reshape(d2.shape)
-    third = (dinv @ d3.reshape(count, n, -1)).reshape(d3.shape)
+    m = (dinv @ d2.reshape(count, n, n * n)).reshape(d2.shape)
+    third = (dinv @ d3.reshape(count, n, n**3)).reshape(d3.shape)
     glog = sum(m[:, k, :, k] for k in range(n))
     mi = np.swapaxes(m, 1, 2)  # mi[i] = DF^{-1} d_i DF
     # traces[i, j] = tr(mi[i] mi[j]), as products of flattened matrices
-    traces = mi.reshape(count, n, -1) @ np.swapaxes(mi, 2, 3).reshape(count, n, -1).swapaxes(1, 2)
+    traces = mi.reshape(count, n, n * n) @ np.swapaxes(mi, 2, 3).reshape(count, n, n * n).swapaxes(1, 2)
     hlog = sum(third[:, k, :, :, k] for k in range(n)) - traces
 
     p = -1.0 / (n + 1)
@@ -128,24 +142,82 @@ def schwarzian_at(jv: JetVector, z=None) -> SchwarzianTensor:
     return SchwarzianTensor(z=z, Sk=sk[0], S0=s0[0])
 
 
-def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
-    """Schwarzian tensor of the map at a point ``z`` (n,) or at a stack of points (p, n).
-
-    The derivative arrays come straight from the map kind, with no jets; a
-    stack gives tensors with a leading point axis, each row equal to its
-    point's single call.
-    """
+def _points(m: MapSpec, z) -> np.ndarray:
+    """``z`` as a complex point (n,) or stack of points (p, n) of the map's dimension n >= 2."""
     z = np.asarray(z, dtype=complex)
     n = map_dim(m)
     if z.ndim not in (1, 2) or z.shape[-1] != n:
         raise DimensionError("point dimension does not match map dimension")
     if n < 2:
         raise DimensionError("Schwarzian tensors require n >= 2")
-    _, d1, d2, d3 = _derivatives(m, z.reshape(-1, n), MIN_JET_DEGREE)
-    sk, s0 = _tensors(d1, d2, d3)
+    return z
+
+
+def _tensor(z: np.ndarray, sk: np.ndarray, s0: np.ndarray) -> SchwarzianTensor:
+    """The tensor at a point or a stack of points from its rows of S^k and S^0."""
     if z.ndim == 1:
         return SchwarzianTensor(z=z, Sk=sk[0], S0=s0[0])
     return SchwarzianTensor(z=z, Sk=sk, S0=s0)
+
+
+def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
+    """Schwarzian tensor of the map at a point ``z`` (n,) or at a stack of points (p, n).
+
+    The derivative arrays come straight from the map kind, with no jets; a
+    stack gives tensors with a leading point axis, each row equal to its
+    point's single call, and an empty stack (0, n) gives empty tensors.
+    """
+    z = _points(m, z)
+    _, d1, d2, d3 = _derivatives(m, z.reshape(-1, z.shape[-1]), MIN_JET_DEGREE)
+    return _tensor(z, *_tensors(d1, d2, d3))
+
+
+def _row_cap(n: int) -> int:
+    """Rows of one derivative call of :func:`_stacked_tensors` at dimension n."""
+    return max(ROW_ENTRIES // n**4, 1)
+
+
+def _stacked_tensors(cases) -> tuple[np.ndarray, np.ndarray]:
+    """S^k and S^0 of (map, points (p_i, n)) cases of one dimension n, stacked in case order.
+
+    One derivative call and one assembly per map kind and plan
+    (``maps._stack_key``) and per :func:`_row_cap` rows; row q equals the
+    single call of its map at its point bit for bit.
+    """
+    n = cases[0][1].shape[1]
+    chunks = [(rows, *_tensors(*d[1:]))
+              for rows, d in _derivative_chunks(cases, MIN_JET_DEGREE, _row_cap(n))]
+    total = sum(len(z) for _, z in cases)
+    if len(chunks) == 1 and len(chunks[0][0]) == total:  # one call, rows in order
+        return chunks[0][1:]
+    sk, s0 = np.empty((total, n, n, n), dtype=complex), np.empty((total, n, n), dtype=complex)
+    for rows, sk_part, s0_part in chunks:
+        sk[rows], s0[rows] = sk_part, s0_part
+    return sk, s0
+
+
+def schwarzian_ofs(cases) -> list[SchwarzianTensor]:
+    """Schwarzian tensors of many (map, z) cases, z a point or a stack of points.
+
+    Entry i equals ``schwarzian_of`` of case i bit for bit.  The cases are
+    grouped by dimension, map kind and plan, so each group takes one
+    derivative call and one tensor assembly, split so that a call's order-3
+    array holds at most ``ROW_ENTRIES`` entries.  An empty list gives [].
+    """
+    cases = [(m, _points(m, z)) for m, z in cases]
+    by_dim: dict[int, list[int]] = {}
+    for i, (_, z) in enumerate(cases):
+        by_dim.setdefault(z.shape[-1], []).append(i)
+    out: list = [None] * len(cases)
+    for n, members in by_dim.items():
+        sk, s0 = _stacked_tensors([(cases[i][0], cases[i][1].reshape(-1, n)) for i in members])
+        lo = 0
+        for i in members:
+            z = cases[i][1]
+            hi = lo + (len(z) if z.ndim == 2 else 1)
+            out[i] = _tensor(z, sk[lo:hi], s0[lo:hi])
+            lo = hi
+    return out
 
 
 def canonical_residual(t: SchwarzianTensor) -> float:

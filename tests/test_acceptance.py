@@ -47,12 +47,12 @@ def report(num, name, passed, detail=""):
 def test_criterion_01_moebius_vanishing():
     started = time.time()
     rng = np.random.default_rng(101)
-    worst = 0.0
+    cases = []
     for n in (2, 3):
         for _ in range(100):
             m = random_moebius(n, rng)
-            for _ in range(20):
-                worst = max(worst, *checks.moebius_vanishing(m, random_ball_point(n, rng, 0.9)).values())
+            cases += [(m, random_ball_point(n, rng, 0.9)) for _ in range(20)]
+    worst = max(checks.moebius_vanishing(cases).values())
     elapsed = time.time() - started
     report(
         1, "moebius-vanishing",
@@ -68,7 +68,7 @@ def test_criterion_02_chain_rule():
          random_ball_point(2, rng, 0.3))
         for _ in range(50)
     ]
-    worst = max(checks.worst(checks.chain_rule, cases).values())
+    worst = max(checks.chain_rule(cases).values())
     report(2, "chain-rule", worst <= 1e-9, f"max gap = {worst:.3e} (tol 1e-9)")
 
 
@@ -95,7 +95,7 @@ def test_criterion_04_canonical_and_pde():
             cases.append(
                 (random_normalized_polymap(n, rng, scale=0.1), random_ball_point(n, rng, 0.4))
             )
-    worst = checks.worst(checks.canonical_and_pde, cases)
+    worst = checks.canonical_and_pde(cases)
     worst_canon, worst_pde = worst["canonical"], worst["pde"]
     report(
         4, "canonical-form-and-pde-solution",

@@ -75,3 +75,29 @@ def test_label_medians_per_side():
     runs = [{"a": 1.0, "b": 4.0}, {"a": 3.0, "b": 5.0}, {"a": 2.0}]
     assert bench_pairs.label_medians(runs) == {"a": 2.0, "b": 4.5}
     assert bench_pairs.label_medians([]) == {}
+
+
+def test_labels_in_ref_scale_by_the_runs_reference_rate():
+    metrics = {"jobs_per_s": 20.0, "jobs_per_kref": 40.0}  # 0.5 ref per ms
+    assert bench_pairs.labels_in_ref({"a": 4.0, "b": 10.0}, metrics) == {"a": 2.0, "b": 5.0}
+    # a run twice as fast in ms but with the same reference time per job reads the same
+    fast = {"jobs_per_s": 40.0, "jobs_per_kref": 40.0}
+    assert bench_pairs.labels_in_ref({"a": 2.0, "b": 5.0}, fast) == {"a": 2.0, "b": 5.0}
+    assert bench_pairs.labels_in_ref({"a": 1.0}, {"jobs_per_s": 1.0}) == {}
+    assert bench_pairs.labels_in_ref({"a": 1.0}, {"jobs_per_kref": 1.0}) == {}
+
+
+def test_collect_records_label_medians_in_ms_and_ref_units(monkeypatch):
+    # the parent runs at 1 ref per ms and the change at 2, with the same job in ms
+    rates = {"p": {"jobs_per_s": 10.0, "jobs_per_kref": 10.0},
+             "c": {"jobs_per_s": 10.0, "jobs_per_kref": 5.0}}
+
+    def fake_run(root, workload, seed, seconds, trace):
+        return {**rates[root], "failed": 0}, {}, {"job": 3.0}
+
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", "c")
+    runs, labels, _, traced = bench_pairs.collect("p", "cli", 1, 2, 1.0, False)
+    assert len(runs["parent"]) == len(runs["change"]) == 2 and traced is None
+    assert labels == {"parent": {"job": 3.0}, "change": {"job": 3.0},
+                      "parent_ref": {"job": 3.0}, "change_ref": {"job": 6.0}}

@@ -1,5 +1,7 @@
 """Bergman metric, norms, isometry, and the supremum optimizer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,9 @@ from schwarzball.bergman import (
     max_quadratic_image_norm,
     metric_at,
     schwarzian_norm_at,
+    NormEstimate,
     schwarzian_norm_sup,
+    schwarzian_norm_sups,
     schwarzian_norms_at,
 )
 from schwarzball.errors import DimensionError, OutsideDomainError
@@ -744,3 +748,62 @@ def test_hopf_quadratic_matches_symbolic_identity():
     code_a, code_b = _hopf_quadratic(hn[None])
     assert np.max(np.abs(code_a[0] - np.array(a.subs(subs), dtype=float))) <= 1e-14
     assert np.max(np.abs(code_b[0] - np.array(b.subs(subs), dtype=float).ravel())) <= 1e-14
+
+
+# -- many maps in one sup ----------------------------------------------------------
+
+
+def _fields(est):
+    """Every field of a NormEstimate, arrays as bytes."""
+    return [(f.name, v.tobytes() if isinstance(v, np.ndarray) else v)
+            for f in dataclasses.fields(NormEstimate) for v in [getattr(est, f.name)]]
+
+
+def test_lockstep_sups_equal_one_map_sups_in_every_field():
+    # the first map's norm lies far below the second's: one floor shared across
+    # the maps would drop every point of the first and change its estimate
+    for n in (2, 3):
+        rng = np.random.default_rng(60 + n)
+        maps = [shear(0.01, n), random_normalized_polymap(n, rng, scale=0.6),
+                random_moebius(n, rng),
+                CompositionMap((random_normalized_polymap(n, rng, scale=0.1),
+                                automorphism_from_center(random_ball_point(n, rng, 0.5)))),
+                random_normalized_polymap(n, rng, scale=1e-3)]
+        probe = dict(r_max=0.8, shells=3, angular=6, starts=4, refine=2, seed=3)
+        many = schwarzian_norm_sups(maps, **probe)
+        assert 0 < 100 * many[0].value < many[1].value
+        assert many[0].pruned < many[0].points  # the first map keeps points of its own
+        for m, est in zip(maps, many):
+            one = schwarzian_norm_sup(m, **probe)
+            assert _fields(est) == _fields(one)
+            assert est.points == 1 + 2 * 6 + 2 * 16
+        # and the maps' order does not matter
+        assert [_fields(e) for e in schwarzian_norm_sups(maps[::-1], **probe)] == [
+            _fields(e) for e in many[::-1]]
+
+
+def test_lockstep_sup_input_errors():
+    assert schwarzian_norm_sups([]) == []
+    with pytest.raises(DimensionError):
+        schwarzian_norm_sups([shear(0.3), shear(0.3, n=3)])
+    with pytest.raises(OutsideDomainError):
+        schwarzian_norm_sups([shear(0.3)], r_max=1.0)
+
+
+def test_one_kernel_call_per_lockstep_round(monkeypatch):
+    # every map's points of a round go to one kernel call, with one floor per map
+    calls = []
+    kernel = bergman._quad_norms
+
+    def counted_kernel(frame, starts, seed, max_iter, upper=None, floor=-np.inf):
+        calls.append((len(frame[0]), np.array(floor)))
+        return kernel(frame, starts, seed, max_iter, upper, floor)
+
+    monkeypatch.setattr(bergman, "_quad_norms", counted_kernel)
+    maps = [shear(0.1, 3), shear(0.5, 3), random_normalized_polymap(3, np.random.default_rng(7))]
+    est = schwarzian_norm_sups(maps, r_max=0.8, shells=3, angular=5, starts=4, refine=2)
+    assert [c[0] for c in calls] == [3 * 11, 3 * 16, 3 * 16]
+    floors = [c[1] for c in calls]
+    assert floors[0].shape == (3,) and np.all(floors[0] == -np.inf)
+    assert np.all(0 < floors[1]) and np.all(floors[1] <= floors[2])
+    assert np.all(floors[2] <= [e.value for e in est])

@@ -16,7 +16,9 @@ from schwarzball.maps import (
     MoebiusMap,
     PolyMap,
     _affine_jet,
+    _derivative_chunks,
     _derivatives,
+    _stack_key,
     _rational_jet,
     automorphism_from_center,
     automorphism_validate,
@@ -309,3 +311,85 @@ def test_poly_derivative_rows_equal_single_point_calls():
                 for q, z in enumerate(points):
                     one = _derivatives(m, z[None], order)
                     assert [a[q].tobytes() for a in batch] == [a[0].tobytes() for a in one]
+
+
+def _mixed_maps(n, rng):
+    """Maps of every stacking kind: two polynomial plans, Moebius grids, and
+    chains of a polynomial map after an automorphism."""
+    sparse = [PolyMap(n, [{tuple(int(k == i) for k in range(n)): 1.0,
+                           tuple(2 * int(k == n - 1 - i) for k in range(n)): c} for i in range(n)])
+              for c in (0.3, -0.2j)]
+    chains = [CompositionMap((random_normalized_polymap(n, rng),
+                              automorphism_from_center(random_ball_point(n, rng, 0.5))))
+              for _ in range(2)]
+    return ([random_normalized_polymap(n, rng) for _ in range(3)] + sparse
+            + [random_moebius(n, rng) for _ in range(3)]
+            + [automorphism_from_center([0.3] + [0.0] * (n - 1))] + chains)
+
+
+def test_stack_keys_group_plans_grids_and_chains():
+    rng = np.random.default_rng(20)
+    maps = _mixed_maps(2, rng)
+    keys = [_stack_key(m) for m in maps]
+    assert len(set(keys[:3])) == 1  # one plan object for one exponent set
+    assert len(set(keys[3:5])) == 1 and keys[3] != keys[0]
+    assert len(set(keys[5:9])) == 1  # every Moebius grid of one n
+    assert len(set(keys[9:])) == 1 and keys[9] == (keys[0], keys[5])
+    assert _stack_key(random_moebius(3, rng)) != keys[5]
+
+
+def test_stacked_derivative_rows_equal_each_maps_own_call():
+    # byte for byte: rows of many maps in one call per key, split at a row
+    # cap smaller than a group, take the bits of each map's own call
+    rng = np.random.default_rng(21)
+    for n in (2, 3):
+        maps = _mixed_maps(n, rng)
+        cases = [(m, np.array([random_ball_point(n, rng, 0.8) for _ in range(q % 4)]))
+                 for q, m in enumerate(maps * 2)]
+        cases = [(m, z.reshape(-1, n)) for m, z in cases]
+        flat = [(m, point[None]) for m, z in cases for point in z]  # row q's map and point
+        for order in range(4):
+            seen = np.zeros(len(flat), dtype=bool)
+            calls = 0
+            for rows, arrays in _derivative_chunks(cases, order, cap=5):
+                calls += 1
+                assert len(rows) <= 5 and not seen[rows].any()
+                seen[rows] = True
+                for r, q in enumerate(rows):
+                    own = _derivatives(*flat[q], order)
+                    assert [a[r].tobytes() for a in arrays] == [a[0].tobytes() for a in own]
+            assert seen.all() and calls >= 4
+
+
+def test_empty_point_stacks_give_empty_derivative_arrays():
+    rng = np.random.default_rng(22)
+    for n in (2, 3):
+        for m in _mixed_maps(n, rng):
+            arrays = _derivatives(m, np.zeros((0, n), dtype=complex), 3)
+            assert [a.shape for a in arrays] == [(0,) + (n,) * (k + 1) for k in range(4)]
+    assert list(_derivative_chunks([(m, np.zeros((0, 2)))], 3, 4)) == []
+
+
+def test_stacked_call_still_rejects_a_singular_differential():
+    # z -> (c z1^2, z2) is singular on z1 = 0; two maps of one plan share a call
+    fold, twin = (PolyMap(2, [{(2, 0): c}, {(0, 1): 1.0}]) for c in (1.0, 2.0))
+    assert _stack_key(fold) == _stack_key(twin)
+    cases = [(twin, np.array([[0.3, 0.1]])), (fold, np.array([[0.2, 0.1], [0.0, 0.4]]))]
+    with pytest.raises(SingularDifferentialError):
+        list(_derivative_chunks(cases, 1, 8))
+    pole = [(random_moebius(2, np.random.default_rng(1)), np.zeros((1, 2))),
+            (moebius_pole_at_e1(2), np.array([[1.0, 0.0]]))]
+    with pytest.raises(VanishingDenominatorError):
+        list(_derivative_chunks(pole, 0, 8))
+
+
+def test_stacked_denominator_test_is_relative_to_each_grid():
+    # l_0 = 1e-3 at the origin is far from vanishing for its own grid, though a
+    # huge grid in the same call would swamp it under one shared scale
+    small = np.eye(3, dtype=complex)
+    small[0, 0] = 1e-3
+    cases = [(MoebiusMap(small), np.zeros((1, 2))),
+             (MoebiusMap(1e30 * random_moebius(2, np.random.default_rng(2)).a), np.zeros((1, 2)))]
+    (rows, arrays), = _derivative_chunks(cases, 3, 8)
+    for q, (m, z) in enumerate(cases):
+        assert [a[q].tobytes() for a in arrays] == [a[0].tobytes() for a in _derivatives(m, z, 3)]

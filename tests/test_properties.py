@@ -77,7 +77,7 @@ def test_moebius_tensors_vanish_on_drawn_grids(n, perturbation, point):
 @given(n=dims, f_coeffs=cubic_coeffs, g_coeffs=cubic_coeffs, point=vectors)
 def test_chain_rule_on_drawn_cubic_pairs(n, f_coeffs, g_coeffs, point):
     f, g = normalized_cubic(f_coeffs, n), normalized_cubic(g_coeffs, n)
-    assert max(checks.chain_rule(f, g, ball_point(point, n, 0.3)).values()) <= 1e-9
+    assert max(checks.chain_rule([(f, g, ball_point(point, n, 0.3))]).values()) <= 1e-9
 
 
 @settings(max_examples=25)

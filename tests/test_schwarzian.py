@@ -23,13 +23,17 @@ from schwarzball.maps import (
     random_moebius,
     random_normalized_polymap,
 )
+from schwarzball import maps
 from schwarzball.schwarzian import (
+    ROW_ENTRIES,
     SchwarzianTensor,
+    _row_cap,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
     schwarzian_at,
     schwarzian_of,
+    schwarzian_ofs,
 )
 
 from helpers import quadratic_image, unitary_automorphism
@@ -53,12 +57,11 @@ def pde_at(m, z):
 
 def test_moebius_tensor_vanishes():
     rng = np.random.default_rng(0)
-    worst = 0.0
+    cases = []
     for _ in range(25):
         m = random_moebius(2, rng)
-        for _ in range(4):
-            worst = max(worst, *checks.moebius_vanishing(m, random_ball_point(2, rng, 0.9)).values())
-    assert worst <= 1e-8
+        cases += [(m, random_ball_point(2, rng, 0.9)) for _ in range(4)]
+    assert max(checks.moebius_vanishing(cases).values()) <= 1e-8
 
 
 def test_shear_tensor_closed_form():
@@ -127,7 +130,7 @@ def test_chain_rule_matches_direct_composition():
          random_ball_point(2, rng, 0.3))
         for _ in range(10)
     ]
-    assert max(checks.worst(checks.chain_rule, cases).values()) <= 1e-9
+    assert max(checks.chain_rule(cases).values()) <= 1e-9
 
 
 def test_chain_rule_base_point_mismatch():
@@ -162,10 +165,10 @@ def test_canonical_residual_examples():
     assert canonical_residual(schwarzian_of(moebius_pole_at_e1(2), np.zeros(2))) <= 1e-14
     assert canonical_residual(schwarzian_of(shear_a(0.4), np.zeros(2))) <= 1e-14
     rng = np.random.default_rng(3)
-    for _ in range(10):
-        f = random_normalized_polymap(2, rng, scale=0.12)
-        res = checks.canonical_and_pde(f, random_ball_point(2, rng, 0.4))
-        assert res["canonical"] <= 1e-10 and res["symmetry"] == 0
+    cases = [(random_normalized_polymap(2, rng, scale=0.12), random_ball_point(2, rng, 0.4))
+             for _ in range(10)]
+    res = checks.canonical_and_pde(cases)
+    assert res["canonical"] <= 1e-10 and res["symmetry"] == 0
 
 
 def test_pde_residual_examples():
@@ -412,3 +415,101 @@ def test_tensors_match_symbolic_definition():
         t = schwarzian_of(m, np.array(point))
         assert np.max(np.abs(t.Sk - sk)) <= 1e-12
         assert np.max(np.abs(t.S0 - s0)) <= 1e-12
+
+
+# -- many maps per tensor call ---------------------------------------------------
+
+
+def _same_tensor(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in ((a.z, b.z), (a.Sk, b.Sk), (a.S0, b.S0)))
+
+
+def _mixed_cases(n, rng, points):
+    """Cases of every stacking kind, each with a point, a stack or an empty stack."""
+    sparse = PolyMap(n, [{tuple(int(k == i) for k in range(n)): 1.0,
+                          tuple(2 * int(k == n - 1 - i) for k in range(n)): 0.3} for i in range(n)])
+    kinds = [lambda: random_normalized_polymap(n, rng), lambda: sparse,
+             lambda: random_moebius(n, rng),
+             lambda: automorphism_from_center(random_ball_point(n, rng, 0.5)),
+             lambda: CompositionMap((random_normalized_polymap(n, rng),
+                                     automorphism_from_center(random_ball_point(n, rng, 0.5))))]
+    cases = []
+    for q in range(15):
+        count = [1, points, 0][q % 3]
+        z = np.array([random_ball_point(n, rng, 0.8) for _ in range(count)]).reshape(count, n)
+        cases.append((kinds[q % 5](), z[0] if q % 3 == 0 else z))
+    return cases
+
+
+def test_grouped_tensors_equal_single_calls_byte_for_byte():
+    rng = np.random.default_rng(30)
+    for n in (2, 3):
+        cases = _mixed_cases(n, rng, 7)
+        for (m, z), t in zip(cases, schwarzian_ofs(cases)):
+            assert _same_tensor(t, schwarzian_of(m, z))
+            for q in range(len(z) if z.ndim == 2 else 0):  # and each point alone
+                one = schwarzian_of(m, z[q])
+                assert t.Sk[q].tobytes() == one.Sk.tobytes()
+                assert t.S0[q].tobytes() == one.S0.tobytes()
+    assert schwarzian_ofs([]) == []
+
+
+def test_grouped_tensors_split_above_the_row_cap(monkeypatch):
+    # one derivative call per kind and plan and per row cap, whatever the
+    # number of maps; rows of a split group still equal the single calls
+    n = 3
+    cap = _row_cap(n)
+    assert cap == ROW_ENTRIES // n**4 and _row_cap(64) == 1
+    calls = []
+    derivatives = maps._derivatives
+
+    def counted(m, z, order, params=None):
+        calls.append((type(m).__name__, len(z)))
+        return derivatives(m, z, order, params)
+
+    monkeypatch.setattr(maps, "_derivatives", counted)
+    rng = np.random.default_rng(31)
+    polys = [random_normalized_polymap(n, rng) for _ in range(3)]
+    grids = [random_moebius(n, rng) for _ in range(40)]
+    cases = ([(m, np.array([random_ball_point(n, rng, 0.8) for _ in range(2)])) for m in polys]
+             + [(m, np.array([random_ball_point(n, rng, 0.8) for _ in range(10)])) for m in grids])
+    out = schwarzian_ofs(cases)
+    moebius_rows = 40 * 10
+    assert moebius_rows > cap
+    assert calls == [("PolyMap", 6)] + [("MoebiusMap", min(cap, moebius_rows - lo))
+                                        for lo in range(0, moebius_rows, cap)]
+    monkeypatch.undo()
+    for (m, z), t in zip(cases, out):
+        assert _same_tensor(t, schwarzian_of(m, z))
+
+
+def test_grouped_tensors_mix_dimensions():
+    rng = np.random.default_rng(32)
+    cases = _mixed_cases(2, rng, 3) + _mixed_cases(3, rng, 3)
+    for (m, z), t in zip(cases, schwarzian_ofs(cases)):
+        assert _same_tensor(t, schwarzian_of(m, z))
+    with pytest.raises(DimensionError):
+        schwarzian_ofs([(shear_a(0.3), [0.1, 0.2, 0.3])])
+
+
+@pytest.mark.parametrize("kind", ["poly", "moebius", "automorphism", "composition"])
+def test_empty_point_stack_gives_empty_tensors(kind):
+    rng = np.random.default_rng(33)
+    for n in (2, 3):
+        sigma = automorphism_from_center(random_ball_point(n, rng, 0.5))
+        m = {"poly": random_normalized_polymap(n, rng), "moebius": random_moebius(n, rng),
+             "automorphism": sigma,
+             "composition": CompositionMap((random_normalized_polymap(n, rng), sigma))}[kind]
+        empty = np.zeros((0, n))
+        for t in (schwarzian_of(m, empty), schwarzian_ofs([(m, empty), (m, empty)])[1]):
+            assert t.Sk.shape == (0, n, n, n) and t.S0.shape == (0, n, n) and t.z.shape == (0, n)
+
+
+def test_grouped_tensors_raise_for_a_singular_differential():
+    # z -> (c z1^2, z2) is singular on z1 = 0; its twin of one plan shares the call
+    fold, twin = (PolyMap(2, [{(2, 0): c}, {(0, 1): 1.0}]) for c in (1.0, 2.0))
+    with pytest.raises(SingularDifferentialError):
+        schwarzian_ofs([(twin, [0.3, 0.1]), (fold, np.array([[0.2, 0.1], [0.0, 0.4]]))])
+    with pytest.raises(VanishingDenominatorError):
+        schwarzian_ofs([(random_moebius(2, np.random.default_rng(4)), [0.1, 0.0]),
+                        (moebius_pole_at_e1(2), [1.0, 0.0])])

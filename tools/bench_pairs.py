@@ -18,7 +18,10 @@ pairs the change won (ties are not wins), the relative worsening of the
 median and the parent's interquartile range.  Quartiles are numpy linear
 percentiles.  Under ``labels`` it keeps, per side, the median over the runs
 of each job label's median latency in ms (``label_median_ms`` of run.py's
-``# info`` line), so the record shows which jobs moved.  An existing record
+``# info`` line), so the record shows which jobs moved, and next to it
+(``parent_ref``, ``change_ref``) the same medians in ref units: each run's
+label latencies times its ``jobs_per_s / jobs_per_kref``, so a drift of the
+machine's speed between the runs does not read as a move.  An existing record
 is updated in place: entries for other workloads and seeds are kept, and the
 entry for this one is replaced.
 """
@@ -45,7 +48,9 @@ DESCRIPTION = (
     "change first when i is even; each side runs from its own checkout of the same benchmark "
     "files. Quartiles are numpy linear percentiles over the runs of one side; change_wins "
     "counts the pairs in which the change is strictly better. labels holds, per side, the "
-    "median over the runs of each job label's median latency in ms."
+    "median over the runs of each job label's median latency in ms (parent, change) and in "
+    "ref units (parent_ref, change_ref: each run's label latency in ms times its "
+    "jobs_per_s / jobs_per_kref)."
 )
 
 
@@ -143,6 +148,18 @@ def label_medians(runs_labels: list[dict]) -> dict:
             for name in names}
 
 
+def labels_in_ref(labels: dict, metrics: dict) -> dict:
+    """A run's job-label latencies in ref units: ms times the run's ``jobs_per_s / jobs_per_kref``.
+
+    That ratio is the run's reference units per ms, so the result is what the
+    ``_ref`` metrics measure.  {} when the run lacks either rate.
+    """
+    if not metrics.get("jobs_per_kref") or "jobs_per_s" not in metrics:
+        return {}
+    scale = metrics["jobs_per_s"] / metrics["jobs_per_kref"]
+    return {name: ms * scale for name, ms in labels.items()}
+
+
 def run_side(root: str, workload: str, seed: int, seconds: float,
              trace: int) -> tuple[dict, dict, dict]:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
@@ -192,7 +209,7 @@ def collect(parent_root: str, workload: str, seed: int, pairs: int, seconds: flo
             layers: bool) -> tuple[dict, dict, dict, dict | None]:
     sides = {"parent": parent_root, "change": ROOT}
     runs: dict = {"parent": [], "change": []}
-    labels: dict = {"parent": [], "change": []}
+    labels: dict = {"parent": [], "change": [], "parent_ref": [], "change_ref": []}
     environment: dict = {}
     for i in range(1, pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
@@ -200,6 +217,7 @@ def collect(parent_root: str, workload: str, seed: int, pairs: int, seconds: flo
             metrics, environment, run_labels = run_side(sides[side], workload, seed, seconds, 0)
             runs[side].append(metrics)
             labels[side].append(run_labels)
+            labels[f"{side}_ref"].append(labels_in_ref(run_labels, metrics))
             print(f"pair {i} {side}: " + json.dumps(
                 {k: metrics[k] for k in ("jobs_per_kref", "failed") if k in metrics}),
                 file=sys.stderr)
