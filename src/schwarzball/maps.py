@@ -555,8 +555,11 @@ def automorphism_validate(sigma: MoebiusMap) -> tuple[float, float, float]:
 
 def random_ball_point(n: int, rng: np.random.Generator, r_max: float = 0.9) -> np.ndarray:
     """Random point with |z| <= r_max, radially uniform enough for sampling duty."""
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    draws = rng.standard_normal(2 * n)  # real parts, then imaginary parts
+    v = draws[:n] + 1j * draws[n:]
+    # np.linalg.norm's sum on the complex array; contiguous slices of draws
+    # would round differently
+    v /= np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
     return v * (r_max * rng.random() ** (1.0 / (2 * n)))
 
 
@@ -565,15 +568,18 @@ def random_moebius(n: int, rng: np.random.Generator) -> MoebiusMap:
 
     The denominator row is kept close to the constant 1 so l_0 cannot vanish
     inside the sampling radius; grids with small determinant are resampled.
+    Each attempt takes its normals in one draw: the denominator row, the
+    constant column and the linear block, each real parts then imaginary
+    parts.
     """
     while True:
+        draws = rng.standard_normal(4 * n + 2 * n * n)
+        row, col, block = draws[:2 * n], draws[2 * n:4 * n], draws[4 * n:].reshape(2, n, n)
         a = np.zeros((n + 1, n + 1), dtype=complex)
         a[0, 0] = 1.0
-        a[0, 1:] = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
-        a[1:, 0] = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        a[1:, 1:] = np.eye(n) + 0.4 * (
-            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ) / np.sqrt(n)
+        a[0, 1:] = 0.2 * (row[:n] + 1j * row[n:]) / np.sqrt(n)
+        a[1:, 0] = 0.3 * (col[:n] + 1j * col[n:])
+        a[1:, 1:] = np.eye(n) + 0.4 * (block[0] + 1j * block[1]) / np.sqrt(n)
         if abs(np.linalg.det(a)) >= 0.05:
             return MoebiusMap(a)
 
@@ -583,13 +589,17 @@ def random_normalized_polymap(
     rng: np.random.Generator,
     scale: float = 0.1,
 ) -> PolyMap:
-    """Random cubic map with F(0) = 0, DF(0) = Id and small higher terms."""
+    """Random cubic map with F(0) = 0, DF(0) = Id and small higher terms.
+
+    The coefficients come from one draw: per component, per monomial of
+    degree 2 or 3, a real part then an imaginary part.
+    """
+    keys = [k for k in multi_indices(n, 3) if sum(k) >= 2]
+    draws = rng.standard_normal((n, len(keys), 2))
+    coeffs = (scale * (draws[..., 0] + 1j * draws[..., 1])).tolist()
     comps = []
-    for i in range(n):
+    for i, row in enumerate(coeffs):
         table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
-        for key in (k for k in multi_indices(n, 3) if sum(k) >= 2):
-            c = scale * (rng.standard_normal() + 1j * rng.standard_normal())
-            table[key] = c
+        table.update(zip(keys, row))
         comps.append(table)
     return PolyMap(n, comps)
-

@@ -8,6 +8,7 @@ import pytest
 from schwarzball import bergman, checks
 from schwarzball.bergman import (
     DEFAULT_MAX_ITER,
+    DEFAULT_STARTS,
     UPPER_SLACK,
     _ascend,
     _grad_and_hess,
@@ -370,6 +371,56 @@ def test_ascent_has_no_long_tail():
             _, _, converged, steps = _ascend(frame, 6, seed, DEFAULT_MAX_ITER)
             assert converged.all()
             assert steps.max() <= 150
+
+
+def _schwarzian_frames(n, maps, seed, points=10):
+    """Frames of cubic maps' Schwarzian tensors at points with |z| <= 0.85, near-Moebius to large."""
+    rng = np.random.default_rng(seed)
+    sk, zs = [], []
+    for i in range(maps):
+        m = random_normalized_polymap(n, rng, scale=(1e-3, 0.1, 0.3)[i % 3])
+        z = np.array([random_ball_point(n, rng, 0.85) for _ in range(points)])
+        sk.append(schwarzian_of(m, z).Sk)
+        zs.append(z)
+    return _tensors_at(np.concatenate(sk), np.concatenate(zs))[0]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_screen_starts_from_the_best_pool_directions(n, monkeypatch):
+    # with no step taken, a problem's value is its best start: the best of the
+    # START_POOL * k pool directions when screened, and the best of the pool's
+    # first k rows, the unscreened draws, when START_POOL is 1
+    frame = _schwarzian_frames(n, 3, 80 + n)
+    t, _, scale, _ = frame
+    k, seed = 6, 3
+    pool = np.random.default_rng(seed).standard_normal((bergman.START_POOL * k, 2 * n))
+    w = (pool[:, :n] + 1j * pool[:, n:]) / np.linalg.norm(pool, axis=1, keepdims=True)
+    val2 = np.sum(np.abs(np.einsum("pkij,ci,cj->pck", t, w, w)) ** 2, axis=2)
+    screened = _ascend(frame, k, seed, 0)[0]
+    monkeypatch.setattr(bergman, "START_POOL", 1)
+    plain = _ascend(frame, k, seed, 0)[0]
+    assert np.allclose(screened, np.sqrt(val2.max(axis=1)) * scale, rtol=1e-12, atol=0)
+    assert np.allclose(plain, np.sqrt(val2[:, :k].max(axis=1)) * scale, rtol=1e-12, atol=0)
+
+
+def test_screened_ascent_misses_no_more_maxima_than_the_unscreened(monkeypatch):
+    # a miss ends more than 1e-9 below a 256-start unscreened ascent; seeded
+    # n = 3, 4 Schwarzian frames, at the sup's probe starts (6) and the
+    # pointwise default (16).  Neither misses here: misses are rare at these
+    # starts (8 each in 7200 such problems at 6 starts), so this guards
+    # against a screen that loses maxima wholesale, not against rare ones
+    screened_pool = bergman.START_POOL
+    misses = {(starts, pool): 0 for starts in (6, DEFAULT_STARTS) for pool in (1, screened_pool)}
+    for n, maps in ((3, 4), (4, 2)):
+        frame = _schwarzian_frames(n, maps, 90 + n)
+        monkeypatch.setattr(bergman, "START_POOL", 1)
+        reference = _ascend(frame, 256, 0, DEFAULT_MAX_ITER)[0]
+        for starts, pool in misses:
+            monkeypatch.setattr(bergman, "START_POOL", pool)
+            value = _ascend(frame, starts, 0, DEFAULT_MAX_ITER)[0]
+            misses[starts, pool] += int(np.sum(value < reference * (1 - 1e-9)))
+    for starts in (6, DEFAULT_STARTS):
+        assert misses[starts, screened_pool] <= misses[starts, 1]
 
 
 def test_max_quadratic_image_norm_scale_equivariant():

@@ -26,6 +26,7 @@ from schwarzball.maps import (
     map_eval,
     map_jet_at,
     moebius_pole_at_e1,
+    multi_indices,
     random_ball_point,
     random_moebius,
     random_normalized_polymap,
@@ -393,3 +394,63 @@ def test_stacked_denominator_test_is_relative_to_each_grid():
     (rows, arrays), = _derivative_chunks(cases, 3, 8)
     for q, (m, z) in enumerate(cases):
         assert [a[q].tobytes() for a in arrays] == [a[0].tobytes() for a in _derivatives(m, z, 3)]
+
+
+# -- samplers: one draw per call keeps the stream of one draw per number -----
+
+
+def _frozen_ball_point(n, rng, r_max=0.9):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    return v * (r_max * rng.random() ** (1.0 / (2 * n)))
+
+
+def _frozen_moebius(n, rng):
+    while True:
+        a = np.zeros((n + 1, n + 1), dtype=complex)
+        a[0, 0] = 1.0
+        a[0, 1:] = 0.2 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(n)
+        a[1:, 0] = 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        a[1:, 1:] = np.eye(n) + 0.4 * (
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        ) / np.sqrt(n)
+        if abs(np.linalg.det(a)) >= 0.05:
+            return MoebiusMap(a)
+
+
+def _frozen_polymap(n, rng, scale=0.1):
+    comps = []
+    for i in range(n):
+        table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
+        for key in (k for k in multi_indices(n, 3) if sum(k) >= 2):
+            table[key] = scale * (rng.standard_normal() + 1j * rng.standard_normal())
+        comps.append(table)
+    return PolyMap(n, comps)
+
+
+# seeds whose first Moebius grid at n is resampled (none below 20000 at n = 5)
+_MOEBIUS_RESAMPLES = {2: 10056, 3: 2255, 4: 5128}
+
+
+def _poly_bytes(m):
+    return [(list(c), np.array(list(c.values())).tobytes()) for c in m.components]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_samplers_equal_their_per_number_draws_bit_for_bit(n):
+    # tobytes tells signed zeros apart; the generators' states must agree after
+    # every call, so later draws of a report do not move either
+    for seed in range(12):
+        old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r_max in (0.9, 0.5, 0.0):
+            assert _frozen_ball_point(n, old, r_max).tobytes() == random_ball_point(n, new, r_max).tobytes()
+        for _ in range(3):
+            assert _frozen_moebius(n, old).a.tobytes() == random_moebius(n, new).a.tobytes()
+        for scale in (0.1, 0.08, 1e-3, 0.0):
+            assert _poly_bytes(_frozen_polymap(n, old, scale)) == _poly_bytes(
+                random_normalized_polymap(n, new, scale))
+            assert old.bit_generator.state == new.bit_generator.state
+    if n in _MOEBIUS_RESAMPLES:  # a first grid below the determinant bound
+        old, new = (np.random.default_rng(_MOEBIUS_RESAMPLES[n]) for _ in range(2))
+        assert _frozen_moebius(n, old).a.tobytes() == random_moebius(n, new).a.tobytes()
+        assert old.bit_generator.state == new.bit_generator.state

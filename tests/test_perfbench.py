@@ -30,17 +30,33 @@ def test_tracer_wraps_and_restores_every_traced_binding(monkeypatch):
         sys.modules.pop("tracer", None)  # the harness module check_tracer imports
 
 
-def test_tiny_workloads_pass_their_own_checks(monkeypatch, tmp_path):
+@pytest.fixture
+def workloads(monkeypatch):
     # sys.path and sys.modules come back as they were; the module is registered
     # while the test runs because dataclasses look their module up there
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", os.path.join(_PERFBENCH, "workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setitem(sys.modules, spec.name, workloads)
-    spec.loader.exec_module(workloads)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tiny_workloads_pass_their_own_checks(workloads, tmp_path):
     for name in ("tensor", "norm", "cli"):
         w = workloads.build(name, seed=1, out_dir=str(tmp_path), tiny=True)
         for job in [w.warmup] + w.jobs:
             problem = job.check(job.run())
             assert problem is None, f"{name} {job.label}: {problem}"
+
+
+def test_norm_workload_n3_jobs_pass_their_own_checks(workloads):
+    # the tiny norm pass has no n = 3 job, so this is the one tier-1 run of the
+    # benchmark's n = 3 checks: the Frobenius bound, and the floor that replays
+    # schwarzian_norm_at at the sup's points, seed and starts
+    jobs = [job for job in workloads.norm(seed=1).jobs if job.label.endswith("-n3")]
+    assert len(jobs) == sum(workloads.NORM_MIX[3].values())
+    for job in jobs:
+        problem = job.check(job.run())
+        assert problem is None, f"{job.label}: {problem}"
