@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     BasePointMismatchError,
-    BranchCutError,
     CompositionCenterError,
     DimensionError,
     InfeasibleSearchError,
@@ -27,9 +26,7 @@ from .jets import (
     jet_compose,
     jet_det,
     jet_jacobian,
-    jet_log,
     jet_partial,
-    jet_pow,
     jet_reciprocal,
     multi_indices,
 )

@@ -29,15 +29,12 @@ from .maps import (
     _derivative_chunks,
     identity_map,
     map_dim,
-    map_jet_at,
 )
 from .schwarzian import (
-    MIN_JET_DEGREE,
+    _chain_rule,
     _row_cap,
     canonical_residual,
-    chain_rule_transform,
     pde_residual,
-    schwarzian_at,
     schwarzian_ofs,
 )
 from .variational import bounds_report, matrix_A
@@ -90,27 +87,34 @@ def moebius_vanishing(cases) -> dict[str, float]:
 
 def chain_rule(cases) -> dict[str, float]:
     """Largest gaps over the cases (f, g, z) or (f, g, z, moebius) between S(g o f)(z) by the
-    jet chain rule and by :func:`schwarzian_of` of the composition, and over the cases with
+    finite chain rule and by :func:`schwarzian_of` of the composition, and over the cases with
     a Moebius map, the largest gap ``moebius_post`` between the :func:`schwarzian_of`
     tensors S f(z) and S(moebius o f)(z).
 
-    The direct tensors of all the cases come from one grouped tensor call; the jet
-    chain rule, the oracle, runs case by case.
+    f(z), Df(z) and D^2f(z) come from one derivative call per map kind, every tensor (of the
+    compositions, of f at z, of g at f(z) and of the Moebius postcompositions) from one
+    grouped tensor call, and the rule is applied once per derivative call.
     """
     cases = [(f, g, np.asarray(z, dtype=complex).reshape(-1), *rest) for f, g, z, *rest in cases]
+    parts = list(_derivative_chunks([(f, z[None]) for f, _, z, *_ in cases], 2, max(len(cases), 1)))
+    w = {i: wi for rows, (value, _, _) in parts for i, wi in zip(rows, value)}
     post = [(f, z, moebius) for f, _, z, *rest in cases for moebius in rest]
-    direct = schwarzian_ofs([(CompositionMap((g, f)), z) for f, g, z, *_ in cases]
-                            + [(f, z) for f, z, _ in post]
-                            + [(CompositionMap((moebius, f)), z) for f, z, moebius in post])
+    count = len(cases)
+    tensors = schwarzian_ofs([(CompositionMap((g, f)), z) for f, g, z, *_ in cases]
+                             + [(f, z) for f, _, z, *_ in cases]
+                             + [(g, w[i]) for i, (_, g, *_) in enumerate(cases)]
+                             + [(CompositionMap((moebius, f)), z) for f, z, moebius in post])
+    direct, t_f, t_g = tensors[:count], tensors[count:2 * count], tensors[2 * count:3 * count]
     out = []
-    for (f, g, z, *_), t in zip(cases, direct):
-        jf = map_jet_at(f, z, MIN_JET_DEGREE)
-        w = jf.constants()
-        jg = map_jet_at(g, w, MIN_JET_DEGREE)
-        rule = chain_rule_transform(schwarzian_at(jf, z=z), schwarzian_at(jg, z=w), jf, jg)
-        out.append({"Sk": _gap(rule.Sk, t.Sk), "S0": _gap(rule.S0, t.S0)})
-    t_f, t_mf = direct[len(cases):len(cases) + len(post)], direct[len(cases) + len(post):]
-    out += [{"moebius_post": max(_gap(a.Sk, b.Sk), _gap(a.S0, b.S0))} for a, b in zip(t_f, t_mf)]
+    for rows, (_, d1, d2) in parts:
+        f_sk, f_s0, g_sk, g_s0 = (np.stack([getattr(t[i], name) for i in rows])
+                                  for t in (t_f, t_g) for name in ("Sk", "S0"))
+        sk, s0 = _chain_rule(f_sk, f_s0, g_sk, g_s0, d1, d2)
+        out += [{"Sk": _gap(a, direct[i].Sk), "S0": _gap(b, direct[i].S0)}
+                for i, a, b in zip(rows, sk, s0)]
+    t_post = [t for case, t in zip(cases, t_f) for _ in case[3:]]
+    out += [{"moebius_post": max(_gap(a.Sk, b.Sk), _gap(a.S0, b.S0))}
+            for a, b in zip(t_post, tensors[3 * count:])]
     return _largest(out)
 
 

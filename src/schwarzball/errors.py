@@ -13,10 +13,6 @@ class CompositionCenterError(SchwarzballError, ValueError):
     """Inner series of a composition has a nonzero constant term."""
 
 
-class BranchCutError(SchwarzballError, ValueError):
-    """log/pow constant term is zero or lies on the cut (-inf, 0]."""
-
-
 class SingularDifferentialError(SchwarzballError, ValueError):
     """Map differential is singular at the requested center."""
 

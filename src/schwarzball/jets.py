@@ -3,13 +3,13 @@
 A jet of degree ``d`` in ``n`` variables stores the coefficients of a Taylor
 expansion about some center for every monomial of total degree at most ``d``.
 All arithmetic here is exact modulo that truncation: sums, Cauchy products,
-formal partial derivatives, composition, principal-branch log/pow, and
-determinants of small jet matrices.  Jets are the independent oracle for the
-derivative arrays every production derivative reads (``maps._derivatives``):
-they serve the jet chain rule, ``pde_residual``, ``lemma31_check`` and
-``family.jet_grad_jacobian``, which read derivative arrays at the center
-through :meth:`Jet.derivatives` and :meth:`JetVector.derivatives`.  No
-numerical differencing is used anywhere.
+formal partial derivatives, composition, the reciprocal, and determinants of
+small jet matrices.  Jets are the independent oracle for the derivative
+arrays every production derivative reads (``maps._derivatives``): they serve
+``pde_residual``, ``lemma31_check`` and ``family.jet_grad_jacobian``, which
+read the Jacobian-determinant jet at the center through
+:meth:`Jet.derivatives`, and ``schwarzian_at``, which reads a map jet through
+:meth:`JetVector.derivatives`.  No numerical differencing is used anywhere.
 
 Multi-indices are plain tuples of non-negative ints (``exponents``); their
 total degree is ``sum(exponents)``.  Coefficient tables are dicts keyed by
@@ -17,7 +17,7 @@ such tuples with exact zeros dropped.  Values are immutable by convention:
 no public operation mutates its inputs.
 
 Products visit only the pairs of terms whose degrees add up to at most
-``d``.  Composition, the log/pow/reciprocal series and the recentering of
+``d``.  Composition, the reciprocal series and the recentering of
 polynomial maps (``maps.map_jet_at``) all put jets into a polynomial
 through :func:`_substitute`, which starts from the factors themselves,
 builds each higher monomial once per call, as its parent (one less in its
@@ -36,7 +36,6 @@ derivatives of polynomial maps (``maps._poly_derivatives``).
 
 from __future__ import annotations
 
-import cmath
 import functools
 import itertools
 import math
@@ -45,12 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    BranchCutError,
-    CompositionCenterError,
-    DimensionError,
-    VanishingDenominatorError,
-)
+from .errors import CompositionCenterError, DimensionError, VanishingDenominatorError
 
 MAX_VARS = 8
 
@@ -341,50 +335,19 @@ def jet_compose(outer: "JetVector", inner: Sequence[Jet]) -> "JetVector":
     return JetVector(_substitute([f.coeffs for f in outer], inner, n, d))
 
 
-def _check_off_cut(c: complex, what: str) -> complex:
-    c = complex(c)
-    if c == 0:
-        raise BranchCutError(f"{what}: constant term is zero")
-    if c.imag == 0 and c.real < 0:
-        raise BranchCutError(f"{what}: constant term {c} lies on the cut (-inf, 0]")
-    return c
-
-
-def _series(a: Jet, coeffs: Sequence[complex]) -> Jet:
-    """sum_k coeffs[k] u^k over k = 0..d, for u = a/a(0) - 1.
+def jet_reciprocal(a: Jet) -> Jet:
+    """1/a = (1/a(0)) sum_k (-u)^k over k = 0..d, for u = a/a(0) - 1; requires a(0) != 0.
 
     u has a zero constant term, so u^k vanishes beyond k = d and the finite
     sum is exact modulo truncation.
     """
-    u = a * (1.0 / a.constant_term)
-    u.coeffs.pop((0,) * a.n, None)
-    table = {(k,): complex(c) for k, c in enumerate(coeffs)}
-    return _substitute([table], [u], a.n, a.d)[0]
-
-
-def jet_log(a: Jet) -> Jet:
-    """Principal-branch logarithm of a jet with constant term off (-inf, 0]."""
-    c = _check_off_cut(a.constant_term, "jet_log")
-    return _series(a, [cmath.log(c)] + [((-1) ** (k + 1)) / k for k in range(1, a.d + 1)])
-
-
-def jet_pow(a: Jet, p: complex) -> Jet:
-    """Principal-branch power ``a**p`` for complex exponent ``p``."""
-    c = _check_off_cut(a.constant_term, "jet_pow")
-    p = complex(p)
-    # binomial coefficients binom(p, k), k = 0..d, as running products
-    binoms = itertools.accumulate(
-        ((p - (k - 1)) / k for k in range(1, a.d + 1)), operator.mul, initial=1.0 + 0j
-    )
-    return _series(a, list(binoms)) * cmath.exp(p * cmath.log(c))
-
-
-def jet_reciprocal(a: Jet) -> Jet:
-    """1/a via the finite geometric series; requires a(0) != 0 (no branch cut)."""
     c = a.constant_term
     if c == 0:
         raise VanishingDenominatorError("reciprocal of a jet with zero constant term")
-    return _series(a, [(-1.0) ** k for k in range(a.d + 1)]) * (1.0 / c)
+    u = a * (1.0 / c)
+    u.coeffs.pop((0,) * a.n, None)
+    table = {(k,): complex((-1.0) ** k) for k in range(a.d + 1)}
+    return _substitute([table], [u], a.n, a.d)[0] * (1.0 / c)
 
 
 # -- jet vectors and matrices ----------------------------------------------

@@ -32,8 +32,8 @@ Every map can also be expanded into an exact Taylor jet about any admissible
 center, to any degree, by :func:`map_jet_at`; rational denominators are
 expanded by a truncated geometric series, so no numerical differentiation is
 involved.  The jet route is an independent oracle only: ``pde_residual``,
-``chain_rule_transform``, the direct Hessian of ``lemma31_check`` and
-``family.jet_grad_jacobian`` read it.  A polynomial map is recentered by
+the direct Hessian of ``lemma31_check`` and ``family.jet_grad_jacobian``
+read it, through the Jacobian-determinant jet.  A polynomial map is recentered by
 putting the factors zeta_k + h_k into its components with the substitution
 routine of :mod:`.jets`, which builds each monomial (zeta + h)^e of degree
 >= 2 once and shares it across the components; a polynomial is not

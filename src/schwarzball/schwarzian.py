@@ -18,9 +18,8 @@ a stack equals the same point alone, bit for bit.  :func:`schwarzian_ofs`
 builds the tensors of many (map, points) cases with one derivative call and
 one assembly per map kind and plan, in calls of at most ``ROW_ENTRIES``
 order-3 entries, and each case gets what :func:`schwarzian_of`, its one-map
-case, gives.  :func:`schwarzian_at` reads them from a Taylor jet; it serves
-:func:`chain_rule_transform` and the jet oracles in :mod:`.checks`.  The
-log-derivatives of JF come from Jacobi's formula,
+case, gives.  :func:`schwarzian_at` reads them from a Taylor jet, a second
+route kept for the tests.  The log-derivatives of JF come from Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -30,9 +29,11 @@ property gives S^0 = p^2 g g^T + p H - sum_k S^k (p g)_k.  No power or
 logarithm of JF is taken, so the tensors are defined wherever DF is
 invertible, whatever the phase of JF.  ``pde_residual`` checks a
 :func:`schwarzian_of` tensor against u_0 derivatives from an independent
-jet route (a jet power of the Jacobian determinant) as a regression guard.
-Tensors vanish exactly on Moebius maps and obey the composition rule
-implemented in :func:`chain_rule_transform`.
+route (JF, grad JF and Hess JF off the Jacobian-determinant jet, and the
+scalar power rule) as a regression guard.  Tensors vanish exactly on
+Moebius maps and obey a finite composition rule in both blocks
+(:func:`_chain_rule`), which :func:`chain_rule_transform` and
+``checks.chain_rule`` apply with no composed jet.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasePointMismatchError, DimensionError
-from .jets import JetVector, jet_compose, jet_det, jet_jacobian, jet_pow
+from .jets import JetVector, jet_det, jet_jacobian
 from .maps import (
     MapSpec,
     _derivative_chunks,
@@ -86,6 +87,15 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _jacobi(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """DF^{-1}, m[q, k, i, j] = (DF^{-1} d_i DF)_kj and grad log JF = tr(DF^{-1} d_i DF)
+    (Jacobi's formula) from DF and D^2F, each with a leading point axis."""
+    count, n = d1.shape[:2]
+    dinv = np.linalg.inv(d1)
+    m = (dinv @ d2.reshape(count, n, n * n)).reshape(d2.shape)
+    return dinv, m, sum(m[:, k, :, k] for k in range(n))
+
+
 def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S^k and S^0 from DF, D^2F and D^3F, each with a leading point axis.
 
@@ -94,11 +104,8 @@ def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray
     used, so each point's result does not depend on the stack it is in.
     """
     count, n = d1.shape[:2]
-    dinv = np.linalg.inv(d1)
-    # m[k, i, j] = (DF^{-1} d_i DF)_kj; Jacobi's formula gives the log-derivatives of JF
-    m = (dinv @ d2.reshape(count, n, n * n)).reshape(d2.shape)
+    dinv, m, glog = _jacobi(d1, d2)
     third = (dinv @ d3.reshape(count, n, n**3)).reshape(d3.shape)
-    glog = sum(m[:, k, :, k] for k in range(n))
     mi = np.swapaxes(m, 1, 2)  # mi[i] = DF^{-1} d_i DF
     # traces[i, j] = tr(mi[i] mi[j]), as products of flattened matrices
     traces = mi.reshape(count, n, n * n) @ np.swapaxes(mi, 2, 3).reshape(count, n, n * n).swapaxes(1, 2)
@@ -221,9 +228,19 @@ def schwarzian_ofs(cases) -> list[SchwarzianTensor]:
 
 
 def canonical_residual(t: SchwarzianTensor) -> float:
-    """max_i |sum_j S^j_ij|, identically zero for genuine Schwarzian tensors."""
+    """max_i |sum_j S^j_ij|, identically zero for genuine Schwarzian tensors; for a stack
+    of points, the largest over its points (0 for an empty stack)."""
     n = t.n
-    return float(max(abs(sum(t.Sk[j, i, j] for j in range(n))) for i in range(n)))
+    return max((float(max(abs(sum(sk[j, i, j] for j in range(n))) for i in range(n)))
+                for sk in t.Sk.reshape((-1,) + t.Sk.shape[-3:])), default=0.0)
+
+
+def _jacobian_ratios(m: MapSpec, z: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
+    """JF(z), grad JF(z) / JF(z) and Hess JF(z) / JF(z), read off the Jacobian-determinant
+    jet of m about the point z: the jet route, independent of the derivative arrays."""
+    jf_jet = jet_det(jet_jacobian(map_jet_at(m, z, MIN_JET_DEGREE)))
+    jf = jf_jet.constant_term
+    return jf, jf_jet.derivatives(1) / jf, jf_jet.derivatives(2) / jf
 
 
 def pde_residual(m: MapSpec, t: SchwarzianTensor) -> float:
@@ -231,21 +248,44 @@ def pde_residual(m: MapSpec, t: SchwarzianTensor) -> float:
 
     In d^2_ij u_0 = sum_k S^k_ij d_k u_0 + S^0_ij u_0 the tensor is the one
     given (as :func:`schwarzian_of` builds it, from the derivative arrays of
-    the map kind) and the u_0 derivatives come from ``jet_pow`` applied to
-    the Jacobian-determinant jet of the map about t.z.  Nonzero output means
-    the two differentiation routes disagree.
+    the map kind) and u_0 = JF^p, p = -1/(n+1), is differentiated by the
+    scalar power rule from JF, grad JF and Hess JF at t.z, read off the
+    Jacobian-determinant jet of the map about t.z (:func:`_jacobian_ratios`).
+    Nonzero output means the two differentiation routes disagree.
     """
     z = t.z
     if z.ndim != 1:
         raise DimensionError("pde_residual checks the tensor at one point")
     p = -1.0 / (len(z) + 1)
-    jf_jet = jet_det(jet_jacobian(map_jet_at(m, z, MIN_JET_DEGREE)))
-    jf0 = jf_jet.constant_term
-    # (JF / JF(z))^p has constant term 1, off the cut; the scalar JF(z)^p
-    # restores the scale of u_0 on any branch
-    u0_jet = jet_pow(jf_jet * (1.0 / jf0), p) * cmath.exp(p * cmath.log(jf0))
-    rhs = np.einsum("kij,k->ij", t.Sk, u0_jet.derivatives(1)) + t.S0 * u0_jet.constant_term
-    return float(np.max(np.abs(u0_jet.derivatives(2) - rhs)))
+    jf, a, b = _jacobian_ratios(m, z)
+    # any branch of JF^p: the tensors depend only on the log-derivatives of JF
+    u0 = cmath.exp(p * cmath.log(jf))
+    du = p * u0 * a
+    d2u = p * u0 * ((p - 1) * np.outer(a, a) + b)
+    rhs = np.einsum("kij,k->ij", t.Sk, du) + t.S0 * u0
+    return float(np.max(np.abs(d2u - rhs)))
+
+
+def _chain_rule(sk_f: np.ndarray, s0_f: np.ndarray, sk_g: np.ndarray, s0_g: np.ndarray,
+                d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^k and S^0 of G o F at z from those of F at z, of G at F(z), and DF, D^2F at z,
+    each with a leading point axis.
+
+    With P^r = DF^T S^r G DF, p = -1/(n+1) and g = grad log JF (:func:`_jacobi`),
+
+        S^k(G o F) = S^k F + sum_r (DF^{-1})_kr P^r,
+        S^0(G o F) = S^0 F + DF^T S^0 G DF - p sum_k (DF^{-1} P)^k g_k,
+
+    because (u o F) JF^p solves the system of G o F whenever u solves that of G.
+    """
+    count, n = d1.shape[:2]
+    dinv, _, glog = _jacobi(d1, d2)
+    d1t = np.swapaxes(d1, 1, 2)
+    pulled = d1t[:, None] @ sk_g @ d1[:, None]
+    q = (dinv @ pulled.reshape(count, n, n * n)).reshape(pulled.shape)
+    p = -1.0 / (n + 1)
+    s0 = s0_f + d1t @ s0_g @ d1 - p * sum(q[:, k] * glog[:, k, None, None] for k in range(n))
+    return _symmetrize(sk_f + q), _symmetrize(s0)
 
 
 def chain_rule_transform(
@@ -256,28 +296,20 @@ def chain_rule_transform(
 ) -> SchwarzianTensor:
     """Schwarzian tensor of G o F at z from the tensors of F at z and G at F(z).
 
-    The k >= 1 matrices follow the composition rule
-
-        S^k_ij(G o F) = S^k_ij F + sum_{l,m,r} S^r_lm G (DF)_li (DF)_mj (DF^{-1})_kr,
-
-    applied to the tensors as given.  The S^0 block has no such finite rule,
-    so it is recomputed from the composed jet; ``jet_f`` supplies DF(z), the
-    base-point consistency check F(z) = t_g.z, and the composition input.
+    Both blocks follow the finite composition rule of :func:`_chain_rule`,
+    applied to the tensors as given.  Only F(z), DF(z) and D^2F(z) are read
+    from ``jet_f``: F(z) for the base-point consistency check F(z) = t_g.z,
+    DF and D^2F for the rule.  ``jet_g`` is checked for its dimension only.
     """
     n = t_f.n
     if t_g.n != n or jet_f.n != n or jet_g.n != n:
         raise DimensionError("chain rule inputs mix dimensions")
-    w = jet_f.constants()
-    if np.max(np.abs(w - t_g.z)) > 1e-9:
+    if np.max(np.abs(jet_f.constants() - t_g.z)) > 1e-9:
         raise BasePointMismatchError(
             "outer tensor base point does not equal F(z) from the inner jet"
         )
     df = jet_f.derivatives(1)
     check_nonsingular(df, "inner map in the chain rule")
-    dfinv = np.linalg.inv(df)
-    pulled = np.einsum("li,rlm,mj->rij", df, t_g.Sk, df)
-    sk = t_f.Sk + np.einsum("kr,rij->kij", dfinv, pulled)
-    sk = _symmetrize(sk)
-    composed = jet_compose(jet_g, jet_f.shifted(-w).jets)
-    s0 = schwarzian_at(composed, z=t_f.z).S0
-    return SchwarzianTensor(z=t_f.z, Sk=sk, S0=s0)
+    sk, s0 = _chain_rule(t_f.Sk[None], t_f.S0[None], t_g.Sk[None], t_g.S0[None],
+                         df[None], jet_f.derivatives(2)[None])
+    return SchwarzianTensor(z=t_f.z, Sk=sk[0], S0=s0[0])

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .bergman import NormEstimate, schwarzian_norm_sup
 from .family import grad_jacobian, koebe_map
-from .jets import jet_det, jet_jacobian, jet_log, multi_indices
+from .jets import multi_indices
 from .maps import (
     CompositionMap,
     MapSpec,
@@ -42,10 +42,9 @@ from .maps import (
     PolyMap,
     affine_map,
     map_dim,
-    map_jet_at,
     _unitary_with_first_column,
 )
-from .schwarzian import MIN_JET_DEGREE, schwarzian_of
+from .schwarzian import _jacobian_ratios, schwarzian_of
 
 # consecutive remainder quotients of variation_expansion_check stay within this factor
 _RATIO_BOUND = 4.0
@@ -112,13 +111,13 @@ def matrix_A(m: MapSpec) -> VariationReport:
 def lemma31_check(m: MapSpec) -> float:
     """Max-norm gap between A and the directly differentiated phi = grad(JF)/JF.
 
-    The direct route takes the Hessian of log JF at 0 from the determinant
-    jet, bypassing the Schwarzian tensors entirely.
+    The direct route takes the Hessian of log JF at 0, Hess JF / JF - a a^T with
+    a = grad JF / JF, from the determinant jet, bypassing the Schwarzian
+    tensors entirely.
     """
     rep = matrix_A(m)
-    jv = map_jet_at(m, np.zeros(map_dim(m), dtype=complex), MIN_JET_DEGREE)
-    hess = jet_log(jet_det(jet_jacobian(jv))).derivatives(2)
-    return float(np.max(np.abs(hess - rep.A)))
+    _, a, b = _jacobian_ratios(m, np.zeros(map_dim(m), dtype=complex))
+    return float(np.max(np.abs(b - np.outer(a, a) - rep.A)))
 
 
 @dataclass

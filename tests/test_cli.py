@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from schwarzball import checks, cli, family, maps, variational
+from schwarzball import checks, cli, family, maps, schwarzian, variational
 from schwarzball.cli import SUITES, main, map_from_payload, map_to_payload
 from schwarzball.errors import MapSpecError
 from schwarzball.maps import (
@@ -163,7 +163,8 @@ def test_production_commands_run_without_jets(tmp_path, monkeypatch):
     # raise, these commands give the same reports
     path = tmp_path / "shear.json"
     path.write_text(json.dumps(SHEAR_FILE))
-    argvs = [["verify", suite, "--n", "2", "--seed", "1"] for suite in ("variation", "moebius", "invariance")]
+    argvs = [["verify", suite, "--n", "2", "--seed", "1"]
+             for suite in ("variation", "moebius", "invariance", "chainrule")]
     argvs += [
         ["analyze", str(path), "--ops", "norm,order,koebe,extremal", "--zeta", "0.1,0.2j"],
         ["search", "--family", "moebius", "--n", "2", "--budget", "12", "--seed", "1"],
@@ -179,7 +180,7 @@ def test_production_commands_run_without_jets(tmp_path, monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, key, blocked)
-    assert checks.map_jet_at is blocked
+    assert schwarzian.map_jet_at is blocked
     for k, (argv, (code, rep)) in enumerate(zip(argvs, expected)):
         got_code, got = run_json(tmp_path, argv, f"blocked{k}.json")
         assert code == got_code == 0, argv
@@ -529,6 +530,21 @@ def test_analyze_schwarzian_op_reports_tensors(tmp_path):
     by_name = {r["name"]: r["value"] for r in rep["results"]}
     # S^1_22 = 2a = 1.0 at the origin
     assert abs(by_name["schwarzian_Sk"][0][1][1]["re"] - 1.0) <= 1e-12
+
+
+def test_analyze_schwarzian_op_on_compose_map_file(tmp_path):
+    # pde_residual expands a composition chain into a jet part by part
+    sigma = automorphism_from_center([0.2, 0.1j])
+    shear = map_from_payload(SHEAR_FILE)
+    for k, m in enumerate([CompositionMap((moebius_pole_at_e1(2), sigma)),
+                           CompositionMap((shear, moebius_pole_at_e1(2), sigma))]):
+        path = tmp_path / f"compose{k}.json"
+        path.write_text(json.dumps(map_to_payload(m)))
+        code, rep = run_json(tmp_path, ["analyze", str(path), "--ops", "schwarzian",
+                                        "--zeta", "0.1,0.2j"], f"compose{k}.out.json")
+        assert code == 0 and rep["passed"] is True
+        by_name = {r["name"]: r["value"] for r in rep["results"]}
+        assert by_name["schwarzian_pde_residual"] <= 1e-12
 
 
 def test_analyze_rejects_unknown_op(tmp_path):

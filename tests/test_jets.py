@@ -1,27 +1,19 @@
 """Jet arithmetic: ring axioms, series identities, and error contracts."""
 
-import cmath
 import math
-from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 
 from schwarzball import jets
-from schwarzball.errors import (
-    BranchCutError,
-    CompositionCenterError,
-    DimensionError,
-)
+from schwarzball.errors import CompositionCenterError, DimensionError
 from schwarzball.jets import (
     Jet,
     JetVector,
     jet_compose,
     jet_det,
-    jet_log,
     jet_partial,
-    jet_pow,
     jet_reciprocal,
     multi_indices,
 )
@@ -112,11 +104,11 @@ def test_compose_binomial():
     assert max_coeff_diff(jet_compose(JetVector([outer]), inner)[0], expected) == 0
 
 
-def test_compose_log_series():
-    # log(1 + w1) composed with w1 = z1 equals jet_log(1 + z1)
-    outer = jet_log(Jet(1, 3, {(0,): 1, (1,): 1}))
+def test_compose_reciprocal_series():
+    # 1/(1 + w1) composed with w1 = z1 equals jet_reciprocal(1 + z1)
+    outer = jet_reciprocal(Jet(1, 3, {(0,): 1, (1,): 1}))
     inner = [Jet(1, 3, {(1,): 1})]
-    direct = jet_log(Jet(1, 3, {(0,): 1, (1,): 1}))
+    direct = jet_reciprocal(Jet(1, 3, {(0,): 1, (1,): 1}))
     assert max_coeff_diff(jet_compose(JetVector([outer]), inner)[0], direct) <= TOL
 
 
@@ -132,50 +124,6 @@ def test_compose_rejects_nonzero_center():
     outer = Jet(1, 2, {(1,): 1})
     with pytest.raises(CompositionCenterError):
         jet_compose(JetVector([outer]), [Jet(2, 2, {(0, 0): 0.5, (1, 0): 1})])
-
-
-# -- log and pow ----------------------------------------------------------------
-
-
-def test_log_of_one_is_zero():
-    assert jet_log(Jet(2, 3, {(0, 0): 1})).coeffs == {}
-
-
-def test_log_mercator_series():
-    got = jet_log(Jet(1, 3, {(0,): 1, (1,): 1}))
-    expected = Jet(1, 3, {(1,): 1, (2,): -0.5, (3,): Fraction(1, 3)})
-    assert max_coeff_diff(got, expected) <= TOL
-
-
-def test_pow_binomial_series():
-    got = jet_pow(Jet(1, 3, {(0,): 1, (1,): 1}), -1 / 3)
-    expected = Jet(1, 3, {(0,): 1, (1,): Fraction(-1, 3), (2,): Fraction(2, 9), (3,): Fraction(-14, 81)})
-    assert max_coeff_diff(got, expected) <= TOL
-
-
-def test_pow_consistency_with_mul():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        a = random_jet(2, 3, rng, scale=0.1, unit_constant=True)
-        assert max_coeff_diff(jet_pow(a, 1), a) <= TOL
-        assert max_coeff_diff(jet_pow(a, 2), a * a) <= TOL
-
-
-def test_log_of_product():
-    rng = np.random.default_rng(9)
-    for _ in range(5):
-        a = random_jet(2, 3, rng, scale=0.05, unit_constant=True)
-        b = random_jet(2, 3, rng, scale=0.05, unit_constant=True)
-        assert max_coeff_diff(jet_log(a * b), jet_log(a) + jet_log(b)) <= TOL
-
-
-def test_branch_errors():
-    with pytest.raises(BranchCutError):
-        jet_log(Jet(1, 2, {(1,): 1}))  # zero constant
-    with pytest.raises(BranchCutError):
-        jet_log(Jet(1, 2, {(0,): -2.0}))  # on the cut
-    with pytest.raises(BranchCutError):
-        jet_pow(Jet(1, 2, {(0,): -1.0}), 0.5)
 
 
 # -- partial derivatives ---------------------------------------------------------
@@ -356,21 +304,11 @@ def test_series_match_reference_loop_exactly(n):
     rng = np.random.default_rng(30 + n)
     for d in range(5):
         for a in (random_jet(n, d, rng, scale=0.1, unit_constant=True), _sparse_jet(n, d, rng)):
-            c = a.constant_term
-            if c == 0 or (c.imag == 0 and c.real < 0):
-                a = a + 2.0  # off the branch cut
-                c = a.constant_term
-            log_coeffs = [cmath.log(c)] + [(-1) ** (k + 1) / k for k in range(1, d + 1)]
-            _assert_same_table(jet_log(a).coeffs, _reference_series(a, log_coeffs).coeffs)
+            if a.constant_term == 0:
+                a = a + 2.0
             rec_coeffs = [(-1.0) ** k for k in range(d + 1)]
-            want = _reference_series(a, rec_coeffs) * (1.0 / c)
+            want = _reference_series(a, rec_coeffs) * (1.0 / a.constant_term)
             _assert_same_table(jet_reciprocal(a).coeffs, want.coeffs)
-            for p in (-1 / 3, 2, 0.5 + 1j):
-                binoms = [1.0 + 0j]
-                for k in range(1, d + 1):
-                    binoms.append(binoms[-1] * ((complex(p) - (k - 1)) / k))
-                want = _reference_series(a, binoms) * cmath.exp(p * cmath.log(c))
-                _assert_same_table(jet_pow(a, p).coeffs, want.coeffs)
 
 
 @pytest.mark.parametrize("n, products", [(2, 7), (3, 16)])

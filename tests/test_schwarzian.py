@@ -133,6 +133,30 @@ def test_chain_rule_matches_direct_composition():
     assert max(checks.chain_rule(cases).values()) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_finite_chain_rule_matches_the_composed_tensor(n):
+    # both blocks, within 1e-12 of the composition's tensor relative to its
+    # largest entry, or absolutely where that is below 1 (Moebius pairs have S = 0)
+    rng = np.random.default_rng(70 + n)
+
+    def draw(moebius):
+        return random_moebius(n, rng) if moebius else random_normalized_polymap(n, rng, 0.3)
+
+    cases = [(draw(k % 2), draw(k // 2 % 2), random_ball_point(n, rng, 0.4)) for k in range(8)]
+    per_case = []
+    for f, g, z in cases:
+        direct = schwarzian_of(CompositionMap((g, f)), z)
+        tol = 1e-12 * max(direct.max_abs(), 1.0)
+        jf = map_jet_at(f, z, 3)
+        w = jf.constants()
+        t = chain_rule_transform(schwarzian_of(f, z), schwarzian_of(g, w), jf, map_jet_at(g, w, 3))
+        assert max(np.max(np.abs(t.Sk - direct.Sk)), np.max(np.abs(t.S0 - direct.S0))) <= tol
+        per_case.append(checks.chain_rule([(f, g, z)]))
+        assert max(per_case[-1].values()) <= tol
+    # the grouped check stacks the cases of each map kind, and each row keeps its bits
+    assert checks.chain_rule(cases) == checks._largest(per_case)
+
+
 def test_chain_rule_base_point_mismatch():
     rng = np.random.default_rng(2)
     f = random_normalized_polymap(2, rng, scale=0.05)
@@ -159,6 +183,28 @@ def test_moebius_postcomposition_invariance():
         worst = max(worst, float(np.max(np.abs(tf.Sk - tmf.Sk))))
         worst = max(worst, float(np.max(np.abs(tf.S0 - tmf.S0))))
     assert worst <= 1e-9
+
+
+def _canonical_loop(t):
+    # the single-point definition, one index at a time
+    return float(max(abs(sum(t.Sk[j, i, j] for j in range(t.n))) for i in range(t.n)))
+
+
+def test_canonical_residual_of_a_stack_is_the_largest_over_its_points():
+    rng = np.random.default_rng(12)
+    for n, p in ((2, 3), (3, 1), (3, 4)):
+        sk = rng.standard_normal((p, n, n, n)) + 1j * rng.standard_normal((p, n, n, n))
+        z, s0 = np.zeros((p, n), dtype=complex), np.zeros((p, n, n), dtype=complex)
+        rows = [SchwarzianTensor(z=z[q], Sk=sk[q], S0=s0[q]) for q in range(p)]
+        assert [canonical_residual(t) for t in rows] == [_canonical_loop(t) for t in rows]
+        stack = SchwarzianTensor(z=z, Sk=sk, S0=s0)
+        assert canonical_residual(stack) == max(_canonical_loop(t) for t in rows)
+    m = random_normalized_polymap(3, rng)
+    points = np.array([random_ball_point(3, rng, 0.5) for _ in range(3)])
+    single = [canonical_residual(schwarzian_of(m, z)) for z in points]
+    assert single == [_canonical_loop(schwarzian_of(m, z)) for z in points]
+    assert canonical_residual(schwarzian_of(m, points)) == max(single)
+    assert canonical_residual(schwarzian_of(m, np.zeros((0, 3)))) == 0.0
 
 
 def test_canonical_residual_examples():
