@@ -58,10 +58,11 @@ the rows of the points it drops.  A row's value only rises and the upper end
 is certified, so a dropped point cannot beat the point that set its map's
 floor, and each map's result is the one every point would give, whatever
 the other maps in the call.  ``points`` counts the probed base points,
-``pruned`` those dropped before or during the ascent, and ``iterations`` the
-accepted ascent steps (BB and Newton) over every start, those of dropped
-points included (none at n = 2).  A sup over the ball stays a searched lower
-bound at every n: its base points are probed, not bracketed.
+``pruned`` those dropped (before or during the ascent at n >= 3, after the
+closed-form call at n = 2), and ``iterations`` the accepted ascent steps
+(BB and Newton) over every start, those of dropped points included (none
+at n = 2).  A sup over the ball stays a searched lower bound at every n:
+its base points are probed, not bracketed.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ class NormEstimate:
     points: int = 1  # probed base points
     # accepted steps (2 BB, then Newton), summed over starts and points, dropped points included
     iterations: int = 0
-    pruned: int = 0  # probed points their upper end dropped, before or during the ascent
+    pruned: int = 0  # probed points their upper end dropped
     upper: float | None = None  # certified upper end of the pointwise norm at arg_z
 
 
@@ -553,21 +554,15 @@ def _quad_norms(frame, starts: int, seed: int, max_iter: int, upper=None, floor=
     ``floor`` (:func:`_alive`; one floor per map of equal consecutive blocks,
     as in :func:`_ascend`) is dropped and its value comes back as -inf: at
     n >= 3 during the ascent, whose floors rise to the largest value found
-    per map, and at n = 2 before the one closed-form call.
+    per map, and at n = 2 after the one closed-form call over every problem,
+    whose rows do not depend on the stack they are in.
     """
     if frame[0].shape[-1] != 2:
         return _ascend(frame, starts, seed, max_iter, upper, floor)
-    if upper is None:
-        return _hopf_norms(frame)
-    problems = len(upper)
-    value, v = np.full(problems, -np.inf), np.zeros((problems, 2), dtype=complex)
-    converged, steps = np.ones(problems, dtype=bool), np.zeros(problems, dtype=int)
-    floor = np.atleast_1d(np.asarray(floor, dtype=float))
-    keep = np.flatnonzero(_alive(upper, floor.repeat(problems // len(floor))))
-    if keep.size:
-        value[keep], v[keep], converged[keep], steps[keep] = _hopf_norms(
-            tuple(a[keep] for a in frame)
-        )
+    value, v, converged, steps = _hopf_norms(frame)
+    if upper is not None:
+        floor = np.atleast_1d(np.asarray(floor, dtype=float))
+        value[~_alive(upper, floor.repeat(len(upper) // len(floor)))] = -np.inf
     return value, v, converged, steps
 
 

@@ -2,12 +2,15 @@
 
 Each check returns its named residuals, all zero in exact arithmetic, as the
 maximum of each over its cases; NaN wins.  The checks that build Schwarzian
-tensors or norms take the whole case list, so that the tensors come from one
-grouped tensor call (``schwarzian_ofs``), the pointwise norms from one
-kernel call per side and the sups from one lockstep call; the others take
-one case, and :func:`worst` takes their maxima over many.  The ``verify``
-suites, the acceptance criteria and the unit tests share these checks, each
-with its own samples (drawn by :mod:`.maps`) and tolerances.
+tensors or norms take the whole case list, so that the tensors come from
+grouped derivative calls, the pointwise norms from one kernel call per side
+and the sups from one lockstep call; the others take one case, and
+:func:`worst` takes their maxima over many.  Every grouped derivative call
+goes through ``maps._derivative_chunks``, which holds its highest-order
+array to ``maps.ROW_ENTRIES`` entries at every order, so no check sizes
+its own calls.  The ``verify`` suites, the acceptance criteria and the unit
+tests share these checks, each with its own samples (drawn by :mod:`.maps`)
+and tolerances.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ from .maps import (
     map_dim,
 )
 from .schwarzian import (
+    MIN_JET_DEGREE,
     _chain_rule,
-    _row_cap,
+    _points,
+    _tensors,
     canonical_residual,
     pde_residual,
     schwarzian_ofs,
@@ -58,31 +63,17 @@ def worst(check, cases) -> dict[str, float]:
     return _largest(check(*case) for case in cases)
 
 
-def _batches(cases):
-    """Consecutive runs of (map, point or stack of points) cases, each with at most the
-    points of one derivative call of a grouped tensor call, or one case."""
-    batch, rows = [], 0
-    for m, z in cases:
-        z = np.asarray(z, dtype=complex)
-        count = len(z) if z.ndim == 2 else 1
-        if batch and rows + count > _row_cap(map_dim(m)):
-            yield batch
-            batch, rows = [], 0
-        batch.append((m, z))
-        rows += count
-    if batch:
-        yield batch
-
-
 def moebius_vanishing(cases) -> dict[str, float]:
     """Largest entries of S^k and S^0 over the (Moebius map, point or stack of points) cases.
 
-    The tensors come from one grouped tensor call per batch of cases (:func:`_batches`),
-    so no more of them are held at once than one derivative call builds.
+    The tensors are assembled and reduced per derivative call of
+    ``maps._derivative_chunks``, whose row cap bounds them, so no more of
+    them are held at once than one call builds.
     """
-    return _largest({"Sk": np.max(np.abs(t.Sk), initial=0.0),
-                     "S0": np.max(np.abs(t.S0), initial=0.0)}
-                    for batch in _batches(cases) for t in schwarzian_ofs(batch))
+    cases = [(m, np.atleast_2d(_points(m, z))) for m, z in cases]
+    chunks = _derivative_chunks(cases, MIN_JET_DEGREE)
+    return _largest({"Sk": np.max(np.abs(sk)), "S0": np.max(np.abs(s0))}
+                    for sk, s0 in (_tensors(*d[1:]) for _, d in chunks))
 
 
 def chain_rule(cases) -> dict[str, float]:
@@ -96,7 +87,7 @@ def chain_rule(cases) -> dict[str, float]:
     grouped tensor call, and the rule is applied once per derivative call.
     """
     cases = [(f, g, np.asarray(z, dtype=complex).reshape(-1), *rest) for f, g, z, *rest in cases]
-    parts = list(_derivative_chunks([(f, z[None]) for f, _, z, *_ in cases], 2, max(len(cases), 1)))
+    parts = list(_derivative_chunks([(f, z[None]) for f, _, z, *_ in cases], 2))
     w = {i: wi for rows, (value, _, _) in parts for i, wi in zip(rows, value)}
     post = [(f, z, moebius) for f, _, z, *rest in cases for moebius in rest]
     count = len(cases)
@@ -134,8 +125,7 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
                               seed=seed)
     value = np.empty((len(cases), len(cases[0][2])), dtype=complex)
     d1 = np.empty(value.shape + value.shape[1:], dtype=complex)
-    for rows, (f0, f1) in _derivative_chunks([(sigma, z[None]) for _, sigma, z, *_ in cases],
-                                             1, len(cases)):
+    for rows, (f0, f1) in _derivative_chunks([(sigma, z[None]) for _, sigma, z, *_ in cases], 1):
         value[rows], d1[rows] = f0, f1
     rhs = schwarzian_norms_at([(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
     out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}

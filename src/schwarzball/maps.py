@@ -26,7 +26,9 @@ alone as in any batch.  Many maps share one call when their kinds match
 parameters of its own map, stacked per point in C-contiguous arrays (the
 term coefficients of polynomial maps of one monomial plan, the grids of
 Moebius maps of one dimension, and chains part by part), and a row again
-takes the bits of its map's own call.
+takes the bits of its map's own call.  It also sizes its calls, for every
+caller and at every order: a call's highest-order array holds at most
+``ROW_ENTRIES`` entries.
 
 Every map can also be expanded into an exact Taylor jet about any admissible
 center, to any degree, by :func:`map_jet_at`; rational denominators are
@@ -75,6 +77,10 @@ from .jets import (
 )
 
 SINGULAR_TOL = 1e-12  # on sigma_min(DF) / sigma_max(DF)
+# entries of the highest-order array (rows times n^(order + 1)) of one call of
+# _derivative_chunks: 2^14 complex entries are 256 KiB; at order 3, 1024 rows
+# at n = 2, 202 at n = 3 and 4 at n = 8 (a verify moebius map has 20 points)
+ROW_ENTRIES = 1 << 14
 
 
 class PolyMap:
@@ -221,11 +227,11 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     coefficient of exponent e = ``used[terms[s]]`` in f_l times
     ``weights[s]`` = e! / (e - alpha_{c_s})!, for the exponents alpha_c of
     the derivative columns of :func:`jets._derivative_positions`.  Terms are
-    sorted by c_s, and ``orders[k]`` = (number of terms, columns present,
-    start of each column's run, slot arrays) for the columns of order <= k.
-    A row of derivative columns holds d^alpha_c f_l at position c * n + l,
-    and entry [l, i_1, ..., i_j] of the j-th slot array is the position of
-    d^j f_l / dz_{i_1} ... dz_{i_j}.
+    sorted by c_s, so the columns of order <= k are a prefix of the table:
+    ``present`` lists the columns with terms and ``starts`` the start of
+    each one's run.  A row of derivative columns holds d^alpha_c f_l at
+    position c * n + l, and entry [l, i_1, ..., i_j] of the j-th slot array
+    is the position of d^j f_l / dz_{i_1} ... dz_{i_j}.
     """
     monomials, frontier = {(0,) * n} | set(used), list(used)
     while frontier:
@@ -256,12 +262,7 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     rows = np.array([index[tuple(e)] for e in rest[terms, cols].tolist()], dtype=int)
     present, starts = np.unique(cols, return_index=True)
     slots = [np.arange(n).reshape((n,) + (1,) * k) + idx * n for k, idx in enumerate(positions)]
-    orders = []
-    for k in range(4):
-        width = int(np.searchsorted(present, comb(n + k, k)))
-        orders.append((int(np.searchsorted(cols, comb(n + k, k))), present[:width], starts[:width],
-                       slots[: k + 1]))
-    return levels, len(monomials), rows, terms, weight[terms, cols, None], orders
+    return levels, len(monomials), rows, terms, weight[terms, cols, None], present, starts, slots
 
 
 def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
@@ -271,7 +272,7 @@ def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
     of monomial ``rows[s]`` in d^alpha_{c_s} f_l.
     """
     used = tuple(sorted({key for comp in components for key in comp}))
-    levels, size, rows, terms, weights, orders = plan = _monomial_plan(n, used)
+    _, _, _, terms, weights, *_ = plan = _monomial_plan(n, used)
     coeffs = np.array([[comp.get(key, 0j) for comp in components] for key in used]).reshape(-1, n)
     return plan, weights * coeffs[terms]
 
@@ -279,19 +280,17 @@ def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
 def _poly_derivatives(plan, coeffs: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
     """Derivative arrays of polynomial maps of one plan: ``coeffs`` is one map's
     weighted term coefficients (:func:`_poly_arrays`) or a stack of them, one per point."""
-    levels, size, rows, _, _, orders = plan
+    levels, size, rows, _, _, present, starts, slots = plan
     p, n = z.shape
     values = np.empty((p, size), dtype=complex)
     values[:, 0] = 1.0
     for idx, parent, var in levels:
         values[:, idx] = values[:, parent] * z[:, var]
-    count, present, starts, slots = orders[order]
-    cols = np.zeros((p, comb(n + order, order), n), dtype=complex)
-    if count:  # each column sums its run of terms, one after another
-        terms = values[:, rows[:count], None] * coeffs[..., :count, :]
-        cols[:, present] = np.add.reduceat(terms, starts, axis=1)
+    cols = np.zeros((p, comb(n + 3, 3), n), dtype=complex)
+    if len(rows):  # each column sums its run of terms, one after another
+        cols[:, present] = np.add.reduceat(values[:, rows, None] * coeffs, starts, axis=1)
     cols = cols.reshape(p, cols.shape[1] * n)
-    return [cols[:, slot] for slot in slots]
+    return [cols[:, slot] for slot in slots[:order + 1]]
 
 
 def _moebius_derivatives(a: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
@@ -402,13 +401,15 @@ def _derivatives(m: MapSpec, z: np.ndarray, order: int, params=None) -> list[np.
         check_nonsingular(out[1], "map at the point")
     return out
 
-def _derivative_chunks(cases, order: int, cap: int):
-    """Derivative arrays of (map, points (p_i, n)) cases, one call per :func:`_stack_key`
-    group and per ``cap`` of its points.
 
-    Yields (rows, [F, ..., D^order F]) per call, ``rows`` the positions of its
-    points among all the cases' points in case order.  Each row equals its
-    map's own call bit for bit (:func:`_derivatives`).
+def _derivative_chunks(cases, order: int):
+    """Derivative arrays of (map, points (p_i, n)) cases, one call per :func:`_stack_key`
+    group and per ``max(ROW_ENTRIES // n**(order + 1), 1)`` of its points.
+
+    The cap holds the highest-order array of every call to ``ROW_ENTRIES``
+    entries, at every order.  Yields (rows, [F, ..., D^order F]) per call,
+    ``rows`` the positions of its points among all the cases' points in case
+    order.  Each row equals its map's own call bit for bit (:func:`_derivatives`).
     """
     counts = [len(z) for _, z in cases]
     offsets = np.cumsum([0] + counts)
@@ -420,6 +421,7 @@ def _derivative_chunks(cases, order: int, cap: int):
         z = np.concatenate([cases[i][1] for i in members])
         rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
         owner = np.repeat(np.arange(len(members)), [counts[i] for i in members])
+        cap = max(ROW_ENTRIES // map_dim(maps[0]) ** (order + 1), 1)
         for lo in range(0, len(z), cap):
             part = slice(lo, lo + cap)
             params = None if len(maps) == 1 else _stacked_params(maps, owner[part])

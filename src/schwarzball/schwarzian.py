@@ -16,10 +16,11 @@ production route, takes a point or a stack of points and reads the arrays
 straight from the map kind (``maps._derivatives``), with no jets; a row of
 a stack equals the same point alone, bit for bit.  :func:`schwarzian_ofs`
 builds the tensors of many (map, points) cases with one derivative call and
-one assembly per map kind and plan, in calls of at most ``ROW_ENTRIES``
-order-3 entries, and each case gets what :func:`schwarzian_of`, its one-map
-case, gives.  :func:`schwarzian_at` reads them from a Taylor jet, a second
-route kept for the tests.  The log-derivatives of JF come from Jacobi's formula,
+one assembly per map kind and plan, in the calls ``maps._derivative_chunks``
+sizes (the row cap ``maps.ROW_ENTRIES`` holds there, for every caller and
+order), and each case gets what :func:`schwarzian_of`, its one-map case,
+gives.  :func:`schwarzian_at` reads them from a Taylor jet, a second route
+kept for the tests.  The log-derivatives of JF come from Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -55,10 +56,6 @@ from .maps import (
 )
 
 MIN_JET_DEGREE = 3
-# entries of the order-3 array (rows times n^4) of one derivative call of a
-# grouped tensor build: 2^14 complex entries are 256 KiB, 1024 rows at n = 2,
-# 202 at n = 3 and 4 at n = 8 (a verify moebius map has 20 points)
-ROW_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -179,21 +176,15 @@ def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
     return _tensor(z, *_tensors(d1, d2, d3))
 
 
-def _row_cap(n: int) -> int:
-    """Rows of one derivative call of :func:`_stacked_tensors` at dimension n."""
-    return max(ROW_ENTRIES // n**4, 1)
-
-
 def _stacked_tensors(cases) -> tuple[np.ndarray, np.ndarray]:
     """S^k and S^0 of (map, points (p_i, n)) cases of one dimension n, stacked in case order.
 
     One derivative call and one assembly per map kind and plan
-    (``maps._stack_key``) and per :func:`_row_cap` rows; row q equals the
-    single call of its map at its point bit for bit.
+    (``maps._stack_key``) and per row cap of ``maps._derivative_chunks``; row
+    q equals the single call of its map at its point bit for bit.
     """
     n = cases[0][1].shape[1]
-    chunks = [(rows, *_tensors(*d[1:]))
-              for rows, d in _derivative_chunks(cases, MIN_JET_DEGREE, _row_cap(n))]
+    chunks = [(rows, *_tensors(*d[1:])) for rows, d in _derivative_chunks(cases, MIN_JET_DEGREE)]
     total = sum(len(z) for _, z in cases)
     if len(chunks) == 1 and len(chunks[0][0]) == total:  # one call, rows in order
         return chunks[0][1:]
@@ -209,7 +200,7 @@ def schwarzian_ofs(cases) -> list[SchwarzianTensor]:
     Entry i equals ``schwarzian_of`` of case i bit for bit.  The cases are
     grouped by dimension, map kind and plan, so each group takes one
     derivative call and one tensor assembly, split so that a call's order-3
-    array holds at most ``ROW_ENTRIES`` entries.  An empty list gives [].
+    array holds at most ``maps.ROW_ENTRIES`` entries.  An empty list gives [].
     """
     cases = [(m, _points(m, z)) for m, z in cases]
     by_dim: dict[int, list[int]] = {}

@@ -308,6 +308,23 @@ def test_pruned_ascent_keeps_the_unpruned_results(n):
         assert pruned[3].sum() < plain[3].sum()
 
 
+def test_pruned_closed_form_keeps_the_unpruned_results():
+    # n = 2: one closed-form call over every problem, then the dropped rows
+    # come back as -inf; every row equals its problem solved alone, bit for bit
+    rng = np.random.default_rng(52)
+    frame, upper = _pruning_stack(rng, 2)
+    plain = _quad_norms(frame, 6, 5, DEFAULT_MAX_ITER)
+    floor = float(np.median(plain[0]))
+    pruned = _quad_norms(frame, 6, 5, DEFAULT_MAX_ITER, upper, floor)
+    kept = np.isfinite(pruned[0])
+    assert 0 < kept.sum() < len(kept)
+    assert np.all(upper[~kept] * (1 + UPPER_SLACK) < floor)
+    assert np.array_equal(pruned[0][kept], plain[0][kept])
+    for p in range(len(upper)):
+        alone = _quad_norms(tuple(a[p:p + 1] for a in frame), 6, 5, DEFAULT_MAX_ITER)
+        assert [a[p].tobytes() for a in plain] == [a[0].tobytes() for a in alone]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pruning_drops_nan_and_survives_an_empty_round(n):
     rng = np.random.default_rng(60 + n)

@@ -10,6 +10,7 @@ from schwarzball.errors import (
     SingularDifferentialError,
     VanishingDenominatorError,
 )
+from schwarzball import maps as maps_module
 from schwarzball.jets import Jet, JetVector, jet_det, jet_jacobian, jet_reciprocal
 from schwarzball.maps import (
     CompositionMap,
@@ -339,9 +340,10 @@ def test_stack_keys_group_plans_grids_and_chains():
     assert _stack_key(random_moebius(3, rng)) != keys[5]
 
 
-def test_stacked_derivative_rows_equal_each_maps_own_call():
-    # byte for byte: rows of many maps in one call per key, split at a row
-    # cap smaller than a group, take the bits of each map's own call
+def test_stacked_derivative_rows_equal_each_maps_own_call(monkeypatch):
+    # byte for byte: rows of many maps in one call per key, split at the row
+    # cap ROW_ENTRIES // n^(order + 1) below a group's size, take the bits of
+    # each map's own call
     rng = np.random.default_rng(21)
     for n in (2, 3):
         maps = _mixed_maps(n, rng)
@@ -349,17 +351,49 @@ def test_stacked_derivative_rows_equal_each_maps_own_call():
                  for q, m in enumerate(maps * 2)]
         cases = [(m, z.reshape(-1, n)) for m, z in cases]
         flat = [(m, point[None]) for m, z in cases for point in z]  # row q's map and point
+        keys = [_stack_key(m) for m, z in cases for _ in z]
         for order in range(4):
+            monkeypatch.setattr(maps_module, "ROW_ENTRIES", 6 * n ** (order + 1) - 1)
+            cap = maps_module.ROW_ENTRIES // n ** (order + 1)
+            assert cap == 5
             seen = np.zeros(len(flat), dtype=bool)
-            calls = 0
-            for rows, arrays in _derivative_chunks(cases, order, cap=5):
-                calls += 1
-                assert len(rows) <= 5 and not seen[rows].any()
+            sizes: dict = {}
+            for rows, arrays in _derivative_chunks(cases, order):
+                assert not seen[rows].any() and len({keys[q] for q in rows}) == 1
                 seen[rows] = True
+                sizes.setdefault(keys[rows[0]], []).append(len(rows))
                 for r, q in enumerate(rows):
                     own = _derivatives(*flat[q], order)
                     assert [a[r].tobytes() for a in arrays] == [a[0].tobytes() for a in own]
-            assert seen.all() and calls >= 4
+            assert seen.all()
+            # each key's rows split into full calls of the cap and one rest
+            total = {key: keys.count(key) for key in keys}
+            assert sizes == {key: [cap] * (size // cap) + [size % cap] * (size % cap > 0)
+                             for key, size in total.items()}
+            assert max(total.values()) > cap
+
+
+def test_lower_order_poly_arrays_are_a_prefix_of_the_order_3_call():
+    # one column table per plan: the order-k arrays are the first k + 1 of
+    # the order-3 call, byte for byte, for maps of two plans
+    rng = np.random.default_rng(24)
+    for n in (2, 3):
+        z = np.array([random_ball_point(n, rng, 0.8) for _ in range(4)])
+        polys = _mixed_maps(n, rng)[:5]
+        assert len({_stack_key(m) for m in polys}) == 2
+        for m in polys:
+            full = _derivatives(m, z, 3)
+            for order in range(3):
+                assert ([a.tobytes() for a in _derivatives(m, z, order)]
+                        == [a.tobytes() for a in full[:order + 1]])
+
+
+def test_derivative_chunk_cap_holds_at_least_one_row(monkeypatch):
+    monkeypatch.setattr(maps_module, "ROW_ENTRIES", 3)
+    m = random_moebius(2, np.random.default_rng(23))
+    cases = [(m, np.array([[0.1, 0.0], [0.0, 0.2], [0.3, 0.1]]))]
+    for order in range(4):
+        assert [len(rows) for rows, _ in _derivative_chunks(cases, order)] == [1, 1, 1]
 
 
 def test_empty_point_stacks_give_empty_derivative_arrays():
@@ -368,7 +402,7 @@ def test_empty_point_stacks_give_empty_derivative_arrays():
         for m in _mixed_maps(n, rng):
             arrays = _derivatives(m, np.zeros((0, n), dtype=complex), 3)
             assert [a.shape for a in arrays] == [(0,) + (n,) * (k + 1) for k in range(4)]
-    assert list(_derivative_chunks([(m, np.zeros((0, 2)))], 3, 4)) == []
+    assert list(_derivative_chunks([(m, np.zeros((0, 2)))], 3)) == []
 
 
 def test_stacked_call_still_rejects_a_singular_differential():
@@ -377,11 +411,11 @@ def test_stacked_call_still_rejects_a_singular_differential():
     assert _stack_key(fold) == _stack_key(twin)
     cases = [(twin, np.array([[0.3, 0.1]])), (fold, np.array([[0.2, 0.1], [0.0, 0.4]]))]
     with pytest.raises(SingularDifferentialError):
-        list(_derivative_chunks(cases, 1, 8))
+        list(_derivative_chunks(cases, 1))
     pole = [(random_moebius(2, np.random.default_rng(1)), np.zeros((1, 2))),
             (moebius_pole_at_e1(2), np.array([[1.0, 0.0]]))]
     with pytest.raises(VanishingDenominatorError):
-        list(_derivative_chunks(pole, 0, 8))
+        list(_derivative_chunks(pole, 0))
 
 
 def test_stacked_denominator_test_is_relative_to_each_grid():
@@ -391,7 +425,7 @@ def test_stacked_denominator_test_is_relative_to_each_grid():
     small[0, 0] = 1e-3
     cases = [(MoebiusMap(small), np.zeros((1, 2))),
              (MoebiusMap(1e30 * random_moebius(2, np.random.default_rng(2)).a), np.zeros((1, 2)))]
-    (rows, arrays), = _derivative_chunks(cases, 3, 8)
+    (rows, arrays), = _derivative_chunks(cases, 3)
     for q, (m, z) in enumerate(cases):
         assert [a[q].tobytes() for a in arrays] == [a[0].tobytes() for a in _derivatives(m, z, 3)]
 

@@ -25,9 +25,7 @@ from schwarzball.maps import (
 )
 from schwarzball import maps
 from schwarzball.schwarzian import (
-    ROW_ENTRIES,
     SchwarzianTensor,
-    _row_cap,
     canonical_residual,
     chain_rule_transform,
     pde_residual,
@@ -62,6 +60,30 @@ def test_moebius_tensor_vanishes():
         m = random_moebius(2, rng)
         cases += [(m, random_ball_point(2, rng, 0.9)) for _ in range(4)]
     assert max(checks.moebius_vanishing(cases).values()) <= 1e-8
+
+
+def test_moebius_vanishing_over_many_derivative_calls_is_exact(monkeypatch):
+    # a small row cap spreads the cases over many derivative calls; the
+    # chunked maxima equal those of every map's own tensors exactly
+    rng = np.random.default_rng(7)
+    cases = [(random_moebius(3, rng), np.array([random_ball_point(3, rng, 0.9) for _ in range(5)]))
+             for _ in range(6)] + [(random_moebius(3, rng), random_ball_point(3, rng, 0.9))]
+    own = [schwarzian_of(m, z) for m, z in cases]
+    calls = []
+    chunks = maps._derivative_chunks
+
+    def counted(cases, order):
+        for rows, arrays in chunks(cases, order):
+            calls.append(len(rows))
+            yield rows, arrays
+
+    monkeypatch.setattr(maps, "ROW_ENTRIES", 4 * 3**4)
+    monkeypatch.setattr(checks, "_derivative_chunks", counted)
+    assert checks.moebius_vanishing(cases) == {
+        "Sk": max(float(np.max(np.abs(t.Sk))) for t in own),
+        "S0": max(float(np.max(np.abs(t.S0))) for t in own),
+    }
+    assert calls == [4] * 7 + [3]
 
 
 def test_shear_tensor_closed_form():
@@ -504,8 +526,7 @@ def test_grouped_tensors_split_above_the_row_cap(monkeypatch):
     # one derivative call per kind and plan and per row cap, whatever the
     # number of maps; rows of a split group still equal the single calls
     n = 3
-    cap = _row_cap(n)
-    assert cap == ROW_ENTRIES // n**4 and _row_cap(64) == 1
+    cap = maps.ROW_ENTRIES // n**4
     calls = []
     derivatives = maps._derivatives
 
