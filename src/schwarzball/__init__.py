@@ -41,6 +41,7 @@ from .maps import (
     identity_map,
     map_eval,
     map_jet_at,
+    moebius_pole,
     moebius_pole_at_e1,
 )
 from .schwarzian import (
@@ -55,7 +56,6 @@ from .schwarzian import (
 from .bergman import (
     MetricTensor,
     NormEstimate,
-    bergman_norm,
     metric_at,
     schwarzian_norm_at,
     schwarzian_norm_sup,

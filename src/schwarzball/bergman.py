@@ -8,7 +8,9 @@ with squared norms ||v||^2_{B,z} = sum_ij g_ij(z) v_i conj(v_j).  Ball
 automorphisms are isometries of this metric, and with input direction and
 operator output both measured at the same base point the pointwise norm
 ||S F(z)|| = sup_{||v||=1} ||S F(z)(v)|| satisfies the invariance identity
-||S(F o sigma)(z)|| = ||S F(sigma(z))|| exactly.
+||S(F o sigma)(z)|| = ||S F(sigma(z))|| exactly.  ``metric_at`` gives the
+matrix at one point, and ``_lengths`` the lengths of a stack of tangent
+vectors at a stack of points in one evaluation.
 
 Pointwise norms are maxima of a quadratic-map image norm over an ellipsoid,
 with direction and image measured in one form.  Each batch of tensors is
@@ -111,10 +113,6 @@ class MetricTensor:
     z: np.ndarray
     g: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
 
 @dataclass
 class NormEstimate:
@@ -128,7 +126,6 @@ class NormEstimate:
     arg_v: np.ndarray | None
     arg_z: np.ndarray | None
     converged: bool
-    r_max: float | None = None
     points: int = 1  # probed base points
     # accepted steps (2 BB, then Newton), summed over starts and points, dropped points included
     iterations: int = 0
@@ -148,23 +145,16 @@ def _metrics(z: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))  # exact hermitian symmetry through rounding
 
 
-def metric_at(z, n: int | None = None) -> MetricTensor:
+def metric_at(z) -> MetricTensor:
     """Bergman metric matrix at an interior point of the unit ball."""
     z = np.asarray(z, dtype=complex).reshape(-1)
-    if n is not None and len(z) != n:
-        raise DimensionError(f"point has dimension {len(z)}, expected {n}")
     return MetricTensor(z=z, g=_metrics(z[None])[0])
 
 
-def _form_value(g: np.ndarray, v: np.ndarray) -> float:
-    return float(np.real(np.einsum("ij,i,j->", g, v, np.conj(v))))
-
-
-def bergman_norm(z, v) -> float:
-    """Length of the tangent vector v in the Bergman metric at z."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    g = metric_at(z, n=len(v)).g
-    return float(np.sqrt(max(_form_value(g, v), 0.0)))
+def _lengths(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Bergman lengths of the tangent vectors v (p, n) at the points z (p, n), one per row."""
+    q = np.real(np.einsum("pij,pi,pj->p", _metrics(z), v, np.conj(v)))
+    return np.sqrt(np.maximum(q, 0.0))
 
 
 # -- constrained supremum of a quadratic-map image norm ----------------------
@@ -590,10 +580,11 @@ def max_quadratic_image_norm(
 
 
 def _schwarzian_rows(cases) -> np.ndarray:
-    """S^k of (map, points (p_i, n)) cases, stacked in case order: one case through
-    ``schwarzian_of``, many through one grouped tensor call (``schwarzian_ofs``),
-    whose one-map case it is, bit for bit."""
-    if len(cases) == 1:
+    """S^k of (map, points (p_i, n)) cases, stacked in case order: a single point
+    through ``schwarzian_of``, anything more through the grouped tensor call
+    (``schwarzian_ofs``), whose row cap bounds it and whose one-point case it is,
+    bit for bit."""
+    if len(cases) == 1 and len(cases[0][1]) == 1:
         return schwarzian_of(*cases[0]).Sk
     return _stacked_tensors(cases)[0]
 
@@ -697,8 +688,7 @@ def schwarzian_norm_sups(
     n = dims[0]
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, max(int(shells), 1))
-    best = [NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, r_max=r_max, points=0)
-            for _ in maps]
+    best = [NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, points=0) for _ in maps]
 
     def gaussian_steps(count: int) -> list[np.ndarray]:
         draws = rng.standard_normal((count, 2, n))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import bergman_norm, schwarzian_norm_sups, schwarzian_norms_at
+from .bergman import _lengths, schwarzian_norm_sups, schwarzian_norms_at
 from .family import (
     grad_jacobian,
     jet_grad_jacobian,
@@ -112,10 +112,11 @@ def chain_rule(cases) -> dict[str, float]:
 def invariance(cases, seed: int = 0) -> dict[str, float]:
     """Largest | ||S(f o sigma)(z)|| - ||S f(sigma(z))|| | over the cases (f, sigma, z) or
     (f, sigma, z, v), sigma an automorphism, and over the cases with a direction v, the
-    largest relative change ``isometry`` of its length under D sigma(z); NaN wins.
+    largest relative change ``isometry`` of its Bergman length under D sigma(z); NaN wins.
 
     Each side's norms come from one :func:`schwarzian_norms_at` call over all the cases,
-    and sigma(z) and D sigma(z) from one derivative call per map kind.
+    sigma(z) and D sigma(z) from one derivative call per map kind, and the lengths of
+    every v at z and of every D sigma(z) v at sigma(z) from one metric evaluation.
     """
     cases = [(f, sigma, np.asarray(z, dtype=complex).reshape(-1), *rest)
              for f, sigma, z, *rest in cases]
@@ -129,18 +130,14 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
         value[rows], d1[rows] = f0, f1
     rhs = schwarzian_norms_at([(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
     out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}
-    isometry = [_isometry(z, v, w, df)
-                for (_, _, z, *rest), w, df in zip(cases, value, d1) for v in rest]
-    if isometry:
-        out["isometry"] = float(np.max(isometry))
+    rows = [i for i, case in enumerate(cases) for _ in case[3:]]
+    if rows:
+        v = np.array([v for case in cases for v in case[3:]], dtype=complex)
+        lengths = _lengths(np.concatenate([np.stack([cases[i][2] for i in rows]), value[rows]]),
+                           np.concatenate([v, (d1[rows] @ v[:, :, None])[:, :, 0]]))
+        before, after = np.split(lengths, 2)
+        out["isometry"] = float(np.max(np.abs(after - before) / np.maximum(before, 1e-30)))
     return out
-
-
-def _isometry(z: np.ndarray, v, w: np.ndarray, df: np.ndarray) -> float:
-    """Relative change of the Bergman length of v at z under a differential ``df`` into w."""
-    before = bergman_norm(z, v)
-    after = bergman_norm(w, df @ v)
-    return abs(after - before) / max(before, 1e-30)
 
 
 def canonical_and_pde(cases) -> dict[str, float]:

@@ -45,6 +45,7 @@ from .maps import (
     automorphism_validate,
     identity_map,
     map_dim,
+    moebius_pole,
     moebius_pole_at_e1,
     random_ball_point,
     random_moebius,
@@ -327,11 +328,7 @@ def suite_variation(n: int = 2, seed: int = 0) -> list[dict]:
     probes = [moebius_pole_at_e1(n), _named_test_maps(n)[3], random_normalized_polymap(n, rng, scale=0.1)]
     ratio = max(variation_expansion_check(m, seed=seed).max_ratio for m in probes)
     # extremal closure at alpha = 0 for z / (1 - <z, c>), c = exp(i phase) e_1
-    poles = []
-    for phase in (0.0, 0.4, 1.1, -0.7):
-        a = np.eye(n + 1, dtype=complex)
-        a[0, 1] = -np.conj(np.exp(1j * phase))
-        poles.append((MoebiusMap(a),))
+    poles = [(moebius_pole(np.exp(1j * phase) * np.eye(n)[0]),) for phase in (0.0, 0.4, 1.1, -0.7)]
     closure = checks.worst(checks.first_variation, poles)
     # exact attainment of the alpha = 0 bound
     g0 = koebe_map(moebius_pole_at_e1(n), np.zeros(n))

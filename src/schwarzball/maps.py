@@ -179,13 +179,21 @@ def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> P
     return PolyMap(n, comps)
 
 
+def moebius_pole(c: Sequence[complex]) -> MoebiusMap:
+    """The normalized Moebius map z -> z / (1 - <z, c>), grid [[1, -c^H], [0, Id]].
+
+    For |c| = 1 its polar set touches the sphere at c.  The row -c^H is
+    subtracted from an identity grid, so every zero entry is +0.
+    """
+    c = np.asarray(c, dtype=complex).reshape(-1)
+    a = np.eye(len(c) + 1, dtype=complex)
+    a[0, 1:] -= np.conj(c)
+    return MoebiusMap(a)
+
+
 def moebius_pole_at_e1(n: int) -> MoebiusMap:
     """The normalized Moebius map z -> z / (1 - z_1), polar set touching e_1."""
-    a = np.zeros((n + 1, n + 1), dtype=complex)
-    a[0, 0] = 1.0
-    a[0, 1] = -1.0
-    a[1:, 1:] = np.eye(n)
-    return MoebiusMap(a)
+    return moebius_pole(np.eye(n)[0])
 
 
 # -- evaluation --------------------------------------------------------------

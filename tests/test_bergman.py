@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from schwarzball import bergman, checks
+from schwarzball import bergman, checks, family, maps, schwarzian
 from schwarzball.bergman import (
     DEFAULT_MAX_ITER,
     DEFAULT_STARTS,
@@ -13,13 +13,13 @@ from schwarzball.bergman import (
     _ascend,
     _grad_and_hess,
     _hopf_quadratic,
+    _lengths,
     _newton_directions,
     _pullback,
     _quad_norms,
     _sym_upper,
     _tensors_at,
     _value,
-    bergman_norm,
     max_quadratic_image_norm,
     metric_at,
     schwarzian_norm_at,
@@ -95,12 +95,20 @@ def test_metric_outside_ball():
 
 
 def test_bergman_norm_values_and_homogeneity():
-    assert abs(bergman_norm(np.zeros(2), [1, 0]) - np.sqrt(3)) <= 1e-14
+    assert abs(_lengths(np.zeros((1, 2)), np.array([[1.0, 0.0]]))[0] - np.sqrt(3)) <= 1e-14
     rng = np.random.default_rng(9)
     z = random_ball_point(2, rng, 0.7)
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     c = -1.3 + 0.4j
-    assert abs(bergman_norm(z, c * v) - abs(c) * bergman_norm(z, v)) <= 1e-12
+    scaled, plain = _lengths(np.array([z, z]), np.array([c * v, v]))
+    assert abs(scaled - abs(c) * plain) <= 1e-12
+    # each row is its own one-row call, bit for bit
+    zs = np.array([random_ball_point(3, rng, 0.9) for _ in range(7)])
+    vs = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    rows = _lengths(zs, vs)
+    assert all(rows[i] == _lengths(zs[i:i + 1], vs[i:i + 1])[0] for i in range(7))
+    with pytest.raises(OutsideDomainError):
+        _lengths(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
 
 
 def test_isometry_of_automorphisms():
@@ -111,8 +119,7 @@ def test_isometry_of_automorphisms():
         z = random_ball_point(2, rng, 0.8)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         dsig = map_jet_at(sigma, z, 1).derivatives(1)
-        lhs = bergman_norm(map_eval(sigma, z), dsig @ v)
-        rhs = bergman_norm(z, v)
+        lhs, rhs = _lengths(np.array([map_eval(sigma, z), z]), np.array([dsig @ v, v]))
         assert abs(lhs - rhs) <= 1e-9 * rhs
 
 
@@ -474,7 +481,6 @@ def test_norm_at_value_phase_invariant():
 def test_norm_sup_identity_zero():
     est = schwarzian_norm_sup(identity_map(2), r_max=0.9, shells=4, angular=6, starts=4)
     assert est.value <= 1e-12
-    assert est.r_max == 0.9
 
 
 def test_norm_sup_monotone_in_radius():
@@ -593,6 +599,29 @@ def test_invariance_residual_random_suite():
         for _ in range(20)
     ]
     assert checks.invariance(cases)["norm"] <= 1e-6
+
+
+def test_one_map_sup_holds_the_row_cap(monkeypatch):
+    # a one-map sup's grid (31 points here) goes through the grouped route, so
+    # no derivative call takes more rows than the cap, and the bits stay
+    rng = np.random.default_rng(15)
+    m = CompositionMap((random_normalized_polymap(2, rng, scale=0.1),
+                        automorphism_from_center(random_ball_point(2, rng, 0.5))))
+    probe = dict(r_max=0.8, shells=4, angular=10, starts=4, refine=1, seed=3)
+    want = schwarzian_norm_sup(m, **probe)
+    rows = []
+    for module in (maps, schwarzian, family):
+        def spy(m, z, order, params=None, _own=module._derivatives):
+            rows.append(len(z))
+            return _own(m, z, order, params)
+
+        monkeypatch.setattr(module, "_derivatives", spy)
+    monkeypatch.setattr(maps, "ROW_ENTRIES", 4 * 2**4)
+    got = schwarzian_norm_sup(m, **probe)
+    assert rows and max(rows) == 4
+    for field in dataclasses.fields(NormEstimate):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_invariance_over_cases_is_the_worst_single_case():

@@ -42,3 +42,31 @@ def unused_imports(package: Path) -> list[str]:
 
 def test_every_module_level_import_is_used():
     assert unused_imports(PACKAGE) == []
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# exports no module of the package or of the benchmark reads yet, and why they stay:
+# acceptance criterion 6 reads map_eval, and ROADMAP item 3 gives membership_check
+# its first caller
+UNREAD_EXPORTS = {"map_eval", "membership_check"}
+
+
+def unread_exports(package: Path, bench: Path) -> set[str]:
+    """Names ``__init__.py`` takes from the package's modules that no other module of
+    the package and no ``perfbench/*.py`` reads, as a name or as an attribute."""
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {name for name, _ in _bound_names(init)}
+    read = set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        if path == package / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return exported - read
+
+
+def test_every_export_is_read_or_kept_for_a_named_reason():
+    assert unread_exports(PACKAGE, BENCH) <= UNREAD_EXPORTS

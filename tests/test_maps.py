@@ -11,6 +11,7 @@ from schwarzball.errors import (
     VanishingDenominatorError,
 )
 from schwarzball import maps as maps_module
+from schwarzball.variational import moebius_subfamily
 from schwarzball.jets import Jet, JetVector, jet_det, jet_jacobian, jet_reciprocal
 from schwarzball.maps import (
     CompositionMap,
@@ -26,6 +27,7 @@ from schwarzball.maps import (
     identity_map,
     map_eval,
     map_jet_at,
+    moebius_pole,
     moebius_pole_at_e1,
     multi_indices,
     random_ball_point,
@@ -211,6 +213,49 @@ def test_moebius_identity_grid():
     m = MoebiusMap(np.eye(3, dtype=complex))
     z = np.array([0.3, -0.4j])
     assert np.max(np.abs(map_eval(m, z) - z)) == 0
+
+
+def _frozen_pole_at_e1(n):
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[0, 0] = 1.0
+    a[0, 1] = -1.0
+    a[1:, 1:] = np.eye(n)
+    return a
+
+
+def _frozen_suite_pole(n, phase):
+    a = np.eye(n + 1, dtype=complex)
+    a[0, 1] = -np.conj(np.exp(1j * phase))
+    return a
+
+
+def _frozen_subfamily_pole(x, n):
+    c = x[:n] + 1j * x[n:]
+    r = np.linalg.norm(c)
+    if r > 1.0:
+        c = c * ((1.0 - 1e-13) / r)
+    a = np.zeros((n + 1, n + 1), dtype=complex)
+    a[0, 0] = 1.0
+    a[0, 1:] = -np.conj(c)
+    a[1:, 1:] = np.eye(n)
+    return a
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_moebius_pole_equals_the_grids_it_replaced_bit_for_bit(n):
+    e1 = np.eye(n)[0]
+    assert moebius_pole(e1).a.tobytes() == _frozen_pole_at_e1(n).tobytes()
+    assert moebius_pole_at_e1(n).a.tobytes() == _frozen_pole_at_e1(n).tobytes()
+    for phase in (0.0, 0.4, 1.1, -0.7):
+        assert moebius_pole(np.exp(1j * phase) * e1).a.tobytes() == _frozen_suite_pole(n, phase).tobytes()
+    rng = np.random.default_rng(40 + n)
+    for scale in (0.3, 2.0):  # inside the ball, and clipped onto it
+        x = scale * rng.standard_normal(2 * n)
+        built = moebius_subfamily(n).build(x)
+        assert built.a.tobytes() == _frozen_subfamily_pole(x, n).tobytes()
+    z = np.array([0.3, -0.2j, 0.1][:n])
+    c = np.array([0.5 + 0.1j, -0.4, 0.2j][:n])
+    assert np.allclose(map_eval(moebius_pole(c), z), z / (1.0 - np.vdot(c, z)), rtol=1e-15, atol=0)
 
 
 def test_compose_moebius_equals_grid_product():

@@ -53,7 +53,10 @@ def test_command_list_is_fixed():
     # every suite and every analyze op of the CLI
     assert report_diff.SUITES == SUITES and report_diff.OPS == ",".join(ANALYZE_OPS)
     cmds = report_diff.commands("map.json")
-    assert len(cmds) == 44 and len({tuple(c) for c in cmds}) == 44
+    assert len(cmds) == 46 and len({tuple(c) for c in cmds}) == 46
     assert sum(c[0] == "verify" for c in cmds) == 7 * 2 * 3
     assert ["analyze", "map.json", "--ops", "schwarzian,norm,order,koebe,extremal",
             "--r-max", "0.6"] in cmds
+    assert ["search", "--family", "moebius", "--n", "2", "--alpha", "0", "--budget", "24",
+            "--seed", "1"] in cmds
+    assert sum(c[0] == "analyze" and "--zeta" in c for c in cmds) == 1

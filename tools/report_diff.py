@@ -11,11 +11,13 @@ values; a different exit code, check name, tolerance, ``passed`` flag or
 other report field is printed too.  The exit code is 1 if anything
 differs, 0 if not.
 
-The commands (44): ``verify`` of every suite at n = 2, 3 and seeds 0-2;
-``analyze`` with every op and ``--r-max 0.6`` on the seeded n = 3 cubic
+The commands (46): ``verify`` of every suite at n = 2, 3 and seeds 0-2;
+``analyze`` with every op, once with ``--r-max 0.6`` and once at the point
+``--zeta 0.2-0.1j,0.15j,-0.1``, on the seeded n = 3 cubic
 ``random_normalized_polymap(3, default_rng(0))``, whose map file the working
-tree writes once for both sides; and ``search --family cubic --alpha 0.5
---seed 0``.
+tree writes once for both sides; ``search --family cubic --alpha 0.5 --seed
+0``; and the Moebius search of the benchmark's ``cli`` session, ``search
+--family moebius --n 2 --alpha 0 --budget 24 --seed 1``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ def commands(map_file: str) -> list[list[str]]:
     out = [["verify", suite, "--n", str(n), "--seed", str(seed)]
            for suite in SUITES for n in (2, 3) for seed in (0, 1, 2)]
     out.append(["analyze", map_file, "--ops", OPS, "--r-max", "0.6"])
+    out.append(["analyze", map_file, "--ops", OPS, "--zeta", "0.2-0.1j,0.15j,-0.1"])
     out.append(["search", "--family", "cubic", "--alpha", "0.5", "--seed", "0"])
+    out.append(["search", "--family", "moebius", "--n", "2", "--alpha", "0", "--budget", "24",
+                "--seed", "1"])
     return out
 
 
