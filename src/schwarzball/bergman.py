@@ -41,18 +41,19 @@ terminated by step size or flatness rather than by the iteration cap (always
 true at n = 2).
 
 ``schwarzian_norms_at`` takes many (map, point) cases to one kernel call:
-their tensors come from one grouped tensor call (``schwarzian_ofs``: one
-derivative call per map kind and plan), are pulled back in one frame and are
-solved together, so the kernel's Python loop runs once for the list, and
-each case's result is the one its single-case call ``schwarzian_norm_at``
+their S^k tensors come from one grouped call (``_schwarzian_rows``: one
+derivative call of order 2 per map kind and plan, and the S^k block alone,
+as norms need no S^0), are pulled back in one frame and are solved
+together, so the kernel's Python loop runs once for the list, and each
+case's result is the one its single-case call ``schwarzian_norm_at``
 gives.
 
 ``schwarzian_norm_sups`` runs the sups of many maps in lockstep, and
 ``schwarzian_norm_sup`` is its one-map call.  Every map probes the same grid
 and the same refine steps around its own incumbent; each round (the grid,
 then each refine round) builds the tensors and upper ends of every map's
-points in one grouped tensor call and solves them in one kernel call that
-drops every point whose upper end cannot reach its map's floor.  A map's
+points in one grouped call and solves them in one kernel call that drops
+every point whose upper end cannot reach its map's floor.  A map's
 floor starts at its incumbent's value in a refine round (none in the grid
 round); at n >= 3 the ascent raises each map's floor before each iteration
 to the largest value that map's remaining points have reached, and stops
@@ -74,8 +75,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
-from .maps import MapSpec, map_dim
-from .schwarzian import _stacked_tensors, schwarzian_of
+from .maps import MapSpec, _derivative_chunks, _row_norms, map_dim
+# schwarzian_of stays bound here: perfbench/smoke.py checks that its tracer wraps this binding
+from .schwarzian import _jacobi, _points, _sk_block, schwarzian_of
 
 DEFAULT_STARTS = 16
 DEFAULT_MAX_ITER = 500
@@ -580,13 +582,15 @@ def max_quadratic_image_norm(
 
 
 def _schwarzian_rows(cases) -> np.ndarray:
-    """S^k of (map, points (p_i, n)) cases, stacked in case order: a single point
-    through ``schwarzian_of``, anything more through the grouped tensor call
-    (``schwarzian_ofs``), whose row cap bounds it and whose one-point case it is,
-    bit for bit."""
-    if len(cases) == 1 and len(cases[0][1]) == 1:
-        return schwarzian_of(*cases[0]).Sk
-    return _stacked_tensors(cases)[0]
+    """S^k of (map, points (p_i, n)) cases, stacked in case order: S^0 is not
+    needed for norms, so each :func:`.maps._derivative_chunks` call stops at
+    D^2F and assembles S^k alone (:func:`.schwarzian._sk_block`).  Row q equals
+    the S^k of ``schwarzian_of`` of its map at its point bit for bit."""
+    n = cases[0][1].shape[1]
+    sk = np.empty((sum(len(z) for _, z in cases), n, n, n), dtype=complex)
+    for rows, (_, d1, d2) in _derivative_chunks(cases, 2):
+        sk[rows] = _sk_block(*_jacobi(d1, d2)[1:])
+    return sk
 
 
 def _tensors_at(sk, points):
@@ -609,7 +613,7 @@ def schwarzian_norms_at(
     """Pointwise invariant Schwarzian norms ||S F(z)|| of (map, point) cases.
 
     Many maps, one kernel call: the tensors of every case come from one
-    grouped tensor call (``schwarzian_ofs``), are pulled back in one frame
+    grouped call (``_schwarzian_rows``), are pulled back in one frame
     and are solved in one call of the n = 2 or n >= 3 kernel.  A case's
     result does not depend on the list it is in, so entry i equals the
     single-case call on case i bit for bit.  All cases share one dimension;
@@ -618,7 +622,7 @@ def schwarzian_norms_at(
     n = 2, where ``starts``, ``seed`` and ``max_iter`` have no effect; a
     searched lower bound at n >= 3.
     """
-    cases = [(m, np.asarray(z, dtype=complex).reshape(-1)) for m, z in cases]
+    cases = [(m, _points(m, np.ravel(z))) for m, z in cases]
     if not cases:
         return []
     dims = {map_dim(m) for m, _ in cases}
@@ -662,14 +666,15 @@ def schwarzian_norm_sups(
     Radial shells (``shells`` radii from 0 to ``r_max``) with ``angular``
     deterministic direction samples per shell, followed by ``refine`` rounds
     of 16 points of shrinking local perturbation around each map's
-    incumbent, the first point in probe order with the largest value.  The
-    maps run in lockstep: each round builds the tensors of every map's
-    points in one grouped tensor call and solves them, with their upper ends,
-    in one kernel call.  Pruning and incumbents stay per map: a point whose
-    upper end, times 1 + ``UPPER_SLACK``, lies below its map's floor is
-    dropped.  The floor starts at the map's incumbent value in a refine round
-    and with none in the grid round; at n >= 3 the ascent raises it to the
-    largest value the map has reached before each iteration (:func:`_ascend`).
+    incumbent, the first point in probe order with the largest value; a
+    refine point beyond ``r_max`` is scaled back onto that sphere.  The maps
+    run in lockstep: each round builds the tensors of every map's points in one
+    grouped call and solves them, with their upper ends, in one kernel call.
+    Pruning and incumbents stay per map: a point whose upper end, times
+    1 + ``UPPER_SLACK``, lies below its map's floor is dropped.  The floor
+    starts at the map's incumbent value in a refine round and with none in
+    the grid round; at n >= 3 the ascent raises it to the largest value the
+    map has reached before each iteration (:func:`_ascend`).
     A dropped point cannot hold the max, so the result equals solving every
     point, and ``pruned`` counts them.  Every map draws the same points from
     ``default_rng(seed)``, so entry i equals the one-map call on ``maps[i]``
@@ -686,13 +691,15 @@ def schwarzian_norm_sups(
     if not maps:
         return []
     n = dims[0]
+    if n < 2:
+        raise DimensionError("Schwarzian tensors require n >= 2")
     rng = np.random.default_rng(seed)
     radii = np.linspace(0.0, r_max, max(int(shells), 1))
     best = [NormEstimate(value=-1.0, arg_v=None, arg_z=None, converged=True, points=0) for _ in maps]
 
-    def gaussian_steps(count: int) -> list[np.ndarray]:
+    def gaussian_steps(count: int) -> np.ndarray:
         draws = rng.standard_normal((count, 2, n))
-        return [d[0] + 1j * d[1] for d in draws]
+        return draws[:, 0] + 1j * draws[:, 1]
 
     def consider(points: np.ndarray, floor):
         """Solve the round's points (maps, k, n) in one kernel call; keep each map's first best one.
@@ -714,29 +721,24 @@ def schwarzian_norm_sups(
                 est.value, est.arg_v, est.arg_z = float(values[i]), vs[i], pts[i]
                 est.converged, est.upper = bool(converged[i]), float(up[i])
 
-    grid = []
-    for radius in radii:
-        if radius == 0.0:
-            grid.append(np.zeros(n, dtype=complex))
-            continue
-        grid.extend(radius * (v / np.linalg.norm(v)) for v in gaussian_steps(max(int(angular), 1)))
-    consider(np.array([grid] * len(maps)), np.full(len(maps), -np.inf))
+    count = max(int(angular), 1)
+    shell = gaussian_steps(np.count_nonzero(radii) * count)
+    at = np.repeat(radii, np.where(radii == 0.0, 1, count))  # each grid point's radius
+    grid = np.zeros((len(at), n), dtype=complex)
+    grid[at != 0.0] = at[at != 0.0, None] * (shell / _row_norms(shell)[:, None])
+    consider(np.repeat(grid[None], len(maps), axis=0), np.full(len(maps), -np.inf))
 
     spacing = r_max / max(len(radii) - 1, 1) if r_max > 0 else 0.1
     rho = 0.5 * spacing
     for _ in range(max(int(refine), 0)):
-        steps = gaussian_steps(16)
-        round_points = []
-        for est in best:
-            center = est.arg_z if est.arg_z is not None else np.zeros(n, dtype=complex)
-            round_points.append([])
-            for step in steps:
-                z = center + rho * step / np.sqrt(2 * n)
-                norm_z = float(np.linalg.norm(z))
-                if norm_z > r_max:
-                    z = z * (r_max / norm_z)
-                round_points[-1].append(z)
-        consider(np.array(round_points), np.array([est.value for est in best]))
+        steps = rho * gaussian_steps(16) / np.sqrt(2 * n)
+        centers = np.array([np.zeros(n, dtype=complex) if est.arg_z is None else est.arg_z
+                            for est in best])
+        z = (centers[:, None] + steps).reshape(-1, n)
+        norm_z = _row_norms(z)
+        out = norm_z > r_max  # pulled back onto the sphere of radius r_max
+        z[out] *= (r_max / norm_z[out])[:, None]
+        consider(z.reshape(len(maps), 16, n), np.array([est.value for est in best]))
         rho *= 0.4
     for est in best:
         est.value = max(est.value, 0.0)

@@ -239,13 +239,10 @@ def load_map_file(path: str) -> MapSpec:
 
 def suite_moebius(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-
-    def cases():  # 200 maps, each with its 20 points as one stack, drawn in the same order
-        for _ in range(200):
-            m = random_moebius(n, rng)
-            yield m, np.array([random_ball_point(n, rng, 0.9) for _ in range(20)])
-
-    w = checks.moebius_vanishing(cases())
+    # 200 maps, then their 20 points each, every kind drawn in one batch
+    grids = random_moebius(n, rng, size=200)
+    points = random_ball_point(n, rng, 0.9, size=200 * 20).reshape(200, 20, n)
+    w = checks.moebius_vanishing(zip(grids, points))
     return [
         residual_check("moebius_max_abs_Sk", w["Sk"], 1e-8),
         residual_check("moebius_max_abs_S0", w["S0"], 1e-8),

@@ -237,7 +237,8 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     the derivative columns of :func:`jets._derivative_positions`.  Terms are
     sorted by c_s, so the columns of order <= k are a prefix of the table:
     ``present`` lists the columns with terms and ``starts`` the start of
-    each one's run.  A row of derivative columns holds d^alpha_c f_l at
+    each one's run, and ``cuts[k]`` counts the terms and the present columns
+    of order <= k.  A row of derivative columns holds d^alpha_c f_l at
     position c * n + l, and entry [l, i_1, ..., i_j] of the j-th slot array
     is the position of d^j f_l / dz_{i_1} ... dz_{i_j}.
     """
@@ -269,8 +270,10 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     cols, terms = np.nonzero(np.all(rest >= 0, axis=2).T)  # sorted by column
     rows = np.array([index[tuple(e)] for e in rest[terms, cols].tolist()], dtype=int)
     present, starts = np.unique(cols, return_index=True)
+    width = [comb(n + k, k) for k in range(4)]  # columns of order <= k
+    cuts = list(zip(np.searchsorted(cols, width).tolist(), np.searchsorted(present, width).tolist()))
     slots = [np.arange(n).reshape((n,) + (1,) * k) + idx * n for k, idx in enumerate(positions)]
-    return levels, len(monomials), rows, terms, weight[terms, cols, None], present, starts, slots
+    return levels, len(monomials), rows, terms, weight[terms, cols, None], present, starts, cuts, slots
 
 
 def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
@@ -287,16 +290,22 @@ def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
 
 def _poly_derivatives(plan, coeffs: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
     """Derivative arrays of polynomial maps of one plan: ``coeffs`` is one map's
-    weighted term coefficients (:func:`_poly_arrays`) or a stack of them, one per point."""
-    levels, size, rows, _, _, present, starts, slots = plan
+    weighted term coefficients (:func:`_poly_arrays`) or a stack of them, one per point.
+
+    Only the columns of order <= ``order`` are summed, each over the same run
+    of terms at every order, so a lower order gives the prefix of a higher one
+    bit for bit."""
+    levels, size, rows, _, _, present, starts, cuts, slots = plan
     p, n = z.shape
     values = np.empty((p, size), dtype=complex)
     values[:, 0] = 1.0
     for idx, parent, var in levels:
         values[:, idx] = values[:, parent] * z[:, var]
-    cols = np.zeros((p, comb(n + 3, 3), n), dtype=complex)
-    if len(rows):  # each column sums its run of terms, one after another
-        cols[:, present] = np.add.reduceat(values[:, rows, None] * coeffs, starts, axis=1)
+    terms, used = cuts[order]
+    cols = np.zeros((p, comb(n + order, order), n), dtype=complex)
+    if terms:  # each column sums its run of terms, one after another
+        cols[:, present[:used]] = np.add.reduceat(
+            values[:, rows[:terms], None] * coeffs[..., :terms, :], starts[:used], axis=1)
     cols = cols.reshape(p, cols.shape[1] * n)
     return [cols[:, slot] for slot in slots[:order + 1]]
 
@@ -563,35 +572,71 @@ def automorphism_validate(sigma: MoebiusMap) -> tuple[float, float, float]:
 # -- deterministic samplers used by verification suites -----------------------
 
 
-def random_ball_point(n: int, rng: np.random.Generator, r_max: float = 0.9) -> np.ndarray:
-    """Random point with |z| <= r_max, radially uniform enough for sampling duty."""
-    draws = rng.standard_normal(2 * n)  # real parts, then imaginary parts
-    v = draws[:n] + 1j * draws[n:]
-    # np.linalg.norm's sum on the complex array; contiguous slices of draws
-    # would round differently
-    v /= np.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-    return v * (r_max * rng.random() ** (1.0 / (2 * n)))
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """|v| of each row of a complex stack (p, n), with the bits of ``np.linalg.norm(row)``.
+
+    That norm is the square root of v.real . v.real + v.imag . v.imag, 1-D dots
+    of stride-16 views; a stacked vector-vector matmul of the same views takes
+    the same dot per row, where contiguous real copies would round differently.
+    """
+    re, im = v.real, v.imag
+    return np.sqrt((re[:, None] @ re[..., None] + im[:, None] @ im[..., None])[:, 0, 0])
 
 
-def random_moebius(n: int, rng: np.random.Generator) -> MoebiusMap:
-    """Random Moebius map that is defined on |z| <= 0.9 and well conditioned.
+def random_ball_point(
+    n: int, rng: np.random.Generator, r_max: float = 0.9, size: int | None = None
+) -> np.ndarray:
+    """Random point uniform on the ball |z| <= r_max, or a stack (size, n) of them.
+
+    A direction uniform on the sphere (normalized Gaussian normals) times
+    r_max u^(1 / 2n) for u uniform on [0, 1).  The normals come in one draw
+    of shape (size, 2n), each row real parts then imaginary parts, and the
+    radii in one draw of ``size`` uniforms; ``size=None`` is the size-1 case,
+    one point (n,) with the same bits and the same generator state after.
+    """
+    k = 1 if size is None else int(size)
+    draws = rng.standard_normal((k, 2 * n))
+    v = draws[:, :n] + 1j * draws[:, n:]
+    v /= _row_norms(v)[:, None]
+    # Python's pow per number: numpy's vector power rounds differently from
+    # libm's on some CPUs (AVX-512), and a point must not depend on its stack
+    e = 1.0 / (2 * n)
+    z = v * np.array([r_max * u ** e for u in rng.random(k).tolist()])[:, None]
+    return z[0] if size is None else z
+
+
+def random_moebius(
+    n: int, rng: np.random.Generator, size: int | None = None
+) -> MoebiusMap | list[MoebiusMap]:
+    """Random Moebius map that is defined on |z| <= 0.9 and well conditioned, or a
+    list of ``size`` of them.
 
     The denominator row is kept close to the constant 1 so l_0 cannot vanish
     inside the sampling radius; grids with small determinant are resampled.
-    Each attempt takes its normals in one draw: the denominator row, the
-    constant column and the linear block, each real parts then imaginary
-    parts.
+    Each round of attempts takes its normals in one draw, a row per grid not
+    yet accepted: the denominator row, the constant column and the linear
+    block, each real parts then imaginary parts; only the rejected rows are
+    drawn again.  ``size=None`` is the size-1 case, one map with the same bits
+    and the same generator state after.
     """
-    while True:
-        draws = rng.standard_normal(4 * n + 2 * n * n)
-        row, col, block = draws[:2 * n], draws[2 * n:4 * n], draws[4 * n:].reshape(2, n, n)
-        a = np.zeros((n + 1, n + 1), dtype=complex)
-        a[0, 0] = 1.0
-        a[0, 1:] = 0.2 * (row[:n] + 1j * row[n:]) / np.sqrt(n)
-        a[1:, 0] = 0.3 * (col[:n] + 1j * col[n:])
-        a[1:, 1:] = np.eye(n) + 0.4 * (block[0] + 1j * block[1]) / np.sqrt(n)
-        if abs(np.linalg.det(a)) >= 0.05:
-            return MoebiusMap(a)
+    def draw(count: int) -> np.ndarray:
+        draws = rng.standard_normal((count, 4 * n + 2 * n * n))
+        row, col = draws[:, :2 * n], draws[:, 2 * n:4 * n]
+        block = draws[:, 4 * n:].reshape(-1, 2, n, n)
+        a = np.zeros((count, n + 1, n + 1), dtype=complex)
+        a[:, 0, 0] = 1.0
+        a[:, 0, 1:] = 0.2 * (row[:, :n] + 1j * row[:, n:]) / np.sqrt(n)
+        a[:, 1:, 0] = 0.3 * (col[:, :n] + 1j * col[:, n:])
+        a[:, 1:, 1:] = np.eye(n) + 0.4 * (block[:, 0] + 1j * block[:, 1]) / np.sqrt(n)
+        return a
+
+    grids = draw(1 if size is None else int(size))
+    redo = np.flatnonzero(np.abs(np.linalg.det(grids)) < 0.05)
+    while len(redo):
+        grids[redo] = draw(len(redo))
+        redo = redo[np.abs(np.linalg.det(grids[redo])) < 0.05]
+    maps = [MoebiusMap(a) for a in grids]
+    return maps[0] if size is None else maps
 
 
 def random_normalized_polymap(

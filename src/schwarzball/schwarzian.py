@@ -93,6 +93,21 @@ def _jacobi(d1: np.ndarray, d2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return dinv, m, sum(m[:, k, :, k] for k in range(n))
 
 
+def _sk_block(m: np.ndarray, glog: np.ndarray) -> np.ndarray:
+    """S^k, symmetrized, from m[q, k, i, j] = (DF^{-1} d_i DF)_kj and g = grad log JF
+    (:func:`_jacobi`): S^k_ij = m_kij + p (delta^k_i g_j + delta^k_j g_i), p = -1/(n+1).
+
+    It needs DF and D^2F only; :func:`_tensors` builds S^0 on top of it.
+    """
+    n = m.shape[1]
+    pg = -1.0 / (n + 1) * glog
+    sk = m.copy()
+    for k in range(n):
+        sk[:, k, k, :] += pg
+        sk[:, k, :, k] += pg
+    return _symmetrize(sk)
+
+
 def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S^k and S^0 from DF, D^2F and D^3F, each with a leading point axis.
 
@@ -110,11 +125,7 @@ def _tensors(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray
 
     p = -1.0 / (n + 1)
     pg = p * glog
-    sk = m.copy()
-    for k in range(n):
-        sk[:, k, k, :] += pg
-        sk[:, k, :, k] += pg
-    sk = _symmetrize(sk)
+    sk = _sk_block(m, glog)
     s0 = p * p * glog[:, :, None] * glog[:, None, :] + p * hlog - sum(
         sk[:, k] * pg[:, k, None, None] for k in range(n)
     )

@@ -43,7 +43,7 @@ from schwarzball.maps import (
 )
 from schwarzball.schwarzian import schwarzian_of
 
-from helpers import quadratic_image, unitary_automorphism
+from helpers import normalized_samples, quadratic_image, unitary_automorphism
 
 
 def shear(a, n=2):
@@ -546,6 +546,102 @@ def test_norm_sup_is_the_max_over_its_replayed_probe_points():
                 assert np.max(np.abs(est.arg_z - points[best])) == 0
 
 
+def _frozen_sup_rounds(maps, r_max, shells, angular, refine, seed, starts):
+    """The per-point probe loop of the lockstep sup, frozen from before it built its
+    points as arrays: each round's points (maps, k, n), with the incumbents taken
+    as the sup takes them."""
+    n = maps[0].n
+    rng = np.random.default_rng(seed)
+    radii = np.linspace(0.0, r_max, max(int(shells), 1))
+    best = [(-1.0, None)] * len(maps)
+    rounds = []
+
+    def gaussian_steps(count):
+        draws = rng.standard_normal((count, 2, n))
+        return [d[0] + 1j * d[1] for d in draws]
+
+    def consider(points, floor):
+        rounds.append(points)
+        sk = bergman._schwarzian_rows(list(zip(maps, points)))
+        frame, upper = _tensors_at(sk, points.reshape(-1, n))
+        values = _quad_norms(frame, starts, seed, DEFAULT_MAX_ITER, upper, floor)[0]
+        for k, (pts, vals) in enumerate(zip(points, values.reshape(points.shape[:2]))):
+            i = int(np.argmax(vals))
+            if vals[i] > best[k][0]:
+                best[k] = (float(vals[i]), pts[i])
+
+    grid = []
+    for radius in radii:
+        if radius == 0.0:
+            grid.append(np.zeros(n, dtype=complex))
+            continue
+        grid.extend(radius * (v / np.linalg.norm(v)) for v in gaussian_steps(max(int(angular), 1)))
+    consider(np.array([grid] * len(maps)), np.full(len(maps), -np.inf))
+    rho = 0.5 * (r_max / max(len(radii) - 1, 1) if r_max > 0 else 0.1)
+    for _ in range(max(int(refine), 0)):
+        steps = gaussian_steps(16)
+        round_points = []
+        for _, center in best:
+            center = center if center is not None else np.zeros(n, dtype=complex)
+            round_points.append([])
+            for step in steps:
+                z = center + rho * step / np.sqrt(2 * n)
+                norm_z = float(np.linalg.norm(z))
+                if norm_z > r_max:
+                    z = z * (r_max / norm_z)
+                round_points[-1].append(z)
+        consider(np.array(round_points), np.array([value for value, _ in best]))
+        rho *= 0.4
+    return rounds
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sup_probe_points_equal_the_per_point_loop_byte_for_byte(monkeypatch, n):
+    # tobytes tells signed zeros apart: the r_max = 0 round scales every
+    # refine point by 0, and the r_max = 0.3 rounds clip points onto |z| = 0.3
+    rng = np.random.default_rng(70 + n)
+    maps = [random_normalized_polymap(n, rng, scale=0.3) for _ in range(3)]
+    seen = []
+
+    def recorded(sk, points):
+        seen.append(np.array(points))
+        return _tensors_at(sk, points)
+
+    monkeypatch.setattr(bergman, "_tensors_at", recorded)
+    clipped = 0
+    for probe in (dict(r_max=0.8, shells=3, angular=5, refine=1),
+                  dict(r_max=0.0, shells=3, angular=4, refine=1),
+                  dict(r_max=0.7, shells=4, angular=1, refine=1),
+                  dict(r_max=0.3, shells=2, angular=4, refine=2)):
+        for some in (maps[:1], maps):
+            seen.clear()
+            schwarzian_norm_sups(some, starts=4, seed=5, **probe)
+            want = _frozen_sup_rounds(some, seed=5, starts=4, **probe)
+            assert [p.tobytes() for p in seen] == [p.reshape(-1, n).tobytes() for p in want]
+            if probe["r_max"] == 0.3:
+                clipped += sum(int(np.sum(np.abs(np.linalg.norm(p, axis=1) - 0.3) < 1e-15))
+                               for p in seen[1:])
+    assert clipped > 0
+
+
+def test_norm_route_sk_equals_the_tensor_route_byte_for_byte(monkeypatch):
+    # the norm route stops at D^2F and assembles S^k alone; the tensor route
+    # goes to D^3F for S^0 too: both give the same S^k, at every row cap
+    for n in (2, 3, 4):
+        rng = np.random.default_rng(80 + n)
+        kinds = [m for _, m in normalized_samples(n, rng)] + [
+            random_moebius(n, rng),
+            CompositionMap((random_moebius(n, rng), random_normalized_polymap(n, rng)))]
+        cases = [(m, np.array([random_ball_point(n, rng, 0.8) for _ in range(k % 3 + 1)]))
+                 for k, m in enumerate(kinds * 2)]
+        for cap in (maps.ROW_ENTRIES, 3 * n**3):
+            monkeypatch.setattr(maps, "ROW_ENTRIES", cap)
+            want = schwarzian._stacked_tensors(cases)[0]
+            assert bergman._schwarzian_rows(cases).tobytes() == want.tobytes()
+        m, z = cases[0][0], cases[0][1][0]
+        assert bergman._schwarzian_rows([(m, z[None])])[0].tobytes() == schwarzian_of(m, z).Sk.tobytes()
+
+
 def test_norm_sup_run_counters():
     # the probe settings of extremal_search's inner norm estimate; exact
     # pointwise values at n = 2 take no ascent steps.  Pruning runs at every
@@ -603,7 +699,8 @@ def test_invariance_residual_random_suite():
 
 def test_one_map_sup_holds_the_row_cap(monkeypatch):
     # a one-map sup's grid (31 points here) goes through the grouped route, so
-    # no derivative call takes more rows than the cap, and the bits stay
+    # no derivative call takes more rows than the cap, and the bits stay; the
+    # norm route stops at D^2F, so its highest-order array has n^3 entries a row
     rng = np.random.default_rng(15)
     m = CompositionMap((random_normalized_polymap(2, rng, scale=0.1),
                         automorphism_from_center(random_ball_point(2, rng, 0.5))))
@@ -616,7 +713,7 @@ def test_one_map_sup_holds_the_row_cap(monkeypatch):
             return _own(m, z, order, params)
 
         monkeypatch.setattr(module, "_derivatives", spy)
-    monkeypatch.setattr(maps, "ROW_ENTRIES", 4 * 2**4)
+    monkeypatch.setattr(maps, "ROW_ENTRIES", 4 * 2**3)
     got = schwarzian_norm_sup(m, **probe)
     assert rows and max(rows) == 4
     for field in dataclasses.fields(NormEstimate):
@@ -675,6 +772,13 @@ def test_norms_at_input_errors():
                            (shear(0.3, n=3), sigma3, [0.1, 0.2, 0.0])])
     with pytest.raises(OutsideDomainError):
         schwarzian_norms_at([(shear(0.3), [0.1, 0.2]), (shear(0.3), [0.9, 0.6])])
+    # a point of the wrong length, or a map of one variable, is refused before any derivative
+    with pytest.raises(DimensionError):
+        schwarzian_norm_at(shear(0.3), [0.1])
+    with pytest.raises(DimensionError):
+        schwarzian_norm_at(shear(0.3), [0.1, 0.2, 0.0])
+    with pytest.raises(DimensionError):
+        schwarzian_norm_at(maps.affine_map(np.eye(1)), [0.1])
 
 
 # -- the exact route at n = 2 ----------------------------------------------------
@@ -883,6 +987,8 @@ def test_lockstep_sup_input_errors():
     assert schwarzian_norm_sups([]) == []
     with pytest.raises(DimensionError):
         schwarzian_norm_sups([shear(0.3), shear(0.3, n=3)])
+    with pytest.raises(DimensionError):
+        schwarzian_norm_sups([maps.affine_map(np.eye(1))])
     with pytest.raises(OutsideDomainError):
         schwarzian_norm_sups([shear(0.3)], r_max=1.0)
 

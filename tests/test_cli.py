@@ -57,6 +57,38 @@ def test_verify_reports_byte_identical_modulo_timing(tmp_path):
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
+class _CountingGenerator:
+    """A numpy Generator that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self._rng, self.calls = rng, {}
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
+def test_moebius_suite_draws_its_maps_and_points_in_two_batches(monkeypatch, n, seed):
+    # one normal draw for the 200 grids (no grid of these seeds is resampled),
+    # one for the 4000 points' directions and one uniform draw for their radii
+    want = cli.suite_moebius(n, seed)
+    made, default_rng = [], np.random.default_rng
+
+    def counting_rng(s):
+        made.append(_CountingGenerator(default_rng(s)))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    assert cli.suite_moebius(n, seed) == want
+    assert [g.calls for g in made] == [{"standard_normal": 2, "random": 1}]
+
+
 def test_verify_seed_changes_are_visible(tmp_path):
     _, rep1 = run_json(tmp_path, ["verify", "lemma31", "--seed", "1"], "a.json")
     _, rep2 = run_json(tmp_path, ["verify", "lemma31", "--seed", "2"], "b.json")

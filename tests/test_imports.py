@@ -1,6 +1,7 @@
 """Module-level imports of the package that no module of it uses (no linter is installed)."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "schwarzball"
@@ -40,8 +41,15 @@ def unused_imports(package: Path) -> list[str]:
     return unused
 
 
+# imports their module no longer reads, and why they stay: perfbench/smoke.py checks
+# that its tracer wraps bergman's binding of schwarzian_of, which bergman stopped
+# calling when its norms took the S^k-only route
+KEPT_IMPORTS = {"bergman.py schwarzian_of"}
+
+
 def test_every_module_level_import_is_used():
-    assert unused_imports(PACKAGE) == []
+    unused = {re.sub(r":\d+ ", " ", entry) for entry in unused_imports(PACKAGE)}
+    assert unused <= KEPT_IMPORTS
 
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -422,7 +422,7 @@ def test_lower_order_poly_arrays_are_a_prefix_of_the_order_3_call():
     # one column table per plan: the order-k arrays are the first k + 1 of
     # the order-3 call, byte for byte, for maps of two plans
     rng = np.random.default_rng(24)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         z = np.array([random_ball_point(n, rng, 0.8) for _ in range(4)])
         polys = _mixed_maps(n, rng)[:5]
         assert len({_stack_key(m) for m in polys}) == 2
@@ -533,3 +533,42 @@ def test_samplers_equal_their_per_number_draws_bit_for_bit(n):
         old, new = (np.random.default_rng(_MOEBIUS_RESAMPLES[n]) for _ in range(2))
         assert _frozen_moebius(n, old).a.tobytes() == random_moebius(n, new).a.tobytes()
         assert old.bit_generator.state == new.bit_generator.state
+    # the one-draw call is the size-1 batch: same bits, same generator state
+    for seed in list(range(12)) + [_MOEBIUS_RESAMPLES.get(n, 0)]:
+        one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+        for r_max in (0.9, 0.5, 0.0):
+            z = random_ball_point(n, batch, r_max, size=1)
+            assert z.shape == (1, n) and random_ball_point(n, one, r_max).tobytes() == z.tobytes()
+        for _ in range(3):
+            grids = random_moebius(n, batch, size=1)
+            assert len(grids) == 1 and random_moebius(n, one).a.tobytes() == grids[0].a.tobytes()
+        assert one.bit_generator.state == batch.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_batched_samplers_keep_their_bounds(n):
+    rng = np.random.default_rng(30 + n)
+    state = rng.bit_generator.state
+    assert random_ball_point(n, rng, 0.9, size=0).shape == (0, n)
+    assert random_moebius(n, rng, size=0) == []
+    assert rng.bit_generator.state == state
+    for r_max in (0.9, 0.3, 0.0):
+        z = random_ball_point(n, rng, r_max, size=500)
+        assert z.shape == (500, n) and np.all(np.linalg.norm(z, axis=1) <= r_max * (1 + 1e-15))
+    grids = random_moebius(n, rng, size=300)
+    assert len(grids) == 300 and all(abs(np.linalg.det(m.a)) >= 0.05 for m in grids)
+
+
+@pytest.mark.parametrize("n", sorted(_MOEBIUS_RESAMPLES))
+def test_batched_moebius_draws_only_the_rejected_rows_again(n):
+    # the seed's first grid is rejected: the second round draws one row
+    seed, width = _MOEBIUS_RESAMPLES[n], 4 * n + 2 * n * n
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    grids = random_moebius(n, rng, size=3)
+    first, second = ref.standard_normal((3, width)), ref.standard_normal((1, width))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert all(abs(np.linalg.det(m.a)) >= 0.05 for m in grids)
+    assert grids[0].a[0, 1:].tobytes() == (0.2 * (second[0, :n] + 1j * second[0, n:2 * n])
+                                           / np.sqrt(n)).tobytes()
+    assert grids[1].a[1:, 0].tobytes() == (0.3 * (first[1, 2 * n:3 * n]
+                                                  + 1j * first[1, 3 * n:4 * n])).tobytes()
