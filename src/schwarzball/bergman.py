@@ -604,6 +604,16 @@ def _tensors_at(sk, points):
     return frame, _sym_upper(frame)
 
 
+def _norm_cases(cases) -> list:
+    """The (map, point) cases with each point checked against its map
+    (``schwarzian._points``); a list that mixes dimensions raises."""
+    cases = [(m, _points(m, np.ravel(z))) for m, z in cases]
+    dims = {map_dim(m) for m, _ in cases}
+    if len(dims) > 1:
+        raise DimensionError(f"cases mix the dimensions {sorted(dims)}")
+    return cases
+
+
 def schwarzian_norms_at(
     cases,
     starts: int = DEFAULT_STARTS,
@@ -622,12 +632,9 @@ def schwarzian_norms_at(
     n = 2, where ``starts``, ``seed`` and ``max_iter`` have no effect; a
     searched lower bound at n >= 3.
     """
-    cases = [(m, _points(m, np.ravel(z))) for m, z in cases]
+    cases = _norm_cases(cases)
     if not cases:
         return []
-    dims = {map_dim(m) for m, _ in cases}
-    if len(dims) > 1:
-        raise DimensionError(f"cases mix the dimensions {sorted(dims)}")
     points = np.stack([z for _, z in cases])
     frame, upper = _tensors_at(_schwarzian_rows([(m, z[None]) for m, z in cases]), points)
     value, v, converged, iterations = _quad_norms(frame, starts, seed, max_iter)

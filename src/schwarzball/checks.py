@@ -3,8 +3,8 @@
 Each check returns its named residuals, all zero in exact arithmetic, as the
 maximum of each over its cases; NaN wins.  The checks that build Schwarzian
 tensors or norms take the whole case list, so that the tensors come from
-grouped derivative calls, the pointwise norms from one kernel call per side
-and the sups from one lockstep call; the others take one case, and
+grouped derivative calls, the pointwise norms from one kernel call for both
+sides and the sups from one lockstep call; the others take one case, and
 :func:`worst` takes their maxima over many.  Every grouped derivative call
 goes through ``maps._derivative_chunks``, which holds its highest-order
 array to ``maps.ROW_ENTRIES`` entries at every order, so no check sizes
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import _lengths, schwarzian_norm_sups, schwarzian_norms_at
+from .bergman import _lengths, _norm_cases, schwarzian_norm_sups, schwarzian_norms_at
 from .family import (
     grad_jacobian,
     jet_grad_jacobian,
@@ -114,21 +114,21 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
     (f, sigma, z, v), sigma an automorphism, and over the cases with a direction v, the
     largest relative change ``isometry`` of its Bergman length under D sigma(z); NaN wins.
 
-    Each side's norms come from one :func:`schwarzian_norms_at` call over all the cases,
-    sigma(z) and D sigma(z) from one derivative call per map kind, and the lengths of
+    sigma(z) and D sigma(z) come from one derivative call per map kind, the norms of both
+    sides from one :func:`schwarzian_norms_at` call over all the cases, and the lengths of
     every v at z and of every D sigma(z) v at sigma(z) from one metric evaluation.
     """
     cases = [(f, sigma, np.asarray(z, dtype=complex).reshape(-1), *rest)
              for f, sigma, z, *rest in cases]
     if not cases:
         return {}
-    lhs = schwarzian_norms_at([(CompositionMap((f, sigma)), z) for f, sigma, z, *_ in cases],
-                              seed=seed)
+    lhs = _norm_cases([(CompositionMap((f, sigma)), z) for f, sigma, z, *_ in cases])
     value = np.empty((len(cases), len(cases[0][2])), dtype=complex)
     d1 = np.empty(value.shape + value.shape[1:], dtype=complex)
     for rows, (f0, f1) in _derivative_chunks([(sigma, z[None]) for _, sigma, z, *_ in cases], 1):
         value[rows], d1[rows] = f0, f1
-    rhs = schwarzian_norms_at([(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
+    norms = schwarzian_norms_at(lhs + [(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
+    lhs, rhs = norms[:len(cases)], norms[len(cases):]
     out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}
     rows = [i for i, case in enumerate(cases) for _ in case[3:]]
     if rows:

@@ -127,6 +127,17 @@ class MoebiusMap:
         self.a = a
         self.n = a.shape[0] - 1
 
+    @classmethod
+    def _checked(cls, grids: np.ndarray) -> list["MoebiusMap"]:
+        """The maps of a stack of complex grids (k, n+1, n+1), checked nonsingular by one
+        stacked ``_sigma_ratio`` call; the same maps as ``MoebiusMap(a)`` per grid."""
+        if not np.all(_sigma_ratio(grids) > SINGULAR_TOL):
+            raise MapSpecError("Moebius coefficient grid is singular")
+        maps = [cls.__new__(cls) for _ in grids]
+        for m, a in zip(maps, grids):
+            m.a, m.n = a, a.shape[0] - 1
+        return maps
+
 
 class CompositionMap:
     """Composition chain ``maps[0] o maps[1] o ... o maps[-1]``.
@@ -616,8 +627,9 @@ def random_moebius(
     Each round of attempts takes its normals in one draw, a row per grid not
     yet accepted: the denominator row, the constant column and the linear
     block, each real parts then imaginary parts; only the rejected rows are
-    drawn again.  ``size=None`` is the size-1 case, one map with the same bits
-    and the same generator state after.
+    drawn again.  The accepted grids pass ``MoebiusMap``'s nonsingularity test
+    in one stacked call.  ``size=None`` is the size-1 case, one map with the
+    same bits and the same generator state after.
     """
     def draw(count: int) -> np.ndarray:
         draws = rng.standard_normal((count, 4 * n + 2 * n * n))
@@ -635,7 +647,7 @@ def random_moebius(
     while len(redo):
         grids[redo] = draw(len(redo))
         redo = redo[np.abs(np.linalg.det(grids[redo])) < 0.05]
-    maps = [MoebiusMap(a) for a in grids]
+    maps = MoebiusMap._checked(grids)
     return maps[0] if size is None else maps
 
 

@@ -36,7 +36,7 @@ from .errors import (
     NormalizationError,
     SchwarzballError,
 )
-from .bergman import NormEstimate, schwarzian_norm_sup
+from .bergman import NormEstimate, schwarzian_norm_sups
 from .family import grad_jacobian, koebe_map
 from .jets import multi_indices
 from .maps import (
@@ -58,6 +58,13 @@ EXPANSION_DIRECTIONS = 3
 # Nelder-Mead runs of the extremal search, the first from x0; each gets an
 # equal share of the budget
 SEARCH_RESTARTS = 3
+# the search's Nelder-Mead stopping tolerances on the simplex's spread in x and in f
+_SEARCH_XATOL = 1e-9
+_SEARCH_FATOL = 1e-12
+# Nelder-Mead's reflection, expansion, contraction and shrink coefficients, and its
+# start simplex's relative step and the step of a zero coordinate (scipy's values)
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1, 2, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
 # default radius of the search's norm estimate, and its probe settings
 # (schwarzian_norm_sup's shells, angular, starts and refine)
 SEARCH_R_MAX = 0.85
@@ -304,6 +311,102 @@ def cubic_subfamily(n: int) -> SubfamilyConfig:
     return SubfamilyConfig(build=build, x0=np.zeros(dim))
 
 
+def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(x0: np.ndarray, maxfev: int, xatol: float, fatol: float):
+    """Nelder-Mead minimization from ``x0`` as an ask/tell generator.
+
+    It yields a (k, N) array of points and is sent their k values; it returns
+    ``(x, fun, nfev, success)``.  Its steps are those of scipy 1.17.1's
+    ``minimize(method="Nelder-Mead")`` with ``adaptive`` off and only ``maxfev``,
+    ``xatol`` and ``fatol`` set, operation for operation, so the two give the
+    same bits.  The start simplex steps each coordinate by 5%, a zero one to
+    0.00025.  ``maxfev`` cuts the start simplex after its first ``maxfev``
+    vertices, the others keep the value inf; in a shrink the vertex it cuts
+    moves but keeps its old value.  The start simplex's vertices and a shrink's
+    are asked for at once, every other point alone.
+    """
+    n = x0.size
+    sim = np.repeat(x0[None], n + 1, axis=0)
+    diag = np.arange(n)
+    sim[diag + 1, diag] = np.where(x0 != 0, (1 + _NM_NONZDELT) * x0, _NM_ZDELT)
+    fsim = np.full(n + 1, np.inf)
+    nfev = min(n + 1, maxfev)
+    fsim[:nfev] = yield sim[:nfev].copy()
+    # scipy sorts once after the start simplex and once more before its loop
+    sim, fsim = _sorted_simplex(*_sorted_simplex(sim, fsim))
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * sim[-1]
+        (fxr,) = yield xr[None]
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            if nfev < maxfev:
+                xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * sim[-1]
+                (fxe,) = yield xe[None]
+                nfev += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - _NM_PSI) * xbar + _NM_PSI * sim[-1]
+                (fxc,) = yield xc[None]
+                shrink = not fxc < fsim[-1]
+            nfev += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        if shrink:
+            scored = min(n, maxfev - nfev)
+            moved = min(n, scored + 1)
+            sim[1:moved + 1] = sim[0] + _NM_SIGMA * (sim[1:moved + 1] - sim[0])
+            if scored:
+                fsim[1:scored + 1] = yield sim[1:scored + 1].copy()
+                nfev += scored
+        sim, fsim = _sorted_simplex(sim, fsim)
+    return sim[0], np.min(fsim), nfev, nfev < maxfev
+
+
+def _scores(
+    config: SubfamilyConfig, X: np.ndarray, alpha: float, r_max: float, seed: int
+) -> tuple[np.ndarray, list[NormEstimate | None]]:
+    """The search's penalized objective at each row of ``X``, and each row's norm estimate.
+
+    A row scores -|grad JF(0)| + ``_PENALTY_WEIGHT`` * max(0, est - alpha)^2
+    with ``est`` from one lockstep :func:`schwarzian_norm_sups` call over all
+    the rows' maps, whose entry i equals the one-map sup bit for bit.  A row
+    whose ``build`` or ``grad_jacobian`` raises a package error scores 1e6 and
+    has no estimate (None); an error of the sup is not caught.
+    """
+    values = np.full(len(X), 1e6)
+    estimates: list[NormEstimate | None] = [None] * len(X)
+    rows, maps, order2 = [], [], []
+    for i, x in enumerate(X):
+        try:
+            mp = config.build(x)
+            order2.append(float(np.linalg.norm(grad_jacobian(mp))))
+        except SchwarzballError:
+            continue
+        rows.append(i)
+        maps.append(mp)
+    sups = schwarzian_norm_sups(maps, r_max=r_max, seed=seed, **SEARCH_PROBE)
+    for i, g, est in zip(rows, order2, sups):
+        values[i] = -g + _PENALTY_WEIGHT * max(0.0, est.value - alpha) ** 2
+        estimates[i] = est
+    return values, estimates
+
+
 def extremal_search(
     config: SubfamilyConfig,
     alpha: float,
@@ -314,10 +417,12 @@ def extremal_search(
     """Penalized Nelder-Mead maximization of |grad JF(0)| over the subfamily.
 
     The penalty ``_PENALTY_WEIGHT * max(0, est - alpha)^2`` takes ``est`` from
-    :func:`schwarzian_norm_sup` over |z| <= ``r_max`` with the reduced probe
-    settings ``SEARCH_PROBE``; the incumbent is re-estimated with the same
-    settings for the report.  ``SEARCH_RESTARTS`` runs share the budget, the
-    first from x0 and the others from seeded perturbations of it, and are
+    :func:`schwarzian_norm_sups` over |z| <= ``r_max`` with the reduced probe
+    settings ``SEARCH_PROBE``; the report's estimate of the incumbent is the
+    one its score used.  ``SEARCH_RESTARTS`` runs of ``max(budget //
+    SEARCH_RESTARTS, 10)`` objective calls each, the first from x0 and the
+    others from seeded perturbations of it, advance in lockstep: each round
+    scores every run's next points with one ``_scores`` call.  The runs are
     merged by best value then lexicographic parameters, so a fixed seed gives
     a fixed result.  Parameters whose map raises a package error score 1e6
     and are counted in ``failed_evaluations``.
@@ -333,45 +438,42 @@ def extremal_search(
     except SchwarzballError as exc:
         raise InfeasibleSearchError(f"initial parameters do not build a normalized map: {exc}") from exc
 
-    evaluations = 0
-    failed_evaluations = 0
-
-    def norm_est(mp: MapSpec) -> NormEstimate:
-        return schwarzian_norm_sup(mp, r_max=r_max, seed=seed, **SEARCH_PROBE)
-
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations, failed_evaluations
-        evaluations += 1
-        try:
-            mp = config.build(x)
-            order2 = float(np.linalg.norm(grad_jacobian(mp)))
-        except SchwarzballError:
-            failed_evaluations += 1
-            return 1e6
-        est = norm_est(mp).value
-        return -order2 + _PENALTY_WEIGHT * max(0.0, est - alpha) ** 2
-
-    # imported here, not with the module: scipy.optimize adds about 48 MB of
-    # resident memory and 0.4 s to every process that imports the package
-    from scipy import optimize
-
     rng = np.random.default_rng(seed)
     per_run = max(budget // SEARCH_RESTARTS, 10)
-    candidates = []
-    for attempt in range(SEARCH_RESTARTS):
-        x_start = x0 if attempt == 0 else x0 + 0.2 * rng.standard_normal(x0.size)
-        res = optimize.minimize(
-            objective, x_start, method="Nelder-Mead",
-            options={"maxfev": per_run, "xatol": 1e-9, "fatol": 1e-12},
-        )
-        candidates.append((float(res.fun), tuple(res.x), bool(res.success)))
+    runs = [
+        _nelder_mead(x0 if attempt == 0 else x0 + 0.2 * rng.standard_normal(x0.size),
+                     per_run, _SEARCH_XATOL, _SEARCH_FATOL)
+        for attempt in range(SEARCH_RESTARTS)
+    ]
+    asks = {run: next(run) for run in runs}
+    results = {}
+    scored = {}  # estimate of each scored point, by its bytes
+    evaluations = failed_evaluations = 0
+    while asks:
+        points = np.concatenate(list(asks.values()))
+        values, estimates = _scores(config, points, alpha, r_max, seed)
+        evaluations += len(points)
+        failed_evaluations += estimates.count(None)
+        scored.update((x.tobytes(), est) for x, est in zip(points, estimates))
+        cuts = np.cumsum([len(p) for p in asks.values()])[:-1]
+        pending = {}
+        for run, told in zip(asks, np.split(values, cuts)):
+            try:
+                pending[run] = run.send(told)
+            except StopIteration as stop:
+                results[run] = stop.value
+        asks = pending
+    candidates = [(float(fun), tuple(x), bool(success))
+                  for x, fun, _, success in (results[run] for run in runs)]
     candidates.sort(key=lambda c: (c[0], c[1]))
     best_fun, best_x, success = candidates[0]
     best_x = np.array(best_x)
     best_map = config.build(best_x)
     rep = matrix_A(best_map)
     achieved = 0.5 * float(np.linalg.norm(rep.Lam))
-    est = norm_est(best_map)
+    est = scored.get(best_x.tobytes())
+    if est is None:  # a vertex a shrink's cut moved, tied with the best score
+        est = _scores(config, best_x[None], alpha, r_max, seed)[1][0]
     bounds = bounds_report(map_dim(m0), alpha)
     return SearchResult(
         achieved_order=achieved,
@@ -384,4 +486,3 @@ def extremal_search(
         failed_evaluations=failed_evaluations,
         converged=success,
     )
-

@@ -736,6 +736,23 @@ def test_invariance_over_cases_is_the_worst_single_case():
     assert set(checks.invariance([case[:3] for case in cases[:2]])) == {"norm"}
 
 
+def test_invariance_solves_both_sides_in_one_kernel_call(monkeypatch):
+    sizes = []
+
+    def counting(cases, *args, **kwargs):
+        sizes.append(len(cases))
+        return norms_at(cases, *args, **kwargs)
+
+    norms_at = checks.schwarzian_norms_at
+    monkeypatch.setattr(checks, "schwarzian_norms_at", counting)
+    rng = np.random.default_rng(16)
+    cases = [(random_normalized_polymap(2, rng, scale=0.1),
+              automorphism_from_center(random_ball_point(2, rng, 0.5)), random_ball_point(2, rng, 0.5))
+             for _ in range(5)]
+    assert checks.invariance(cases)["norm"] <= 1e-9
+    assert sizes == [10]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_norms_at_rows_equal_single_calls(n):
     """Poly, poly o automorphism and Moebius cases in one list; the Moebius rows

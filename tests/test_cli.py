@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
@@ -608,3 +610,23 @@ def test_search_r_max_default_is_the_search_radius(tmp_path):
     rep1.pop("timing")
     rep2.pop("timing")
     assert json.dumps(rep1) == json.dumps(rep2)
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # scipy is a test dependency only: every command runs with its import refused
+    path = tmp_path / "shear.json"
+    path.write_text(json.dumps(SHEAR_FILE))
+    argvs = [["verify", suite, "--n", "2", "--seed", "1"] for suite in SUITES]
+    argvs += [
+        ["analyze", str(path), "--ops", "schwarzian,norm,order,koebe,extremal"],
+        ["search", "--family", "cubic", "--n", "2", "--alpha", "0.5", "--budget", "12"],
+        ["bounds", "--n", "2:3", "--alpha", "0:1", "--step", "0.5"],
+    ]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from schwarzball.cli import main\n"
+            f"print(json.dumps([main(argv + ['--out', {str(tmp_path / 'out')!r}]) for argv in {argvs!r}]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [0] * len(argvs)

@@ -572,3 +572,21 @@ def test_batched_moebius_draws_only_the_rejected_rows_again(n):
                                            / np.sqrt(n)).tobytes()
     assert grids[1].a[1:, 0].tobytes() == (0.3 * (first[1, 2 * n:3 * n]
                                                   + 1j * first[1, 3 * n:4 * n])).tobytes()
+
+
+def test_random_moebius_checks_its_grids_in_one_stacked_call(monkeypatch):
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return ratio(a)
+
+    ratio = maps_module._sigma_ratio
+    monkeypatch.setattr(maps_module, "_sigma_ratio", counting)
+    grids = random_moebius(3, np.random.default_rng(4), size=50)
+    assert shapes == [(50, 4, 4)]
+    assert all(type(m) is MoebiusMap and m.n == 3 for m in grids)
+    assert all(MoebiusMap(m.a).a.tobytes() == m.a.tobytes() for m in grids)
+    stack = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-14])], dtype=complex)
+    with pytest.raises(MapSpecError):
+        MoebiusMap._checked(stack)

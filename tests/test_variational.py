@@ -1,5 +1,6 @@
 """Variational machinery: matrix A, expansions, decoupled equations, bounds, search."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -8,7 +9,13 @@ import numpy as np
 import pytest
 
 from schwarzball import checks
-from schwarzball.errors import DimensionError, InfeasibleSearchError, NormalizationError
+from schwarzball import variational
+from schwarzball.errors import (
+    DimensionError,
+    InfeasibleSearchError,
+    NormalizationError,
+    OutsideDomainError,
+)
 from schwarzball.family import jet_grad_jacobian, membership_check
 from schwarzball.maps import (
     MoebiusMap,
@@ -19,7 +26,11 @@ from schwarzball.maps import (
     random_normalized_polymap,
 )
 from schwarzball.schwarzian import schwarzian_at
+from schwarzball.bergman import schwarzian_norm_sup
 from schwarzball.variational import (
+    SEARCH_PROBE,
+    SEARCH_R_MAX,
+    SEARCH_RESTARTS,
     SubfamilyConfig,
     bounds_report,
     c_exact,
@@ -215,8 +226,12 @@ def test_bounds_dimension_guard():
 
 
 def test_package_import_leaves_scipy_optimize_to_the_search():
-    # scipy.optimize adds about 48 MB of resident memory; only extremal_search uses it
-    code = "import sys, schwarzball.cli; print('scipy.optimize' in sys.modules)"
+    # scipy.optimize adds about 45 MB of resident memory; neither the package nor a
+    # search imports it, as the search runs its own Nelder-Mead stepper
+    code = ("import sys, schwarzball.cli\n"
+            "from schwarzball.variational import extremal_search, moebius_subfamily\n"
+            "extremal_search(moebius_subfamily(2), alpha=0.0, budget=12, seed=1)\n"
+            "print('scipy.optimize' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
@@ -283,3 +298,172 @@ def test_search_penalizes_package_errors_in_build():
     assert res.failed_evaluations == res.evaluations - 1
     assert extremal_search(cfg, **SMALL_SEARCH).failed_evaluations == res.failed_evaluations
     assert extremal_search(moebius_subfamily(2), **SMALL_SEARCH).failed_evaluations == 0
+
+
+# -- the search's Nelder-Mead stepper against scipy ---------------------------------
+
+NM_TOLERANCES = dict(xatol=variational._SEARCH_XATOL, fatol=variational._SEARCH_FATOL)
+
+
+def _drive(f, x0, maxfev):
+    """``(x, fun, nfev, success)`` of the stepper told the values of ``f`` point by point,
+    its final simplex and values, and the names of the moves it made, read off the
+    lines it ran."""
+    lines, first = inspect.getsourcelines(variational._nelder_mead)
+    text = {first + i: line.strip() for i, line in enumerate(lines)}
+    seen, final = set(), {}
+
+    def local(frame, event, arg):
+        at = frame.f_locals
+        if event == "return":  # at each yield, and last at the end
+            final.update(sim=at["sim"].copy(), fsim=at["fsim"].copy())
+        elif event == "line":
+            line = text[frame.f_lineno]
+            if line.startswith("xe = "):
+                seen.add("expansion")
+            elif line.startswith("xc = (1 + "):
+                seen.add("outside contraction")
+            elif line.startswith("xc = (1 - "):
+                seen.add("inside contraction")
+            elif line.startswith("sim[1:moved + 1] = "):
+                seen.add("shrink" if at["scored"] == at["n"] else "maxfev cut in a shrink")
+            elif line.startswith("fsim[:nfev] = ") and at["nfev"] <= at["n"]:
+                seen.add("maxfev cut in the start simplex")
+        return local
+
+    code = variational._nelder_mead.__code__
+    run = variational._nelder_mead(np.asarray(x0, dtype=float), maxfev, **NM_TOLERANCES)
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        ask = next(run)
+        while True:
+            ask = run.send(np.array([f(x) for x in ask]))
+    except StopIteration as stop:
+        result = stop.value
+    finally:
+        sys.settrace(previous)
+    return result, (final["sim"], final["fsim"]), seen
+
+
+def _moves_equal_to_scipy(f, x0, maxfev):
+    """Assert that the stepper and scipy's Nelder-Mead agree bit for bit on ``f`` from
+    ``x0``: result, evaluation count, success flag and final simplex; the stepper's moves."""
+    from scipy import optimize
+
+    ref = optimize.minimize(f, x0, method="Nelder-Mead", options={"maxfev": maxfev, **NM_TOLERANCES})
+    (x, fun, nfev, success), (sim, fsim), seen = _drive(f, x0, maxfev)
+    assert x.tobytes() == ref.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (nfev, success) == (ref.nfev, ref.success)
+    assert sim.tobytes() == ref.final_simplex[0].tobytes()
+    assert fsim.tobytes() == ref.final_simplex[1].tobytes()
+    return seen
+
+
+EVERY_MOVE = {"expansion", "outside contraction", "inside contraction", "shrink",
+              "maxfev cut in a shrink", "maxfev cut in the start simplex"}
+
+
+def test_stepper_equals_scipy_nelder_mead_on_small_objectives():
+    objectives = [
+        (lambda x: float(100 * (x[1] - x[0] ** 2) ** 2 + (1 - x[0]) ** 2), [-1.2, 1.0]),
+        (lambda x: float(np.sum(np.abs(x - 0.3))), [0.0, 0.5, 0.0, -1.0]),
+        # a staircase: ties in the ordering and shrinks
+        (lambda x: float(np.floor(4 * np.sum(x ** 2))), [0.5, 0.0, -0.25]),
+    ]
+    seen = set().union(*(_moves_equal_to_scipy(f, x0, maxfev)
+                         for f, x0 in objectives for maxfev in range(1, 40)))
+    assert seen == EVERY_MOVE
+
+
+def _search_objective(config, alpha, seed, memo=None):
+    """The search's objective at one point, memoized by the point's bytes in ``memo``."""
+    memo = {} if memo is None else memo
+
+    def f(x):
+        key = x.tobytes()
+        if key not in memo:
+            memo[key] = variational._scores(config, x[None], alpha, SEARCH_R_MAX, seed)[0][0]
+        return memo[key]
+
+    return f
+
+
+def _search_starts(x0, seed):
+    rng = np.random.default_rng(seed)
+    return [x0] + [x0 + 0.2 * rng.standard_normal(x0.size) for _ in range(SEARCH_RESTARTS - 1)]
+
+
+def test_stepper_equals_scipy_nelder_mead_on_the_search_objective(monkeypatch):
+    config = moebius_subfamily(2)
+    memos = {seed: {} for seed in range(4)}
+
+    def recording(config, X, alpha, r_max, seed):
+        values, estimates = scores(config, X, alpha, r_max, seed)
+        memos[seed].update((x.tobytes(), value) for x, value in zip(X, values))
+        return values, estimates
+
+    scores = variational._scores
+    monkeypatch.setattr(variational, "_scores", recording)
+    seen = set()
+    for seed, memo in memos.items():
+        # the lockstep search scores the points of the budget-240 runs, whose
+        # first 10 calls are the runs of budgets 1 and 24
+        extremal_search(config, 0.0, budget=240, seed=seed)
+        f = _search_objective(config, 0.0, seed, memo)
+        for budget in (1, 24, 240):
+            for x0 in _search_starts(config.x0, seed):
+                seen |= _moves_equal_to_scipy(f, x0, max(budget // SEARCH_RESTARTS, 10))
+    assert seen == EVERY_MOVE - {"maxfev cut in the start simplex"}
+
+
+def test_lockstep_search_equals_the_scipy_driven_search():
+    # extremal_search as it was written around scipy's minimize, one sup per call
+    from scipy import optimize
+
+    for config, alpha, budget, seed in ((moebius_subfamily(2), 0.0, 24, 1),
+                                        (cubic_subfamily(2), 0.5, 60, 2)):
+        f = _search_objective(config, alpha, seed)
+        per_run = max(budget // SEARCH_RESTARTS, 10)
+        candidates = []
+        for x0 in _search_starts(config.x0, seed):
+            ref = optimize.minimize(f, x0, method="Nelder-Mead",
+                                    options={"maxfev": per_run, **NM_TOLERANCES})
+            candidates.append((float(ref.fun), tuple(ref.x), bool(ref.success)))
+        _, best_x, success = min(candidates, key=lambda c: (c[0], c[1]))
+        res = extremal_search(config, alpha, budget=budget, seed=seed)
+        assert res.params.tobytes() == np.array(best_x).tobytes()
+        assert res.converged == success
+        assert res.evaluations == SEARCH_RESTARTS * per_run
+        est = schwarzian_norm_sup(config.build(res.params), r_max=SEARCH_R_MAX, seed=seed,
+                                  **SEARCH_PROBE)
+        assert repr(res.norm_estimate) == repr(est)
+
+
+def test_search_scores_each_round_with_one_sup_and_reuses_the_incumbents(monkeypatch):
+    calls = []
+
+    def counting(maps, **kwargs):
+        calls.append(len(maps))
+        return sups(maps, **kwargs)
+
+    sups = variational.schwarzian_norm_sups
+    monkeypatch.setattr(variational, "schwarzian_norm_sups", counting)
+    # 12 parameters: each run's 10 calls are start vertices, so all 30 make one round
+    res = extremal_search(cubic_subfamily(2), alpha=0.5, budget=24, seed=1)
+    assert calls == [30] and res.evaluations == 30
+    calls.clear()
+    # 4 parameters: a first round of 3 start simplices of 5 vertices, then smaller ones
+    res = extremal_search(moebius_subfamily(2), alpha=0.0, budget=24, seed=1)
+    assert calls[0] == 15 and max(calls[1:]) <= 3 * 4
+    assert sum(calls) == res.evaluations == 30
+
+
+def test_search_aborts_when_a_sup_raises(monkeypatch):
+    def failing(maps, **kwargs):
+        raise OutsideDomainError("sup failed")
+
+    monkeypatch.setattr(variational, "schwarzian_norm_sups", failing)
+    with pytest.raises(OutsideDomainError):
+        extremal_search(moebius_subfamily(2), **SMALL_SEARCH)
