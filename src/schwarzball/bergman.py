@@ -43,10 +43,10 @@ true at n = 2).
 ``schwarzian_norms_at`` takes many (map, point) cases to one kernel call:
 their S^k tensors come from one grouped call (``_schwarzian_rows``: one
 derivative call of order 2 per map kind and plan, and the S^k block alone,
-as norms need no S^0), are pulled back in one frame and are solved
-together, so the kernel's Python loop runs once for the list, and each
-case's result is the one its single-case call ``schwarzian_norm_at``
-gives.
+as norms need no S^0, put back in case order by ``maps._derivative_rows``),
+are pulled back in one frame and are solved together, so the kernel's
+Python loop runs once for the list, and each case's result is the one its
+single-case call ``schwarzian_norm_at`` gives.
 
 ``schwarzian_norm_sups`` runs the sups of many maps in lockstep, and
 ``schwarzian_norm_sup`` is its one-map call.  Every map probes the same grid
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, OutsideDomainError
-from .maps import MapSpec, _derivative_chunks, _row_norms, map_dim
+from .maps import MapSpec, _derivative_rows, _row_norms, map_dim
 # schwarzian_of stays bound here: perfbench/smoke.py checks that its tracer wraps this binding
 from .schwarzian import _jacobi, _points, _sk_block, schwarzian_of
 
@@ -582,15 +582,11 @@ def max_quadratic_image_norm(
 
 
 def _schwarzian_rows(cases) -> np.ndarray:
-    """S^k of (map, points (p_i, n)) cases, stacked in case order: S^0 is not
-    needed for norms, so each :func:`.maps._derivative_chunks` call stops at
-    D^2F and assembles S^k alone (:func:`.schwarzian._sk_block`).  Row q equals
-    the S^k of ``schwarzian_of`` of its map at its point bit for bit."""
-    n = cases[0][1].shape[1]
-    sk = np.empty((sum(len(z) for _, z in cases), n, n, n), dtype=complex)
-    for rows, (_, d1, d2) in _derivative_chunks(cases, 2):
-        sk[rows] = _sk_block(*_jacobi(d1, d2)[1:])
-    return sk
+    """S^k of (map, points (p_i, n)) cases, stacked in case order by
+    :func:`.maps._derivative_rows`: S^0 is not needed for norms, so each derivative
+    call stops at D^2F and assembles S^k alone (:func:`.schwarzian._sk_block`).  Row q
+    equals the S^k of ``schwarzian_of`` of its map at its point bit for bit."""
+    return _derivative_rows(cases, 2, lambda d: (_sk_block(*_jacobi(d[1], d[2])[1:]),))[0]
 
 
 def _tensors_at(sk, points):

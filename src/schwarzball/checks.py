@@ -8,9 +8,11 @@ sides and the sups from one lockstep call; the others take one case, and
 :func:`worst` takes their maxima over many.  Every grouped derivative call
 goes through ``maps._derivative_chunks``, which holds its highest-order
 array to ``maps.ROW_ENTRIES`` entries at every order, so no check sizes
-its own calls.  The ``verify`` suites, the acceptance criteria and the unit
-tests share these checks, each with its own samples (drawn by :mod:`.maps`)
-and tolerances.
+its own calls, and ``maps._derivative_rows`` puts the calls' rows back in
+case order, so no check scatters them; :func:`moebius_vanishing` alone
+reduces each call as it comes, which bounds its memory.  The ``verify``
+suites, the acceptance criteria and the unit tests share these checks, each
+with its own samples (drawn by :mod:`.maps`) and tolerances.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .maps import (
     CompositionMap,
     MapSpec,
     _derivative_chunks,
+    _derivative_rows,
     identity_map,
     map_dim,
 )
@@ -84,25 +87,22 @@ def chain_rule(cases) -> dict[str, float]:
 
     f(z), Df(z) and D^2f(z) come from one derivative call per map kind, every tensor (of the
     compositions, of f at z, of g at f(z) and of the Moebius postcompositions) from one
-    grouped tensor call, and the rule is applied once per derivative call.
+    grouped tensor call, and the rule is applied once over all the cases.
     """
     cases = [(f, g, np.asarray(z, dtype=complex).reshape(-1), *rest) for f, g, z, *rest in cases]
-    parts = list(_derivative_chunks([(f, z[None]) for f, _, z, *_ in cases], 2))
-    w = {i: wi for rows, (value, _, _) in parts for i, wi in zip(rows, value)}
+    if not cases:
+        return {}
+    w, d1, d2 = _derivative_rows([(f, z[None]) for f, _, z, *_ in cases], 2, lambda d: d)
     post = [(f, z, moebius) for f, _, z, *rest in cases for moebius in rest]
     count = len(cases)
     tensors = schwarzian_ofs([(CompositionMap((g, f)), z) for f, g, z, *_ in cases]
                              + [(f, z) for f, _, z, *_ in cases]
-                             + [(g, w[i]) for i, (_, g, *_) in enumerate(cases)]
+                             + [(g, wi) for (_, g, *_), wi in zip(cases, w)]
                              + [(CompositionMap((moebius, f)), z) for f, z, moebius in post])
     direct, t_f, t_g = tensors[:count], tensors[count:2 * count], tensors[2 * count:3 * count]
-    out = []
-    for rows, (_, d1, d2) in parts:
-        f_sk, f_s0, g_sk, g_s0 = (np.stack([getattr(t[i], name) for i in rows])
-                                  for t in (t_f, t_g) for name in ("Sk", "S0"))
-        sk, s0 = _chain_rule(f_sk, f_s0, g_sk, g_s0, d1, d2)
-        out += [{"Sk": _gap(a, direct[i].Sk), "S0": _gap(b, direct[i].S0)}
-                for i, a, b in zip(rows, sk, s0)]
+    sk, s0 = _chain_rule(*(np.stack([getattr(t, name) for t in ts])
+                           for ts in (t_f, t_g) for name in ("Sk", "S0")), d1, d2)
+    out = [{"Sk": _gap(a, t.Sk), "S0": _gap(b, t.S0)} for a, b, t in zip(sk, s0, direct)]
     t_post = [t for case, t in zip(cases, t_f) for _ in case[3:]]
     out += [{"moebius_post": max(_gap(a.Sk, b.Sk), _gap(a.S0, b.S0))}
             for a, b in zip(t_post, tensors[3 * count:])]
@@ -123,10 +123,7 @@ def invariance(cases, seed: int = 0) -> dict[str, float]:
     if not cases:
         return {}
     lhs = _norm_cases([(CompositionMap((f, sigma)), z) for f, sigma, z, *_ in cases])
-    value = np.empty((len(cases), len(cases[0][2])), dtype=complex)
-    d1 = np.empty(value.shape + value.shape[1:], dtype=complex)
-    for rows, (f0, f1) in _derivative_chunks([(sigma, z[None]) for _, sigma, z, *_ in cases], 1):
-        value[rows], d1[rows] = f0, f1
+    value, d1 = _derivative_rows([(sigma, z[None]) for _, sigma, z, *_ in cases], 1, lambda d: d)
     norms = schwarzian_norms_at(lhs + [(f, w) for (f, *_), w in zip(cases, value)], seed=seed)
     lhs, rhs = norms[:len(cases)], norms[len(cases):]
     out = {"norm": float(np.max([abs(a.value - b.value) for a, b in zip(lhs, rhs)]))}

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -54,6 +55,7 @@ from .maps import (
 from .schwarzian import canonical_residual, pde_residual, schwarzian_of
 from .variational import (
     SEARCH_R_MAX,
+    BoundReport,
     bounds_report,
     decoupled_residuals,
     extremal_search,
@@ -429,28 +431,17 @@ def cmd_bounds(args) -> int:
                 break
             rows.append(bounds_report(n, alpha))
     ok = [br.C_exact <= br.C_simple and br.lower_bound <= br.norm_ord_bound for br in rows]
+    columns = [field.name for field in dataclasses.fields(BoundReport)]
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "alpha", "C_exact", "C_simple", "ord_bound", "norm_ord_bound", "lower_bound"])
-        for br in rows:
-            writer.writerow([br.n, repr(br.alpha), repr(br.C_exact), repr(br.C_simple),
-                             repr(br.ord_bound), repr(br.norm_ord_bound), repr(br.lower_bound)])
+        writer.writerow(columns)
+        writer.writerows([repr(getattr(br, name)) for name in columns] for br in rows)
         emit(buf.getvalue(), args.out)
         return 0 if all(ok) else 1
-    results = [
-        check(
-            f"bounds_n{br.n}_alpha{br.alpha:g}",
-            {
-                "n": br.n, "alpha": br.alpha, "C_exact": br.C_exact, "C_simple": br.C_simple,
-                "ord_bound": br.ord_bound, "norm_ord_bound": br.norm_ord_bound,
-                "lower_bound": br.lower_bound,
-            },
-            None,
-            row_ok,
-        )
-        for br, row_ok in zip(rows, ok)
-    ]
+    results = [check(f"bounds_n{br.n}_alpha{br.alpha:g}",
+                     {name: getattr(br, name) for name in columns}, None, row_ok)
+               for br, row_ok in zip(rows, ok)]
     return _finish(
         "bounds", {"n": args.n, "alpha": args.alpha, "step": args.step}, args, results, started
     )

@@ -28,7 +28,8 @@ term coefficients of polynomial maps of one monomial plan, the grids of
 Moebius maps of one dimension, and chains part by part), and a row again
 takes the bits of its map's own call.  It also sizes its calls, for every
 caller and at every order: a call's highest-order array holds at most
-``ROW_ENTRIES`` entries.
+``ROW_ENTRIES`` entries.  :func:`_derivative_rows` puts what a caller
+assembles from each call back in case order, so no caller scatters rows.
 
 Every map can also be expanded into an exact Taylor jet about any admissible
 center, to any degree, by :func:`map_jet_at`; rational denominators are
@@ -454,6 +455,28 @@ def _derivative_chunks(cases, order: int):
             part = slice(lo, lo + cap)
             params = None if len(maps) == 1 else _stacked_params(maps, owner[part])
             yield rows[part], _derivatives(maps[0], z[part], order, params)
+
+
+def _derivative_rows(cases, order: int, assemble) -> list[np.ndarray]:
+    """The arrays ``assemble`` returns for each :func:`_derivative_chunks` call, each with a
+    leading row axis, put together in case order.
+
+    ``assemble`` takes a call's [F, ..., D^order F] and returns a sequence of
+    arrays; a row equals ``assemble`` of its map's own call bit for bit where
+    ``assemble`` keeps rows apart.  Cases without points take one empty call of
+    the first map for the arrays' shapes; an empty case list gives [].
+    """
+    total = sum(len(z) for _, z in cases)
+    out = []
+    for rows, arrays in _derivative_chunks(cases, order):
+        parts = assemble(arrays)
+        out = out or [np.empty((total,) + a.shape[1:], dtype=a.dtype) for a in parts]
+        for whole, part in zip(out, parts):
+            whole[rows] = part
+    if not out and cases:
+        m, z = cases[0]
+        out = list(assemble(_derivatives(m, z[:0], order)))
+    return out
 
 
 # -- jet expansion ------------------------------------------------------------

@@ -18,9 +18,10 @@ a stack equals the same point alone, bit for bit.  :func:`schwarzian_ofs`
 builds the tensors of many (map, points) cases with one derivative call and
 one assembly per map kind and plan, in the calls ``maps._derivative_chunks``
 sizes (the row cap ``maps.ROW_ENTRIES`` holds there, for every caller and
-order), and each case gets what :func:`schwarzian_of`, its one-map case,
-gives.  :func:`schwarzian_at` reads them from a Taylor jet, a second route
-kept for the tests.  The log-derivatives of JF come from Jacobi's formula,
+order); ``maps._derivative_rows`` puts each call's rows back in case order,
+and each case gets what :func:`schwarzian_of`, its one-map case, gives.
+:func:`schwarzian_at` reads them from a Taylor jet, a second route kept for
+the tests.  The log-derivatives of JF come from Jacobi's formula,
 
     d_i log JF  = tr(DF^{-1} d_i DF),
     d_ij log JF = tr(DF^{-1} d_ij DF) - tr(DF^{-1} d_j DF DF^{-1} d_i DF),
@@ -34,7 +35,9 @@ route (JF, grad JF and Hess JF off the Jacobian-determinant jet, and the
 scalar power rule) as a regression guard.  Tensors vanish exactly on
 Moebius maps and obey a finite composition rule in both blocks
 (:func:`_chain_rule`), which :func:`chain_rule_transform` and
-``checks.chain_rule`` apply with no composed jet.
+``checks.chain_rule`` apply with no composed jet, and
+``variational.decoupled_residuals`` applies with a unitary inner map to
+rotate the tensors at the origin.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .errors import BasePointMismatchError, DimensionError
 from .jets import JetVector, jet_det, jet_jacobian
 from .maps import (
     MapSpec,
-    _derivative_chunks,
+    _derivative_rows,
     _derivatives,
     check_nonsingular,
     map_dim,
@@ -187,24 +190,6 @@ def schwarzian_of(m: MapSpec, z) -> SchwarzianTensor:
     return _tensor(z, *_tensors(d1, d2, d3))
 
 
-def _stacked_tensors(cases) -> tuple[np.ndarray, np.ndarray]:
-    """S^k and S^0 of (map, points (p_i, n)) cases of one dimension n, stacked in case order.
-
-    One derivative call and one assembly per map kind and plan
-    (``maps._stack_key``) and per row cap of ``maps._derivative_chunks``; row
-    q equals the single call of its map at its point bit for bit.
-    """
-    n = cases[0][1].shape[1]
-    chunks = [(rows, *_tensors(*d[1:])) for rows, d in _derivative_chunks(cases, MIN_JET_DEGREE)]
-    total = sum(len(z) for _, z in cases)
-    if len(chunks) == 1 and len(chunks[0][0]) == total:  # one call, rows in order
-        return chunks[0][1:]
-    sk, s0 = np.empty((total, n, n, n), dtype=complex), np.empty((total, n, n), dtype=complex)
-    for rows, sk_part, s0_part in chunks:
-        sk[rows], s0[rows] = sk_part, s0_part
-    return sk, s0
-
-
 def schwarzian_ofs(cases) -> list[SchwarzianTensor]:
     """Schwarzian tensors of many (map, z) cases, z a point or a stack of points.
 
@@ -219,7 +204,8 @@ def schwarzian_ofs(cases) -> list[SchwarzianTensor]:
         by_dim.setdefault(z.shape[-1], []).append(i)
     out: list = [None] * len(cases)
     for n, members in by_dim.items():
-        sk, s0 = _stacked_tensors([(cases[i][0], cases[i][1].reshape(-1, n)) for i in members])
+        sk, s0 = _derivative_rows([(cases[i][0], cases[i][1].reshape(-1, n)) for i in members],
+                                  MIN_JET_DEGREE, lambda d: _tensors(*d[1:]))
         lo = 0
         for i in members:
             z = cases[i][1]

@@ -14,7 +14,10 @@ first-order expansion of the Koebe-transform gradient
 Maps extremal for the order satisfy the stationarity equation
 A conj(Lambda) = (n+1) Lambda; after rotating Lambda to (lambda, 0, ..., 0)
 with lambda >= 0 the equation decouples into one quadratic equation in
-lambda and n-1 linear off-component equations.  ``variation_expansion_check``
+lambda and n-1 linear off-component equations.  ``matrix_A`` and
+``decoupled_residuals`` each read Lambda, S^k(0) and S^0(0) from one
+derivative call, and the rotated frame's tensors come from those by the
+finite chain rule, with no rotated map built.  ``variation_expansion_check``
 samples the O(|zeta|^2) remainder of the expansion and reports the largest
 ratio of its consecutive quotients remainder / |zeta|^2 (``ExpansionReport``);
 the bound on that ratio is the ``variation`` suite's tolerance.  The module
@@ -30,25 +33,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InfeasibleSearchError,
-    NormalizationError,
-    SchwarzballError,
-)
+from .errors import DimensionError, InfeasibleSearchError, SchwarzballError
 from .bergman import NormEstimate, schwarzian_norm_sups
-from .family import grad_jacobian, koebe_map
+from .family import _normalized, grad_jacobian, koebe_map
 from .jets import multi_indices
-from .maps import (
-    CompositionMap,
-    MapSpec,
-    PolyMap,
-    affine_map,
-    map_dim,
-    moebius_pole,
-    _unitary_with_first_column,
-)
-from .schwarzian import _jacobian_ratios, schwarzian_of
+from .maps import MapSpec, PolyMap, map_dim, moebius_pole, _unitary_with_first_column
+from .schwarzian import MIN_JET_DEGREE, _chain_rule, _jacobian_ratios, _tensors
 
 # weight of the squared norm excess in the extremal search's penalty
 _PENALTY_WEIGHT = 1e3
@@ -106,15 +96,25 @@ class BoundReport:
     lower_bound: float
 
 
+def _origin_tensors(m: MapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lambda, S^k(0) and S^0(0) of a normalized map from one derivative read: Lambda is
+    the trace form of D^2F(0), as :func:`.family.grad_jacobian` takes it, and the tensors
+    are those of :func:`.schwarzian.schwarzian_of` at 0, bit for bit."""
+    _, d1, d2, d3 = _normalized(m, MIN_JET_DEGREE)
+    if len(d1) < 2:
+        raise DimensionError("Schwarzian tensors require n >= 2")
+    sk, s0 = _tensors(d1[None], d2[None], d3[None])
+    return np.einsum("jij->i", d2), sk[0], s0[0]
+
+
 def matrix_A(m: MapSpec) -> VariationReport:
     """Assemble the first-variation matrix and the extremality residual of a normalized map."""
-    n = map_dim(m)
-    lam = grad_jacobian(m)
-    t = schwarzian_of(m, np.zeros(n, dtype=complex))
-    b = np.einsum("kij,k->ij", t.Sk, lam)
-    a = b - (n + 1) * t.S0 + np.outer(lam, lam) / (n + 1)
+    lam, sk, s0 = _origin_tensors(m)
+    n = len(lam)
+    b = np.einsum("kij,k->ij", sk, lam)
+    a = b - (n + 1) * s0 + np.outer(lam, lam) / (n + 1)
     residual = float(np.linalg.norm(a @ np.conj(lam) - (n + 1) * lam))
-    return VariationReport(Lam=lam, B=b, B0=t.S0.copy(), A=a, extremal_residual=residual)
+    return VariationReport(Lam=lam, B=b, B0=s0, A=a, extremal_residual=residual)
 
 
 def lemma31_check(m: MapSpec) -> float:
@@ -189,25 +189,25 @@ def decoupled_residuals(m: MapSpec) -> DecoupledReport:
 
         lambda^2 + (n+1) S^1_11 lambda - (n+1)^2 S^0_11 - (n+1)^2 = 0,
         S^1_1j lambda - (n+1) S^0_1j = 0   (j >= 2).
+
+    The rotated map is q^H o F o q with q = conj(U), U unitary with first column
+    Lambda / lambda, so grad(JG)(0) = U^H Lambda = lambda e_1.  No map is built: the
+    tensors of F at 0 go through the finite chain rule (``schwarzian._chain_rule``)
+    with the linear inner map q, whose tensors and D^2 vanish, and the outer q^H
+    changes no tensor.
     """
-    n = map_dim(m)
-    lam_vec = grad_jacobian(m)
+    lam_vec, sk, s0 = _origin_tensors(m)
+    n = len(lam_vec)
     lam = float(np.linalg.norm(lam_vec))
-    rotated = False
-    target = m
-    if lam > 1e-14 and (abs(lam_vec[0] - lam) > 1e-14 or np.max(np.abs(lam_vec[1:])) > 1e-14):
-        # precompose/postcompose with a unitary so grad(JG)(0) = lam * e_1
-        u0 = _unitary_with_first_column(lam_vec / lam)
-        q = np.conj(u0)
-        target = CompositionMap((affine_map(q.conj().T), m, affine_map(q)))
-        rotated = True
-    lam_rot = grad_jacobian(target)
-    if abs(lam_rot[0] - lam) > 1e-9 * (1 + lam) or np.max(np.abs(lam_rot[1:])) > 1e-9 * (1 + lam):
-        raise NormalizationError("rotation failed to align the Jacobian gradient")
-    t = schwarzian_of(target, np.zeros(n, dtype=complex))
-    s1 = t.Sk[0]
-    quad = abs(lam**2 + (n + 1) * s1[0, 0] * lam - (n + 1) ** 2 * t.S0[0, 0] - (n + 1) ** 2)
-    off = np.abs(s1[0, 1:] * lam - (n + 1) * t.S0[0, 1:])
+    rotated = bool(lam > 1e-14 and (abs(lam_vec[0] - lam) > 1e-14
+                                    or np.max(np.abs(lam_vec[1:])) > 1e-14))
+    if rotated:
+        q = np.conj(_unitary_with_first_column(lam_vec / lam))
+        sk, s0 = (a[0] for a in _chain_rule(np.zeros((1, n, n, n)), np.zeros((1, n, n)),
+                                            sk[None], s0[None], q[None], np.zeros((1, n, n, n))))
+    s1 = sk[0]
+    quad = abs(lam**2 + (n + 1) * s1[0, 0] * lam - (n + 1) ** 2 * s0[0, 0] - (n + 1) ** 2)
+    off = np.abs(s1[0, 1:] * lam - (n + 1) * s0[0, 1:])
     return DecoupledReport(lam=lam, quadratic_residual=float(quad), off_residuals=off, rotated=rotated)
 
 

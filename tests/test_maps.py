@@ -19,6 +19,7 @@ from schwarzball.maps import (
     PolyMap,
     _affine_jet,
     _derivative_chunks,
+    _derivative_rows,
     _derivatives,
     _stack_key,
     _rational_jet,
@@ -473,6 +474,39 @@ def test_stacked_denominator_test_is_relative_to_each_grid():
     (rows, arrays), = _derivative_chunks(cases, 3)
     for q, (m, z) in enumerate(cases):
         assert [a[q].tobytes() for a in arrays] == [a[0].tobytes() for a in _derivatives(m, z, 3)]
+
+
+def test_derivative_rows_come_back_in_case_order():
+    # at n = 8 an order-3 call holds ROW_ENTRIES // 8^4 = 4 rows, so the cases of one
+    # key span several calls; each case's rows are its own call's, byte for byte
+    rng = np.random.default_rng(25)
+    for n, order in ((2, 1), (3, 2), (8, 3)):
+        mixed = _mixed_maps(n, rng)
+        cases = [(m, random_ball_point(n, rng, 0.8, size=q % 7)) for q, m in enumerate(mixed * 2)]
+        calls = []
+
+        def assemble(arrays):
+            calls.append(len(arrays[0]))
+            return arrays[::-1]
+
+        rows = _derivative_rows(cases, order, assemble)
+        assert calls == [len(r) for r, _ in _derivative_chunks(cases, order)]
+        assert n < 8 or max(calls) == 4 < sum(calls) / len({_stack_key(m) for m in mixed})
+        lo = 0
+        for m, z in cases:
+            own = _derivatives(m, z, order)[::-1]
+            assert [a[lo:lo + len(z)].tobytes() for a in rows] == [a.tobytes() for a in own]
+            lo += len(z)
+        assert lo == sum(calls) == len(rows[0])
+
+
+def test_derivative_rows_of_no_points_are_empty():
+    rng = np.random.default_rng(26)
+    assert _derivative_rows([], 3, lambda d: d) == []
+    for n in (2, 3):
+        for m in _mixed_maps(n, rng):
+            rows = _derivative_rows([(m, np.zeros((0, n)))] * 2, 3, lambda d: d)
+            assert [a.shape for a in rows] == [(0,) + (n,) * (k + 1) for k in range(4)]
 
 
 # -- samplers: one draw per call keeps the stream of one draw per number -----

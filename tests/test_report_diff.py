@@ -53,10 +53,21 @@ def test_command_list_is_fixed():
     # every suite and every analyze op of the CLI
     assert report_diff.SUITES == SUITES and report_diff.OPS == ",".join(ANALYZE_OPS)
     cmds = report_diff.commands("map.json")
-    assert len(cmds) == 46 and len({tuple(c) for c in cmds}) == 46
+    assert len(cmds) == 48 and len({tuple(c) for c in cmds}) == 48
     assert sum(c[0] == "verify" for c in cmds) == 7 * 2 * 3
     assert ["analyze", "map.json", "--ops", "schwarzian,norm,order,koebe,extremal",
             "--r-max", "0.6"] in cmds
     assert ["search", "--family", "moebius", "--n", "2", "--alpha", "0", "--budget", "24",
             "--seed", "1"] in cmds
     assert sum(c[0] == "analyze" and "--zeta" in c for c in cmds) == 1
+    # the benchmark's bounds grid, in both formats
+    for fmt in ("csv", "json"):
+        assert ["bounds", "--n", "2:10", "--alpha", "0:4", "--step", "0.1", "--format", fmt] in cmds
+
+
+def test_csv_output_is_compared_line_by_line():
+    a = "n,alpha\n2,0.0\n2,0.1\n"
+    assert report_diff.text_differences(a, a) == []
+    assert report_diff.text_differences(a, "n,alpha\n2,0.0\n2,0.10000000000000002\n") == [
+        "line 3: '2,0.1' -> '2,0.10000000000000002'"]
+    assert report_diff.text_differences(a, "n,alpha\n2,0.0\n") == ["lines: 3 -> 2"]

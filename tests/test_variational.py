@@ -8,24 +8,28 @@ import sys
 import numpy as np
 import pytest
 
-from schwarzball import checks
-from schwarzball import variational
+from schwarzball import checks, family, maps, schwarzian, variational
 from schwarzball.errors import (
     DimensionError,
     InfeasibleSearchError,
     NormalizationError,
     OutsideDomainError,
 )
-from schwarzball.family import jet_grad_jacobian, membership_check
+from schwarzball.family import grad_jacobian, jet_grad_jacobian, koebe_map, membership_check
 from schwarzball.maps import (
+    CompositionMap,
     MoebiusMap,
     PolyMap,
+    _unitary_with_first_column,
+    affine_map,
     identity_map,
     map_jet_at,
+    moebius_pole,
     moebius_pole_at_e1,
+    random_ball_point,
     random_normalized_polymap,
 )
-from schwarzball.schwarzian import schwarzian_at
+from schwarzball.schwarzian import schwarzian_at, schwarzian_of
 from schwarzball.bergman import schwarzian_norm_sup
 from schwarzball.variational import (
     SEARCH_PROBE,
@@ -180,6 +184,102 @@ def test_decoupled_rotation_path():
     assert rep.rotated
     assert abs(rep.lam - 3.0) <= 1e-12
     assert rep.quadratic_residual <= 1e-9
+
+
+def _rotated_composition_residuals(m):
+    """The decoupled residuals read off the map q^H o F o q itself, q = conj(U) with U e_1 =
+    Lambda / lambda, differentiated by the map kind: the route the library took before it
+    rotated the tensors by the chain rule, kept as an oracle."""
+    n = m.n
+    lam_vec = grad_jacobian(m)
+    lam = float(np.linalg.norm(lam_vec))
+    q = np.conj(_unitary_with_first_column(lam_vec / lam))
+    target = CompositionMap((affine_map(q.conj().T), m, affine_map(q)))
+    lam_rot = grad_jacobian(target)
+    assert np.max(np.abs(lam_rot - lam * np.eye(n)[0])) <= 1e-12 * (1 + lam)
+    t = schwarzian_of(target, np.zeros(n))
+    quad = abs(lam**2 + (n + 1) * t.Sk[0, 0, 0] * lam - (n + 1) ** 2 * t.S0[0, 0] - (n + 1) ** 2)
+    return lam, quad, np.abs(t.Sk[0, 0, 1:] * lam - (n + 1) * t.S0[0, 1:])
+
+
+def _decoupled_samples(n, rng):
+    """A random cubic, a pole rotated off e_1 (extremal), a pole inside the ball and a
+    cubic composed with an automorphism, each with Lambda off the e_1 axis."""
+    phase = np.exp(2j * np.pi * rng.random(n))
+    direction = random_ball_point(n, rng, 1.0)
+    return [
+        random_normalized_polymap(n, rng, scale=0.2),
+        moebius_pole(phase * direction / np.linalg.norm(direction)),
+        moebius_pole(random_ball_point(n, rng, 0.9)),
+        koebe_map(random_normalized_polymap(n, rng, scale=0.2), random_ball_point(n, rng, 0.5)),
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decoupled_residuals_equal_the_rotated_composition(n):
+    rng = np.random.default_rng(90 + n)
+    for m in _decoupled_samples(n, rng):
+        rep = decoupled_residuals(m)
+        lam, quad, off = _rotated_composition_residuals(m)
+        assert rep.rotated and rep.lam == lam
+        assert abs(rep.quadratic_residual - quad) <= 1e-12 * max(1.0, quad)
+        assert np.max(np.abs(rep.off_residuals - off)) <= 1e-12 * max(1.0, np.max(off))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_decoupled_residuals_are_the_parts_of_the_stationarity_residual(n):
+    # with r = A conj(Lambda) - (n+1) Lambda, the quadratic equation is the part of r along
+    # Lambda and the off equations the part across it:
+    #   quadratic = (n+1) |Lambda^H r| / lambda^2,
+    #   |off| = |r - Lambda (Lambda^H r) / lambda^2| / lambda
+    rng = np.random.default_rng(95 + n)
+    for m in _decoupled_samples(n, rng) + [moebius_pole_at_e1(n)]:
+        rep, dec = matrix_A(m), decoupled_residuals(m)
+        lam_vec = rep.Lam
+        r = rep.A @ np.conj(lam_vec) - (n + 1) * lam_vec
+        along = np.vdot(lam_vec, r) / dec.lam**2
+        scale = 1.0 + dec.quadratic_residual
+        assert abs(dec.quadratic_residual - (n + 1) * abs(along)) <= 1e-14 * scale
+        assert abs(np.linalg.norm(dec.off_residuals)
+                   - np.linalg.norm(r - lam_vec * along) / dec.lam) <= 1e-14 * scale
+
+
+def test_matrix_a_reads_the_tensors_of_schwarzian_of_bit_for_bit():
+    rng = np.random.default_rng(99)
+    for n in (2, 3):
+        for label, m in normalized_samples(n, rng):
+            rep = matrix_A(m)
+            t = schwarzian_of(m, np.zeros(n))
+            lam = grad_jacobian(m)
+            a = np.einsum("kij,k->ij", t.Sk, lam) - (n + 1) * t.S0 + np.outer(lam, lam) / (n + 1)
+            assert rep.Lam.tobytes() == lam.tobytes(), label
+            assert rep.B0.tobytes() == t.S0.tobytes(), label
+            assert rep.A.tobytes() == a.tobytes(), label
+
+
+def test_first_variation_reads_the_derivatives_once(monkeypatch):
+    # one top-level derivative read each, whichever module's binding makes it; a
+    # composition's parts are read inside that call
+    calls, depth = [], [0]
+    real = maps._derivatives
+
+    def counted(*args, **kwargs):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    for module in (maps, family, schwarzian, variational):
+        if hasattr(module, "_derivatives"):
+            monkeypatch.setattr(module, "_derivatives", counted)
+    rng = np.random.default_rng(98)
+    for m in _decoupled_samples(3, rng):
+        for f in (matrix_A, decoupled_residuals):
+            calls.clear()
+            f(m)
+            assert calls.count(0) == 1, f.__name__
 
 
 # -- bounds ------------------------------------------------------------------------

@@ -8,16 +8,18 @@ runs in its own subprocess in each tree (``python -m schwarzball.cli`` with
 that tree's ``src`` first on PYTHONPATH).  ``timing`` is dropped from both
 reports, and every check whose ``value`` differs is printed with both
 values; a different exit code, check name, tolerance, ``passed`` flag or
-other report field is printed too.  The exit code is 1 if anything
-differs, 0 if not.
+other report field is printed too.  A CSV output is compared as text, and
+each line that differs is printed with both versions.  The exit code is 1
+if anything differs, 0 if not.
 
-The commands (46): ``verify`` of every suite at n = 2, 3 and seeds 0-2;
+The commands (48): ``verify`` of every suite at n = 2, 3 and seeds 0-2;
 ``analyze`` with every op, once with ``--r-max 0.6`` and once at the point
 ``--zeta 0.2-0.1j,0.15j,-0.1``, on the seeded n = 3 cubic
 ``random_normalized_polymap(3, default_rng(0))``, whose map file the working
 tree writes once for both sides; ``search --family cubic --alpha 0.5 --seed
-0``; and the Moebius search of the benchmark's ``cli`` session, ``search
---family moebius --n 2 --alpha 0 --budget 24 --seed 1``.
+0``; and, from the benchmark's ``cli`` session, the Moebius search ``search
+--family moebius --n 2 --alpha 0 --budget 24 --seed 1`` and ``bounds --n
+2:10 --alpha 0:4 --step 0.1``, in CSV and in JSON.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ def commands(map_file: str) -> list[list[str]]:
     out.append(["search", "--family", "cubic", "--alpha", "0.5", "--seed", "0"])
     out.append(["search", "--family", "moebius", "--n", "2", "--alpha", "0", "--budget", "24",
                 "--seed", "1"])
+    out += [["bounds", "--n", "2:10", "--alpha", "0:4", "--step", "0.1", "--format", fmt]
+            for fmt in ("csv", "json")]
     return out
 
 
@@ -76,15 +80,30 @@ def differences(parent: dict, change: dict) -> list[str]:
     return lines
 
 
-def run(root: str, args: list[str]) -> tuple[int, dict]:
-    """Exit code and report of one command in the tree ``root`` ({} without a report)."""
+def text_differences(parent: str, change: str) -> list[str]:
+    """One line per line of two texts that differs, with both versions, then a different
+    line count."""
+    a, b = parent.splitlines(), change.splitlines()
+    lines = [f"line {i + 1}: {x!r} -> {y!r}" for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    if len(a) != len(b):
+        lines.append(f"lines: {len(a)} -> {len(b)}")
+    return lines
+
+
+def run(root: str, args: list[str]) -> tuple[int, str]:
+    """Exit code and standard output of one command in the tree ``root``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "schwarzball.cli", *args], cwd=root, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           timeout=RUN_TIMEOUT_S)
-    return proc.returncode, json.loads(proc.stdout) if proc.stdout.strip() else {}
+    return proc.returncode, proc.stdout
+
+
+def report(text: str) -> dict:
+    """The JSON report a command printed ({} without one)."""
+    return json.loads(text) if text.strip() else {}
 
 
 def write_map_file(path: str) -> None:
@@ -112,9 +131,9 @@ def main(argv=None) -> int:
             write_map_file(map_file)
             cmds = commands(map_file)
             for cmd in cmds:
-                (a_code, a_report), (b_code, b_report) = (run(root, cmd)
-                                                          for root in (parent_root, ROOT))
-                lines = differences(a_report, b_report)
+                (a_code, a_out), (b_code, b_out) = (run(root, cmd) for root in (parent_root, ROOT))
+                lines = (text_differences(a_out, b_out) if "csv" in cmd
+                         else differences(report(a_out), report(b_out)))
                 if a_code != b_code:
                     lines.insert(0, f"exit code: {a_code} -> {b_code}")
                 if lines:
