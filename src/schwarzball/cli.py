@@ -56,11 +56,13 @@ from .schwarzian import canonical_residual, pde_residual, schwarzian_of
 from .variational import (
     SEARCH_R_MAX,
     BoundReport,
+    _decoupled,
+    _first_variation,
+    _origin_tensors,
     bounds_report,
     decoupled_residuals,
     extremal_search,
     lemma31_check,
-    matrix_A,
     moebius_subfamily,
     cubic_subfamily,
     variation_expansion_check,
@@ -253,13 +255,11 @@ def suite_moebius(n: int = 2, seed: int = 0) -> list[dict]:
 
 def suite_chainrule(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    # f, g, z, then the Moebius postcomposition
-    cases = [
-        (random_normalized_polymap(n, rng, scale=0.08), random_normalized_polymap(n, rng, scale=0.08),
-         random_ball_point(n, rng, 0.3), random_moebius(n, rng))
-        for _ in range(50)
-    ]
-    w = checks.chain_rule(cases)
+    # all f, all g, all z, then all the Moebius postcompositions, each kind in one batch
+    fs = random_normalized_polymap(n, rng, scale=0.08, size=50)
+    gs = random_normalized_polymap(n, rng, scale=0.08, size=50)
+    points = random_ball_point(n, rng, 0.3, size=50)
+    w = checks.chain_rule(zip(fs, gs, points, random_moebius(n, rng, size=50)))
     return [
         residual_check("chainrule_max_Sk_gap", w["Sk"], 1e-9),
         residual_check("chainrule_max_S0_gap", w["S0"], 1e-9),
@@ -269,15 +269,13 @@ def suite_chainrule(n: int = 2, seed: int = 0) -> list[dict]:
 
 def suite_invariance(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    # f, the automorphism's center, z, then the direction v
-    cases = [
-        (random_normalized_polymap(n, rng, scale=0.1),
-         automorphism_from_center(random_ball_point(n, rng, 0.5)),
-         random_ball_point(n, rng, 0.5),
-         rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        for _ in range(50)
-    ]
-    w = checks.invariance(cases, seed=seed)
+    # all f, the automorphisms' centers, all z, then the directions v (real parts
+    # then imaginary parts per row), each kind in one batch
+    fs = random_normalized_polymap(n, rng, scale=0.1, size=50)
+    sigmas = automorphism_from_center(random_ball_point(n, rng, 0.5, size=50))
+    points = random_ball_point(n, rng, 0.5, size=50)
+    draws = rng.standard_normal((50, 2 * n))
+    w = checks.invariance(zip(fs, sigmas, points, draws[:, :n] + 1j * draws[:, n:]), seed=seed)
     return [
         residual_check("norm_invariance_max_residual", w["norm"], 1e-6),
         residual_check("metric_isometry_max_rel_residual", w["isometry"], 1e-9),
@@ -297,13 +295,13 @@ def _named_test_maps(n: int) -> list[MapSpec]:
 
 def suite_pde(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    cases: list[tuple[MapSpec, np.ndarray]] = []
-    for m in _named_test_maps(n):
-        cases.append((m, np.zeros(n, dtype=complex)))
-        cases.append((m, random_ball_point(n, rng, 0.4)))
-    for _ in range(20):
-        cases.append((random_normalized_polymap(n, rng, scale=0.1), random_ball_point(n, rng, 0.4)))
-    w = checks.canonical_and_pde(cases)
+    # every named map at 0 and at a point, and 20 cubics at a point each: the
+    # cubics in one batch, then the 24 points in one
+    named = _named_test_maps(n)
+    cubics = random_normalized_polymap(n, rng, scale=0.1, size=20)
+    points = random_ball_point(n, rng, 0.4, size=len(named) + len(cubics))
+    cases = [(m, np.zeros(n, dtype=complex)) for m in named]
+    w = checks.canonical_and_pde(cases + list(zip(named + cubics, points)))
     return [
         residual_check("canonical_form_max_residual", w["canonical"], 1e-10),
         residual_check("pde_solution_max_residual", w["pde"], 1e-12),
@@ -313,18 +311,17 @@ def suite_pde(n: int = 2, seed: int = 0) -> list[dict]:
 
 def suite_lemma31(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    worst = max(lemma31_check(random_normalized_polymap(n, rng, scale=0.1)) for _ in range(20))
+    worst = max(lemma31_check(m) for m in random_normalized_polymap(n, rng, scale=0.1, size=20))
     return [residual_check("gradient_expansion_matrix_max_gap", worst, 1e-9)]
 
 
 def suite_variation(n: int = 2, seed: int = 0) -> list[dict]:
     rng = np.random.default_rng(seed)
-    sym = checks.worst(
-        checks.first_variation,
-        [(random_normalized_polymap(n, rng, scale=0.1),) for _ in range(10)],
-    )
+    # ten cubics for the symmetry of A and one for the remainder, in one batch
+    cubics = random_normalized_polymap(n, rng, scale=0.1, size=11)
+    sym = checks.worst(checks.first_variation, [(m,) for m in cubics[:10]])
     # second-order remainder scaling
-    probes = [moebius_pole_at_e1(n), _named_test_maps(n)[3], random_normalized_polymap(n, rng, scale=0.1)]
+    probes = [moebius_pole_at_e1(n), _named_test_maps(n)[3], cubics[10]]
     ratio = max(variation_expansion_check(m, seed=seed).max_ratio for m in probes)
     # extremal closure at alpha = 0 for z / (1 - <z, c>), c = exp(i phase) e_1
     poles = [(moebius_pole(np.exp(1j * phase) * np.eye(n)[0]),) for phase in (0.0, 0.4, 1.1, -0.7)]
@@ -504,11 +501,13 @@ def cmd_analyze(args) -> int:
                 residual_check("koebe_normalization_residual", normalization_residual(g), 1e-12)
             )
         elif op == "extremal":
-            rep = matrix_A(m)
+            # one read of Lambda, S^k(0) and S^0(0) serves both reports
+            origin = _origin_tensors(m)
+            rep = _first_variation(*origin)
             results.append(check("extremal_Lambda", rep.Lam, None, True))
             results.append(check("extremal_A", rep.A, None, True))
             results.append(check("extremal_residual", rep.extremal_residual, None, True))
-            dec = decoupled_residuals(m)
+            dec = _decoupled(*origin)
             results.append(check("extremal_lambda_aligned", dec.lam, None, True))
             results.append(check("extremal_quadratic_residual", dec.quadratic_residual, None, True))
             results.append(check("extremal_off_residuals", dec.off_residuals, None, True))

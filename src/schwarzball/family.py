@@ -14,6 +14,9 @@ sphere).  Both read D^2 G(0) from the derivative arrays of the map kind
 (``maps._derivatives``), the route the Schwarzian tensors use;
 :func:`jet_grad_jacobian` differentiates the Jacobian-determinant jet instead
 and serves as the oracle ``checks.koebe`` compares the trace form with.
+:func:`_koebe_gradients` gives grad JG(0) of the Koebe transforms at a stack
+of centers in closed form, from DF and D^2F at the centers, with no composed
+map; :func:`koebe_map` with :func:`grad_jacobian` is its independent route.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from .jets import jet_det, jet_jacobian
 from .maps import (
     CompositionMap,
     MapSpec,
+    _center_scales,
     _derivatives,
     affine_map,
     automorphism_from_center,
     map_dim,
     map_jet_at,
 )
+from .schwarzian import _jacobi
 
 NORMALIZATION_TOL = 1e-12
 MEMBERSHIP_EPS = 1e-6
@@ -79,6 +84,29 @@ def normalize_map(m: MapSpec) -> tuple[MapSpec, bool]:
 def koebe_map(m: MapSpec, zeta) -> MapSpec:
     """The Koebe transform as a composable map: the normalization of m o sigma."""
     return normalize_map(CompositionMap((m, automorphism_from_center(zeta))))[0]
+
+
+def _koebe_gradients(m: MapSpec, zetas: np.ndarray) -> np.ndarray:
+    """grad J(K_zeta F)(0) of the Koebe transforms of m at a stack (k, n) of centers, with no
+    composed map built: one derivative call gives DF and D^2F at the centers.
+
+    The transform's gradient is grad log J(F o sigma)(0) = D sigma(0)^T g + grad log
+    J sigma(0), with g = grad log JF(zeta) from Jacobi's formula; with
+    s = sqrt(1 - |zeta|^2) it is
+
+        s g - s / (1 + s) conj(zeta) (zeta^T g) - (n + 1) conj(zeta).
+
+    Scaling m or adding a constant changes nothing, so m need not be
+    normalized.  Raises OutsideDomainError if a center has |zeta| >= 1, and
+    SingularDifferentialError where DF is singular.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    s = _center_scales(zetas)[:, None]
+    _, d1, d2 = _derivatives(m, zetas, 2)
+    g = _jacobi(d1, d2)[2]
+    conj = np.conj(zetas)
+    along = (zetas[:, None] @ g[:, :, None])[:, 0]
+    return s * g - s / (1.0 + s) * conj * along - (map_dim(m) + 1) * conj
 
 
 def grad_jacobian(g: MapSpec) -> np.ndarray:

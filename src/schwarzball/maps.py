@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+from itertools import compress
 from math import comb
 from typing import Sequence, Union
 
@@ -110,6 +111,35 @@ class PolyMap:
             comps.append(table)
         self.components = tuple(comps)
         self._plan, self._coeffs = _poly_arrays(self.n, self.components)
+
+    @classmethod
+    def _stacked(cls, n: int, keys: Sequence[tuple], coeffs: np.ndarray) -> list["PolyMap"]:
+        """The maps of a stack (k, n, len(keys)) of finite complex coefficients: component l
+        of map j has the term coeffs[j, l, s] z^keys[s] for each nonzero one, in key order.
+
+        The same maps as ``PolyMap(n, tables)`` of those tables, bit for bit: the
+        values are added to 0j as ``__init__`` adds them.  The keys are trusted
+        (tuples of n non-negative ints, no repeats), and the maps that use one set
+        of keys share one :func:`_monomial_plan` and one weighting of their terms.
+        """
+        vals = 0j + coeffs
+        nonzero = vals != 0
+        rows, flags = vals.tolist(), nonzero.tolist()
+        maps = [cls.__new__(cls) for _ in rows]
+        for m, own, keep in zip(maps, rows, flags):
+            m.n = n
+            m.components = tuple(dict(compress(zip(keys, row), mask)) for row, mask in zip(own, keep))
+        groups: dict = {}  # the maps of each set of keys in use
+        for j, pattern in enumerate(map(tuple, np.any(nonzero, axis=1).tolist())):
+            groups.setdefault(pattern, []).append(j)
+        for pattern, members in groups.items():
+            cols = sorted(compress(range(len(keys)), pattern), key=keys.__getitem__)
+            plan = _monomial_plan(n, tuple(keys[s] for s in cols))
+            _, _, _, terms, weights, *_ = plan
+            weighted = weights * np.take(np.swapaxes(vals[members][:, :, cols], 1, 2), terms, axis=1)
+            for j, own in zip(members, weighted):
+                maps[j]._plan, maps[j]._coeffs = plan, own
+        return maps
 
 
 class MoebiusMap:
@@ -567,25 +597,37 @@ def _unitary_with_first_column(w: np.ndarray) -> np.ndarray:
     return u
 
 
-def automorphism_from_center(zeta: Sequence[complex]) -> MoebiusMap:
-    """Ball automorphism with sigma(0) = zeta and Id + O(|zeta|^2) differential.
+def _center_scales(zeta: np.ndarray) -> np.ndarray:
+    """s = sqrt(1 - |zeta|^2) of each row of a stack (k, n) of centers; raises
+    OutsideDomainError if a row has |zeta| >= 1."""
+    r = _row_norms(zeta)
+    if np.any(r >= 1.0):
+        raise OutsideDomainError(
+            f"center must lie in the open unit ball (|zeta| = {r[r >= 1.0][0]:.6f})")
+    return np.sqrt(1.0 - r * r)
+
+
+def automorphism_from_center(zeta) -> MoebiusMap | list[MoebiusMap]:
+    """Ball automorphism with sigma(0) = zeta and Id + O(|zeta|^2) differential, or the
+    list of them for a stack (k, n) of centers.
 
     With s = sqrt(1 - |zeta|^2) the grid is
     [[1, zeta^H], [zeta, s Id + zeta zeta^H / (1 + s)]] / s, block-normalized
     so the three block identities hold; at zeta = 0 it is exactly the identity.
+    A stack takes one norm per row, one grid expression and one stacked
+    nonsingularity test, and every grid has the bits of its center's own call.
     """
-    zeta = np.asarray(zeta, dtype=complex).reshape(-1)
-    n = len(zeta)
-    r = float(np.linalg.norm(zeta))
-    if r >= 1.0:
-        raise OutsideDomainError(f"center must lie in the open unit ball (|zeta| = {r:.6f})")
-    s = np.sqrt(1.0 - r * r)
-    a = np.empty((n + 1, n + 1), dtype=complex)
-    a[0, 0] = 1.0
-    a[0, 1:] = np.conj(zeta)
-    a[1:, 0] = zeta
-    a[1:, 1:] = s * np.eye(n) + np.outer(zeta, np.conj(zeta)) / (1.0 + s)
-    return MoebiusMap(a / s)
+    zeta = np.asarray(zeta, dtype=complex)
+    stack = zeta if zeta.ndim == 2 else zeta.reshape(1, -1)
+    k, n = stack.shape
+    s = _center_scales(stack)[:, None, None]
+    a = np.empty((k, n + 1, n + 1), dtype=complex)
+    a[:, 0, 0] = 1.0
+    a[:, 0, 1:] = np.conj(stack)
+    a[:, 1:, 0] = stack
+    a[:, 1:, 1:] = s * np.eye(n) + stack[:, :, None] * np.conj(stack)[:, None, :] / (1.0 + s)
+    maps = MoebiusMap._checked(a / s)
+    return maps if zeta.ndim == 2 else maps[0]
 
 
 def automorphism_validate(sigma: MoebiusMap) -> tuple[float, float, float]:
@@ -678,18 +720,22 @@ def random_normalized_polymap(
     n: int,
     rng: np.random.Generator,
     scale: float = 0.1,
-) -> PolyMap:
-    """Random cubic map with F(0) = 0, DF(0) = Id and small higher terms.
+    size: int | None = None,
+) -> PolyMap | list[PolyMap]:
+    """Random cubic map with F(0) = 0, DF(0) = Id and small higher terms, or a list of
+    ``size`` of them.
 
-    The coefficients come from one draw: per component, per monomial of
-    degree 2 or 3, a real part then an imaginary part.
+    The coefficients come from one draw of shape (size, n, monomials, 2): per
+    map, per component, per monomial of degree 2 or 3, a real part then an
+    imaginary part.  The maps share one plan (``PolyMap._stacked``); zero
+    coefficients drop out, as ``PolyMap`` drops them.  ``size=None`` is the
+    size-1 case, one map with the same bits and the same generator state after.
     """
-    keys = [k for k in multi_indices(n, 3) if sum(k) >= 2]
-    draws = rng.standard_normal((n, len(keys), 2))
-    coeffs = (scale * (draws[..., 0] + 1j * draws[..., 1])).tolist()
-    comps = []
-    for i, row in enumerate(coeffs):
-        table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
-        table.update(zip(keys, row))
-        comps.append(table)
-    return PolyMap(n, comps)
+    keys = [tuple(int(i == l) for i in range(n)) for l in range(n)]
+    keys += [e for e in multi_indices(n, 3) if sum(e) >= 2]
+    k = 1 if size is None else int(size)
+    draws = rng.standard_normal((k, n, len(keys) - n, 2))
+    coeffs = np.concatenate(
+        [np.broadcast_to(np.eye(n), (k, n, n)), scale * (draws[..., 0] + 1j * draws[..., 1])], axis=2)
+    maps = PolyMap._stacked(n, keys, coeffs)
+    return maps[0] if size is None else maps

@@ -16,14 +16,18 @@ A conj(Lambda) = (n+1) Lambda; after rotating Lambda to (lambda, 0, ..., 0)
 with lambda >= 0 the equation decouples into one quadratic equation in
 lambda and n-1 linear off-component equations.  ``matrix_A`` and
 ``decoupled_residuals`` each read Lambda, S^k(0) and S^0(0) from one
-derivative call, and the rotated frame's tensors come from those by the
-finite chain rule, with no rotated map built.  ``variation_expansion_check``
-samples the O(|zeta|^2) remainder of the expansion and reports the largest
-ratio of its consecutive quotients remainder / |zeta|^2 (``ExpansionReport``);
-the bound on that ratio is the ``variation`` suite's tolerance.  The module
-also evaluates the closed-form order bounds and provides a penalized
-derivative-free search for high-order maps inside norm-bounded subfamilies,
-among them the poles z / (1 - <z, c>) (``maps.moebius_pole``).
+derivative call (``_origin_tensors``) and pass them to a private helper that
+takes those data, so one read can serve both (``analyze --ops extremal``);
+the rotated frame's tensors come from them by the finite chain rule, with no
+rotated map built.  ``variation_expansion_check`` samples the O(|zeta|^2)
+remainder of the expansion, its gradients at every sampled zeta from one
+call of the Koebe-gradient kernel ``family._koebe_gradients``, and reports
+the largest ratio of its consecutive quotients remainder / |zeta|^2
+(``ExpansionReport``); the bound on that ratio is the ``variation`` suite's
+tolerance.  The module also evaluates the closed-form order bounds and
+provides a penalized derivative-free search for high-order maps inside
+norm-bounded subfamilies, among them the poles z / (1 - <z, c>)
+(``maps.moebius_pole``).
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import numpy as np
 
 from .errors import DimensionError, InfeasibleSearchError, SchwarzballError
 from .bergman import NormEstimate, schwarzian_norm_sups
-from .family import _normalized, grad_jacobian, koebe_map
+from .family import _koebe_gradients, _normalized, grad_jacobian
 from .jets import multi_indices
-from .maps import MapSpec, PolyMap, map_dim, moebius_pole, _unitary_with_first_column
+from .maps import MapSpec, PolyMap, _row_norms, _unitary_with_first_column, map_dim, moebius_pole
 from .schwarzian import MIN_JET_DEGREE, _chain_rule, _jacobian_ratios, _tensors
 
 # weight of the squared norm excess in the extremal search's penalty
@@ -107,14 +111,18 @@ def _origin_tensors(m: MapSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.einsum("jij->i", d2), sk[0], s0[0]
 
 
-def matrix_A(m: MapSpec) -> VariationReport:
-    """Assemble the first-variation matrix and the extremality residual of a normalized map."""
-    lam, sk, s0 = _origin_tensors(m)
+def _first_variation(lam: np.ndarray, sk: np.ndarray, s0: np.ndarray) -> VariationReport:
+    """The first-variation matrix and the extremality residual from Lambda, S^k(0), S^0(0)."""
     n = len(lam)
     b = np.einsum("kij,k->ij", sk, lam)
     a = b - (n + 1) * s0 + np.outer(lam, lam) / (n + 1)
     residual = float(np.linalg.norm(a @ np.conj(lam) - (n + 1) * lam))
     return VariationReport(Lam=lam, B=b, B0=s0, A=a, extremal_residual=residual)
+
+
+def matrix_A(m: MapSpec) -> VariationReport:
+    """Assemble the first-variation matrix and the extremality residual of a normalized map."""
+    return _first_variation(*_origin_tensors(m))
 
 
 def lemma31_check(m: MapSpec) -> float:
@@ -141,36 +149,30 @@ def variation_expansion_check(m: MapSpec, seed: int = 0) -> ExpansionReport:
     """Check grad(JG)(0) = Lambda + A zeta - (n+1) conj(zeta) + O(|zeta|^2).
 
     For each of ``EXPANSION_DIRECTIONS`` random unit directions u (drawn from
-    ``seed``) and each scale s of ``EXPANSION_SCALES`` the remainder at
+    ``seed`` in one call, per direction the real parts then the imaginary
+    parts) and each scale s of ``EXPANSION_SCALES`` the remainder at
     zeta = s u is divided by s^2, and ``max_ratio`` is the largest ratio of
     consecutive quotients, near 1 when both are near the same second-order
     coefficient (the ``variation`` suite allows 4).  Two exactly vanishing
-    remainders (Moebius-flat cases) count as ratio 1.
+    remainders (Moebius-flat cases) count as ratio 1.  The gradients at every
+    zeta come from one call of the Koebe-gradient kernel
+    (``family._koebe_gradients``).
     """
     scales = np.array(EXPANSION_SCALES)
     rep = matrix_A(m)
     n = len(rep.Lam)
-    rng = np.random.default_rng(seed)
-    errors = np.zeros((EXPANSION_DIRECTIONS, len(scales)))
-    ratios = []
+    draws = np.random.default_rng(seed).standard_normal((EXPANSION_DIRECTIONS, 2, n))
+    u = draws[:, 0] + 1j * draws[:, 1]
+    u /= _row_norms(u)[:, None]
+    zetas = (scales[:, None] * u[:, None]).reshape(-1, n)  # direction-major
+    predicted = rep.Lam + (rep.A @ zetas[:, :, None])[:, :, 0] - (n + 1) * np.conj(zetas)
+    errors = _row_norms(_koebe_gradients(m, zetas) - predicted).reshape(len(u), len(scales))
+    q = errors / scales ** 2
     tiny = 1e-12 * (1.0 + float(np.linalg.norm(rep.Lam)))
-    for di in range(EXPANSION_DIRECTIONS):
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u /= np.linalg.norm(u)
-        for si, s in enumerate(scales):
-            zeta = s * u
-            g = grad_jacobian(koebe_map(m, zeta))
-            predicted = rep.Lam + rep.A @ zeta - (n + 1) * np.conj(zeta)
-            errors[di, si] = float(np.linalg.norm(g - predicted))
-        q = errors[di] / scales ** 2
-        for k in range(len(scales) - 1):
-            if errors[di, k] <= tiny and errors[di, k + 1] <= tiny:
-                ratios.append(1.0)
-            else:
-                lo = max(min(q[k], q[k + 1]), 1e-300)
-                ratios.append(max(q[k], q[k + 1]) / lo)
-    max_ratio = float(np.max(ratios)) if ratios else 1.0
-    return ExpansionReport(errors=errors, max_ratio=max_ratio)
+    lo, hi = np.minimum(q[:, :-1], q[:, 1:]), np.maximum(q[:, :-1], q[:, 1:])
+    flat = (errors[:, :-1] <= tiny) & (errors[:, 1:] <= tiny)
+    ratios = np.where(flat, 1.0, hi / np.maximum(lo, 1e-300))
+    return ExpansionReport(errors=errors, max_ratio=float(np.max(ratios)))
 
 
 @dataclass
@@ -196,7 +198,11 @@ def decoupled_residuals(m: MapSpec) -> DecoupledReport:
     with the linear inner map q, whose tensors and D^2 vanish, and the outer q^H
     changes no tensor.
     """
-    lam_vec, sk, s0 = _origin_tensors(m)
+    return _decoupled(*_origin_tensors(m))
+
+
+def _decoupled(lam_vec: np.ndarray, sk: np.ndarray, s0: np.ndarray) -> DecoupledReport:
+    """The decoupled residuals of :func:`decoupled_residuals` from Lambda, S^k(0), S^0(0)."""
     n = len(lam_vec)
     lam = float(np.linalg.norm(lam_vec))
     rotated = bool(lam > 1e-14 and (abs(lam_vec[0] - lam) > 1e-14

@@ -75,11 +75,10 @@ class _CountingGenerator:
         return counted
 
 
-@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
-def test_moebius_suite_draws_its_maps_and_points_in_two_batches(monkeypatch, n, seed):
-    # one normal draw for the 200 grids (no grid of these seeds is resampled),
-    # one for the 4000 points' directions and one uniform draw for their radii
-    want = cli.suite_moebius(n, seed)
+def _generator_calls(monkeypatch, suite, n, seed):
+    """The calls of each generator the suite makes, one dict per generator; the suite's
+    report is checked to be the one it gives without counting."""
+    want = cli.SUITE_RUNNERS[suite](n, seed)
     made, default_rng = [], np.random.default_rng
 
     def counting_rng(s):
@@ -87,8 +86,37 @@ def test_moebius_suite_draws_its_maps_and_points_in_two_batches(monkeypatch, n, 
         return made[-1]
 
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    assert cli.suite_moebius(n, seed) == want
-    assert [g.calls for g in made] == [{"standard_normal": 2, "random": 1}]
+    assert cli.SUITE_RUNNERS[suite](n, seed) == want
+    return [g.calls for g in made]
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
+def test_moebius_suite_draws_its_maps_and_points_in_two_batches(monkeypatch, n, seed):
+    # one normal draw for the 200 grids (no grid of these seeds is resampled),
+    # one for the 4000 points' directions and one uniform draw for their radii
+    assert _generator_calls(monkeypatch, "moebius", n, seed) == [{"standard_normal": 2, "random": 1}]
+
+
+# the generator calls of each per-case suite at n = 2, one entry per generator
+# it makes: every kind of sample in one draw, however many cases (no Moebius
+# grid of these seeds is resampled); the variation suite's remainder check
+# makes one generator per probe map and draws its directions in one call, and
+# at n >= 3 the pointwise norms of the invariance suite draw their ascent
+# starts from one more generator, in one call
+SUITE_DRAWS = {
+    "chainrule": [{"standard_normal": 4, "random": 1}],
+    "invariance": [{"standard_normal": 4, "random": 2}],
+    "pde": [{"standard_normal": 2, "random": 1}],
+    "lemma31": [{"standard_normal": 1}],
+    "variation": [{"standard_normal": 1}] * 4,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DRAWS))
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1)])
+def test_per_case_suites_draw_each_sample_kind_in_one_batch(monkeypatch, suite, n, seed):
+    starts = [{"standard_normal": 1}] if suite == "invariance" and n >= 3 else []
+    assert _generator_calls(monkeypatch, suite, n, seed) == SUITE_DRAWS[suite] + starts
 
 
 def test_verify_seed_changes_are_visible(tmp_path):
@@ -512,6 +540,31 @@ def test_analyze_moebius_order_and_norm(tmp_path):
     assert abs(by_name["order_trace"] - 1.5) <= 1e-12
     assert by_name["norm_at_point"] <= 1e-10
     assert by_name["extremal_residual"] <= 1e-10
+
+
+def test_analyze_extremal_reads_the_origin_once(tmp_path, monkeypatch):
+    # one read of Lambda, S^k(0) and S^0(0) serves A and the decoupled residuals,
+    # which equal those of matrix_A and decoupled_residuals
+    m = maps.random_normalized_polymap(3, np.random.default_rng(8), scale=0.15)
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(map_to_payload(m)))
+    reads, real = [], variational._origin_tensors
+
+    def counted(mp):
+        reads.append(mp)
+        return real(mp)
+
+    monkeypatch.setattr(cli, "_origin_tensors", counted)
+    code, rep = run_json(tmp_path, ["analyze", str(path), "--ops", "extremal"])
+    assert code == 0 and len(reads) == 1
+    rep_a, dec = variational.matrix_A(reads[0]), variational.decoupled_residuals(reads[0])
+    want = {"extremal_Lambda": rep_a.Lam, "extremal_A": rep_a.A,
+            "extremal_residual": rep_a.extremal_residual, "extremal_lambda_aligned": dec.lam,
+            "extremal_quadratic_residual": dec.quadratic_residual,
+            "extremal_off_residuals": dec.off_residuals}
+    assert [r["name"] for r in rep["results"]] == list(want)
+    for r in rep["results"]:
+        assert r["value"] == cli.to_jsonable(want[r["name"]]), r["name"]
 
 
 def test_analyze_shear_norm_closed_form(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from schwarzball import checks, family
 from schwarzball.bergman import max_quadratic_image_norm
-from schwarzball.errors import NormalizationError
+from schwarzball.errors import NormalizationError, OutsideDomainError, SingularDifferentialError
 from schwarzball.family import (
     grad_jacobian,
     jet_grad_jacobian,
@@ -181,3 +181,44 @@ def test_trace_vs_norm_order_observation():
         if no > 1e-12:
             ratios.append(t / (2 * no))
     print("observed trace/(n*norm_order) ratios:", np.round(ratios, 6))
+
+
+# -- the Koebe-gradient kernel ---------------------------------------------------
+
+
+def _kernel_samples(n, rng):
+    """Cubics, the pole at e_1, an unnormalized composition with an automorphism and the
+    normalized samples of every kind, with centers from 0 out to |zeta| = 0.9."""
+    samples = [m for _, m in normalized_samples(n, rng)]
+    samples += random_normalized_polymap(n, rng, scale=0.1, size=2) + [moebius_pole_at_e1(n)]
+    sigma = automorphism_from_center(random_ball_point(n, rng, 0.6))
+    samples.append(CompositionMap((random_normalized_polymap(n, rng, scale=0.15), sigma)))
+    zetas = random_ball_point(n, rng, 0.9, size=12)
+    zetas[0] = 0.0
+    zetas[1] *= 0.9 / np.linalg.norm(zetas[1])
+    return samples, zetas
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_koebe_gradients_equal_the_composed_transforms(n):
+    rng = np.random.default_rng(60 + n)
+    samples, zetas = _kernel_samples(n, rng)
+    for m in samples:
+        got = family._koebe_gradients(m, zetas)
+        for g, zeta in zip(got, zetas):
+            want = grad_jacobian(koebe_map(m, zeta))
+            assert np.linalg.norm(g - want) <= 1e-13 * np.linalg.norm(want)
+    # the identity's transforms: grad JG(0) = -(n+1) conj(zeta)
+    ident = family._koebe_gradients(identity_map(n), zetas)
+    assert np.max(np.abs(ident + (n + 1) * np.conj(zetas))) <= 1e-15 * (n + 1)
+
+
+def test_koebe_gradients_refuse_centers_outside_the_ball_and_singular_points():
+    m = moebius_pole_at_e1(2)
+    for bad in (1.0, 1.5):
+        with pytest.raises(OutsideDomainError):
+            family._koebe_gradients(m, np.array([[0.1, 0.0], [0.0, bad]]))
+    # f_1 = z_1 + z_1^2 has a singular differential where z_1 = -1/2
+    fold = PolyMap(2, [{(1, 0): 1, (2, 0): 1}, {(0, 1): 1}])
+    with pytest.raises(SingularDifferentialError):
+        family._koebe_gradients(fold, np.array([[0.2, 0.1], [-0.5, 0.0]]))

@@ -585,6 +585,7 @@ def test_batched_samplers_keep_their_bounds(n):
     state = rng.bit_generator.state
     assert random_ball_point(n, rng, 0.9, size=0).shape == (0, n)
     assert random_moebius(n, rng, size=0) == []
+    assert random_normalized_polymap(n, rng, size=0) == []
     assert rng.bit_generator.state == state
     for r_max in (0.9, 0.3, 0.0):
         z = random_ball_point(n, rng, r_max, size=500)
@@ -624,3 +625,64 @@ def test_random_moebius_checks_its_grids_in_one_stacked_call(monkeypatch):
     stack = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-14])], dtype=complex)
     with pytest.raises(MapSpecError):
         MoebiusMap._checked(stack)
+
+
+def _poly_state(m):
+    return _poly_bytes(m), m._coeffs.tobytes(), m._coeffs.shape
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_cubics_equal_their_single_calls_bit_for_bit(n):
+    # one (k, n, monomials, 2) normal draw is k single draws in turn; the maps
+    # share one plan object and leave the generator where k single calls do
+    for seed in range(6):
+        for scale in (0.1, 0.08, 1e-3, 0.0):
+            one, batch = np.random.default_rng(seed), np.random.default_rng(seed)
+            maps = random_normalized_polymap(n, batch, scale, size=5)
+            singles = [random_normalized_polymap(n, one, scale) for _ in range(5)]
+            assert one.bit_generator.state == batch.bit_generator.state
+            assert len(maps) == 5 and all(type(m) is PolyMap and m.n == n for m in maps)
+            for m, single in zip(maps, singles):
+                assert _poly_state(m) == _poly_state(single)
+                assert m._plan is single._plan is maps[0]._plan
+                rebuilt = PolyMap(n, m.components)
+                assert _poly_state(rebuilt) == _poly_state(m) and rebuilt._plan is m._plan
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_batched_cubics_drop_zero_coefficients_as_polymap_does(n):
+    # at scale 0 only the linear terms stay, in the tables and in the plan: the
+    # cubics are the identity map, plan object included
+    ident = identity_map(n)
+    for m in random_normalized_polymap(n, np.random.default_rng(7), scale=0.0, size=3):
+        assert m.components == ident.components and m._plan is ident._plan
+        assert m._coeffs.tobytes() == ident._coeffs.tobytes()
+    # a coefficient stack with zeros of its own: each map's tables and plan are
+    # those of PolyMap on the same tables
+    keys = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    coeffs = np.zeros((3, 2, 5), dtype=complex)
+    coeffs[:, 0, 0] = coeffs[:, 1, 1] = 1.0
+    coeffs[0, 0, 2], coeffs[1, 1, 4], coeffs[2, 0, 3] = 0.5, -0.25j, -0.0
+    stacked = PolyMap._stacked(2, keys, coeffs)
+    for m, own in zip(stacked, coeffs):
+        tables = [{key: c for key, c in zip(keys, row)} for row in own.tolist()]
+        assert _poly_state(m) == _poly_state(PolyMap(2, tables))
+        assert m._plan is PolyMap(2, tables)._plan
+    assert stacked[2]._plan is identity_map(2)._plan  # -0.0 is a zero
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_automorphisms_of_a_stack_equal_their_single_calls(n):
+    rng = np.random.default_rng(50 + n)
+    centers = np.concatenate([np.zeros((1, n)), random_ball_point(n, rng, 0.95, size=40)])
+    sigmas = automorphism_from_center(centers)
+    assert len(sigmas) == 41 and all(type(m) is MoebiusMap and m.n == n for m in sigmas)
+    for sigma, zeta in zip(sigmas, centers):
+        assert sigma.a.tobytes() == automorphism_from_center(zeta).a.tobytes()
+    assert np.array_equal(sigmas[0].a, np.eye(n + 1))
+    assert automorphism_from_center(np.zeros((0, n))) == []
+    for bad in (1.0, 1.5):
+        outside = centers[:3].copy()
+        outside[1] = bad * np.eye(n)[n - 1]
+        with pytest.raises(OutsideDomainError):
+            automorphism_from_center(outside)

@@ -156,6 +156,46 @@ def test_expansion_second_order_scaling():
     assert rep.max_ratio <= 4.0
 
 
+def _composed_expansion(m, seed=0):
+    """The remainder check with each gradient from the composed Koebe transform
+    (``koebe_map`` then ``grad_jacobian``), one center at a time: the oracle of the kernel."""
+    scales = np.array(variational.EXPANSION_SCALES)
+    rep = matrix_A(m)
+    n = len(rep.Lam)
+    rng = np.random.default_rng(seed)
+    errors = np.zeros((variational.EXPANSION_DIRECTIONS, len(scales)))
+    ratios = []
+    tiny = 1e-12 * (1.0 + float(np.linalg.norm(rep.Lam)))
+    for di in range(len(errors)):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        for si, s in enumerate(scales):
+            zeta = s * u
+            g = grad_jacobian(koebe_map(m, zeta))
+            errors[di, si] = np.linalg.norm(g - (rep.Lam + rep.A @ zeta - (n + 1) * np.conj(zeta)))
+        q = errors[di] / scales ** 2
+        for k in range(len(scales) - 1):
+            if errors[di, k] <= tiny and errors[di, k + 1] <= tiny:
+                ratios.append(1.0)
+            else:
+                ratios.append(max(q[k], q[k + 1]) / max(min(q[k], q[k + 1]), 1e-300))
+    return errors, max(ratios)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expansion_check_matches_the_composed_route(n):
+    rng = np.random.default_rng(70 + n)
+    samples = [moebius_pole_at_e1(n), *random_normalized_polymap(n, rng, scale=0.1, size=3)]
+    samples += [m for _, m in normalized_samples(n, rng)]
+    for m in samples:
+        for seed in (0, 1, 2):
+            errors, ratio = _composed_expansion(m, seed)
+            rep = variation_expansion_check(m, seed=seed)
+            assert rep.errors.shape == errors.shape
+            assert np.max(np.abs(rep.errors - errors)) <= 1e-12 * np.max(errors)
+            assert abs(rep.max_ratio - ratio) <= 1e-12 * ratio
+
+
 # -- decoupled equations -----------------------------------------------------------
 
 
