@@ -42,6 +42,7 @@ from .maps import (
     MapSpec,
     MoebiusMap,
     PolyMap,
+    _near_identity_keys,
     automorphism_from_center,
     automorphism_validate,
     identity_map,
@@ -283,14 +284,12 @@ def suite_invariance(n: int = 2, seed: int = 0) -> list[dict]:
 
 
 def _named_test_maps(n: int) -> list[MapSpec]:
-    named: list[MapSpec] = [identity_map(n), moebius_pole_at_e1(n)]
-    shear_a = {tuple(1 if k == 0 else 0 for k in range(n)): 1.0, tuple(2 if k == 1 else 0 for k in range(n)): 0.4}
-    comps = [dict(shear_a) if i == 0 else {tuple(1 if k == i else 0 for k in range(n)): 1.0} for i in range(n)]
-    named.append(PolyMap(n, comps))
-    shear_b = {tuple(1 if k == 0 else 0 for k in range(n)): 1.0, tuple(2 if k == 0 else 0 for k in range(n)): 0.5}
-    comps = [dict(shear_b) if i == 0 else {tuple(1 if k == i else 0 for k in range(n)): 1.0} for i in range(n)]
-    named.append(PolyMap(n, comps))
-    return named
+    """The identity, the pole z / (1 - z_1), and the shears z_1 + 0.4 z_2^2 and z_1 + 0.5 z_1^2."""
+    squares = (tuple(2 * (k == 1) for k in range(n)), tuple(2 * (k == 0) for k in range(n)))
+    coeffs = np.zeros((2, n, n + 2))
+    coeffs[:, :, :n], coeffs[0, 0, n], coeffs[1, 0, n + 1] = np.eye(n), 0.4, 0.5
+    shears = PolyMap._stacked(n, _near_identity_keys(n, 1) + squares, coeffs)
+    return [identity_map(n), moebius_pole_at_e1(n), *shears]
 
 
 def suite_pde(n: int = 2, seed: int = 0) -> list[dict]:

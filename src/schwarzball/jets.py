@@ -13,8 +13,10 @@ read the Jacobian-determinant jet at the center through
 
 Multi-indices are plain tuples of non-negative ints (``exponents``); their
 total degree is ``sum(exponents)``.  Coefficient tables are dicts keyed by
-such tuples with exact zeros dropped.  Values are immutable by convention:
-no public operation mutates its inputs.
+such tuples with exact zeros dropped.  ``Jet(n, d, coeffs)`` and its named
+constructors validate the tables they are given; operations wrap the valid
+tables they build (``Jet._from_table``).  Values are immutable by
+convention: no public operation mutates its inputs.
 
 Products visit only the pairs of terms whose degrees add up to at most
 ``d``.  Composition, the reciprocal series and the recentering of
@@ -275,7 +277,7 @@ def jet_partial(a: Jet, i: int) -> Jet:
             continue
         new_key = key[:i] + (e - 1,) + key[i + 1:]
         table[new_key] = val * e
-    return Jet(a.n, max(a.d - 1, 0), table)
+    return Jet._from_table(a.n, max(a.d - 1, 0), table)
 
 
 def _substitute(
@@ -428,12 +430,12 @@ def jet_det(rows: Sequence[Sequence[Jet]]) -> Jet:
 
     def minor(r: int, cs: tuple[int, ...]) -> Jet:
         if r == size:
-            return Jet.constant(n, d, 1.0)
+            return Jet._from_table(n, d, {(0,) * n: 1 + 0j})
         key = (r, cs)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        acc = Jet.zero(n, d)
+        acc = Jet._from_table(n, d, {})
         sign = 1.0
         for pos, c in enumerate(cs):
             entry = rows[r][c]

@@ -11,8 +11,10 @@ zeta, with s = sqrt(1 - |zeta|^2), is the single closed form
 
 Values and derivatives of order <= 3 at a stack of points come from
 :func:`_derivatives`, one batched route per map kind with a leading point
-axis: a polynomial map weights the values of its monomials by the term
-coefficients it builds once in ``__init__`` and gathers them in the
+axis: a polynomial map weights the values of its monomials by its term
+coefficients (:func:`_weighted_terms`), built once by ``PolyMap._stacked``,
+the one builder of the package's own polynomial maps, or by the validating
+``PolyMap(n, tables)`` for tables from outside, and gathers them in the
 derivative-array layout of :func:`.jets._derivative_positions`, which the
 jet route's :meth:`Jet.derivatives` reads too; a Moebius map uses the
 closed form of F = L / l_0; a composition chain applies the order-3
@@ -89,7 +91,8 @@ class PolyMap:
     """Polynomial map with exact coefficient tables.
 
     ``components[l]`` maps exponent tuples of length ``n`` to complex
-    coefficients of component ``l``.
+    coefficients of component ``l``.  The constructor validates tables from outside
+    and keeps their order; the package's own maps come from :meth:`_stacked`.
     """
 
     def __init__(self, n: int, components: Sequence[dict]):
@@ -100,8 +103,8 @@ class PolyMap:
         for comp in components:
             table = {}
             for key, val in comp.items():
-                key = tuple(int(e) for e in key)
-                if len(key) != n or any(e < 0 for e in key):
+                key = tuple(map(int, key))
+                if len(key) != n or min(key, default=0) < 0:
                     raise DimensionError(f"bad exponent tuple {key} for n={n}")
                 val = complex(val)
                 if not cmath.isfinite(val):
@@ -110,19 +113,26 @@ class PolyMap:
                     table[key] = table.get(key, 0j) + val
             comps.append(table)
         self.components = tuple(comps)
-        self._plan, self._coeffs = _poly_arrays(self.n, self.components)
+        used = tuple(sorted({key for comp in comps for key in comp}))
+        self._plan = _monomial_plan(self.n, used)
+        vals = np.array([[comp.get(key, 0j) for comp in comps] for key in used]).reshape(-1, n)
+        self._coeffs = _weighted_terms(self._plan, vals)
 
     @classmethod
     def _stacked(cls, n: int, keys: Sequence[tuple], coeffs: np.ndarray) -> list["PolyMap"]:
-        """The maps of a stack (k, n, len(keys)) of finite complex coefficients: component l
-        of map j has the term coeffs[j, l, s] z^keys[s] for each nonzero one, in key order.
+        """The maps of a stack (k, n, len(keys)) of complex coefficients: component l of
+        map j has the term coeffs[j, l, s] z^keys[s] for each nonzero one, in key order.
 
-        The same maps as ``PolyMap(n, tables)`` of those tables, bit for bit: the
-        values are added to 0j as ``__init__`` adds them.  The keys are trusted
-        (tuples of n non-negative ints, no repeats), and the maps that use one set
-        of keys share one :func:`_monomial_plan` and one weighting of their terms.
+        The one builder of the package's own polynomial maps: the same maps as
+        ``PolyMap(n, tables)`` of those tables, bit for bit, the values added to 0j
+        as ``__init__`` adds them and a non-finite one refused with MapSpecError.
+        The keys are trusted (n non-negative ints each, no repeats); the maps that
+        use one set of keys share one :func:`_monomial_plan` and one weighting.
         """
         vals = 0j + coeffs
+        if not np.isfinite(vals).all():
+            j, l, s = np.argwhere(~np.isfinite(vals))[0]
+            raise MapSpecError(f"non-finite coefficient {complex(vals[j, l, s])} at {keys[s]}")
         nonzero = vals != 0
         rows, flags = vals.tolist(), nonzero.tolist()
         maps = [cls.__new__(cls) for _ in rows]
@@ -135,8 +145,7 @@ class PolyMap:
         for pattern, members in groups.items():
             cols = sorted(compress(range(len(keys)), pattern), key=keys.__getitem__)
             plan = _monomial_plan(n, tuple(keys[s] for s in cols))
-            _, _, _, terms, weights, *_ = plan
-            weighted = weights * np.take(np.swapaxes(vals[members][:, :, cols], 1, 2), terms, axis=1)
+            weighted = _weighted_terms(plan, np.swapaxes(vals[members][:, :, cols], 1, 2))
             for j, own in zip(members, weighted):
                 maps[j]._plan, maps[j]._coeffs = plan, own
         return maps
@@ -202,23 +211,23 @@ def identity_map(n: int) -> PolyMap:
 
 
 def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> PolyMap:
-    """Polynomial map z -> matrix @ z + offset."""
+    """Polynomial map z -> matrix @ z + offset; component i holds its constant term
+    first, then its linear terms in variable order."""
     matrix = np.asarray(matrix, dtype=complex)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise DimensionError("affine matrix must be square")
     offset = np.zeros(n, dtype=complex) if offset is None else np.asarray(offset, dtype=complex)
-    comps = []
-    for i in range(n):
-        table = {}
-        if offset[i] != 0:
-            table[(0,) * n] = offset[i]
-        for j in range(n):
-            if matrix[i, j] != 0:
-                key = tuple(1 if k == j else 0 for k in range(n))
-                table[key] = matrix[i, j]
-        comps.append(table)
-    return PolyMap(n, comps)
+    keys = ((0,) * n,) + _near_identity_keys(n, 1)
+    return PolyMap._stacked(n, keys, np.column_stack((offset, matrix))[None])[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _near_identity_keys(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The exponents of a polynomial map near the identity: the linear keys e_1, ..., e_n,
+    then the monomials of degree 2..``degree`` in :func:`multi_indices` order."""
+    linear = tuple(tuple(int(i == l) for i in range(n)) for l in range(n))
+    return linear + tuple(e for e in multi_indices(n, degree) if sum(e) >= 2)
 
 
 def moebius_pole(c: Sequence[complex]) -> MoebiusMap:
@@ -318,21 +327,16 @@ def _monomial_plan(n: int, used: tuple[tuple[int, ...], ...]):
     return levels, len(monomials), rows, terms, weight[terms, cols, None], present, starts, cuts, slots
 
 
-def _poly_arrays(n: int, components) -> tuple[tuple, np.ndarray]:
-    """The plan of a polynomial map (:func:`_monomial_plan`) and its weighted term coefficients.
-
-    Row s of the coefficient array holds, for every component l, the factor
-    of monomial ``rows[s]`` in d^alpha_{c_s} f_l.
-    """
-    used = tuple(sorted({key for comp in components for key in comp}))
-    _, _, _, terms, weights, *_ = plan = _monomial_plan(n, used)
-    coeffs = np.array([[comp.get(key, 0j) for comp in components] for key in used]).reshape(-1, n)
-    return plan, weights * coeffs[terms]
+def _weighted_terms(plan, vals: np.ndarray) -> np.ndarray:
+    """Row s holds, per component l, the factor of monomial ``rows[s]`` of the plan in
+    d^alpha_{c_s} f_l, from ``vals[..., i, l]``, the coefficient of its i-th exponent in f_l."""
+    _, _, _, terms, weights, *_ = plan
+    return weights * np.take(vals, terms, axis=-2)
 
 
 def _poly_derivatives(plan, coeffs: np.ndarray, z: np.ndarray, order: int) -> list[np.ndarray]:
     """Derivative arrays of polynomial maps of one plan: ``coeffs`` is one map's
-    weighted term coefficients (:func:`_poly_arrays`) or a stack of them, one per point.
+    weighted term coefficients (:func:`_weighted_terms`) or a stack of them, one per point.
 
     Only the columns of order <= ``order`` are summed, each over the same run
     of terms at every order, so a lower order gives the prefix of a higher one
@@ -731,8 +735,7 @@ def random_normalized_polymap(
     coefficients drop out, as ``PolyMap`` drops them.  ``size=None`` is the
     size-1 case, one map with the same bits and the same generator state after.
     """
-    keys = [tuple(int(i == l) for i in range(n)) for l in range(n)]
-    keys += [e for e in multi_indices(n, 3) if sum(e) >= 2]
+    keys = _near_identity_keys(n, 3)
     k = 1 if size is None else int(size)
     draws = rng.standard_normal((k, n, len(keys) - n, 2))
     coeffs = np.concatenate(

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import DimensionError, InfeasibleSearchError, SchwarzballError
 from .bergman import NormEstimate, schwarzian_norm_sups
 from .family import _koebe_gradients, _normalized, grad_jacobian
-from .jets import multi_indices
-from .maps import MapSpec, PolyMap, _row_norms, _unitary_with_first_column, map_dim, moebius_pole
+from .maps import (MapSpec, PolyMap, _near_identity_keys, _row_norms, _unitary_with_first_column, map_dim,
+                   moebius_pole)
 from .schwarzian import MIN_JET_DEGREE, _chain_rule, _jacobian_ratios, _tensors
 
 # weight of the squared norm excess in the extremal search's penalty
@@ -298,23 +298,15 @@ def moebius_subfamily(n: int) -> SubfamilyConfig:
 def cubic_subfamily(n: int) -> SubfamilyConfig:
     """Normalized polynomial maps whose quadratic coefficients have real and
     imaginary parts in [-CUBIC_BOX, CUBIC_BOX]."""
-    monomials = [k for k in multi_indices(n, 2) if sum(k) == 2]
-    per_comp = len(monomials)
-    dim = 2 * n * per_comp
+    keys = _near_identity_keys(n, 2)
 
     def build(x: np.ndarray) -> MapSpec:
-        x = np.clip(x, -CUBIC_BOX, CUBIC_BOX)
-        comps = []
-        idx = 0
-        for i in range(n):
-            table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
-            for key in monomials:
-                table[key] = x[idx] + 1j * x[idx + 1]
-                idx += 2
-            comps.append(table)
-        return PolyMap(n, comps)
+        # per component, per quadratic monomial, a real part then an imaginary part
+        x = np.clip(x, -CUBIC_BOX, CUBIC_BOX).reshape(n, len(keys) - n, 2)
+        coeffs = np.concatenate((np.eye(n), x[..., 0] + 1j * x[..., 1]), axis=1)
+        return PolyMap._stacked(n, keys, coeffs[None])[0]
 
-    return SubfamilyConfig(build=build, x0=np.zeros(dim))
+    return SubfamilyConfig(build=build, x0=np.zeros(2 * n * (len(keys) - n)))
 
 
 def _sorted_simplex(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

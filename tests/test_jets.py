@@ -364,3 +364,19 @@ def test_derivative_value_includes_factorials():
 def test_variable_count_limit():
     with pytest.raises(DimensionError):
         Jet(9, 2)
+    for make in (lambda: Jet.zero(9, 2), lambda: Jet.constant(9, 2, 1.0), lambda: Jet.variable(9, 2, 0)):
+        with pytest.raises(DimensionError):
+            make()
+
+
+def test_jacobian_and_determinant_wrap_their_tables_unvalidated(monkeypatch):
+    # the Jacobian and its determinant wrap the tables they build as they are;
+    # Jet(...) and its named constructors test what they are given
+    jv = map_jet_at(random_normalized_polymap(3, np.random.default_rng(3)), [0.1, -0.2j, 0.05], 3)
+    calls = []
+    validated = jets._validated_table
+    monkeypatch.setattr(jets, "_validated_table", lambda *args: calls.append(args) or validated(*args))
+    det = jet_det(jets.jet_jacobian(jv))
+    assert calls == [] and (det.n, det.d) == (3, 2)
+    Jet.variable(3, 2, 0)  # the patch sees the validating constructors
+    assert len(calls) == 1

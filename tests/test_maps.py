@@ -11,7 +11,8 @@ from schwarzball.errors import (
     VanishingDenominatorError,
 )
 from schwarzball import maps as maps_module
-from schwarzball.variational import moebius_subfamily
+from schwarzball.cli import _named_test_maps
+from schwarzball.variational import CUBIC_BOX, cubic_subfamily, moebius_subfamily
 from schwarzball.jets import Jet, JetVector, jet_det, jet_jacobian, jet_reciprocal
 from schwarzball.maps import (
     CompositionMap,
@@ -317,6 +318,20 @@ def test_polymap_rejects_non_finite_coefficients():
     for bad in (np.nan, np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)):
         with pytest.raises(MapSpecError):
             PolyMap(2, [{(1, 0): 1.0, (0, 0): bad}, {(0, 1): 1.0}])
+        matrix = np.eye(3, dtype=complex)
+        matrix[1, 2] = bad
+        with pytest.raises(MapSpecError):
+            maps_module.affine_map(matrix)
+        with pytest.raises(MapSpecError):
+            maps_module.affine_map(np.eye(3), [0.0, bad, 0.0])
+
+
+def test_polymap_and_affine_map_reject_bad_shapes():
+    for key in ((1, 0, 0), (1,), (-1, 2)):
+        with pytest.raises(DimensionError):
+            PolyMap(2, [{(1, 0): 1.0, key: 0.5}, {(0, 1): 1.0}])
+    with pytest.raises(DimensionError):
+        maps_module.affine_map(np.ones((2, 3)))
 
 
 def test_moebius_scaled_grid_is_the_same_map():
@@ -669,6 +684,95 @@ def test_batched_cubics_drop_zero_coefficients_as_polymap_does(n):
         assert _poly_state(m) == _poly_state(PolyMap(2, tables))
         assert m._plan is PolyMap(2, tables)._plan
     assert stacked[2]._plan is identity_map(2)._plan  # -0.0 is a zero
+
+
+# -- the one builder of the package's polynomial maps ----------------------------
+# Each oracle fills its tables key by key, in its builder's per-component order,
+# and passes them through the validating constructor.
+
+
+def _assert_same_map(m, oracle):
+    # components item by item in order, values to the bit, the weighted term
+    # coefficients' bytes and the plan object
+    assert [list(c.items()) for c in m.components] == [list(c.items()) for c in oracle.components]
+    assert _poly_state(m) == _poly_state(oracle) and m._plan is oracle._plan
+
+
+def _affine_oracle(matrix, offset):
+    matrix, offset = np.asarray(matrix, dtype=complex), np.asarray(offset, dtype=complex)
+    n = matrix.shape[0]
+    comps = []
+    for i in range(n):
+        table = {}
+        if offset[i] != 0:
+            table[(0,) * n] = offset[i]
+        for j in range(n):
+            if matrix[i, j] != 0:
+                key = tuple(1 if k == j else 0 for k in range(n))
+                table[key] = matrix[i, j]
+        comps.append(table)
+    return PolyMap(n, comps)
+
+
+def _cubic_oracle(n, x):
+    monomials = [k for k in multi_indices(n, 2) if sum(k) == 2]
+    x = np.clip(x, -CUBIC_BOX, CUBIC_BOX)
+    comps = []
+    idx = 0
+    for i in range(n):
+        table = {tuple(1 if k == i else 0 for k in range(n)): 1.0 + 0j}
+        for key in monomials:
+            table[key] = x[idx] + 1j * x[idx + 1]
+            idx += 2
+        comps.append(table)
+    return PolyMap(n, comps)
+
+
+def _shear_oracles(n):
+    shear_a = {tuple(1 if k == 0 else 0 for k in range(n)): 1.0, tuple(2 if k == 1 else 0 for k in range(n)): 0.4}
+    shear_b = {tuple(1 if k == 0 else 0 for k in range(n)): 1.0, tuple(2 if k == 0 else 0 for k in range(n)): 0.5}
+    return [PolyMap(n, [dict(shear) if i == 0 else {tuple(1 if k == i else 0 for k in range(n)): 1.0}
+                        for i in range(n)]) for shear in (shear_a, shear_b)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_affine_maps_equal_polymap_of_their_tables(n):
+    rng = np.random.default_rng(80 + n)
+    for r in range(4):
+        matrix = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        offset = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        matrix[rng.random((n, n)) < 0.3] = 0.0
+        matrix[0, n - 1], offset[r % n] = -0.0, (0.0, complex(-0.0, -0.0))[r % 2]
+        _assert_same_map(maps_module.affine_map(matrix, offset), _affine_oracle(matrix, offset))
+        _assert_same_map(maps_module.affine_map(matrix), _affine_oracle(matrix, np.zeros(n)))
+    _assert_same_map(identity_map(n), _affine_oracle(np.eye(n), np.zeros(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_subfamily_builds_equal_polymap_of_their_tables(n):
+    config = cubic_subfamily(n)
+    rng = np.random.default_rng(90 + n)
+    draws = [config.x0, -0.0 * np.ones_like(config.x0)]  # x = 0, and its signed zeros
+    draws += [rng.uniform(-1.0, 1.0, config.x0.shape) for _ in range(3)]  # clipped at CUBIC_BOX
+    for x in draws:
+        _assert_same_map(config.build(x), _cubic_oracle(n, x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_named_test_maps_equal_polymap_of_their_tables(n):
+    named = _named_test_maps(n)
+    _assert_same_map(named[0], identity_map(n))
+    assert named[1].a.tobytes() == moebius_pole_at_e1(n).a.tobytes()
+    for shear, oracle in zip(named[2:], _shear_oracles(n), strict=True):
+        _assert_same_map(shear, oracle)
+
+
+def test_jet_expansion_refuses_more_than_eight_variables():
+    # Jet.variable refuses the polynomial map's factors, and Jet.constant the unit
+    # jet of the substitution behind the Moebius map's reciprocal
+    for m in (identity_map(9), MoebiusMap(np.eye(10))):
+        with pytest.raises(DimensionError):
+            map_jet_at(m, np.zeros(9), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
