@@ -25,11 +25,14 @@ iteration per point, batched over points).  At n >= 3 it is estimated by a
 deterministic multistart ascent on the sphere, 2 Barzilai-Borwein (BB) steps,
 then saddle-free Riemannian Newton steps modulo phase, taken in a
 (2n - 2)-dimensional orthonormal basis of the tangent space, and reported
-values are lower bounds.  The starts are screened: of ``START_POOL`` times
-as many seeded directions as starts, each problem ascends from those with the
-largest |T(w, w)| (``START_POOL = 1`` is the unscreened ascent).  One
-kernel runs every start of every problem as a row of one array, and a
-problem's result does not depend on the batch it is solved in.  Dividing by
+values are lower bounds.  A row whose Riemannian Hessian an LDL^T test
+certifies negative definite takes Newton's step from one batched solve; only
+the other rows take a symmetric eigendecomposition.  The starts are
+screened: of ``START_POOL`` times as many seeded directions as starts, each
+problem ascends from those with the largest |T(w, w)| (``START_POOL = 1`` is
+the unscreened ascent).  One kernel runs every start of every problem as a
+row of one array, and a problem's result does not depend on the batch it is
+solved in.  Dividing by
 c makes both routes scale-free; the one absolute floor is ``ZERO_NORM``,
 below which a tensor is rounding noise (the ascent's starts stop at once,
 the exact route skips its Newton steps).
@@ -193,10 +196,10 @@ def _value(x, t_flat):
     rows, n = t_flat.shape[0], t_flat.shape[1]
     w = x[:, :n] + 1j * x[:, n:]
     u = t_flat @ (w[:, :, None] * w[:, None, :]).reshape(rows, n * n, 1)
-    return np.real(np.sum(u * np.conj(u), axis=(1, 2)))
+    return (u * u.conj()).sum(axis=(1, 2)).real
 
 
-def _grad_and_hess(x, t_flat):
+def _grad_and_hess(x, t_flat, hess=True):
     """Gradient and Hessian of |T(w, w)|^2 in x = (Re w, Im w), at each row of x.
 
     With u_k = w^T T^k w and tw_k = T^k w, the complex gradient is
@@ -205,18 +208,24 @@ def _grad_and_hess(x, t_flat):
     (complex symmetric) and B = 4 tw^H tw (Hermitian); in real coordinates
 
         H = 2 [[Re A + Re B, -Im A - Im B], [-Im A + Im B, -Re A + Re B]].
+
+    With ``hess`` false the Hessian is not built and comes back as None: the
+    BB steps read the gradient alone.
     """
     rows, n = t_flat.shape[0], t_flat.shape[1]
     w = x[:, :n] + 1j * x[:, n:]
     tw = (t_flat.reshape(rows, n * n, n) @ w[:, :, None]).reshape(rows, n, n)
-    eta = np.conj(tw @ w[:, :, None])  # conj(u), (rows, n, 1)
-    g = 2.0 * (np.swapaxes(eta, 1, 2) @ tw)[:, 0]
-    a = 2.0 * (np.swapaxes(eta, 1, 2) @ t_flat).reshape(rows, n, n)
-    b = 4.0 * np.conj(np.swapaxes(tw, 1, 2)) @ tw
-    hess = np.empty((rows, 2 * n, 2 * n))
-    hess[:, :n, :n], hess[:, :n, n:] = np.real(a) + np.real(b), -np.imag(a) - np.imag(b)
-    hess[:, n:, :n], hess[:, n:, n:] = np.imag(b) - np.imag(a), np.real(b) - np.real(a)
-    return np.concatenate([2.0 * np.real(g), -2.0 * np.imag(g)], axis=1), 2.0 * hess
+    eta_t = (tw @ w[:, :, None]).conj().swapaxes(1, 2)  # conj(u)^T, (rows, 1, n)
+    g = 2.0 * (eta_t @ tw)[:, 0]
+    grad = np.concatenate([2.0 * g.real, -2.0 * g.imag], axis=1)
+    if not hess:
+        return grad, None
+    a = 2.0 * (eta_t @ t_flat).reshape(rows, n, n)
+    b = 4.0 * tw.swapaxes(1, 2).conj() @ tw
+    h = np.empty((rows, 2 * n, 2 * n))
+    h[:, :n, :n], h[:, :n, n:] = a.real + b.real, -a.imag - b.imag
+    h[:, n:, :n], h[:, n:, n:] = b.imag - a.imag, b.real - a.real
+    return grad, 2.0 * h
 
 
 def _tangent_basis(x):
@@ -232,13 +241,32 @@ def _tangent_basis(x):
     w = x[:, :n] + 1j * x[:, n:]
     u = w.copy()
     u[:, 0] += np.exp(1j * np.angle(w[:, 0]))  # |u|^2 = 2 (1 + |w_0|), never small
-    cols = (-1.0 / (1.0 + np.abs(w[:, 0])))[:, None, None] * u[:, :, None] * np.conj(w[:, None, 1:])
+    cols = (-1.0 / (1.0 + np.abs(w[:, 0])))[:, None, None] * u[:, :, None] * w[:, None, 1:].conj()
     cols[:, 1:] += np.eye(n - 1)
     basis = np.empty((len(x), 2 * n, 2 * n - 2))
-    basis[:, :n, :n - 1] = basis[:, n:, n - 1:] = np.real(cols)
-    basis[:, n:, :n - 1] = np.imag(cols)
+    basis[:, :n, :n - 1] = basis[:, n:, n - 1:] = cols.real
+    basis[:, n:, :n - 1] = cols.imag
     basis[:, :n, n - 1:] = -basis[:, n:, :n - 1]
     return basis
+
+
+def _newton_rows(riem, floor):
+    """Rows whose -R - floor I is positive definite: every eigenvalue of -R exceeds ``floor``.
+
+    One LDL^T elimination without pivoting, vectorized over the rows (kept on
+    the last axis), certifies a row when every pivot is positive.  A row's
+    pivots come from its own entries by elementwise arithmetic, so its
+    verdict does not depend on the other rows; a failed row divides by inf
+    from then on, so its elimination stops.
+    """
+    m = riem.shape[1]
+    a = (-riem - floor[:, None, None] * np.eye(m)).transpose(1, 2, 0).copy()
+    ok = np.ones(len(riem), dtype=bool)
+    for k in range(m):
+        ok &= a[k, k] > 0.0
+        col = a[k + 1:, k] / np.where(ok, a[k, k], np.inf)
+        a[k + 1:, k + 1:] -= col[:, None] * a[None, k, k + 1:]
+    return ok
 
 
 def _newton_directions(x, tangent, hess, mult):
@@ -248,20 +276,31 @@ def _newton_directions(x, tangent, hess, mult):
     objective is constant along the phase direction Jx = (-Im w, Re w), so
     the step lives in the (2n - 2)-dimensional tangent space {x, Jx}^perp
     with orthonormal basis B (:func:`_tangent_basis`), where the Riemannian
-    Hessian is R = B^T (H - (x^T g) I) B.  One symmetric eigendecomposition
-    R = V diag(lam) V^T per row gives d = B V diag(1 / max(|lam|, 1e-8 scale))
-    V^T B^T tangent: Newton's step where R is negative definite, an ascent
-    direction wherever it is not (Absil, Baker & Gallivan 2007; Dauphin et
-    al. 2014).  ``scale`` is 2 ||R||_F + |x^T g|.
+    Hessian is R = B^T (H - (x^T g) I) B.  With R = V diag(lam) V^T, the
+    saddle-free direction is d = B V diag(1 / max(|lam|, floor)) V^T B^T
+    tangent, floor = 1e-8 (2 ||R||_F + |x^T g|): Newton's step where R is
+    negative definite, an ascent direction wherever it is not (Absil, Baker &
+    Gallivan 2007; Dauphin et al. 2014).  Where every eigenvalue of -R
+    exceeds the floor, d is Newton's step B (-R)^-1 B^T tangent: those rows
+    are certified by the positive pivots of -R - floor I
+    (:func:`_newton_rows`) and take one batched solve.  Only the other rows
+    take a symmetric eigendecomposition.  The route of a row depends on that
+    row alone.
     """
     basis = _tangent_basis(x)
-    basis_t = np.swapaxes(basis, 1, 2)
+    basis_t = basis.swapaxes(1, 2)
     riem = basis_t @ hess @ basis - mult[:, None, None] * np.eye(basis.shape[2])
-    scale = 2.0 * np.linalg.norm(riem, axis=(1, 2)) + np.abs(mult)
-    lam, vec = np.linalg.eigh(riem)
-    inv = 1.0 / np.maximum(np.abs(lam), 1e-8 * scale[:, None])
-    coef = inv * (np.swapaxes(vec, 1, 2) @ (basis_t @ tangent[:, :, None]))[:, :, 0]
-    return (basis @ (vec @ coef[:, :, None]))[:, :, 0]
+    floor = 1e-8 * (2.0 * np.sqrt((riem * riem).sum(axis=(1, 2))) + np.abs(mult))
+    rhs = basis_t @ tangent[:, :, None]
+    newton = _newton_rows(riem, floor)
+    coef = np.empty_like(rhs)
+    coef[newton] = np.linalg.solve(-riem[newton], rhs[newton])
+    rest = ~newton
+    if rest.any():
+        lam, vec = np.linalg.eigh(riem[rest])
+        inv = 1.0 / np.maximum(np.abs(lam), floor[rest, None])
+        coef[rest] = vec @ (inv[:, :, None] * (vec.swapaxes(1, 2) @ rhs[rest]))
+    return (basis @ coef)[:, :, 0]
 
 
 def _alive(upper, floor):
@@ -360,15 +399,15 @@ def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor=-np.
             floor = np.fmax(floor, reached)  # a NaN value raises no floor
             alive &= _alive(upper, floor.repeat(per_map))
             active &= alive[owner]
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         if idx.size == 0:
             break
         xa = x[idx]
         ta = t_flat[owner[idx]]
-        ga, ha = _grad_and_hess(xa, ta)
-        mult = np.sum(ga * xa, axis=1)
+        ga, ha = _grad_and_hess(xa, ta, hess=it >= BB_STEPS)
+        mult = (ga * xa).sum(axis=1)
         tangent = ga - mult[:, None] * xa
-        tnorm = np.linalg.norm(tangent, axis=1)
+        tnorm = np.sqrt((tangent * tangent).sum(axis=1))
         flat = tnorm < 1e-14 * np.maximum(1.0, val2[idx])
         t = np.ones(idx.size)
         if it < BB_STEPS:
@@ -376,32 +415,33 @@ def _ascend(frame, starts: int, seed: int, max_iter: int, upper=None, floor=-np.
             direction, slope, length = tangent, tnorm**2, tnorm
             if it > 0:
                 sx = xa - prev_x[idx]
-                sy = np.sum(sx * (prev_tangent[idx] - tangent), axis=1)
+                sy = (sx * (prev_tangent[idx] - tangent)).sum(axis=1)
                 bb = sy > 1e-30
-                t[bb] = np.minimum(np.maximum(np.sum(sx[bb] * sx[bb], axis=1) / sy[bb], 1e-10), 1e6)
+                t[bb] = np.minimum(np.maximum((sx[bb] * sx[bb]).sum(axis=1) / sy[bb], 1e-10), 1e6)
             prev_x[idx], prev_tangent[idx] = xa, tangent
         else:
             direction = _newton_directions(xa, tangent, ha, mult)
-            slope = np.sum(tangent * direction, axis=1)
+            slope = (tangent * direction).sum(axis=1)
             # a gain the Newton model puts below the rounding of the value is
             # flat too: no trial point could show it
             flat |= slope < 1e-15 * val2[idx]
-            length = np.linalg.norm(direction, axis=1)
+            length = np.sqrt((direction * direction).sum(axis=1))
         accepted = np.zeros(idx.size, dtype=bool)
         moved = np.zeros(idx.size)
         trying = ~flat
         while True:
             trying &= t * length >= STEP_FLOOR
-            j = np.flatnonzero(trying)
+            j = trying.nonzero()[0]
             if j.size == 0:
                 break
             cand = xa[j] + t[j, None] * direction[j]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            cand /= np.sqrt((cand * cand).sum(axis=1, keepdims=True))
             rj = idx[j]
             cand_val2 = _value(cand, ta[j])
             ok = cand_val2 >= val2[rj] + 1e-4 * t[j] * slope[j]
             jo, ro = j[ok], rj[ok]
-            moved[jo] = np.linalg.norm(cand[ok] - xa[jo], axis=1)
+            step = cand[ok] - xa[jo]
+            moved[jo] = np.sqrt((step * step).sum(axis=1))
             x[ro], val2[ro] = cand[ok], cand_val2[ok]
             accepted[jo] = True
             trying[jo] = False

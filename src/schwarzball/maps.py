@@ -71,6 +71,7 @@ from .errors import (
     VanishingDenominatorError,
 )
 from .jets import (
+    MAX_VARS,
     Jet,
     JetVector,
     _derivative_positions,
@@ -218,6 +219,8 @@ def affine_map(matrix: np.ndarray, offset: Sequence[complex] | None = None) -> P
     if matrix.shape != (n, n):
         raise DimensionError("affine matrix must be square")
     offset = np.zeros(n, dtype=complex) if offset is None else np.asarray(offset, dtype=complex)
+    if offset.shape != (n,):
+        raise DimensionError(f"affine offset of shape {offset.shape} does not match dimension {n}")
     keys = ((0,) * n,) + _near_identity_keys(n, 1)
     return PolyMap._stacked(n, keys, np.column_stack((offset, matrix))[None])[0]
 
@@ -568,6 +571,8 @@ def map_jet_at(m: MapSpec, zeta: Sequence[complex], d: int) -> JetVector:
     """
     zeta = np.asarray(zeta, dtype=complex).reshape(-1)
     n = map_dim(m)
+    if n > MAX_VARS:
+        raise DimensionError(f"variable count {n} outside supported range 1..{MAX_VARS}")
     if len(zeta) != n:
         raise DimensionError("center dimension does not match map dimension")
     if isinstance(m, PolyMap):

@@ -367,19 +367,106 @@ def _dense_newton_directions(x, tangent, hess, mult):
     return (vec @ coef[:, :, None])[:, :, 0]
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_tangent_newton_direction_matches_the_dense_projector(n):
-    rng = np.random.default_rng(70 + n)
-    rows = 40
-    t = np.stack([_symmetric_tensor(rng, n, 1.0) for _ in range(rows)])
-    x = rng.standard_normal((rows, 2 * n))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
+def _newton_inputs(x, t):
+    """(x, tangent, hess, mult) of ``_newton_directions`` at the rows x of the frame tensors t."""
+    rows, n = t.shape[0], t.shape[-1]
     g, h = _grad_and_hess(x, t.reshape(rows, n, n * n))
     mult = np.sum(g * x, axis=1)
-    tangent = g - mult[:, None] * x
-    d = _newton_directions(x, tangent, h, mult)
-    ref = _dense_newton_directions(x, tangent, h, mult)
-    assert np.all(np.linalg.norm(d - ref, axis=1) <= 1e-10 * np.linalg.norm(ref, axis=1))
+    return x, g - mult[:, None] * x, h, mult
+
+
+def _random_iterates(rng, n, rows):
+    t = np.stack([_symmetric_tensor(rng, n, 1.0) for _ in range(rows)])
+    x = rng.standard_normal((rows, 2 * n))
+    return _newton_inputs(x / np.linalg.norm(x, axis=1, keepdims=True), t)
+
+
+def _near_maximum_iterates(rng, n, rows):
+    # ascent maxima in the identity form, where v = w, moved off by 1e-4: there
+    # the Riemannian Hessian is negative definite
+    frame = _pullback(np.stack([_symmetric_tensor(rng, n, 1.0) for _ in range(rows)]),
+                      np.broadcast_to(np.eye(n, dtype=complex), (rows, n, n)))
+    v = _ascend(frame, 4, 0, DEFAULT_MAX_ITER)[1]
+    x = np.concatenate([v.real, v.imag], axis=1) + 1e-4 * rng.standard_normal((rows, 2 * n))
+    return _newton_inputs(x / np.linalg.norm(x, axis=1, keepdims=True), frame[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tangent_newton_direction_matches_the_dense_projector(n):
+    # random rows take the eigendecomposition mostly, rows near a maximum the solve
+    rng = np.random.default_rng(70 + n)
+    for args in (_random_iterates(rng, n, 40), _near_maximum_iterates(rng, n, 40)):
+        d = _newton_directions(*args)
+        ref = _dense_newton_directions(*args)
+        assert np.all(np.linalg.norm(d - ref, axis=1) <= 1e-10 * np.linalg.norm(ref, axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_certified_newton_rows_make_no_eigendecomposition(n, monkeypatch):
+    args = _near_maximum_iterates(np.random.default_rng(80 + n), n, 40)
+    want = _newton_directions(*args)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    assert np.array_equal(_newton_directions(*args), want) and calls == []
+    # beside random rows, one eigendecomposition takes some of those rows alone
+    mixed = zip(args, _random_iterates(np.random.default_rng(80 + n), n, 40))
+    _newton_directions(*(np.concatenate(a) for a in mixed))
+    assert len(calls) == 1 and 0 < calls[0] <= 40
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_newton_rows_of_a_mixed_batch_equal_their_one_row_calls(n, monkeypatch):
+    rng = np.random.default_rng(90 + n)
+    parts = [_random_iterates(rng, n, 20), _near_maximum_iterates(rng, n, 20)]
+    order = rng.permutation(40)
+    args = [np.concatenate(a)[order] for a in zip(*parts)]
+    verdicts = []
+    newton_rows = bergman._newton_rows
+    monkeypatch.setattr(bergman, "_newton_rows",
+                        lambda r, f: verdicts.append(newton_rows(r, f)) or verdicts[-1])
+    d = _newton_directions(*args)
+    assert 0 < verdicts[0].sum() < 40  # both routes run in the batch
+    for i in range(40):
+        alone = _newton_directions(*(a[i:i + 1] for a in args))
+        assert alone[0].tobytes() == d[i].tobytes()
+        assert verdicts[-1][0] == verdicts[0][i]
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_newton_certificate_agrees_with_eigvalsh_at_the_floor(m):
+    # -R = V diag(mu) V^T with its smallest eigenvalue a factor 1 +- 1e-3 from
+    # the floor, beside rows with a negative eigenvalue
+    rng = np.random.default_rng(m)
+    rows = 60
+    mu = rng.uniform(0.5, 2.0, (rows, m))
+    floor = 1e-8 * (2.0 * np.sqrt(np.sum(mu**2, axis=1)) + rng.uniform(0.0, 1.0, rows))
+    factor = np.tile([1.0 + 1e-3, 1.0 - 1e-3, -1.0], rows // 3)
+    mu[:, rng.integers(m)] = factor * floor
+    mu[factor < 0, -1] = -1.0
+    vec = np.linalg.qr(rng.standard_normal((rows, m, m)))[0]
+    riem = -(vec * mu[:, None, :]) @ np.swapaxes(vec, 1, 2)
+    riem = 0.5 * (riem + np.swapaxes(riem, 1, 2))
+    certified = np.linalg.eigvalsh(-riem)[:, 0] > floor
+    assert np.array_equal(certified, factor > 1.0)
+    assert np.array_equal(bergman._newton_rows(riem, floor), certified)
+
+
+def test_barzilai_borwein_iterations_build_no_hessian(monkeypatch):
+    rng = np.random.default_rng(95)
+    frame = _pullback(np.stack([_symmetric_tensor(rng, 3, 1.0) for _ in range(5)]),
+                      np.broadcast_to(np.eye(3, dtype=complex), (5, 3, 3)))
+    built = []
+    grad_and_hess = bergman._grad_and_hess
+
+    def spy(x, t_flat, **kwargs):
+        out = grad_and_hess(x, t_flat, **kwargs)
+        built.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(bergman, "_grad_and_hess", spy)
+    _ascend(frame, 4, 0, bergman.BB_STEPS + 3)
+    assert built == [False] * bergman.BB_STEPS + [True] * 3
 
 
 def test_ascent_has_no_long_tail():

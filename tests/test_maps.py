@@ -332,6 +332,9 @@ def test_polymap_and_affine_map_reject_bad_shapes():
             PolyMap(2, [{(1, 0): 1.0, key: 0.5}, {(0, 1): 1.0}])
     with pytest.raises(DimensionError):
         maps_module.affine_map(np.ones((2, 3)))
+    for offset in ([0.1], [0.1, 0.2j, 0.3]):
+        with pytest.raises(DimensionError):
+            maps_module.affine_map(np.eye(2), offset)
 
 
 def test_moebius_scaled_grid_is_the_same_map():
@@ -772,6 +775,18 @@ def test_jet_expansion_refuses_more_than_eight_variables():
     # jet of the substitution behind the Moebius map's reciprocal
     for m in (identity_map(9), MoebiusMap(np.eye(10))):
         with pytest.raises(DimensionError):
+            map_jet_at(m, np.zeros(9), 2)
+
+
+def test_jet_expansion_checks_the_variable_count_before_any_jet(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a jet was built")
+
+    monkeypatch.setattr(Jet, "__init__", refuse)
+    monkeypatch.setattr(Jet, "_from_table", refuse)
+    moebius = MoebiusMap(np.eye(10))
+    for m in (identity_map(9), moebius, CompositionMap((moebius, moebius))):
+        with pytest.raises(DimensionError, match="variable count 9"):
             map_jet_at(m, np.zeros(9), 2)
 
 
